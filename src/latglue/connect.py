@@ -3,6 +3,7 @@ their quotient into an S-glued system, and locally S-connected systems
 over modular skeletons with maps given only on skeleton covers."""
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .core import FiniteLattice, LatticeError
 from .glue import GluedSystem, _is_filter, _is_ideal, validate as glue_validate
@@ -240,16 +241,6 @@ def validate_local(lcs):
     return out
 
 
-def _chains_up(S, x, y):
-    if x == y:
-        return [[x]]
-    out = []
-    for z in S.upper_covers(x):
-        if S.leq(z, y):
-            out.extend([x] + rest for rest in _chains_up(S, z, y))
-    return out
-
-
 def _compose_chain(lcs, chain):
     m = {a: a for a in lcs.blocks[chain[0]].elements}
     for u, v in zip(chain, chain[1:]):
@@ -271,12 +262,12 @@ def elevate(lcs, exhaustive=False):
         for y in S.elements:
             if x == y or not S.leq(x, y):
                 continue
-            chains = _chains_up(S, x, y)
-            m = _compose_chain(lcs, chains[0])
-            others = chains[1:] if exhaustive else chains[1:2]
-            for ch in others:
+            chains = S.maximal_chains(x, y)
+            first = next(chains)
+            m = _compose_chain(lcs, first)
+            for ch in chains if exhaustive else islice(chains, 1):
                 if _compose_chain(lcs, ch) != m:
-                    raise ChainDependence((x, y, tuple(chains[0]), tuple(ch)))
+                    raise ChainDependence((x, y, tuple(first), tuple(ch)))
             if m:
                 maps[(x, y)] = m
     cs = ConnectedSystem(S, dict(lcs.blocks), maps)

@@ -3,7 +3,7 @@ and the small-lattice enumerator used as the verification corpus."""
 
 from itertools import combinations, permutations, product as iproduct
 
-from .core import FiniteLattice, LatticeError, product
+from .core import FiniteLattice, LatticeError, _invariant_classes, product
 from .connect import LocalConnectedSystem, connected_sum, elevate
 from .glue import GluedSystem, glued_sum
 
@@ -364,14 +364,7 @@ def translator_fixtures():
 def canonical_key(L):
     """Minimal order-matrix code over permutations respecting structural
     invariant classes (all automorphism-compatible relabelings)."""
-    inv = {a: (L.height(a), L.depth(a), len(L.upper_covers(a)),
-               len(L.lower_covers(a)), len(L.up_set(a)), len(L.down_set(a)))
-           for a in L.elements}
-    for _ in range(2):
-        inv = {a: (inv[a],
-                   tuple(sorted(inv[b] for b in L.upper_covers(a))),
-                   tuple(sorted(inv[b] for b in L.lower_covers(a))))
-               for a in L.elements}
+    inv = _invariant_classes(L)
     classes = {}
     for a in sorted(L.elements, key=L.index):
         classes.setdefault(inv[a], []).append(a)
@@ -387,13 +380,8 @@ def canonical_key(L):
 
 def _lattice_from_downsets(downs):
     n = len(downs)
-    covers = []
-    for j in range(n):
-        for i in downs[j]:
-            if i != j and not any(i in downs[k] for k in downs[j]
-                                  if k != i and k != j):
-                covers.append((str(i), str(j)))
-    return FiniteLattice([str(i) for i in range(n)], covers)
+    leq = [[i in downs[j] for j in range(n)] for i in range(n)]
+    return FiniteLattice.from_leq([str(i) for i in range(n)], leq)
 
 
 def enumerate_lattices(max_elements):
@@ -478,11 +466,9 @@ def naive_lattice_count(n):
         if frozen in seen_posets:
             continue
         seen_posets.add(frozen)
-        covers = [(str(i), str(j)) for i in range(n) for j in rel[i]
-                  if i != j and not any(k != i and k != j and j in rel[k]
-                                        for k in rel[i])]
+        leq = [[j in rel[i] for j in range(n)] for i in range(n)]
         try:
-            L = FiniteLattice([str(i) for i in range(n)], covers)
+            L = FiniteLattice.from_leq([str(i) for i in range(n)], leq)
         except LatticeError:
             continue
         keys.add(canonical_key(L))

@@ -146,6 +146,24 @@ class FiniteLattice:
         self._join = join
         self._meet = meet
 
+    @classmethod
+    def from_leq(cls, elements, leq):
+        """Lattice of the reflexive partial order `leq`, a boolean matrix
+        over `elements`.  Its covers lt & ~(lt @ lt) go through the validating
+        constructor; a relation that is not a partial order is rejected,
+        because the order its covers generate differs from it."""
+        ids = tuple(elements)
+        leq = np.asarray(leq, dtype=bool)
+        lt = leq & ~np.eye(len(ids), dtype=bool)
+        # int32 products: uint8 path counts would wrap at 256 elements
+        lt32 = lt.astype(np.int32)
+        covers = lt & ((lt32 @ lt32) == 0)
+        L = cls(ids, [(ids[i], ids[j]) for i, j in zip(*np.nonzero(covers))])
+        if not np.array_equal(L._leq, leq):
+            raise LatticeError("relation is not a partial order: its covers "
+                               "generate a different order")
+        return L
+
     def _bound(self, a, b, cones, rank, upper):
         ids = self._ids
         common = cones[a] & cones[b]
@@ -247,6 +265,20 @@ class FiniteLattice:
         return {(self._ids[i], self._ids[j])
                 for i, j in zip(*np.nonzero(self._leq))}
 
+    def maximal_chains(self, lo, hi):
+        """Maximal chains from lo up to hi through covers, as id lists,
+        generated lazily in depth-first order."""
+        j = self.index(hi)
+
+        def walk(i):
+            if i == j:
+                yield [hi]
+            elif self._leq[i, j]:
+                for k in self._up_adj[i]:
+                    for rest in walk(k):
+                        yield [self._ids[i], *rest]
+        return walk(self.index(lo))
+
     # -- derived lattices ------------------------------------------------
 
     def dual(self):
@@ -254,23 +286,11 @@ class FiniteLattice:
                                          for i, j in self._cov])
 
     def restrict(self, subset):
-        """Lattice induced on a subset of elements (must itself be a lattice).
-
-        Covers are recomputed as the transitive reduction of the induced
-        order; construction re-validates boundedness and unique joins/meets.
-        """
-        sub = [a for a in self._ids if a in set(subset)]
-        for a in subset:
-            self.index(a)
-        idxs = [self._idx[a] for a in sub]
-        covers = []
-        for ai, i in enumerate(idxs):
-            for bi, j in enumerate(idxs):
-                if i != j and self._leq[i, j]:
-                    if not any(k != i and k != j and self._leq[i, k] and self._leq[k, j]
-                               for k in idxs):
-                        covers.append((sub[ai], sub[bi]))
-        return FiniteLattice(sub, covers)
+        """Lattice induced on a subset of elements (must itself be a lattice),
+        in the parent's element order."""
+        idxs = sorted({self.index(a) for a in subset})
+        return FiniteLattice.from_leq([self._ids[i] for i in idxs],
+                                      self._leq[np.ix_(idxs, idxs)])
 
     def interval(self, lo, hi):
         if not self.leq(lo, hi):

@@ -4,6 +4,9 @@ closure of the union of the block orders, and computes sup/inf through the
 block-local staircase formulas."""
 
 from dataclasses import dataclass, field
+from itertools import islice
+
+import numpy as np
 
 from .core import FiniteLattice, LatticeError
 
@@ -27,9 +30,9 @@ class GluedSystem:
     blocks: dict  # skeleton element -> FiniteLattice over the shared carrier
 
     def __post_init__(self):
-        missing = set(self.skeleton.elements) - set(self.blocks)
-        if missing:
-            raise LatticeError(f"blocks missing for skeleton elements {sorted(missing, key=str)}")
+        odd = set(self.skeleton.elements) ^ set(self.blocks)
+        if odd:
+            raise LatticeError(f"blocks missing or keyed outside the skeleton: {sorted(odd, key=str)}")
 
     def carrier(self):
         seen = {}
@@ -135,47 +138,22 @@ def glued_sum(sys):
     re-validated from scratch (unique joins/meets are checked, not assumed).
     """
     carrier = sys.carrier()
-    order = {a: {a} for a in carrier}
-    for x in sys.skeleton.elements:
-        L = sys.blocks[x]
-        for a in L.elements:
-            order[a] |= L.up_set(a)
-    # transitive closure
-    changed = True
-    while changed:
-        changed = False
-        for a in carrier:
-            new = set()
-            for b in order[a]:
-                new |= order[b]
-            if len(new) > len(order[a]):
-                order[a] = new
-                changed = True
-    for a in carrier:
-        for b in order[a]:
-            if a != b and a in order[b]:
-                raise NotALattice(f"closure order not antisymmetric at ({a!r}, {b!r})")
-    covers = []
-    for a in carrier:
-        for b in order[a]:
-            if b != a and not any(c != a and c != b and c in order[a] and b in order[c]
-                                  for c in order[a]):
-                covers.append((a, b))
+    idx = {a: i for i, a in enumerate(carrier)}
+    n = len(carrier)
+    leq = np.zeros((n, n), dtype=bool)
+    for L in sys.blocks.values():
+        pos = [idx[a] for a in L.elements]
+        leq[np.ix_(pos, pos)] |= L._leq
+    for k in range(n):  # Warshall
+        leq |= np.outer(leq[:, k], leq[k])
+    cyclic = np.argwhere(leq & leq.T & ~np.eye(n, dtype=bool))
+    if len(cyclic):
+        a, b = (carrier[i] for i in cyclic[0])
+        raise NotALattice(f"closure order not antisymmetric at ({a!r}, {b!r})")
     try:
-        return FiniteLattice(carrier, covers)
+        return FiniteLattice.from_leq(carrier, leq)
     except LatticeError as e:
         raise NotALattice(str(e)) from e
-
-
-def _maximal_chains(S, x, y):
-    """All maximal chains from x up to y through skeleton covers."""
-    if x == y:
-        return [[x]]
-    out = []
-    for z in S.upper_covers(x):
-        if S.leq(z, y):
-            out.extend([[x] + rest for rest in _maximal_chains(S, z, y)])
-    return out
 
 
 def _staircase_up(sys, a, chain):
@@ -195,18 +173,19 @@ def _staircase_down(sys, a, chain):
 
 
 def _sup_to_zero(sys, a, x, z):
-    chains = _maximal_chains(sys.skeleton, x, z)
-    result = _staircase_up(sys, a, chains[0])
-    if len(chains) > 1:
-        assert _staircase_up(sys, a, chains[1]) == result, (a, x, z)
+    first, *second = islice(sys.skeleton.maximal_chains(x, z), 2)
+    result = _staircase_up(sys, a, first)
+    for chain in second:
+        assert _staircase_up(sys, a, chain) == result, (a, x, z)
     return result
 
 
 def _inf_to_one(sys, a, x, z):
-    chains = _maximal_chains(sys.skeleton.dual(), x, z)
-    result = _staircase_down(sys, a, chains[0])
-    if len(chains) > 1:
-        assert _staircase_down(sys, a, chains[1]) == result, (a, x, z)
+    first, *second = (chain[::-1] for chain in
+                      islice(sys.skeleton.maximal_chains(z, x), 2))
+    result = _staircase_down(sys, a, first)
+    for chain in second:
+        assert _staircase_down(sys, a, chain) == result, (a, x, z)
     return result
 
 

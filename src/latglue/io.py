@@ -10,7 +10,7 @@ load to enforce disjointness.
 
 import json
 
-from .core import FiniteLattice
+from .core import FiniteLattice, LatticeError
 from .connect import ConnectedSystem, LocalConnectedSystem
 from .glue import GluedSystem
 
@@ -20,8 +20,21 @@ def lattice_to_dict(L):
             "covers": [list(c) for c in L.covers]}
 
 
+def _object(d):
+    if not isinstance(d, dict):
+        raise LatticeError(f"expected a JSON object, got {type(d).__name__}")
+    return d
+
+
+def _pairs(covers):
+    for c in covers:
+        if not isinstance(c, (list, tuple)) or len(c) != 2:
+            raise LatticeError(f"cover {c!r} is not a pair")
+    return [tuple(c) for c in covers]
+
+
 def lattice_from_dict(d):
-    return FiniteLattice(d["elements"], [tuple(c) for c in d["covers"]])
+    return FiniteLattice(_object(d)["elements"], _pairs(d["covers"]))
 
 
 def glued_to_dict(sys):
@@ -33,7 +46,7 @@ def glued_to_dict(sys):
 def glued_from_dict(d):
     S = lattice_from_dict(d["skeleton"])
     return GluedSystem(S, {x: lattice_from_dict(b)
-                           for x, b in d["blocks"].items()})
+                           for x, b in _object(d["blocks"]).items()})
 
 
 def connected_to_dict(cs, local=False):
@@ -53,9 +66,9 @@ def connected_from_dict(d):
         return a if a.startswith(f"{x}:") else f"{x}:{a}"
 
     blocks = {}
-    for x, b in d["blocks"].items():
+    for x, b in _object(d["blocks"]).items():
         blocks[x] = FiniteLattice([ns(x, a) for a in b["elements"]],
-                                  [(ns(x, a), ns(x, c)) for a, c in b["covers"]])
+                                  [(ns(x, a), ns(x, c)) for a, c in _pairs(b["covers"])])
     maps = {}
     for m in d.get("maps", []):
         x, y = m["from"], m["to"]
@@ -67,7 +80,7 @@ def connected_from_dict(d):
 def load(path):
     """Load a lattice / glued / connected system file by shape."""
     with open(path) as f:
-        d = json.load(f)
+        d = _object(json.load(f))
     if "maps" in d or d.get("local"):
         return connected_from_dict(d)
     if "skeleton" in d:

@@ -7,6 +7,7 @@ import pytest
 
 from latglue import io as lio
 from latglue.cli import FIXTURES, main
+from latglue.constructions import fig_3by3_system
 from latglue.core import FiniteLattice, find_isomorphism
 from latglue.glue import GluedSystem
 
@@ -149,3 +150,26 @@ def test_suite_command(capsys):
     assert run(["suite", "--corpus-max", "3"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 12
+
+
+
+def test_glue_rejects_blocks_outside_the_skeleton(tmp_path, capsys):
+    src = tmp_path / "ghost.json"
+    d = lio.to_dict(fig_3by3_system())
+    d["blocks"]["ghost"] = d["blocks"]["1"]
+    src.write_text(json.dumps(d))
+    assert run(["glue", str(src)]) == 2
+    assert "ghost" in json.loads(capsys.readouterr().err.strip())["error"]
+
+
+@pytest.mark.parametrize("doc", [
+    [{"elements": ["0"], "covers": []}],
+    {"elements": ["0", "a", "1"],
+     "covers": [["0", "a", "1"], ["a", "1"]]},
+    {"skeleton": {"elements": ["s"], "covers": []}, "blocks": [1]},
+], ids=["top-level-list", "three-element-cover", "blocks-list"])
+def test_malformed_shapes_exit_2(doc, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["dot", str(bad)]) == 2
+    assert "error" in json.loads(capsys.readouterr().err.strip())

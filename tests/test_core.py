@@ -95,6 +95,18 @@ def test_covers_are_a_transitive_reduction():
         assert L2.order_pairs() != L.order_pairs()
 
 
+def test_maximal_chains():
+    L = boolean(3)
+    chains = list(L.maximal_chains("0", "abc"))
+    assert len(chains) == 6 and len({tuple(c) for c in chains}) == 6
+    assert all(c[0] == "0" and c[-1] == "abc" and len(c) == 4 for c in chains)
+    assert all(b in L.upper_covers(a) for c in chains for a, b in zip(c, c[1:]))
+    assert list(L.maximal_chains("a", "ab")) == [["a", "ab"]]
+    assert list(L.maximal_chains("b", "b")) == [["b"]]
+    assert list(L.maximal_chains("a", "bc")) == []
+    assert len(list(grid(2, 2).maximal_chains("0,0", "2,2"))) == 6
+
+
 def test_basic_accessors():
     L = boolean(3)
     assert L.bottom == "0" and L.top == "abc"

@@ -1,15 +1,21 @@
 """Glued-system axioms, the sum construction, the staircase sup/inf
 formulas, monotonicity variants, and the length bound."""
 
+import os
+import subprocess
+import sys
+
 import pytest
+
+import latglue
 
 from latglue.constructions import chain, fig_3by3_system, grid, \
     hd_two_chains, hd_two_m3, hd_two_m3_edge, m3_chain_edges, \
     m3_chain_of_three, note2_overlap_system, note3_system, \
     section1_nonexample_a1, section1_nonexample_a4, unbounded_family
 from latglue.core import FiniteLattice, find_isomorphism
-from latglue.glue import GluedSystem, glued_sum, inf_via_formulas, \
-    is_monotone_original, is_monotone_strict, length_bound_check, \
+from latglue.glue import GluedSystem, NotALattice, glued_sum, \
+    inf_via_formulas, is_monotone_original, is_monotone_strict, length_bound_check, \
     sup_via_formulas, validate, zero_one_maps
 
 VALID = {
@@ -67,6 +73,30 @@ def test_sum_of_fig_3by3_is_the_3x3_grid():
     assert L.n == 9
     assert find_isomorphism(L, grid(2, 2)) is not None
     assert L.bottom == "a" and L.top == "i"
+
+
+def test_sum_rejects_blocks_ordering_a_shared_pair_oppositely():
+    S = chain(1)
+    sys_ = GluedSystem(S, {"0": FiniteLattice(["a", "b"], [("a", "b")]),
+                           "1": FiniteLattice(["b", "a"], [("b", "a")])})
+    with pytest.raises(NotALattice, match="not antisymmetric"):
+        glued_sum(sys_)
+
+
+def test_sum_covers_do_not_depend_on_hash_seed():
+    code = ("from latglue.constructions import fig_3by3_system\n"
+            "from latglue.glue import glued_sum\n"
+            "print(glued_sum(fig_3by3_system()).covers)")
+    src = os.path.dirname(os.path.dirname(latglue.__file__))
+    outs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env,
+                                   capture_output=True, text=True,
+                                   check=True).stdout)
+    assert outs[0] == outs[1]
 
 
 def test_sum_extends_every_block_order():
