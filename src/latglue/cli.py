@@ -13,12 +13,12 @@ from . import constructions as fix
 from . import io as lio
 from .connect import ConnectedSystem, LocalConnectedSystem, connected_sum, \
     elevate, validate_connected
-from .core import FiniteLattice, LatticeError, product
+from .core import FiniteLattice, InvariantViolated, LatticeError, product
 from .glue import GluedSystem, glued_sum, validate
 from .predicates import NotModular, breadth, is_atomistic, is_distributive, \
     is_dual_semimodular, is_modular, is_n_distributive, is_semimodular, \
     is_simple
-from .skeleton import decompose, roundtrip
+from .skeleton import decompose
 from .suite import run_suite
 
 PROPERTIES = {
@@ -129,14 +129,14 @@ def cmd_skeleton(args):
     L = _load(args.file, FiniteLattice)
     try:
         dec = decompose(L)
-    except (NotModular, AssertionError) as e:
+    except (NotModular, InvariantViolated) as e:
         return _fail("skeleton", {"file": args.file, "detail": str(e)})
     sk = sorted(dec.skeleton_set, key=str)
     print(f"skeleton: {len(sk)} elements: {', '.join(map(str, sk))}")
     for x in dec.skeleton_lattice.elements:
         B = dec.blocks[x]
         print(f"  block [{x}, {B.top}]: {B.n} elements")
-    ok = roundtrip(L)
+    ok = dec.reglues()
     print(f"roundtrip: {'OK' if ok else 'FAILED'}")
     _write_outputs(args, dec.system, dot_lattice=L, highlight=dec.skeleton_set)
     if not ok:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .core import FiniteLattice, LatticeError
-from .glue import GluedSystem, _is_filter, _is_ideal, validate as glue_validate
+from .glue import GluedSystem, _is_filter, _is_ideal, _mask, validate as glue_validate
 from .predicates import is_modular
 
 
@@ -83,9 +83,9 @@ def _iso_filter_to_ideal(Lx, Ly, m, cond, pair, out):
     if not dom <= set(Lx.elements) or not img <= set(Ly.elements):
         out.append(ConnectViolation(cond, pair, "map leaves its blocks"))
         return
-    if not _is_filter(Lx, dom):
+    if not _is_filter(Lx, _mask(Lx, dom)):
         out.append(ConnectViolation(cond, pair, "domain is not a filter"))
-    if not _is_ideal(Ly, img):
+    if not _is_ideal(Ly, _mask(Ly, img)):
         out.append(ConnectViolation(cond, pair, "image is not an ideal"))
     for a in dom:
         for b in dom:

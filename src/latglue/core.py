@@ -44,6 +44,48 @@ class NotComparable(LatticeError):
     pass
 
 
+class InvariantViolated(LatticeError):
+    """A derived fact the library checks, not assumes, failed to hold.
+    `witness` is the first offending pair or element."""
+
+    def __init__(self, what, witness):
+        super().__init__(f"{what}: {witness!r}")
+        self.witness = witness
+
+
+# Size of one block of the join/meet kernel: about 2**16 cells of the
+# tensor of common bounds.
+_BLOCK_CELLS = 1 << 16
+
+
+def _first_common_bounds(up, order):
+    """For every pair (a, b): the first common bound c in `order`, a linear
+    extension of the order up[i, j] (i below j), and whether c is the least
+    common bound.  Being first in a linear extension, c is minimal.  Every
+    element above c is a common bound, so c is least exactly when the pair
+    has as many common bounds as c has elements above it."""
+    n = len(order)
+    P = up[order][:, order]
+    above = P.sum(axis=1)
+    Pf = P.astype(np.float32)  # counts up to n are exact in float32
+    n_common = Pf @ Pf.T
+    # P is upper triangular, so the bounds of a pair lie at or after the
+    # later of its two positions: a block of rows from s on looks only at
+    # the pairs and candidates from s on, and the rest comes by symmetry
+    first = np.zeros((n, n), dtype=np.intp)
+    s = 0
+    while s < n:
+        e = min(n, s + max(1, _BLOCK_CELLS // (n - s) ** 2))
+        first[s:e, s:] = s + (P[s:e, None, s:] & P[None, s:, s:]).argmax(axis=2)
+        s = e
+    first = np.maximum(first, first.T)  # the pairs left out are still 0
+    least = n_common == above[first]
+    pos = np.empty(n, dtype=np.intp)  # element index -> position in order
+    pos[order] = np.arange(n)
+    return (order[first[pos][:, pos]].astype(np.int32),
+            least[pos][:, pos])
+
+
 class FiniteLattice:
     def __init__(self, elements, covers):
         ids = tuple(elements)
@@ -114,11 +156,6 @@ class FiniteLattice:
         self._up_adj = tuple(tuple(a) for a in up_adj)
         self._down_adj = tuple(tuple(a) for a in down_adj)
 
-        ups = [frozenset(np.flatnonzero(leq[i])) for i in range(n)]
-        downs = [frozenset(np.flatnonzero(leq[:, i])) for i in range(n)]
-        self._ups = ups
-        self._downs = downs
-
         height = [0] * n
         depth = [0] * n
         for i in topo:
@@ -130,19 +167,17 @@ class FiniteLattice:
         self._height = tuple(height)
         self._depth = tuple(depth)
 
-        join = np.empty((n, n), dtype=np.int32)
-        meet = np.empty((n, n), dtype=np.int32)
-        for a in range(n):
-            for b in range(a, n):
-                if leq[a, b]:
-                    j, m = b, a
-                elif leq[b, a]:
-                    j, m = a, b
-                else:
-                    j = self._bound(a, b, ups, height, True)
-                    m = self._bound(a, b, downs, depth, False)
-                join[a, b] = join[b, a] = j
-                meet[a, b] = meet[b, a] = m
+        # joins over leq and meets over its transpose, each in a linear
+        # extension of its own order: the dual's extension is the reverse
+        topo = np.array(topo)
+        join, join_ok = _first_common_bounds(leq, topo)
+        meet, meet_ok = _first_common_bounds(leq.T, topo[::-1])
+        bad = ~(join_ok & meet_ok)
+        if bad.any():
+            a, b = np.argwhere(np.triu(bad))[0]
+            if not join_ok[a, b]:
+                self._raise_no_bound(a, b, join[a, b], leq, NoUniqueJoin, "upper")
+            self._raise_no_bound(a, b, meet[a, b], leq.T, NoUniqueMeet, "lower")
         self._join = join
         self._meet = meet
 
@@ -155,24 +190,22 @@ class FiniteLattice:
         ids = tuple(elements)
         leq = np.asarray(leq, dtype=bool)
         lt = leq & ~np.eye(len(ids), dtype=bool)
-        # int32 products: uint8 path counts would wrap at 256 elements
-        lt32 = lt.astype(np.int32)
-        covers = lt & ((lt32 @ lt32) == 0)
+        # float32 products go through BLAS and count paths up to n exactly
+        ltf = lt.astype(np.float32)
+        covers = lt & ((ltf @ ltf) == 0)
         L = cls(ids, [(ids[i], ids[j]) for i, j in zip(*np.nonzero(covers))])
         if not np.array_equal(L._leq, leq):
             raise LatticeError("relation is not a partial order: its covers "
                                "generate a different order")
         return L
 
-    def _bound(self, a, b, cones, rank, upper):
+    def _raise_no_bound(self, a, b, c, up, err, kind):
+        # c is a minimal common bound but not the least, so some common
+        # bound lies outside up[c]; the one with fewest elements below it
+        # is minimal too, and incomparable with c
+        rest = up[a] & up[b] & ~up[c]
+        other = min(np.flatnonzero(rest), key=lambda i: up[:, i].sum())
         ids = self._ids
-        common = cones[a] & cones[b]
-        c = min(common, key=lambda i: rank[i])
-        if all(i in cones[c] for i in common):
-            return c
-        other = min((i for i in common if i not in cones[c]), key=lambda i: rank[i])
-        err = NoUniqueJoin if upper else NoUniqueMeet
-        kind = "upper" if upper else "lower"
         raise err(f"({ids[a]!r}, {ids[b]!r}) has incomparable minimal {kind} "
                   f"bounds {ids[c]!r} and {ids[other]!r}")
 
@@ -255,10 +288,10 @@ class FiniteLattice:
         return {self._ids[j] for j in self._down_adj[self.index(a)]}
 
     def up_set(self, a):
-        return {self._ids[j] for j in self._ups[self.index(a)]}
+        return {self._ids[j] for j in np.flatnonzero(self._leq[self.index(a)])}
 
     def down_set(self, a):
-        return {self._ids[j] for j in self._downs[self.index(a)]}
+        return {self._ids[j] for j in np.flatnonzero(self._leq[:, self.index(a)])}
 
     def order_pairs(self):
         """All pairs (a, b) with a ≦ b, as a set of id pairs."""
@@ -288,16 +321,19 @@ class FiniteLattice:
     def restrict(self, subset):
         """Lattice induced on a subset of elements (must itself be a lattice),
         in the parent's element order."""
-        idxs = sorted({self.index(a) for a in subset})
+        return self._restrict(sorted({self.index(a) for a in subset}))
+
+    def _restrict(self, idxs):
         return FiniteLattice.from_leq([self._ids[i] for i in idxs],
-                                      self._leq[np.ix_(idxs, idxs)])
+                                      self._leq[idxs][:, idxs])
 
     def interval(self, lo, hi):
-        if not self.leq(lo, hi):
+        i, j = self.index(lo), self.index(hi)
+        if not self._leq[i, j]:
             raise NotComparable(f"{lo!r} is not below {hi!r}")
-        carrier = tuple(a for a in self._ids
-                        if self.leq(lo, a) and self.leq(a, hi))
-        return Interval(self, lo, hi, carrier, self.restrict(carrier))
+        idxs = np.flatnonzero(self._leq[i] & self._leq[:, j])
+        L = self._restrict(idxs)
+        return Interval(self, lo, hi, L.elements, L)
 
 
 @dataclass(frozen=True)

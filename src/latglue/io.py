@@ -26,11 +26,11 @@ def _object(d):
     return d
 
 
-def _pairs(covers):
-    for c in covers:
+def _pairs(pairs):
+    for c in pairs:
         if not isinstance(c, (list, tuple)) or len(c) != 2:
-            raise LatticeError(f"cover {c!r} is not a pair")
-    return [tuple(c) for c in covers]
+            raise LatticeError(f"{c!r} is not a pair")
+    return [tuple(c) for c in pairs]
 
 
 def lattice_from_dict(d):
@@ -63,6 +63,8 @@ def connected_from_dict(d):
     S = lattice_from_dict(d["skeleton"])
 
     def ns(x, a):
+        if not isinstance(a, str):
+            raise LatticeError(f"element id {a!r} of block {x!r} is not a string")
         return a if a.startswith(f"{x}:") else f"{x}:{a}"
 
     blocks = {}
@@ -72,7 +74,7 @@ def connected_from_dict(d):
     maps = {}
     for m in d.get("maps", []):
         x, y = m["from"], m["to"]
-        maps[(x, y)] = {ns(x, a): ns(y, b) for a, b in m["pairs"]}
+        maps[(x, y)] = {ns(x, a): ns(y, b) for a, b in _pairs(m["pairs"])}
     cls = LocalConnectedSystem if d.get("local") else ConnectedSystem
     return cls(S, blocks, maps)
 

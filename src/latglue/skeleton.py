@@ -4,8 +4,10 @@ atomistic intervals, and the regluing round-trip."""
 
 from dataclasses import dataclass
 
-from .core import FiniteLattice, find_isomorphism
-from .glue import GluedSystem, glued_sum, is_monotone_strict, validate as glue_validate
+import numpy as np
+
+from .core import FiniteLattice, InvariantViolated, find_isomorphism
+from .glue import GluedSystem, glued_sum, nested_cover, validate as glue_validate
 from .predicates import NotModular, breadth, is_atomistic, is_modular, is_n_distributive
 
 
@@ -70,16 +72,36 @@ def lemma61_suite(M):
     return {"violations": bad, "ok": not bad}
 
 
+def _star_plus(M):
+    """a* and a⁺ of every element, as index arrays over M's elements.
+    a* is folded up over the upper covers of a, one cover of each element
+    per step, from a itself (a + c = c for a cover c of a; 1* = 1), and a⁺
+    dually down over the lower covers."""
+    _require_modular(M)
+    lo, hi = np.array(M._cov, dtype=np.intp).reshape(-1, 2).T
+    st = np.arange(M.n)
+    pl = np.arange(M.n)
+    for tail, head, table, out in ((lo, hi, M._join, st), (hi, lo, M._meet, pl)):
+        order = np.argsort(tail, kind="stable")
+        tail, head = tail[order], head[order]
+        # k-th cover of its tail: position minus the tail's first position
+        k = np.arange(len(tail)) - np.searchsorted(tail, tail)
+        for step in range(k.max(initial=-1) + 1):
+            at = k == step
+            out[tail[at]] = table[out[tail[at]], head[at]]
+    return st, pl
+
+
 def skeleton_set(M):
     """Fixed points of x ↦ x*⁺."""
-    _require_modular(M)
-    return {a for a in M.elements if plus(M, star(M, a)) == a}
+    st, pl = _star_plus(M)
+    return {M.elements[i] for i in np.flatnonzero(pl[st] == np.arange(M.n))}
 
 
 def dual_skeleton(M):
     """Fixed points of a ↦ a⁺*."""
-    _require_modular(M)
-    return {a for a in M.elements if star(M, plus(M, a)) == a}
+    st, pl = _star_plus(M)
+    return {M.elements[i] for i in np.flatnonzero(st[pl] == np.arange(M.n))}
 
 
 def skeleton_lattice(M):
@@ -87,16 +109,24 @@ def skeleton_lattice(M):
 
     Built from the transitive reduction of the induced order, then
     validated against the structural join/meet: x ∨ y must be x + y and
-    x ∧ y must be (x·y)*⁺, with top 1⁺ and bottom 0.
+    x ∧ y must be (x·y)*⁺, with top 1⁺ and bottom 0.  A failure raises
+    InvariantViolated with the first offending pair or element.
     """
-    sk = sorted(skeleton_set(M), key=M.index)
-    S = M.restrict(sk)
-    for x in sk:
-        for y in sk:
-            assert S.join(x, y) == M.join(x, y), (x, y)
-            assert S.meet(x, y) == plus(M, star(M, M.meet(x, y))), (x, y)
-    assert S.bottom == M.bottom
-    assert S.top == plus(M, M.top)
+    st, pl = _star_plus(M)
+    k = np.flatnonzero(pl[st] == np.arange(M.n))  # S(M), in M's order
+    S = M._restrict(k)
+    pair = np.ix_(k, k)
+    for what, got, want in (
+            ("skeleton join is not the join of M", k[S._join], M._join[pair]),
+            ("skeleton meet is not (x·y)*⁺", k[S._meet], pl[st[M._meet[pair]]])):
+        bad = np.argwhere(got != want)
+        if len(bad):
+            i, j = bad[0]
+            raise InvariantViolated(what, (S.elements[i], S.elements[j]))
+    if k[S._bot] != M._bot:
+        raise InvariantViolated("skeleton bottom is not 0", S.bottom)
+    if k[S._top] != pl[M._top]:
+        raise InvariantViolated("skeleton top is not 1⁺", S.top)
     return S
 
 
@@ -109,26 +139,39 @@ class SkeletonDecomposition:
     system: GluedSystem
     dual_skeleton: frozenset
 
+    def reglues(self):
+        """Does regluing the system reproduce the source element-for-element?"""
+        L = glued_sum(self.system)
+        M = self.source
+        if set(L.elements) != set(M.elements):
+            return False
+        pos = [M.index(a) for a in L.elements]
+        return np.array_equal(L._leq, M._leq[np.ix_(pos, pos)])
+
 
 def decompose(M):
     """Split M into its maximal atomistic intervals [x, x*], x ∈ S(M),
     glued over the skeleton lattice.  The resulting system is validated
-    and must be strictly monotone."""
+    and must be strictly monotone; a failure raises InvariantViolated."""
     S = skeleton_lattice(M)
-    blocks = {x: M.interval(x, star(M, x)).lattice for x in S.elements}
+    st, pl = _star_plus(M)
+    ids = M.elements
+    blocks = {x: M.interval(x, ids[st[M.index(x)]]).lattice for x in S.elements}
     sys = GluedSystem(S, blocks)
     bad = glue_validate(sys)
-    assert not bad, bad
-    assert is_monotone_strict(sys) or M.n == 1
-    return SkeletonDecomposition(M, frozenset(S.elements), S, blocks, sys,
-                                 frozenset(dual_skeleton(M)))
+    if bad:
+        raise InvariantViolated("decomposition violates the glue axioms", bad[0])
+    nested = nested_cover(sys)
+    if nested is not None:
+        raise InvariantViolated("decomposition is not strictly monotone", nested)
+    return SkeletonDecomposition(
+        M, frozenset(S.elements), S, blocks, sys,
+        frozenset(ids[i] for i in np.flatnonzero(st[pl] == np.arange(M.n))))
 
 
 def roundtrip(M):
     """Does regluing the decomposition reproduce M element-for-element?"""
-    L = glued_sum(decompose(M).system)
-    return set(L.elements) == set(M.elements) and \
-        L.order_pairs() == M.order_pairs()
+    return decompose(M).reglues()
 
 
 def maximal_atomistic_intervals(M):

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from latglue import cli, skeleton
 from latglue import io as lio
 from latglue.cli import FIXTURES, main
 from latglue.constructions import fig_3by3_system
@@ -87,6 +88,21 @@ def test_skeleton_reports_roundtrip(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "skeleton: 4 elements" in out
     assert "roundtrip: OK" in out
+
+
+def test_skeleton_decomposes_once(tmp_path, capsys, monkeypatch):
+    src = tmp_path / "grid.json"
+    run(["construct", "grid", "2", "2", "--out", str(src)])
+    calls = []
+
+    def counted(M, real=skeleton.decompose):
+        calls.append(M)
+        return real(M)
+    monkeypatch.setattr(skeleton, "decompose", counted)
+    monkeypatch.setattr(cli, "decompose", counted)
+    assert run(["skeleton", str(src)]) == 0
+    assert "roundtrip: OK" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_skeleton_rejects_nonmodular(tmp_path, capsys):
@@ -173,3 +189,18 @@ def test_malformed_shapes_exit_2(doc, tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     assert run(["dot", str(bad)]) == 2
     assert "error" in json.loads(capsys.readouterr().err.strip())
+
+
+@pytest.mark.parametrize("doc", [
+    {"skeleton": {"elements": ["x"], "covers": []},
+     "blocks": {"x": {"elements": [0], "covers": []}}, "maps": []},
+    {"skeleton": {"elements": ["x", "y"], "covers": [["x", "y"]]},
+     "blocks": {"x": {"elements": ["a"], "covers": []},
+                "y": {"elements": ["b"], "covers": []}},
+     "maps": [{"from": "x", "to": "y", "pairs": [["a"]]}]},
+], ids=["integer-element-id", "map-pair-not-a-pair"])
+def test_malformed_connected_systems_exit_2(doc, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["connect", str(bad)]) == 2
+    assert "LatticeError" in json.loads(capsys.readouterr().err.strip())["error"]
