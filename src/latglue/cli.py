@@ -69,7 +69,16 @@ def cmd_check(args):
     code = 0
     for prop in args.property:
         if prop.startswith("n-distributive:"):
-            n = int(prop.split(":", 1)[1])
+            arg = prop.split(":", 1)[1]
+            try:
+                n = int(arg)
+            except ValueError:
+                n = None
+            if n is None or n < 1:
+                print(json.dumps({"error": f"n-distributive needs an integer "
+                                           f"n >= 1, got {arg!r}"}),
+                      file=sys.stderr)
+                return 2
             try:
                 value = is_n_distributive(L, n)
             except NotModular:

@@ -5,7 +5,7 @@ over modular skeletons with maps given only on skeleton covers."""
 from dataclasses import dataclass
 from itertools import islice
 
-from .core import FiniteLattice, LatticeError
+from .core import FiniteLattice, InvariantViolated, LatticeError
 from .glue import GluedSystem, _is_filter, _is_ideal, _mask, validate as glue_validate
 from .predicates import is_modular
 
@@ -140,7 +140,7 @@ def equivalent(cs, a, b):
     """a ~ b: the images of a and b at the join of their blocks coincide.
 
     Agreement with the meet-side criterion (preimages at the block meet)
-    is asserted, as the two are provably equivalent."""
+    is checked, as the two are provably equivalent."""
     x, y = cs.block_of(a), cs.block_of(b)
     S = cs.skeleton
     j, w = S.join(x, y), S.meet(x, y)
@@ -151,7 +151,9 @@ def equivalent(cs, a, b):
     meet_side = a in inv_x and b in inv_y and inv_x[a] == inv_y[b]
     if x == y:
         meet_side = a == b
-    assert join_side == meet_side, (a, b)
+    if join_side != meet_side:
+        raise InvariantViolated("join-side and meet-side criteria disagree",
+                                (a, b))
     return join_side
 
 

@@ -3,7 +3,7 @@ over an S-glued system."""
 
 from dataclasses import dataclass
 
-from .core import FiniteLattice, LatticeError
+from .core import FiniteLattice, InvariantViolated, LatticeError
 from .glue import glued_sum
 from .predicates import is_modular, is_simple
 
@@ -29,13 +29,19 @@ def is_homomorphism(h):
         return False
     if not set(m.values()) <= set(h.codomain.elements):
         return False
+    return _unpreserved_pair(h) is None
+
+
+def _unpreserved_pair(h):
+    """The first pair whose join or meet h does not preserve, or None."""
+    m = h.map
     for a in h.domain.elements:
         for b in h.domain.elements:
             if m[h.domain.join(a, b)] != h.codomain.join(m[a], m[b]):
-                return False
+                return a, b
             if m[h.domain.meet(a, b)] != h.codomain.meet(m[a], m[b]):
-                return False
-    return True
+                return a, b
+    return None
 
 
 def is_injective(h):
@@ -80,7 +86,11 @@ def glue_homs(sys, fam):
             total[a] = v
     host = next(iter(fam.values())).codomain
     h = LatticeHom(glued_sum(sys), host, total)
-    assert is_homomorphism(h)
+    # the sum's carrier is the union of the block domains, so only the
+    # operations can fail
+    bad = _unpreserved_pair(h)
+    if bad is not None:
+        raise InvariantViolated("glued map is not a homomorphism", bad)
     return h
 
 

@@ -4,11 +4,11 @@ distributivity, atomisticity, breadth, n-distributivity, simplicity."""
 import os
 import random
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 import numpy as np
 
-from .core import LatticeError, UnknownElement
+from .core import _BLOCK_CELLS, LatticeError, UnknownElement
 
 
 class NotModular(LatticeError):
@@ -20,7 +20,8 @@ def _tables(L):
 
 
 def is_modular(L):
-    """Modular law a ≦ c ⟹ a + (b·c) = (a+b)·c, over all triples."""
+    """Modular law a ≦ c ⟹ a + (b·c) = (a+b)·c, over all triples: one
+    comparison per element a, over all b and all c ≧ a at once."""
     cached = getattr(L, "_modular", None)
     if cached is not None:
         return cached
@@ -28,12 +29,8 @@ def is_modular(L):
     ok = True
     for a in range(L.n):
         cs = np.flatnonzero(leq[a])
-        # vectorized over b for each (a, c) pair with a ≦ c
-        for c in cs:
-            if not np.array_equal(J[a, M[:, c]], M[J[a, :], c]):
-                ok = False
-                break
-        if not ok:
+        if not np.array_equal(J[a][M[:, cs]], M[J[a][:, None], cs]):
+            ok = False
             break
     L._modular = ok
     return ok
@@ -154,37 +151,60 @@ def breadth(L):
     return n
 
 
+def _irredundant_sets(L, k):
+    """The irredundant k-sets of L, no member below the join of the others,
+    as (total join, leave-one-out joins) per set; None once a size has none.
+
+    Subsets of an irredundant set are irredundant, so the sets grow one
+    size at a time: each set takes a larger index c not below its join, and
+    keeps it if every old member stays off its leave-one-out join with c."""
+    J, _, leq = _tables(L)
+    idx = np.arange(L.n)
+    rows = idx[idx != L._bot][:, None]
+    total = rows[:, 0]
+    loo = np.full((len(rows), 1), L._bot, dtype=J.dtype)
+    step = max(1, _BLOCK_CELLS // L.n)
+    for size in range(2, k + 1):
+        if not len(rows):
+            return None
+        parts = []
+        for s in range(0, len(rows), step):
+            t = total[s:s + step]
+            r, c = np.nonzero((idx > rows[s:s + step, -1:]) & ~leq[:, t].T)
+            old = J[loo[s + r], c[:, None]]
+            keep = ~leq[rows[s + r], old].any(axis=1)
+            r, c = s + r[keep], c[keep]
+            parts.append((np.column_stack([rows[r], c]),
+                          np.column_stack([old[keep], total[r]]),
+                          J[total[r], c]))
+        rows, loo, total = (np.concatenate(a) for a in zip(*parts))
+    return (total, loo) if len(rows) else None
+
+
 def is_n_distributive(L, n):
     """Huhn identity x·Σyᵢ = Σⱼ(x·Σ_{i≠j}yᵢ) over all assignments.
 
     Only defined for modular lattices; raises NotModular otherwise.
-    y-tuples range over multisets (the identity is symmetric in the yᵢ).
-    """
+    The right side is never above the left.  If some yⱼ is below the join
+    of the others, that leave-one-out join is the total and the two sides
+    meet, so only irredundant (n+1)-sets are checked, once per distinct
+    (total, leave-one-out joins)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if not is_modular(L):
         raise NotModular("n-distributivity is defined for modular lattices")
+    sets = _irredundant_sets(L, n + 1)
+    if sets is None:
+        return True
+    total, loo = sets
+    keys = np.unique(np.column_stack([total, np.sort(loo, axis=1)]), axis=0)
+    total, loo = keys[:, 0], keys[:, 1:]
     J, M, _ = _tables(L)
-    ys = np.array(list(combinations_with_replacement(range(L.n), n + 1)))
-    total = ys[:, 0]
-    for i in range(1, n + 1):
-        total = J[total, ys[:, i]]
-    # leave-one-out joins via prefix/suffix scans
-    pre = np.zeros((len(ys), n + 2), dtype=np.int32)
-    suf = np.zeros((len(ys), n + 2), dtype=np.int32)
-    pre[:, 0] = L._bot
-    suf[:, n + 1] = L._bot
-    for i in range(n + 1):
-        pre[:, i + 1] = J[pre[:, i], ys[:, i]]
-    for i in range(n, -1, -1):
-        suf[:, i] = J[suf[:, i + 1], ys[:, i]]
-    drop = [J[pre[:, j], suf[:, j + 1]] for j in range(n + 1)]
     for x in range(L.n):
-        lhs = M[x, total]
-        rhs = M[x, drop[0]]
+        rhs = M[x, loo[:, 0]]
         for j in range(1, n + 1):
-            rhs = J[rhs, M[x, drop[j]]]
-        if not np.array_equal(lhs, rhs):
+            rhs = J[rhs, M[x, loo[:, j]]]
+        if not np.array_equal(M[x, total], rhs):
             return False
     return True
 
@@ -275,10 +295,31 @@ def principal_congruence(L, a, b):
 
 def is_simple(L):
     """Only congruences are trivial and full.  A 1-element lattice is not
-    simple by convention."""
+    simple by convention.
+
+    A finite lattice is simple iff the dependency digraph on its
+    join-irreducibles is strongly connected: p D q when some x has
+    p ≦ q+x but not p ≦ q₊+x, q₊ the lower cover of q (Freese, Ježek &
+    Nation, *Free Lattices*, Thm 2.35 and Lemma 2.36).  The loop p D p is
+    kept; it does not change reachability."""
     if L.n < 2:
         return False
-    return all(principal_congruence(L, a, b).is_full() for a, b in L.covers)
+    J, _, leq = _tables(L)
+    ps = np.array([i for i in range(L.n) if len(L._down_adj[i]) == 1])
+    lower = np.array([L._down_adj[i][0] for i in ps])
+    up, up_lower = J[ps], J[lower]  # q+x and q₊+x, one row per q
+    D = np.empty((len(ps), len(ps)), dtype=bool)
+    step = max(1, _BLOCK_CELLS // len(ps))
+    for s in range(0, len(ps), step):
+        p = ps[s:s + step, None, None]
+        D[s:s + step] = (leq[p, up] & ~leq[p, up_lower]).any(axis=2)
+    # reachability by squaring; float32 counts paths up to |J| exactly
+    while True:
+        Df = D.astype(np.float32)
+        reach = (Df @ Df) > 0
+        if np.array_equal(reach, D):
+            return bool(D.all())
+        D = reach
 
 
 def is_sublattice(host, subset):

@@ -20,8 +20,17 @@ from .skeleton import decompose, lemma61_suite, maximal_atomistic_intervals, \
     roundtrip, skeleton_duality_suite, skeleton_lattice, skeleton_set
 
 
+# The corpora enumerated during one run_suite call, by size; None outside
+# a call, so that no state carries over from one call to the next.
+_corpora = None
+
+
 def _corpus(max_elements):
-    return list(fix.enumerate_lattices(max_elements))
+    if _corpora is None:
+        return list(fix.enumerate_lattices(max_elements))
+    if max_elements not in _corpora:
+        _corpora[max_elements] = list(fix.enumerate_lattices(max_elements))
+    return _corpora[max_elements]
 
 
 def _modular_corpus(max_elements):
@@ -134,7 +143,10 @@ def criterion_06_distributive_construction(corpus_max):
     small = _corpus(min(corpus_max, 5))
     for S in small:
         sys = fix.distributive_with_skeleton(S)
-        assert validate(sys) == []
+        bad = validate(sys)
+        if bad:
+            return False, (f"distributive_with_skeleton of a {S.n}-element S "
+                           f"violates {bad[0].axiom}")
         M = glued_sum(sys)
         if not is_distributive(M):
             return False, f"non-distributive output for a {S.n}-element S"
@@ -148,7 +160,10 @@ def criterion_07_square_construction(corpus_max):
     mods = _modular_corpus(min(corpus_max, 7))
     for S in mods:
         sys = fix.square_sublattice(S)
-        assert validate(sys) == []
+        bad = validate(sys)
+        if bad:
+            return False, (f"square_sublattice of a {S.n}-element S "
+                           f"violates {bad[0].axiom}")
         if not corollary_54_check(sys, product(S, S)):
             return False, f"not a sublattice of S×S for a {S.n}-element S"
         if find_isomorphism(skeleton_lattice(glued_sum(sys)), S) is None:
@@ -226,7 +241,8 @@ def criterion_09_connect(corpus_max):
                 if not i == ii == iii == iv:
                     return False, f"{name}: criteria disagree at ({a}, {b})"
                 rel[a, b] = ii
-                assert equivalent(cs, a, b) == ii
+                if equivalent(cs, a, b) != ii:
+                    return False, f"{name}: equivalent disagrees at ({a}, {b})"
         for a in carrier:
             if not rel[a, a]:
                 return False, f"{name}: not reflexive at {a}"
@@ -333,7 +349,7 @@ def criterion_11_counterexamples(corpus_max):
 def criterion_12_enumeration(corpus_max):
     """Corpus self-check against known counts and a naive enumerator."""
     counts = [0] * 7
-    for L in fix.enumerate_lattices(7):
+    for L in _corpus(7):
         counts[L.n - 1] += 1
     cum = [sum(counts[:i + 1]) for i in range(7)]
     if cum != [1, 2, 3, 5, 10, 25, 78]:
@@ -363,15 +379,20 @@ CRITERIA = [
 def run_suite(corpus_max=6, emit=print):
     """Run all criteria; returns (all_passed, results).  Each result is
     (name, passed, detail, seconds) and one line is emitted per criterion."""
+    global _corpora
     results = []
-    for i, (name, fn) in enumerate(CRITERIA, start=1):
-        t0 = time.monotonic()
-        try:
-            ok, detail = fn(corpus_max)
-        except Exception as e:  # a crash is a failure, not an abort
-            ok, detail = False, f"{type(e).__name__}: {e}"
-        dt = time.monotonic() - t0
-        results.append((name, ok, detail, dt))
-        emit(f"[{i:2d}/12] {'PASS' if ok else 'FAIL'} {name}: "
-             f"{detail} ({dt:.1f}s)")
+    _corpora = {}
+    try:
+        for i, (name, fn) in enumerate(CRITERIA, start=1):
+            t0 = time.monotonic()
+            try:
+                ok, detail = fn(corpus_max)
+            except Exception as e:  # a crash is a failure, not an abort
+                ok, detail = False, f"{type(e).__name__}: {e}"
+            dt = time.monotonic() - t0
+            results.append((name, ok, detail, dt))
+            emit(f"[{i:2d}/12] {'PASS' if ok else 'FAIL'} {name}: "
+                 f"{detail} ({dt:.1f}s)")
+    finally:
+        _corpora = None
     return all(r[1] for r in results), results

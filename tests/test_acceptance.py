@@ -1,11 +1,17 @@
 """End-to-end acceptance: the twelve suite criteria over the full corpus
 (all lattices with at most 7 elements plus the named fixtures), printing
-one pass/fail line per criterion."""
+one pass/fail line per criterion; one `run_suite` enumerates each corpus
+size once, and the suite passes under `python -O`."""
 
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import latglue
+from latglue import suite
 from latglue.suite import CRITERIA
 
 CORPUS_MAX = 7
@@ -24,3 +30,29 @@ def test_criterion(name, fn):
     limit = TIME_LIMITS.get(name)
     if limit is not None:
         assert dt < limit, f"{name} took {dt:.1f}s (limit {limit:.0f}s)"
+
+
+def test_run_suite_enumerates_each_corpus_size_once(monkeypatch):
+    calls = []
+    enumerate_lattices = suite.fix.enumerate_lattices
+
+    def counted(max_elements):
+        calls.append(max_elements)
+        return enumerate_lattices(max_elements)
+
+    monkeypatch.setattr(suite.fix, "enumerate_lattices", counted)
+    ok, _ = suite.run_suite(CORPUS_MAX, emit=lambda line: None)
+    assert ok
+    assert sorted(calls) == [5, 7]
+    assert suite._corpora is None  # nothing carries over to the next call
+
+
+def test_suite_passes_under_python_O():
+    src = os.path.dirname(os.path.dirname(latglue.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "latglue.cli", "suite",
+         "--corpus-max", "5"], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count(" PASS ") == 12

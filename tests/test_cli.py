@@ -51,6 +51,17 @@ def test_check_unknown_property(tmp_path, capsys):
     assert run(["check", str(path), "--property", "prime"]) == 2
 
 
+@pytest.mark.parametrize("arg", ["x", "0", "-1"])
+def test_check_bad_n_distributive_argument_exits_2(arg, tmp_path, capsys):
+    path = tmp_path / "m3.json"
+    run(["construct", "m3", "--out", str(path)])
+    capsys.readouterr()
+    assert run(["check", str(path), "--property",
+                f"n-distributive:{arg}"]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert repr(arg) in err["error"]
+
+
 def test_glue_valid_system(tmp_path, capsys):
     src = tmp_path / "fig.json"
     out = tmp_path / "sum.json"

@@ -9,7 +9,7 @@ from latglue.connect import ConnectedSystem, LocalConnectedSystem, \
     validate_connected, validate_local
 from latglue.constructions import boolean, chain, copies_local_system, m3, \
     n5, section4_example
-from latglue.core import FiniteLattice, LatticeError
+from latglue.core import FiniteLattice, InvariantViolated, LatticeError
 from latglue.glue import glued_sum, validate as glue_validate
 from latglue.hom import LatticeHom, is_homomorphism, is_injective
 
@@ -162,3 +162,14 @@ def test_quotient_rejects_internal_collapse():
     # Hall-Dilworth one-point case; the quotient is the 3-element chain
     gsys, _ = connected_sum(bad)
     assert glued_sum(gsys).length() == 2
+
+
+def test_equivalent_raises_when_join_and_meet_criteria_disagree():
+    S = boolean(2)
+    blocks = {x: FiniteLattice([f"{x}:p"], []) for x in S.elements}
+    # a and b meet at the join block but have no common preimage
+    maps = {("a", "ab"): {"a:p": "ab:p"}, ("b", "ab"): {"b:p": "ab:p"}}
+    cs = ConnectedSystem(S, blocks, maps)
+    with pytest.raises(InvariantViolated, match="criteria disagree") as e:
+        equivalent(cs, "a:p", "b:p")
+    assert e.value.witness == ("a:p", "b:p")

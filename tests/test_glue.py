@@ -9,11 +9,13 @@ import pytest
 
 import latglue
 
-from latglue.constructions import chain, fig_3by3_system, grid, \
+from latglue import glue
+from latglue.constructions import boolean, chain, \
+    distributive_with_skeleton, fig_3by3_system, grid, \
     hd_two_chains, hd_two_m3, hd_two_m3_edge, m3_chain_edges, \
     m3_chain_of_three, note2_overlap_system, note3_system, \
     section1_nonexample_a1, section1_nonexample_a4, unbounded_family
-from latglue.core import FiniteLattice, find_isomorphism
+from latglue.core import FiniteLattice, InvariantViolated, find_isomorphism
 from latglue.glue import GluedSystem, NotALattice, glued_sum, \
     inf_via_formulas, is_monotone_original, is_monotone_strict, length_bound_check, \
     sup_via_formulas, validate, zero_one_maps
@@ -181,3 +183,19 @@ def test_blocks_of_and_carrier():
     assert sys.blocks_of("e") == ["1", "2", "3", "4"]
     assert sys.blocks_of("a") == ["1"]
     assert set(sys.carrier()) == set("abcdefghi")
+
+
+@pytest.mark.parametrize("walk,staircase,upward", [
+    ("_sup_to_zero", "_staircase_up", True),
+    ("_inf_to_one", "_staircase_down", False)])
+def test_chain_dependent_staircase_raises_with_witness(walk, staircase,
+                                                       upward, monkeypatch):
+    sys = distributive_with_skeleton(boolean(2))
+    S = sys.skeleton
+    x, z = (S.bottom, S.top) if upward else (S.top, S.bottom)
+    a = sys.blocks[x].bottom
+    # the element after the first step differs between the two chains
+    monkeypatch.setattr(glue, staircase, lambda sys, a, chain: chain[1])
+    with pytest.raises(InvariantViolated, match="depends on the chain") as e:
+        getattr(glue, walk)(sys, a, x, z)
+    assert e.value.witness == (a, x, z)

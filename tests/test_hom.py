@@ -4,10 +4,12 @@ and simplicity of sums of simple blocks."""
 
 import pytest
 
+from latglue import hom
 from latglue.constructions import boolean, chain, fig_3by3_system, grid, \
     hd_two_m3, hd_two_m3_edge, m3, m3_chain_edges, section4_example, \
     square_sublattice
-from latglue.core import LatticeError, product
+from latglue.core import FiniteLattice, InvariantViolated, LatticeError, \
+    product
 from latglue.hom import LatticeHom, OverlapDisagreement, check_star, \
     corollary_54_check, glue_homs, is_homomorphism, is_injective, \
     simplicity_transfer_check
@@ -115,3 +117,17 @@ def test_default_projective_example_sum_is_still_simple():
     # sum is simple; only the block-wise transfer statement needs all_m3
     ex = section4_example()
     assert is_simple(ex["sum"])
+
+
+def test_glue_homs_raises_when_the_glued_map_is_not_a_homomorphism(
+        monkeypatch):
+    M = grid(2, 2)
+    sys = decompose(M).system
+    ids = sorted(M.elements, key=M.height)
+    C = FiniteLattice(ids, list(zip(ids, ids[1:])))
+    # the same carrier ordered as a chain: the identity into M breaks joins
+    monkeypatch.setattr(hom, "glued_sum", lambda sys: C)
+    with pytest.raises(InvariantViolated, match="not a homomorphism") as e:
+        glue_homs(sys, identity_family(sys, M))
+    a, b = e.value.witness
+    assert (C.join(a, b), C.meet(a, b)) != (M.join(a, b), M.meet(a, b))
