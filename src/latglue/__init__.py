@@ -6,7 +6,7 @@ from .core import (FiniteLattice, Interval, LatticeError, CycleDetected,
                    NotBounded, UnknownElement, NotComparable, product,
                    find_isomorphism)
 from .glue import GluedSystem, GlueViolation, NotALattice
-from .connect import (ConnectedSystem, LocalConnectedSystem, PartialIso,
+from .connect import (ConnectedSystem, LocalConnectedSystem,
                       NotModularSkeleton, ChainDependence)
 from .predicates import NotModular, CongruencePartition
 from .skeleton import SkeletonDecomposition

@@ -14,7 +14,7 @@ from . import io as lio
 from .connect import ConnectedSystem, LocalConnectedSystem, connected_sum, \
     elevate, validate_connected
 from .core import FiniteLattice, InvariantViolated, LatticeError, product
-from .glue import GluedSystem, glued_sum, validate
+from .glue import GluedSystem, NotALattice, glued_sum, validate
 from .predicates import NotModular, breadth, is_atomistic, is_distributive, \
     is_dual_semimodular, is_modular, is_n_distributive, is_semimodular, \
     is_simple
@@ -38,20 +38,21 @@ def _fail(kind, payload):
     return 1
 
 
+def _error(message, **context):
+    print(json.dumps({"error": message, **context}), file=sys.stderr)
+    return 2
+
+
 def _load(path, want=None):
     try:
         obj = lio.load(path)
     except (OSError, json.JSONDecodeError, KeyError, TypeError,
             LatticeError) as e:
-        print(json.dumps({"error": f"{type(e).__name__}: {e}", "file": path}),
-              file=sys.stderr)
-        raise SystemExit(2)
+        raise SystemExit(_error(f"{type(e).__name__}: {e}", file=path))
     if want is not None and not isinstance(obj, want):
         names = [t.__name__ for t in (want if isinstance(want, tuple)
                                       else (want,))]
-        print(json.dumps({"error": f"expected {' or '.join(names)}",
-                          "file": path}), file=sys.stderr)
-        raise SystemExit(2)
+        raise SystemExit(_error(f"expected {' or '.join(names)}", file=path))
     return obj
 
 
@@ -75,19 +76,15 @@ def cmd_check(args):
             except ValueError:
                 n = None
             if n is None or n < 1:
-                print(json.dumps({"error": f"n-distributive needs an integer "
-                                           f"n >= 1, got {arg!r}"}),
-                      file=sys.stderr)
-                return 2
+                return _error(f"n-distributive needs an integer n >= 1, "
+                              f"got {arg!r}")
             try:
                 value = is_n_distributive(L, n)
             except NotModular:
                 value = False
         else:
             if prop not in PROPERTIES:
-                print(json.dumps({"error": f"unknown property {prop!r}"}),
-                      file=sys.stderr)
-                return 2
+                return _error(f"unknown property {prop!r}")
             value = PROPERTIES[prop](L)
         print(f"{prop}: {str(value).lower() if isinstance(value, bool) else value}")
         if value is False:
@@ -114,15 +111,16 @@ def cmd_connect(args):
     cs = _load(args.file, (ConnectedSystem, LocalConnectedSystem))
     try:
         if isinstance(cs, LocalConnectedSystem):
-            cs = elevate(cs, exhaustive=True)
-        bad = validate_connected(cs)
-        if bad:
-            return _fail("connect-conditions",
-                         {"file": args.file,
-                          "conditions": [{"condition": v.condition,
-                                          "pair": v.pair,
-                                          "witness": v.witness}
-                                         for v in bad]})
+            cs = elevate(cs)
+        else:
+            bad = validate_connected(cs)
+            if bad:
+                return _fail("connect-conditions",
+                             {"file": args.file,
+                              "conditions": [{"condition": v.condition,
+                                              "pair": v.pair,
+                                              "witness": v.witness}
+                                             for v in bad]})
         gsys, _ = connected_sum(cs)
     except LatticeError as e:
         return _fail("connect-conditions",
@@ -183,15 +181,11 @@ FIXTURES = {
 
 def cmd_construct(args):
     if args.name not in FIXTURES:
-        print(json.dumps({"error": f"unknown fixture {args.name!r}",
-                          "known": sorted(FIXTURES)}), file=sys.stderr)
-        return 2
+        return _error(f"unknown fixture {args.name!r}", known=sorted(FIXTURES))
     try:
         obj = FIXTURES[args.name](*args.params)
-    except (TypeError, ValueError) as e:
-        print(json.dumps({"error": f"{type(e).__name__}: {e}"}),
-              file=sys.stderr)
-        return 2
+    except (TypeError, ValueError, LatticeError) as e:
+        return _error(f"{type(e).__name__}: {e}")
     if args.out:
         lio.save(obj, args.out)
     else:
@@ -200,9 +194,7 @@ def cmd_construct(args):
         L = obj if isinstance(obj, FiniteLattice) else glued_sum(obj) \
             if isinstance(obj, GluedSystem) else None
         if L is None:
-            print(json.dumps({"error": "no lattice to draw for this fixture"}),
-                  file=sys.stderr)
-            return 2
+            return _error("no lattice to draw for this fixture")
         with open(args.dot, "w") as f:
             f.write(lio.to_dot(L))
     return 0
@@ -219,12 +211,14 @@ def cmd_suite(args):
 
 def cmd_dot(args):
     obj = _load(args.file)
-    L = obj if isinstance(obj, FiniteLattice) else glued_sum(obj) \
-        if isinstance(obj, GluedSystem) else None
+    try:
+        L = obj if isinstance(obj, FiniteLattice) else glued_sum(obj) \
+            if isinstance(obj, GluedSystem) else None
+    except NotALattice as e:
+        return _error(f"NotALattice: {e}", file=args.file)
     if L is None:
-        print(json.dumps({"error": "file does not describe a lattice or "
-                          "glued system", "file": args.file}), file=sys.stderr)
-        return 2
+        return _error("file does not describe a lattice or glued system",
+                      file=args.file)
     text = lio.to_dot(L)
     if args.out:
         with open(args.out, "w") as f:

@@ -3,10 +3,12 @@ their quotient into an S-glued system, and locally S-connected systems
 over modular skeletons with maps given only on skeleton covers."""
 
 from dataclasses import dataclass
-from itertools import islice
+
+import numpy as np
 
 from .core import FiniteLattice, InvariantViolated, LatticeError
-from .glue import GluedSystem, _is_filter, _is_ideal, _mask, validate as glue_validate
+from .glue import GluedSystem, _check_block_keys, _is_filter, _is_ideal, \
+    _mask, validate as glue_validate
 from .predicates import is_modular
 
 
@@ -14,15 +16,9 @@ class NotModularSkeleton(LatticeError):
     pass
 
 
-class ChainDependence(LatticeError):
-    pass
-
-
-@dataclass(frozen=True)
-class PartialIso:
-    source: object  # skeleton element x
-    target: object  # skeleton element y, x ≦ y
-    map: dict       # element of L_x -> element of L_y
+class ChainDependence(InvariantViolated):
+    """Maps do not compose along the order (19); the witness is the
+    skeleton triple (x, z, y)."""
 
 
 @dataclass(frozen=True)
@@ -40,6 +36,9 @@ class ConnectedSystem:
     skeleton: FiniteLattice
     blocks: dict  # skeleton element -> FiniteLattice, pairwise disjoint
     maps: dict    # (x, y) with x ≦ y -> dict; absent means empty
+
+    def __post_init__(self):
+        _check_block_keys(self.skeleton, self.blocks)
 
     def phi(self, x, y):
         """The partial map φ_yx from L_x toward L_y (empty when absent)."""
@@ -59,6 +58,9 @@ class LocalConnectedSystem:
     skeleton: FiniteLattice  # must be modular
     blocks: dict
     maps: dict  # (x, y) for skeleton covers x ≺ y only
+
+    def __post_init__(self):
+        _check_block_keys(self.skeleton, self.blocks)
 
     def phi(self, x, y):
         return self.maps.get((x, y), {})
@@ -243,37 +245,30 @@ def validate_local(lcs):
     return out
 
 
-def _compose_chain(lcs, chain):
-    m = {a: a for a in lcs.blocks[chain[0]].elements}
-    for u, v in zip(chain, chain[1:]):
-        m = _compose(lcs.phi(u, v), m)
-    return m
-
-
-def elevate(lcs, exhaustive=False):
-    """Extend cover maps to all comparable pairs by composing along a
-    maximal chain.  Chain-independence is verified on a second chain (on
-    all chains with exhaustive=True); disagreement raises ChainDependence.
-    """
+def elevate(lcs):
+    """Extend cover maps to all comparable pairs, going down the skeleton:
+    φ(x, y) = φ(c, y) ∘ φ(x, c) for the first upper cover c of x below y.
+    By induction on its length, every maximal chain x ≺ c1 ≺ … ≺ y then
+    composes to φ(x, y) exactly when (19) holds, as validate_connected
+    checks; a (19) violation raises ChainDependence."""
     bad = validate_local(lcs)
     if bad:
         raise LatticeError(f"invalid local system: {bad}")
     S = lcs.skeleton
-    maps = {}
-    for x in S.elements:
-        for y in S.elements:
-            if x == y or not S.leq(x, y):
-                continue
-            chains = S.maximal_chains(x, y)
-            first = next(chains)
-            m = _compose_chain(lcs, first)
-            for ch in chains if exhaustive else islice(chains, 1):
-                if _compose_chain(lcs, ch) != m:
-                    raise ChainDependence((x, y, tuple(first), tuple(ch)))
-            if m:
-                maps[(x, y)] = m
-    cs = ConnectedSystem(S, dict(lcs.blocks), maps)
+    ids, up, leq = S._ids, S._up_adj, S._leq
+    cs = ConnectedSystem(S, dict(lcs.blocks), {})
+    for i in sorted(range(S.n), key=S._height.__getitem__, reverse=True):
+        for j in np.flatnonzero(leq[i]):
+            if j != i:
+                c = next(k for k in up[i] if leq[k, j])
+                m = _compose(cs.phi(ids[c], ids[j]), lcs.phi(ids[i], ids[c]))
+                if m:
+                    cs.maps[(ids[i], ids[j])] = m
     bad = validate_connected(cs)
+    for v in bad:
+        if v.condition == "19":
+            raise ChainDependence("maps do not compose along the order (19)",
+                                  v.pair)
     if bad:
         raise LatticeError(f"elevated system invalid: {bad}")
     return cs

@@ -22,6 +22,8 @@ def chain(n):
 
 def boolean(n):
     """Boolean lattice 2^n; element ids are sorted letter subsets."""
+    if not 0 <= n <= 8:
+        raise ValueError(f"boolean(n) needs 0 <= n <= 8, got {n}")
     letters = "abcdefgh"[:n]
     def name(s):
         return "".join(sorted(s)) or "0"
@@ -334,7 +336,7 @@ def section4_example(all_m3=False):
         maps[(x, "s1")] = {f"c{i}:a": "hi:0", f"c{i}:1": p_points[i - 1]}
     gens.insert(0, "c1:e0")
     lcs = LocalConnectedSystem(S, blocks, maps)
-    cs = elevate(lcs, exhaustive=True)
+    cs = elevate(lcs)
     gsys, pis = connected_sum(cs)
     gen_ids = [pis["x1"][gens[0]]] + \
         [pis[f"x{i}"][g] for i, g in enumerate(gens[1:], start=1)]

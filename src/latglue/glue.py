@@ -30,9 +30,7 @@ class GluedSystem:
     blocks: dict  # skeleton element -> FiniteLattice over the shared carrier
 
     def __post_init__(self):
-        odd = set(self.skeleton.elements) ^ set(self.blocks)
-        if odd:
-            raise LatticeError(f"blocks missing or keyed outside the skeleton: {sorted(odd, key=str)}")
+        _check_block_keys(self.skeleton, self.blocks)
 
     def carrier(self):
         seen = {}
@@ -52,6 +50,12 @@ class GluedSystem:
 
     def one(self, x):
         return self.blocks[x].top
+
+
+def _check_block_keys(skeleton, blocks):
+    odd = set(skeleton.elements) ^ set(blocks)
+    if odd:
+        raise LatticeError(f"blocks missing or keyed outside the skeleton: {sorted(odd, key=str)}")
 
 
 def _mask(L, subset):

@@ -74,6 +74,9 @@ def connected_from_dict(d):
     maps = {}
     for m in d.get("maps", []):
         x, y = m["from"], m["to"]
+        for z in (x, y):
+            if z not in S:
+                raise LatticeError(f"map endpoint {z!r} is not a skeleton element")
         maps[(x, y)] = {ns(x, a): ns(y, b) for a, b in _pairs(m["pairs"])}
     cls = LocalConnectedSystem if d.get("local") else ConnectedSystem
     return cls(S, blocks, maps)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from latglue import cli, skeleton
+from latglue import cli, connect, skeleton
 from latglue import io as lio
 from latglue.cli import FIXTURES, main
 from latglue.constructions import fig_3by3_system
@@ -92,6 +92,28 @@ def test_connect_runs_quotient(tmp_path, capsys):
     assert isinstance(lio.load(out), GluedSystem)
 
 
+def test_connect_local_validates_once_and_walks_no_chains(
+        tmp_path, capsys, monkeypatch):
+    src = tmp_path / "proj.json"
+    run(["construct", "projective_local", "--out", str(src)])
+    validations, walks = [], []
+
+    def counted_validate(cs, real=connect.validate_connected):
+        validations.append(cs)
+        return real(cs)
+
+    def counted_chains(self, lo, hi, real=FiniteLattice.maximal_chains):
+        walks.append((lo, hi))
+        return real(self, lo, hi)
+    monkeypatch.setattr(connect, "validate_connected", counted_validate)
+    monkeypatch.setattr(cli, "validate_connected", counted_validate)
+    monkeypatch.setattr(FiniteLattice, "maximal_chains", counted_chains)
+    assert run(["connect", str(src)]) == 0
+    assert "36 elements" in capsys.readouterr().out
+    assert len(validations) == 1
+    assert walks == []
+
+
 def test_skeleton_reports_roundtrip(tmp_path, capsys):
     src = tmp_path / "grid.json"
     run(["construct", "grid", "2", "2", "--out", str(src)])
@@ -126,6 +148,14 @@ def test_skeleton_rejects_nonmodular(tmp_path, capsys):
 def test_construct_unknown_fixture(capsys):
     assert run(["construct", "nothing_here"]) == 2
     assert "unknown fixture" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["grid", "-1", "2"], ["boolean", "-1"],
+                                  ["boolean", "9"], ["m_k", "0"],
+                                  ["unbounded", "0"]], ids="_".join)
+def test_construct_out_of_range_parameters_exit_2(argv, capsys):
+    assert run(["construct", *argv]) == 2
+    assert "error" in json.loads(capsys.readouterr().err.strip())
 
 
 def test_construct_stdout_json(capsys):
@@ -189,6 +219,16 @@ def test_glue_rejects_blocks_outside_the_skeleton(tmp_path, capsys):
     assert "ghost" in json.loads(capsys.readouterr().err.strip())["error"]
 
 
+def test_dot_on_a_glued_system_without_a_sum_exits_2(tmp_path, capsys):
+    src = tmp_path / "cycle.json"
+    src.write_text(json.dumps({
+        "skeleton": {"elements": ["x", "y"], "covers": [["x", "y"]]},
+        "blocks": {"x": {"elements": ["a", "b"], "covers": [["a", "b"]]},
+                   "y": {"elements": ["b", "a"], "covers": [["b", "a"]]}}}))
+    assert run(["dot", str(src)]) == 2
+    assert "NotALattice" in json.loads(capsys.readouterr().err.strip())["error"]
+
+
 @pytest.mark.parametrize("doc", [
     [{"elements": ["0"], "covers": []}],
     {"elements": ["0", "a", "1"],
@@ -209,7 +249,24 @@ def test_malformed_shapes_exit_2(doc, tmp_path, capsys):
      "blocks": {"x": {"elements": ["a"], "covers": []},
                 "y": {"elements": ["b"], "covers": []}},
      "maps": [{"from": "x", "to": "y", "pairs": [["a"]]}]},
-], ids=["integer-element-id", "map-pair-not-a-pair"])
+    {"skeleton": {"elements": ["x", "y"], "covers": [["x", "y"]]},
+     "blocks": {"x": {"elements": ["a"], "covers": []}},
+     "maps": [{"from": "x", "to": "y", "pairs": []}]},
+    {"skeleton": {"elements": ["x"], "covers": []},
+     "blocks": {"x": {"elements": ["a"], "covers": []},
+                "ghost": {"elements": ["g"], "covers": []}}, "maps": []},
+    {"skeleton": {"elements": ["x", "y"], "covers": [["x", "y"]]},
+     "blocks": {"x": {"elements": ["a"], "covers": []},
+                "y": {"elements": ["b"], "covers": []}},
+     "maps": [{"from": "q", "to": "y", "pairs": [["a", "b"]]}]},
+    {"skeleton": {"elements": ["x", "y"], "covers": [["x", "y"]]},
+     "blocks": {"x": {"elements": ["a"], "covers": []},
+                "y": {"elements": ["b"], "covers": []}},
+     "maps": [{"from": "q", "to": "y", "pairs": [["a", "b"]]}],
+     "local": True},
+], ids=["integer-element-id", "map-pair-not-a-pair", "missing-block",
+        "block-outside-skeleton", "map-from-unknown-element",
+        "local-map-from-unknown-element"])
 def test_malformed_connected_systems_exit_2(doc, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))

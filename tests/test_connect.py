@@ -4,12 +4,16 @@ skeletons."""
 
 import pytest
 
-from latglue.connect import ConnectedSystem, LocalConnectedSystem, \
-    NotModularSkeleton, connected_sum, elevate, equivalent, \
-    validate_connected, validate_local
-from latglue.constructions import boolean, chain, copies_local_system, m3, \
-    n5, section4_example
-from latglue.core import FiniteLattice, InvariantViolated, LatticeError
+from latglue import connect
+from latglue.connect import ChainDependence, ConnectedSystem, \
+    LocalConnectedSystem, NotModularSkeleton, connected_sum, elevate, \
+    equivalent, validate_connected, validate_local
+from latglue.constructions import boolean, chain, copies_local_system, \
+    grid, m3, n5, section4_example
+from latglue.core import FiniteLattice, InvariantViolated, LatticeError, \
+    product
+from latglue.io import connected_from_dict
+from latglue.skeleton import decompose
 from latglue.glue import glued_sum, validate as glue_validate
 from latglue.hom import LatticeHom, is_homomorphism, is_injective
 
@@ -23,6 +27,81 @@ def _copy(L, prefix):
     return FiniteLattice([f"{prefix}:{a}" for a in L.elements],
                          [(f"{prefix}:{a}", f"{prefix}:{b}")
                           for a, b in L.covers])
+
+
+def _all_chains_elevation(lcs):
+    """Oracle for elevate: compose the cover maps along every maximal chain
+    of every comparable pair, require all chains of a pair to agree, and
+    return the nonempty maps."""
+    S = lcs.skeleton
+    maps = {}
+    for x in S.elements:
+        for y in S.elements:
+            if x == y or not S.leq(x, y):
+                continue
+            composed = []
+            for ch in S.maximal_chains(x, y):
+                m = {a: a for a in lcs.blocks[x].elements}
+                for u, v in zip(ch, ch[1:]):
+                    step = lcs.phi(u, v)
+                    m = {a: step[b] for a, b in m.items() if b in step}
+                composed.append(m)
+            assert all(m == composed[0] for m in composed), (x, y)
+            if composed[0]:
+                maps[(x, y)] = composed[0]
+    return maps
+
+
+def _decomposition_local_system(M):
+    """decompose(M) cut into disjoint block copies: a locally connected
+    system whose cover maps identify each overlap with itself."""
+    dec = decompose(M)
+    S = dec.skeleton_lattice
+    maps = []
+    for x, y in S.covers:
+        overlap = set(dec.blocks[x].elements) & set(dec.blocks[y].elements)
+        maps.append({"from": x, "to": y,
+                     "pairs": [[a, a] for a in sorted(overlap)]})
+    return connected_from_dict({
+        "skeleton": {"elements": list(S.elements),
+                     "covers": [list(c) for c in S.covers]},
+        "blocks": {x: {"elements": list(B.elements),
+                       "covers": [list(c) for c in B.covers]}
+                   for x, B in dec.blocks.items()},
+        "maps": maps, "local": True})
+
+
+ORACLE_SYSTEMS = {
+    **{f"section4-all_m3={flag}":
+       lambda flag=flag: section4_example(all_m3=flag)["local_system"]
+       for flag in (False, True)},
+    "copies-b2": lambda: copies_local_system(boolean(2)),
+    "copies-b3": lambda: copies_local_system(boolean(3), m3()),
+    **{f"grid({p},{q})": lambda p=p, q=q: _decomposition_local_system(grid(p, q))
+       for p in range(1, 6) for q in range(p, 6)},
+    **{f"M3xC{k}": lambda k=k: _decomposition_local_system(product(m3(), chain(k)))
+       for k in (1, 2, 3, 4)},
+}
+
+
+@pytest.mark.parametrize("build", ORACLE_SYSTEMS.values(), ids=ORACLE_SYSTEMS)
+def test_elevate_matches_all_chains_oracle(build):
+    lcs = build()
+    assert elevate(lcs).maps == _all_chains_elevation(lcs)
+
+
+def test_elevate_reports_chain_dependence_with_witness(example, monkeypatch):
+    lcs = example["local_system"]
+    maps = dict(lcs.maps)
+    maps[("s0", "x2")] = {"lo:l124": "c2:0", "lo:1": "c2:e"}
+    broken = LocalConnectedSystem(lcs.skeleton, lcs.blocks, maps)
+    # let the (23) mismatch through, so that only (19) can catch it
+    monkeypatch.setattr(connect, "validate_local", lambda lcs: [])
+    with pytest.raises(ChainDependence) as e:
+        elevate(broken)
+    x, z, y = e.value.witness
+    S = lcs.skeleton
+    assert S.lt(x, z) and S.lt(z, y)
 
 
 def test_local_fixture_validates(example):
@@ -93,8 +172,9 @@ def test_condition_23_diamond_mismatch(example):
 
 def test_elevate_is_chain_independent(example):
     lcs = example["local_system"]
-    cs = elevate(lcs, exhaustive=True)
+    cs = elevate(lcs)
     assert validate_connected(cs) == []
+    assert cs.maps == _all_chains_elevation(lcs)
     # elevation restricted to covers reproduces the cover maps
     for key, m in lcs.maps.items():
         assert cs.maps[key] == m
@@ -105,7 +185,8 @@ def test_elevate_is_chain_independent(example):
                          ids=["b2", "b3"])
 def test_copies_systems_elevate_and_quotient(S, block):
     lcs = copies_local_system(S, block)
-    cs = elevate(lcs, exhaustive=True)
+    cs = elevate(lcs)
+    assert cs.maps == _all_chains_elevation(lcs)
     gsys, pis = connected_sum(cs)
     assert glue_validate(gsys) == []
     # total identifications: one class per block element

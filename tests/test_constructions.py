@@ -26,6 +26,13 @@ def test_named_lattice_shapes():
     assert is_modular(m3()) and not is_modular(n5())
 
 
+@pytest.mark.parametrize("n", [-1, 9])
+def test_boolean_rejects_sizes_its_letters_cannot_name(n):
+    with pytest.raises(ValueError):
+        boolean(n)
+    assert boolean(8).n == 256
+
+
 def test_fano_lines_form_a_projective_plane():
     # 7 points, 7 lines, 3 points per line, 3 lines per point, any two
     # lines meet in exactly one point, any two points lie on one line
