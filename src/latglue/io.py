@@ -5,7 +5,9 @@ lower-first.  Glued system: {"skeleton": <lattice>, "blocks": {x: <lattice>}}
 where block element names share one carrier namespace.  Connected system:
 additionally {"maps": [{"from": x, "to": y, "pairs": [[a, b], ...]}]} and an
 optional "local": true flag; block elements are namespaced "<x>:<name>" on
-load to enforce disjointness.
+load to enforce disjointness.  A repeated JSON key, a map listed twice or a
+source named twice in one map raises LatticeError rather than keeping the
+last.
 """
 
 import json
@@ -24,6 +26,15 @@ def _object(d):
     if not isinstance(d, dict):
         raise LatticeError(f"expected a JSON object, got {type(d).__name__}")
     return d
+
+
+def _unique_keys(items):
+    out = {}
+    for k, v in items:
+        if k in out:
+            raise LatticeError(f"key {k!r} is repeated in one JSON object")
+        out[k] = v
+    return out
 
 
 def _pairs(pairs):
@@ -77,7 +88,14 @@ def connected_from_dict(d):
         for z in (x, y):
             if z not in S:
                 raise LatticeError(f"map endpoint {z!r} is not a skeleton element")
-        maps[(x, y)] = {ns(x, a): ns(y, b) for a, b in _pairs(m["pairs"])}
+        if (x, y) in maps:
+            raise LatticeError(f"map {x!r} -> {y!r} is listed twice")
+        maps[(x, y)] = pairs = {}
+        for a, b in _pairs(m["pairs"]):
+            a = ns(x, a)
+            if a in pairs:
+                raise LatticeError(f"map {x!r} -> {y!r} lists source {a!r} twice")
+            pairs[a] = ns(y, b)
     cls = LocalConnectedSystem if d.get("local") else ConnectedSystem
     return cls(S, blocks, maps)
 
@@ -85,7 +103,7 @@ def connected_from_dict(d):
 def load(path):
     """Load a lattice / glued / connected system file by shape."""
     with open(path) as f:
-        d = _object(json.load(f))
+        d = _object(json.load(f, object_pairs_hook=_unique_keys))
     if "maps" in d or d.get("local"):
         return connected_from_dict(d)
     if "skeleton" in d:

@@ -1,8 +1,6 @@
 """Decision procedures for lattice classes: modularity, semimodularity,
 distributivity, atomisticity, breadth, n-distributivity, simplicity."""
 
-import os
-import random
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -51,13 +49,16 @@ def is_dual_semimodular(L):
     return is_semimodular(L.dual())
 
 
+def _join_irreducibles(L):
+    """J(L): the indices with exactly one lower cover."""
+    return np.flatnonzero([len(d) == 1 for d in L._down_adj])
+
+
 def is_distributive(L):
-    J, M, _ = _tables(L)
-    for a in range(L.n):
-        # a·(b+c) == (a·b)+(a·c) for all b, c at once
-        if not np.array_equal(M[a, J], J[np.ix_(M[a], M[a])]):
-            return False
-    return True
+    """Distributive lattices are modular, and a modular lattice of finite
+    length is distributive iff |J(L)| = ℓ(L) (Grätzer, *Lattice Theory:
+    Foundation*, 2011)."""
+    return is_modular(L) and len(_join_irreducibles(L)) == L.length()
 
 
 def is_atomistic(L):
@@ -72,95 +73,41 @@ def is_coatomistic(L):
     return is_atomistic(L.dual())
 
 
-def _shuffled(seq):
-    seed = os.environ.get("LATTICE_SUITE_SEED")
-    seq = list(seq)
-    if seed is not None:
-        random.Random(seed).shuffle(seq)
-    return seq
-
-
-def order_embeds_boolean(L, n):
-    """Does the Boolean lattice 2^n order-embed into L?
-
-    Backtracking over the 2^n subsets (as bitmasks) in popcount order;
-    atom images are forced into increasing element order since atom
-    permutations are automorphisms of 2^n.
-    """
-    if n == 0:
-        return True
-    if L.length() < n:
-        return False
-    N = L.n
-    leq = L._leq
-    lt = leq & ~np.eye(N, dtype=bool)
-    height = np.array(L._height)
-    depth = np.array(L._depth)
-    J = L._join
-    masks = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
-    assigned = {}
-
-    elem_order = _shuffled(range(N))
-
-    def extend(k):
-        if k == len(masks):
-            return True
-        m = masks[k]
-        pc = m.bit_count()
-        cand = (height >= pc) & (depth >= n - pc)
-        floor = None
-        for m2, e2 in assigned.items():
-            sub, sup = m & m2 == m, m & m2 == m2
-            if sub and sup:
-                continue
-            elif sub:
-                cand &= lt[:, e2]
-            elif sup:
-                cand &= lt[e2, :]
-                floor = e2 if floor is None else J[floor, e2]
-            else:
-                cand &= ~leq[:, e2] & ~leq[e2, :]
-        if floor is not None:
-            # image must lie above the join of images of assigned subsets
-            cand &= leq[floor, :]
-        prev_atom = None
-        if pc == 1 and m != 1:
-            prev_atom = assigned[1 << ((m.bit_length() - 1) - 1)]
-        for e in elem_order:
-            if not cand[e]:
-                continue
-            if prev_atom is not None and e <= prev_atom:
-                continue
-            assigned[m] = e
-            if extend(k + 1):
-                return True
-            del assigned[m]
-        return False
-
-    return extend(0)
-
-
 def breadth(L):
+    """The largest n with 2^n order-embedded in L: the size of the largest
+    irredundant subset of J(L), no member below the join of the others.
+
+    For an irredundant set {a₁…a_k}, S ↦ ∨S order-embeds 2^k: if ∨S ≦ ∨T,
+    each aᵢ with i ∈ S is below ∨T, so i ∈ T.  Conversely the singleton
+    images aᵢ = f({i}) of an embedding f are irredundant, since aᵢ ≦
+    ∨_{k≠i} a_k ≦ f(all but i) would put {i} below its complement.  Each
+    aᵢ is a join of join-irreducibles, one of which, jᵢ, is not below
+    ∨_{k≠i} a_k; swapping aᵢ for jᵢ only lowers the other members'
+    leave-one-out joins, so the set stays irredundant inside J(L)."""
     cached = getattr(L, "_breadth", None)
     if cached is not None:
         return cached
+    cand = _join_irreducibles(L)
     n = 0
-    while order_embeds_boolean(L, n + 1):
+    while _irredundant_sets(L, n + 1, cand) is not None:
         n += 1
     L._breadth = n
     return n
 
 
-def _irredundant_sets(L, k):
+def _irredundant_sets(L, k, _cand=None):
     """The irredundant k-sets of L, no member below the join of the others,
     as (total join, leave-one-out joins) per set; None once a size has none.
+    Members are drawn from the sorted indices `_cand`, by default every
+    non-bottom index.
 
     Subsets of an irredundant set are irredundant, so the sets grow one
     size at a time: each set takes a larger index c not below its join, and
     keeps it if every old member stays off its leave-one-out join with c."""
     J, _, leq = _tables(L)
-    idx = np.arange(L.n)
-    rows = idx[idx != L._bot][:, None]
+    if _cand is None:
+        _cand = np.delete(np.arange(L.n), L._bot)
+    rows = _cand[:, None]
     total = rows[:, 0]
     loo = np.full((len(rows), 1), L._bot, dtype=J.dtype)
     step = max(1, _BLOCK_CELLS // L.n)
@@ -170,7 +117,9 @@ def _irredundant_sets(L, k):
         parts = []
         for s in range(0, len(rows), step):
             t = total[s:s + step]
-            r, c = np.nonzero((idx > rows[s:s + step, -1:]) & ~leq[:, t].T)
+            r, c = np.nonzero((_cand > rows[s:s + step, -1:])
+                              & ~leq[np.ix_(_cand, t)].T)
+            c = _cand[c]
             old = J[loo[s + r], c[:, None]]
             keep = ~leq[rows[s + r], old].any(axis=1)
             r, c = s + r[keep], c[keep]
@@ -207,43 +156,6 @@ def is_n_distributive(L, n):
         if not np.array_equal(M[x, total], rhs):
             return False
     return True
-
-
-def has_forbidden_n_config(L, n):
-    """Search for a sublattice U ≅ 2^(n+1) with atoms aᵢ plus an element w
-    with aᵢ·w = inf U and aᵢ+w = sup U for all i."""
-    if not is_modular(L):
-        raise NotModular("configuration search assumes a modular lattice")
-    elems = L.elements
-    for u in elems:
-        above = [a for a in elems if L.lt(u, a)]
-        for ats in combinations(above, n + 1):
-            if any(L.leq(a, b) for a, b in combinations(ats, 2)) or \
-               any(L.leq(b, a) for a, b in combinations(ats, 2)):
-                continue
-            # joins of subsets must form a copy of 2^(n+1)
-            sub = {}
-            ok = True
-            for r in range(n + 2):
-                for picked in combinations(range(n + 1), r):
-                    sub[picked] = L.join_all([u] + [ats[i] for i in picked])
-            if len(set(sub.values())) != 1 << (n + 1):
-                continue
-            for s1 in sub:
-                for s2 in sub:
-                    common = tuple(i for i in s1 if i in s2)
-                    if L.meet(sub[s1], sub[s2]) != sub[common]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            v = sub[tuple(range(n + 1))]
-            for w in elems:
-                if all(L.meet(a, w) == u and L.join(a, w) == v for a in ats):
-                    return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -305,7 +217,7 @@ def is_simple(L):
     if L.n < 2:
         return False
     J, _, leq = _tables(L)
-    ps = np.array([i for i in range(L.n) if len(L._down_adj[i]) == 1])
+    ps = _join_irreducibles(L)
     lower = np.array([L._down_adj[i][0] for i in ps])
     up, up_lower = J[ps], J[lower]  # q+x and q₊+x, one row per q
     D = np.empty((len(ps), len(ps)), dtype=bool)

@@ -219,6 +219,19 @@ def test_glue_rejects_blocks_outside_the_skeleton(tmp_path, capsys):
     assert "ghost" in json.loads(capsys.readouterr().err.strip())["error"]
 
 
+def test_repeated_json_key_exits_2(tmp_path, capsys):
+    # json keeps the last of two equal keys, so block "1" would silently be
+    # the second of the two listed
+    d = lio.to_dict(fig_3by3_system())
+    blocks = ", ".join(f'"{x}": {json.dumps(b)}' for x, b in d["blocks"].items())
+    src = tmp_path / "repeated.json"
+    src.write_text(f'{{"skeleton": {json.dumps(d["skeleton"])}, "blocks": '
+                   f'{{"1": {json.dumps(d["blocks"]["2"])}, {blocks}}}}}')
+    assert run(["glue", str(src)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert "LatticeError" in err and "'1'" in err
+
+
 def test_dot_on_a_glued_system_without_a_sum_exits_2(tmp_path, capsys):
     src = tmp_path / "cycle.json"
     src.write_text(json.dumps({
@@ -264,9 +277,19 @@ def test_malformed_shapes_exit_2(doc, tmp_path, capsys):
                 "y": {"elements": ["b"], "covers": []}},
      "maps": [{"from": "q", "to": "y", "pairs": [["a", "b"]]}],
      "local": True},
+    {"skeleton": {"elements": ["x", "y"], "covers": [["x", "y"]]},
+     "blocks": {"x": {"elements": ["a"], "covers": []},
+                "y": {"elements": ["b", "c"], "covers": [["b", "c"]]}},
+     "maps": [{"from": "x", "to": "y", "pairs": [["a", "b"]]},
+              {"from": "x", "to": "y", "pairs": [["a", "c"]]}]},
+    {"skeleton": {"elements": ["x", "y"], "covers": [["x", "y"]]},
+     "blocks": {"x": {"elements": ["a"], "covers": []},
+                "y": {"elements": ["b", "c"], "covers": [["b", "c"]]}},
+     "maps": [{"from": "x", "to": "y", "pairs": [["a", "b"], ["a", "c"]]}]},
 ], ids=["integer-element-id", "map-pair-not-a-pair", "missing-block",
         "block-outside-skeleton", "map-from-unknown-element",
-        "local-map-from-unknown-element"])
+        "local-map-from-unknown-element", "map-listed-twice",
+        "map-source-listed-twice"])
 def test_malformed_connected_systems_exit_2(doc, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))

@@ -9,10 +9,10 @@ from latglue.constructions import boolean, chain, enumerate_lattices, \
     fano_lattice, grid, m3, m_k, n5
 from latglue.core import product
 from latglue.predicates import CongruencePartition, NotModular, breadth, \
-    generated_sublattice, has_forbidden_n_config, is_atomistic, \
-    is_coatomistic, is_distributive, is_dual_semimodular, is_modular, \
-    is_n_distributive, is_semimodular, is_simple, is_sublattice, \
-    order_embeds_boolean, principal_congruence
+    generated_sublattice, is_atomistic, is_coatomistic, is_distributive, \
+    is_dual_semimodular, is_modular, is_n_distributive, is_semimodular, \
+    is_simple, is_sublattice, principal_congruence
+from oracles import has_forbidden_n_config, order_embeds_boolean
 
 CORPUS6 = list(enumerate_lattices(6))
 

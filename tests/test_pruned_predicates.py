@@ -1,7 +1,8 @@
 """The pruned decision procedures checked against the brute-force code they
-replaced, which is kept here as the oracle: the multiset
-`is_n_distributive`, the per-cover `principal_congruence` `is_simple` and
-the per-pair `is_modular`."""
+replaced, which is kept here or in `oracles` as the oracle: the multiset
+`is_n_distributive`, the per-cover `principal_congruence` `is_simple`, the
+per-pair `is_modular`, the Boolean-embedding `breadth` and the per-element
+`is_distributive`."""
 
 from itertools import combinations, combinations_with_replacement
 from math import comb
@@ -13,9 +14,11 @@ from latglue.constructions import boolean, chain, enumerate_lattices, \
     fano_lattice, grid, m3, n5, section4_example
 from latglue.core import FiniteLattice, product
 from latglue.glue import glued_sum
-from latglue.predicates import NotModular, _irredundant_sets, is_modular, \
+from latglue.predicates import NotModular, _irredundant_sets, \
+    _join_irreducibles, breadth, is_distributive, is_modular, \
     is_n_distributive, is_simple, principal_congruence
 from latglue.suite import glued_fixtures
+from oracles import oracle_breadth, oracle_distributive
 
 CORPUS8 = list(enumerate_lattices(8))
 NS = (1, 2, 3, 4)
@@ -76,6 +79,8 @@ def assert_same_verdicts(L):
     n-distributivity verdicts by n ({} for a non-modular L)."""
     fresh = FiniteLattice(L.elements, L.covers)  # no cached verdicts
     assert is_modular(L) == oracle_modular(fresh)
+    assert breadth(L) == oracle_breadth(fresh)
+    assert is_distributive(L) == oracle_distributive(fresh)
     assert is_simple(L) == oracle_simple(fresh)
     if not is_modular(L):
         for n in NS:
@@ -123,6 +128,35 @@ def test_oracle_covers_every_named_case_but_one():
     skipped = [(name, n) for name, L in NAMED.items() if is_modular(L)
                for n in NS if comb(L.n + n, n + 1) > ORACLE_ROWS]
     assert skipped == [("glued_distributive_over_b2", 4)]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: grid(8, 8),
+    lambda: boolean(6),
+    lambda: product(m3(), m3()),
+    lambda: section4_example(all_m3=False)["sum"],
+    lambda: section4_example(all_m3=True)["sum"],
+], ids=["grid8x8", "boolean6", "m3xm3", "projective", "projective_all_m3"])
+def test_breadth_and_distributive_match_search_oracles(make):
+    L = make()
+    fresh = FiniteLattice(L.elements, L.covers)
+    assert breadth(L) == oracle_breadth(fresh)
+    assert is_distributive(L) == oracle_distributive(fresh)
+
+
+def test_breadth_beyond_the_search():
+    # the Boolean-embedding search takes 42 s and over 60 s on the first
+    # and last of these
+    assert breadth(grid(10, 10)) == 2
+    assert breadth(boolean(8)) == 8
+    assert breadth(product(boolean(4), grid(3, 3))) == 6
+
+
+def test_distributive_needs_modularity_first():
+    # N5 has |J| = 3 = length, so only the modularity gate rejects it
+    L = n5()
+    assert len(_join_irreducibles(L)) == L.length()
+    assert not is_modular(L) and not is_distributive(L)
 
 
 def brute_irredundant(L, k):
