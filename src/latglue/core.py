@@ -318,6 +318,15 @@ class FiniteLattice:
         return FiniteLattice(self._ids, [(self._ids[j], self._ids[i])
                                          for i, j in self._cov])
 
+    def _relabelled(self, ids):
+        """This lattice with element i renamed ids[i]; the ids must be
+        distinct.  The order and tables are shared, not rebuilt."""
+        L = object.__new__(FiniteLattice)
+        L.__dict__.update(self.__dict__)
+        L._ids = tuple(ids)
+        L._idx = {a: i for i, a in enumerate(L._ids)}
+        return L
+
     def restrict(self, subset):
         """Lattice induced on a subset of elements (must itself be a lattice),
         in the parent's element order."""

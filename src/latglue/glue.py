@@ -58,12 +58,6 @@ def _check_block_keys(skeleton, blocks):
         raise LatticeError(f"blocks missing or keyed outside the skeleton: {sorted(odd, key=str)}")
 
 
-def _mask(L, subset):
-    m = np.zeros(L.n, dtype=bool)
-    m[[L.index(a) for a in subset]] = True
-    return m
-
-
 def _is_filter(L, mask):
     """Are the elements marked in `mask` a filter of L: nonempty, closed
     upward and under meets?"""

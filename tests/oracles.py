@@ -1,12 +1,17 @@
-"""Search-based decision procedures the library replaced, kept as oracles:
-the Boolean-embedding backtracker behind the old `breadth`, the per-element
-distributive law, and the forbidden-configuration search for
-n-distributivity."""
+"""Procedures the library replaced, kept as oracles: the Boolean-embedding
+backtracker behind the old `breadth`, the per-element distributive law,
+the forbidden-configuration search for n-distributivity, and the id-level
+connected-system code (validators, elevation and quotient)."""
 
 from itertools import combinations
 
 import numpy as np
 
+from latglue.connect import ChainDependence, ConnectViolation, \
+    ConnectedSystem, NotModularSkeleton, _check_disjoint
+from latglue.core import FiniteLattice, LatticeError
+from latglue.glue import GluedSystem, _is_filter, _is_ideal, \
+    validate as glue_validate
 from latglue.predicates import NotModular, is_modular
 
 
@@ -120,3 +125,181 @@ def has_forbidden_n_config(L, n):
                 if all(L.meet(a, w) == u and L.join(a, w) == v for a in ats):
                     return True
     return False
+
+
+# -- connected systems, one skeleton pair or triple at a time ------------------
+
+def _mask(L, subset):
+    m = np.zeros(L.n, dtype=bool)
+    m[[L.index(a) for a in subset]] = True
+    return m
+
+
+def _iso_filter_to_ideal(Lx, Ly, m, cond, pair, out):
+    """(17)/(22) for one map; the order-mismatch witness is the first pair
+    in the map's key order."""
+    dom = set(m)
+    img = set(m.values())
+    if len(img) != len(dom):
+        out.append(ConnectViolation(cond, pair, "map is not injective"))
+        return
+    if not dom <= set(Lx.elements) or not img <= set(Ly.elements):
+        out.append(ConnectViolation(cond, pair, "map leaves its blocks"))
+        return
+    if not _is_filter(Lx, _mask(Lx, dom)):
+        out.append(ConnectViolation(cond, pair, "domain is not a filter"))
+    if not _is_ideal(Ly, _mask(Ly, img)):
+        out.append(ConnectViolation(cond, pair, "image is not an ideal"))
+    for a in m:
+        for b in m:
+            if Lx.leq(a, b) != Ly.leq(m[a], m[b]):
+                out.append(ConnectViolation(cond, pair, ("order mismatch", a, b)))
+                return
+
+
+def _compose(outer, inner):
+    return {a: outer[b] for a, b in inner.items() if b in outer}
+
+
+def oracle_validate_connected(cs):
+    """(17)-(20δ) with id-level S.leq calls and dict compositions over
+    every skeleton pair and triple; a nonempty map on a diagonal pair is a
+    (17) violation."""
+    _check_disjoint(cs.blocks)
+    S = cs.skeleton
+    out = []
+    for x in S.elements:
+        for y in S.elements:
+            if x == y or not S.leq(x, y):
+                if (x, y) in cs.maps and cs.maps[(x, y)]:
+                    out.append(ConnectViolation(
+                        "17", (x, y), "map on a diagonal pair" if x == y
+                        else "map on a non-comparable pair"))
+                continue
+            m = cs.phi(x, y)
+            if m:
+                _iso_filter_to_ideal(cs.blocks[x], cs.blocks[y], m, "17", (x, y), out)
+            if not m and y in S.upper_covers(x):
+                out.append(ConnectViolation("18", (x, y), "empty map on a cover"))
+            for z in S.elements:
+                if S.leq(x, z) and S.leq(z, y):
+                    comp = _compose(cs.phi(z, y), cs.phi(x, z))
+                    if comp != m:
+                        out.append(ConnectViolation("19", (x, z, y)))
+    for x in S.elements:
+        for y in S.elements:
+            j, w = S.join(x, y), S.meet(x, y)
+            im_x = set(cs.phi(x, j).values())
+            im_y = set(cs.phi(y, j).values())
+            if not im_x & im_y <= set(cs.phi(w, j).values()):
+                out.append(ConnectViolation("20", (x, y)))
+            dom_x = set(cs.phi(w, x))
+            dom_y = set(cs.phi(w, y))
+            if not dom_x & dom_y <= set(cs.phi(w, j)):
+                out.append(ConnectViolation("20d", (x, y)))
+    return out
+
+
+def oracle_validate_local(lcs):
+    """(22)-(24δ) with id-level cover and diamond loops."""
+    if not is_modular(lcs.skeleton):
+        raise NotModularSkeleton("locally connected systems require a modular skeleton")
+    _check_disjoint(lcs.blocks)
+    S = lcs.skeleton
+    out = []
+    for x, y in S.covers:
+        m = lcs.phi(x, y)
+        if not m:
+            out.append(ConnectViolation("22", (x, y), "empty cover map"))
+            continue
+        _iso_filter_to_ideal(lcs.blocks[x], lcs.blocks[y], m, "22", (x, y), out)
+    for (x, y) in lcs.maps:
+        if y not in S.upper_covers(x):
+            out.append(ConnectViolation("22", (x, y), "map on a non-cover pair"))
+    for x in S.elements:
+        for y in S.elements:
+            w, j = S.meet(x, y), S.join(x, y)
+            if not (x in S.upper_covers(w) and y in S.upper_covers(w)
+                    and j in S.upper_covers(x) and j in S.upper_covers(y)
+                    and x != y):
+                continue
+            via_x = _compose(lcs.phi(x, j), lcs.phi(w, x))
+            via_y = _compose(lcs.phi(y, j), lcs.phi(w, y))
+            if via_x != via_y:
+                out.append(ConnectViolation("23", (w, x, y, j)))
+                continue
+            if not set(lcs.phi(x, j).values()) & set(lcs.phi(y, j).values()) \
+                    <= set(via_x.values()):
+                out.append(ConnectViolation("24", (w, x, y, j)))
+            if not set(lcs.phi(w, x)) & set(lcs.phi(w, y)) <= set(via_x):
+                out.append(ConnectViolation("24d", (w, x, y, j)))
+    return out
+
+
+def oracle_elevate(lcs):
+    """The dict recurrence: going down the skeleton by height,
+    φ(x, y) = φ(c, y) ∘ φ(x, c) for the first upper cover c of x below y."""
+    bad = oracle_validate_local(lcs)
+    if bad:
+        raise LatticeError(f"invalid local system: {bad}")
+    S = lcs.skeleton
+    ids, up, leq = S._ids, S._up_adj, S._leq
+    cs = ConnectedSystem(S, dict(lcs.blocks), {})
+    for i in sorted(range(S.n), key=S._height.__getitem__, reverse=True):
+        for j in np.flatnonzero(leq[i]):
+            if j != i:
+                c = next(k for k in up[i] if leq[k, j])
+                m = _compose(cs.phi(ids[c], ids[j]), lcs.phi(ids[i], ids[c]))
+                if m:
+                    cs.maps[(ids[i], ids[j])] = m
+    bad = oracle_validate_connected(cs)
+    for v in bad:
+        if v.condition == "19":
+            raise ChainDependence("maps do not compose along the order (19)",
+                                  v.pair)
+    if bad:
+        raise LatticeError(f"elevated system invalid: {bad}")
+    return cs
+
+
+def oracle_connected_sum(cs):
+    """Union-find over element ids, representatives from the block least in
+    (height, name), each quotient block rebuilt from its covers."""
+    S = cs.skeleton
+    parent = {}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for x in S.elements:
+        for a in cs.blocks[x].elements:
+            parent[a] = a
+    for (x, y), m in cs.maps.items():
+        for a, b in m.items():
+            parent[find(a)] = find(b)
+
+    block_rank = {x: (S.height(x), str(x)) for x in S.elements}
+    classes = {}
+    for x in S.elements:
+        for a in cs.blocks[x].elements:
+            classes.setdefault(find(a), []).append((block_rank[x], a))
+    rep = {root: min(members)[1] for root, members in classes.items()}
+
+    pis = {}
+    blocks = {}
+    for x in S.elements:
+        L = cs.blocks[x]
+        pi = {a: rep[find(a)] for a in L.elements}
+        if len(set(pi.values())) != L.n:
+            raise LatticeError(f"quotient collapses block {x!r} internally")
+        blocks[x] = FiniteLattice([pi[a] for a in L.elements],
+                                  [(pi[a], pi[b]) for a, b in L.covers])
+        pis[x] = pi
+    sys = GluedSystem(S, blocks)
+    bad = glue_validate(sys)
+    if bad:
+        raise LatticeError(f"quotient is not a glued system: {bad}")
+    return sys, pis

@@ -2,9 +2,13 @@
 construct/load round trip."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import latglue
 from latglue import cli, connect, skeleton
 from latglue import io as lio
 from latglue.cli import FIXTURES, main
@@ -295,3 +299,60 @@ def test_malformed_connected_systems_exit_2(doc, tmp_path, capsys):
     bad.write_text(json.dumps(doc))
     assert run(["connect", str(bad)]) == 2
     assert "LatticeError" in json.loads(capsys.readouterr().err.strip())["error"]
+
+
+def _two_blocks(*maps):
+    """Skeleton 0 < 1 over blocks a < b and c < d, with the given maps."""
+    return {"skeleton": {"elements": ["0", "1"], "covers": [["0", "1"]]},
+            "blocks": {"0": {"elements": ["a", "b"], "covers": [["a", "b"]]},
+                       "1": {"elements": ["c", "d"], "covers": [["c", "d"]]}},
+            "maps": [{"from": x, "to": y, "pairs": pairs}
+                     for x, y, pairs in maps]}
+
+
+def test_map_entry_outside_its_blocks_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_two_blocks(("0", "1", [["zzz", "c"]]))))
+    assert run(["connect", str(bad)]) == 2
+    error = json.loads(capsys.readouterr().err.strip())["error"]
+    assert error.startswith("UnknownElement")
+    assert "'0' -> '1'" in error and "'0:zzz'" in error
+
+
+@pytest.mark.parametrize("pairs", [[["c", "c"]], [["c", "d"]]],
+                         ids=["identity", "moves"])
+def test_map_on_a_diagonal_pair_violates_17(pairs, tmp_path, capsys):
+    bad = tmp_path / "diagonal.json"
+    bad.write_text(json.dumps(_two_blocks(("0", "1", [["b", "c"]]),
+                                          ("1", "1", pairs))))
+    assert run(["connect", str(bad)]) == 1
+    violation = json.loads(capsys.readouterr().err.strip())
+    assert violation["conditions"] == [{"condition": "17", "pair": ["1", "1"],
+                                        "witness": "map on a diagonal pair"}]
+
+
+def test_order_mismatch_witness_does_not_depend_on_hash_seed(tmp_path):
+    doc = {"skeleton": {"elements": ["0", "1"], "covers": [["0", "1"]]},
+           "blocks": {"0": {"elements": ["a", "b", "c"],
+                            "covers": [["a", "b"], ["b", "c"]]},
+                      "1": {"elements": ["d", "e", "f"],
+                            "covers": [["d", "e"], ["e", "f"]]}},
+           "maps": [{"from": "0", "to": "1",
+                     "pairs": [["c", "d"], ["b", "e"], ["a", "f"]]}]}
+    bad = tmp_path / "reversing.json"
+    bad.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(latglue.__file__))
+    errs = []
+    for seed in ("1", "2", "3", "4", "5", "6"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "latglue.cli", "connect",
+                               str(bad)], env=env, capture_output=True,
+                              text=True)
+        assert done.returncode == 1
+        errs.append(done.stderr)
+    assert len(set(errs)) == 1
+    (mismatch,) = [v for v in json.loads(errs[0])["conditions"]
+                   if v["condition"] == "17"]
+    assert mismatch["witness"] == ["order mismatch", "0:c", "0:b"]

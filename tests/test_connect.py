@@ -2,8 +2,12 @@
 relation, the quotient construction, and local systems over modular
 skeletons."""
 
+import random
+
 import pytest
 
+from oracles import oracle_connected_sum, oracle_elevate, \
+    oracle_validate_connected, oracle_validate_local
 from latglue import connect
 from latglue.connect import ChainDependence, ConnectedSystem, \
     LocalConnectedSystem, NotModularSkeleton, connected_sum, elevate, \
@@ -11,7 +15,7 @@ from latglue.connect import ChainDependence, ConnectedSystem, \
 from latglue.constructions import boolean, chain, copies_local_system, \
     grid, m3, n5, section4_example
 from latglue.core import FiniteLattice, InvariantViolated, LatticeError, \
-    product
+    UnknownElement, product
 from latglue.io import connected_from_dict
 from latglue.skeleton import decompose
 from latglue.glue import glued_sum, validate as glue_validate
@@ -27,6 +31,47 @@ def _copy(L, prefix):
     return FiniteLattice([f"{prefix}:{a}" for a in L.elements],
                          [(f"{prefix}:{a}", f"{prefix}:{b}")
                           for a, b in L.covers])
+
+
+def _checked_validate(cs):
+    """validate_connected, required equal to the id-level oracle."""
+    bad = validate_connected(cs)
+    assert bad == oracle_validate_connected(cs)
+    return bad
+
+
+def _checked_local(lcs):
+    """validate_local, required equal to the id-level oracle."""
+    bad = validate_local(lcs)
+    assert bad == oracle_validate_local(lcs)
+    return bad
+
+
+def _outcome(fn, *args):
+    """What fn returns, or the class and text of the LatticeError it raises."""
+    try:
+        return fn(*args)
+    except LatticeError as e:
+        return type(e), str(e)
+
+
+def _same_quotient(got, want):
+    """connected_sum results agree: projections, block elements and covers
+    (or the same error)."""
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    (gsys, pis), (gsys0, pis0) = got, want
+    assert pis == pis0
+    for x in gsys0.skeleton.elements:
+        assert gsys.blocks[x].elements == gsys0.blocks[x].elements
+        assert gsys.blocks[x].covers == gsys0.blocks[x].covers
+
+
+def _checked_sum(cs):
+    got = _outcome(connected_sum, cs)
+    _same_quotient(got, _outcome(oracle_connected_sum, cs))
+    return got
 
 
 def _all_chains_elevation(lcs):
@@ -105,13 +150,15 @@ def test_elevate_reports_chain_dependence_with_witness(example, monkeypatch):
 
 
 def test_local_fixture_validates(example):
-    assert validate_local(example["local_system"]) == []
-    assert validate_connected(example["connected_system"]) == []
+    assert _checked_local(example["local_system"]) == []
+    assert _checked_validate(example["connected_system"]) == []
 
 
 def test_local_system_requires_modular_skeleton():
     with pytest.raises(NotModularSkeleton):
         validate_local(copies_local_system(n5()))
+    with pytest.raises(NotModularSkeleton):
+        oracle_validate_local(copies_local_system(n5()))
 
 
 def test_disjointness_is_enforced():
@@ -119,6 +166,8 @@ def test_disjointness_is_enforced():
     cs = ConnectedSystem(chain(1), {"0": L, "1": L}, {})
     with pytest.raises(LatticeError):
         validate_connected(cs)
+    assert _outcome(validate_connected, cs) \
+        == _outcome(oracle_validate_connected, cs)
 
 
 def test_condition_17_rejects_bad_maps():
@@ -126,23 +175,23 @@ def test_condition_17_rejects_bad_maps():
     blocks = {"0": _copy(chain(2), "u"), "1": _copy(chain(2), "v")}
     # image {v:0, v:2} is not an ideal
     cs = ConnectedSystem(S, blocks, {("0", "1"): {"u:1": "v:0", "u:2": "v:2"}})
-    bad = validate_connected(cs)
+    bad = _checked_validate(cs)
     assert any(v.condition == "17" for v in bad)
     # order-reversing map
     cs = ConnectedSystem(S, blocks, {("0", "1"): {"u:1": "v:1", "u:2": "v:0"}})
-    bad = validate_connected(cs)
+    bad = _checked_validate(cs)
     assert any(v.condition == "17" for v in bad)
     # map on a non-comparable (here: downward) pair
     cs = ConnectedSystem(S, blocks, {("0", "1"): {"u:2": "v:0"},
                                      ("1", "0"): {"v:0": "u:2"}})
-    assert any(v.condition == "17" for v in validate_connected(cs))
+    assert any(v.condition == "17" for v in _checked_validate(cs))
 
 
 def test_condition_18_requires_maps_on_covers():
     S = chain(1)
     blocks = {"0": _copy(chain(1), "u"), "1": _copy(chain(1), "v")}
     cs = ConnectedSystem(S, blocks, {})
-    assert any(v.condition == "18" for v in validate_connected(cs))
+    assert any(v.condition == "18" for v in _checked_validate(cs))
 
 
 def test_condition_19_composition():
@@ -152,10 +201,10 @@ def test_condition_19_composition():
     maps = {("0", "1"): ident("0", "1"), ("1", "2"): ident("1", "2"),
             ("0", "2"): {"c0:0": "c2:1", "c0:1": "c2:0"}}
     # the direct map disagrees with the composition and reverses order
-    bad = validate_connected(ConnectedSystem(S, blocks, maps))
+    bad = _checked_validate(ConnectedSystem(S, blocks, maps))
     assert any(v.condition == "19" for v in bad)
     maps[("0", "2")] = ident("0", "2")
-    assert validate_connected(ConnectedSystem(S, blocks, maps)) == []
+    assert _checked_validate(ConnectedSystem(S, blocks, maps)) == []
 
 
 def test_condition_23_diamond_mismatch(example):
@@ -164,16 +213,17 @@ def test_condition_23_diamond_mismatch(example):
     # redirect one connector map so the two diamond compositions disagree
     maps[("s0", "x2")] = {"lo:l124": "c2:0", "lo:1": "c2:e"}
     broken = LocalConnectedSystem(lcs.skeleton, lcs.blocks, maps)
-    bad = validate_local(broken)
+    bad = _checked_local(broken)
     assert bad and any(v.condition == "23" for v in bad)
     with pytest.raises(LatticeError):
         elevate(broken)
+    assert _outcome(elevate, broken) == _outcome(oracle_elevate, broken)
 
 
 def test_elevate_is_chain_independent(example):
     lcs = example["local_system"]
     cs = elevate(lcs)
-    assert validate_connected(cs) == []
+    assert _checked_validate(cs) == []
     assert cs.maps == _all_chains_elevation(lcs)
     # elevation restricted to covers reproduces the cover maps
     for key, m in lcs.maps.items():
@@ -187,7 +237,7 @@ def test_copies_systems_elevate_and_quotient(S, block):
     lcs = copies_local_system(S, block)
     cs = elevate(lcs)
     assert cs.maps == _all_chains_elevation(lcs)
-    gsys, pis = connected_sum(cs)
+    gsys, pis = _checked_sum(cs)
     assert glue_validate(gsys) == []
     # total identifications: one class per block element
     assert len(gsys.carrier()) == block.n
@@ -209,7 +259,7 @@ def test_equivalence_follows_the_maps(example):
 
 def test_quotient_projections_are_isomorphisms(example):
     cs = example["connected_system"]
-    gsys, pis = connected_sum(cs)
+    gsys, pis = _checked_sum(cs)
     assert glue_validate(gsys) == []
     for x in cs.skeleton.elements:
         h = LatticeHom(cs.blocks[x], gsys.blocks[x], pis[x])
@@ -223,7 +273,7 @@ def test_quotient_class_count(example):
     identified = set()
     for m in cs.maps.values():
         identified |= set(m)
-    gsys, _ = connected_sum(cs)
+    gsys, _ = _checked_sum(cs)
     # every identification removes exactly one element from the carrier
     assert len(glued_sum(gsys).elements) == total - len(identified)
 
@@ -234,14 +284,14 @@ def test_quotient_rejects_internal_collapse():
     blocks = {"0": _copy(chain(1), "u"), "1": _copy(chain(1), "v")}
     maps = {("0", "1"): {"u:0": "v:0", "u:1": "v:1"}}
     cs = ConnectedSystem(S, blocks, maps)
-    assert validate_connected(cs) == []
-    gsys, _ = connected_sum(cs)
+    assert _checked_validate(cs) == []
+    gsys, _ = _checked_sum(cs)
     assert len(gsys.carrier()) == 2
     bad = ConnectedSystem(S, blocks, {("0", "1"): {"u:1": "v:0"}})
-    assert validate_connected(bad) == []
+    assert _checked_validate(bad) == []
     # identifying the top of one chain with the bottom of the next is the
     # Hall-Dilworth one-point case; the quotient is the 3-element chain
-    gsys, _ = connected_sum(bad)
+    gsys, _ = _checked_sum(bad)
     assert glued_sum(gsys).length() == 2
 
 
@@ -251,6 +301,174 @@ def test_equivalent_raises_when_join_and_meet_criteria_disagree():
     # a and b meet at the join block but have no common preimage
     maps = {("a", "ab"): {"a:p": "ab:p"}, ("b", "ab"): {"b:p": "ab:p"}}
     cs = ConnectedSystem(S, blocks, maps)
+    _checked_validate(cs)
     with pytest.raises(InvariantViolated, match="criteria disagree") as e:
         equivalent(cs, "a:p", "b:p")
     assert e.value.witness == ("a:p", "b:p")
+
+
+
+# -- index space against the id-level oracles ----------------------------------
+
+DIFF_SYSTEMS = {
+    **{f"section4-all_m3={flag}":
+       lambda flag=flag: section4_example(all_m3=flag)["local_system"]
+       for flag in (False, True)},
+    "copies-b2": lambda: copies_local_system(boolean(2)),
+    "copies-b3": lambda: copies_local_system(boolean(3), m3()),
+    **{f"grid({p},{q})": lambda p=p, q=q: _decomposition_local_system(grid(p, q))
+       for p in range(1, 9) for q in range(p, 9)},
+    **{f"M3xC{k}": lambda k=k: _decomposition_local_system(product(m3(), chain(k)))
+       for k in (1, 2, 3, 4, 6)},
+}
+
+
+@pytest.mark.parametrize("build", DIFF_SYSTEMS.values(), ids=DIFF_SYSTEMS)
+def test_index_space_matches_id_level_oracle(build):
+    lcs = build()
+    assert _checked_local(lcs) == []
+    cs, ref = elevate(lcs), oracle_elevate(lcs)
+    assert cs.maps == ref.maps
+    assert list(cs.maps) == list(ref.maps)
+    assert validate_connected(cs) == []
+    _same_quotient(connected_sum(cs), oracle_connected_sum(ref))
+
+
+def _diamonds(S):
+    return [(w, x, y, S.join(x, y)) for w in S.elements
+            for x in S.upper_covers(w) for y in S.upper_covers(w)
+            if x != y and S.join(x, y) in S.upper_covers(x) & S.upper_covers(y)]
+
+
+def _mutant(S, blocks, maps, kind, rng):
+    """A copy of `maps` with one seeded defect, or None if `maps` has no
+    place for it."""
+    maps = {k: dict(m) for k, m in maps.items()}
+    keys = sorted(maps, key=str)
+    if kind == "dropped-map":
+        if not keys:
+            return None
+        del maps[rng.choice(keys)]
+        return maps
+    if kind == "broken-diamond":
+        spots = [(x, j) for _, x, _, j in _diamonds(S) if len(maps.get((x, j), ())) > 1]
+        if not spots:
+            return None
+        m = maps[rng.choice(sorted(spots, key=str))]
+        values = list(m.values())
+        m.update(zip(m, values[1:] + values[:1]))
+        return maps
+    pool = [k for k in keys if len(maps[k]) > (
+        0 if kind in ("dropped-entry", "redirected-entry") else 1)]
+    if not pool:
+        return None
+    x, y = key = rng.choice(pool)
+    m = maps[key]
+    if kind == "dropped-entry":
+        del m[rng.choice(sorted(m))]
+    elif kind == "redirected-entry":
+        a = rng.choice(sorted(m))
+        m[a] = rng.choice([b for b in blocks[y].elements if b != m[a]] or [m[a]])
+    elif kind == "non-injective":
+        a, b = rng.sample(sorted(m), 2)
+        m[a] = m[b]
+    elif kind == "non-filter-domain":
+        del m[blocks[x].top]
+    elif kind == "non-ideal-image":
+        del m[next(a for a in m if m[a] == blocks[y].bottom)]
+    return maps
+
+
+MUTANTS = ("dropped-entry", "redirected-entry", "dropped-map",
+           "non-injective", "non-filter-domain", "non-ideal-image",
+           "broken-diamond")
+MUTANT_SYSTEMS = {name: DIFF_SYSTEMS[name] for name in (
+    "section4-all_m3=False", "section4-all_m3=True",
+    "grid(1,4)", "grid(2,2)", "grid(2,3)", "grid(3,3)", "grid(3,4)",
+    "grid(2,6)", "grid(4,5)", "M3xC2", "M3xC3")}
+
+
+def _same_elevation(lcs):
+    got, want = _outcome(elevate, lcs), _outcome(oracle_elevate, lcs)
+    if isinstance(want, ConnectedSystem):
+        assert got.maps == want.maps and list(got.maps) == list(want.maps)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("build", MUTANT_SYSTEMS.values(), ids=MUTANT_SYSTEMS)
+def test_mutants_match_id_level_oracle(build):
+    """Seeded defects in the cover maps (validate_local, elevate) and in the
+    elevated maps (validate_connected, connected_sum)."""
+    lcs = build()
+    cs = elevate(lcs)
+    S = lcs.skeleton
+    applied = set()
+    for kind in MUTANTS:
+        rng = random.Random(f"{kind}:{S.n}:{len(cs.maps)}")
+        for _ in range(4):
+            maps = _mutant(S, lcs.blocks, lcs.maps, kind, rng)
+            if maps is not None:
+                applied.add(kind)
+                local = LocalConnectedSystem(S, lcs.blocks, maps)
+                _checked_local(local)
+                _same_elevation(local)
+            maps = _mutant(S, cs.blocks, cs.maps, kind, rng)
+            if maps is not None:
+                applied.add(kind)
+                mutated = ConnectedSystem(S, cs.blocks, maps)
+                _checked_validate(mutated)
+                _checked_sum(mutated)
+    assert applied == set(MUTANTS) - (set() if _diamonds(S) else {"broken-diamond"})
+
+
+def test_cover_triples_certify_19_and_the_full_list_is_reported():
+    """Only the non-first cover triple (00, 01, 02) fails; the full list
+    also names the non-cover triple (00, 02, 12)."""
+    S = FiniteLattice(["00", "10", "01", "11", "02", "12"],
+                      [("00", "10"), ("00", "01"), ("10", "11"), ("01", "11"),
+                       ("01", "02"), ("11", "12"), ("02", "12")])
+    lcs = copies_local_system(S, chain(2))
+    cs = elevate(lcs)
+    maps = dict(cs.maps)
+    maps[("00", "02")] = {"00:1": "02:0", "00:2": "02:1"}
+    broken = ConnectedSystem(S, cs.blocks, maps)
+    bad = _checked_validate(broken)
+    triples = [v.pair for v in bad if v.condition == "19"]
+    assert triples == [("00", "01", "02"), ("00", "02", "12")]
+    first = S.elements[S._up_adj[S.index("00")][0]]
+    covers_failing = [t for t in triples if t[1] in S.upper_covers(t[0])]
+    assert covers_failing == [("00", "01", "02")] and first != "01"
+
+
+def test_conditions_24_and_24d_on_a_diamond():
+    """Both compositions across the diamond are empty, yet the cover maps
+    meet at the top and share a source at the bottom."""
+    S = boolean(2)
+    blocks = {x: _copy(chain(1), x) for x in S.elements}
+    maps = {(x, y): {f"{x}:1": f"{y}:0"} for x, y in S.covers}
+    bad = _checked_local(LocalConnectedSystem(S, blocks, maps))
+    assert [v.condition for v in bad] == ["24", "24d", "24", "24d"]
+
+
+def test_quotient_collapse_matches_oracle():
+    S = chain(1)
+    blocks = {"0": _copy(chain(1), "u"), "1": _copy(chain(1), "v")}
+    cs = ConnectedSystem(S, blocks, {("0", "1"): {"u:1": "v:0"},
+                                     ("1", "1"): {"v:0": "v:1"}})
+    got = _checked_sum(cs)
+    assert got == (LatticeError, "quotient collapses block '1' internally")
+    assert [(v.condition, v.pair) for v in _checked_validate(cs)] \
+        == [("17", ("1", "1"))]
+
+
+def test_map_entries_must_lie_in_their_blocks():
+    S = chain(1)
+    blocks = {"0": _copy(chain(1), "u"), "1": _copy(chain(1), "v")}
+    for cls in (ConnectedSystem, LocalConnectedSystem):
+        with pytest.raises(UnknownElement, match="'u:9' is not an element of block '0'"):
+            cls(S, blocks, {("0", "1"): {"u:9": "v:0"}})
+        with pytest.raises(UnknownElement, match="'u:0' is not an element of block '1'"):
+            cls(S, blocks, {("0", "1"): {"u:1": "u:0"}})
+        with pytest.raises(UnknownElement, match="'2' is not a skeleton element"):
+            cls(S, blocks, {("0", "2"): {}})
