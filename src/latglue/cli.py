@@ -6,6 +6,7 @@ Exit codes: 0 when every requested check passes, 1 when a check is violated
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -228,7 +229,9 @@ def cmd_dot(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process."""
     p = argparse.ArgumentParser(prog="latglue", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

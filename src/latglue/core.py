@@ -86,6 +86,20 @@ def _first_common_bounds(up, order):
             least[pos][:, pos])
 
 
+def _ranks(topo, up_adj, down_adj):
+    """Height and depth (longest chain down to 0 and up to 1) of every
+    element, given a linear extension `topo` of the order."""
+    height = [0] * len(topo)
+    depth = [0] * len(topo)
+    for i in topo:
+        for j in down_adj[i]:
+            height[i] = max(height[i], height[j] + 1)
+    for i in reversed(topo):
+        for j in up_adj[i]:
+            depth[i] = max(depth[i], depth[j] + 1)
+    return tuple(height), tuple(depth)
+
+
 class FiniteLattice:
     def __init__(self, elements, covers):
         ids = tuple(elements)
@@ -156,16 +170,7 @@ class FiniteLattice:
         self._up_adj = tuple(tuple(a) for a in up_adj)
         self._down_adj = tuple(tuple(a) for a in down_adj)
 
-        height = [0] * n
-        depth = [0] * n
-        for i in topo:
-            for j in down_adj[i]:
-                height[i] = max(height[i], height[j] + 1)
-        for i in reversed(topo):
-            for j in up_adj[i]:
-                depth[i] = max(depth[i], depth[j] + 1)
-        self._height = tuple(height)
-        self._depth = tuple(depth)
+        self._height, self._depth = _ranks(topo, up_adj, down_adj)
 
         # joins over leq and meets over its transpose, each in a linear
         # extension of its own order: the dual's extension is the reverse
@@ -315,8 +320,18 @@ class FiniteLattice:
     # -- derived lattices ------------------------------------------------
 
     def dual(self):
-        return FiniteLattice(self._ids, [(self._ids[j], self._ids[i])
-                                         for i, j in self._cov])
+        """The dual lattice, by transposition: the order transposed, join
+        and meet, up and down, height and depth, 0 and 1 swapped, every
+        cover reversed in place."""
+        L = object.__new__(FiniteLattice)
+        L._ids, L._idx, L.n = self._ids, self._idx, self.n
+        L._cov = tuple((j, i) for i, j in self._cov)
+        L._up_adj, L._down_adj = self._down_adj, self._up_adj
+        L._height, L._depth = self._depth, self._height
+        L._bot, L._top = self._top, self._bot
+        L._leq = np.ascontiguousarray(self._leq.T)
+        L._join, L._meet = self._meet, self._join
+        return L
 
     def _relabelled(self, ids):
         """This lattice with element i renamed ids[i]; the ids must be
@@ -340,9 +355,52 @@ class FiniteLattice:
         i, j = self.index(lo), self.index(hi)
         if not self._leq[i, j]:
             raise NotComparable(f"{lo!r} is not below {hi!r}")
-        idxs = np.flatnonzero(self._leq[i] & self._leq[:, j])
-        L = self._restrict(idxs)
+        L = self._slice(np.flatnonzero(self._leq[i] & self._leq[:, j]))
         return Interval(self, lo, hi, L.elements, L)
+
+    def _slice(self, idxs):
+        """The sublattice on the sorted indices `idxs`, cut out of this
+        lattice's tables instead of rebuilt: the joins and meets of a
+        sublattice are the parent's, so they are only checked to stay in
+        it.  Covers come in row-major order, as `from_leq` gives them."""
+        m = len(idxs)
+        pos = np.full(self.n, -1, dtype=np.int32)
+        pos[idxs] = np.arange(m, dtype=np.int32)
+        pair = (idxs[:, None], idxs)
+        join, meet = pos[self._join[pair]], pos[self._meet[pair]]
+        if min(join.min(), meet.min()) < 0:
+            for what, table in (("join", join), ("meet", meet)):
+                bad = np.argwhere(table < 0)
+                if len(bad):
+                    a, b = idxs[bad[0]]
+                    raise InvariantViolated(
+                        f"subset is not closed under {what}",
+                        (self._ids[a], self._ids[b]))
+        leq = self._leq[pair]
+        lt = leq & ~np.eye(m, dtype=bool)
+        ltf = lt.astype(np.float32)
+        lo, hi = np.nonzero(lt & ((ltf @ ltf) == 0))
+        cov = list(zip(lo.tolist(), hi.tolist()))
+        up_adj = [[] for _ in range(m)]
+        down_adj = [[] for _ in range(m)]
+        for a, b in cov:
+            up_adj[a].append(b)
+            down_adj[b].append(a)
+        # the parent's heights rise along the order: a linear extension
+        parent_height = [self._height[k] for k in idxs]
+        topo = sorted(range(m), key=parent_height.__getitem__)
+        L = object.__new__(FiniteLattice)
+        L._ids = tuple(self._ids[k] for k in idxs)
+        L._idx = {a: k for k, a in enumerate(L._ids)}
+        L.n = m
+        L._cov = tuple(cov)
+        L._bot, L._top = topo[0], topo[-1]
+        L._leq = leq
+        L._up_adj = tuple(tuple(a) for a in up_adj)
+        L._down_adj = tuple(tuple(a) for a in down_adj)
+        L._height, L._depth = _ranks(topo, up_adj, down_adj)
+        L._join, L._meet = join, meet
+        return L
 
 
 @dataclass(frozen=True)

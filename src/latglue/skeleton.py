@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FiniteLattice, InvariantViolated, find_isomorphism
-from .glue import GluedSystem, glued_sum, nested_cover, validate as glue_validate
+from .glue import GluedSystem, nested_cover, order_closure, validate as glue_validate
 from .predicates import NotModular, breadth, is_atomistic, is_modular, is_n_distributive
 
 
@@ -112,7 +112,11 @@ def skeleton_lattice(M):
     x ∧ y must be (x·y)*⁺, with top 1⁺ and bottom 0.  A failure raises
     InvariantViolated with the first offending pair or element.
     """
-    st, pl = _star_plus(M)
+    return _skeleton_lattice(M, *_star_plus(M))
+
+
+def _skeleton_lattice(M, st, pl):
+    """`skeleton_lattice` from a* and a⁺ as `_star_plus` gives them."""
     k = np.flatnonzero(pl[st] == np.arange(M.n))  # S(M), in M's order
     S = M._restrict(k)
     pair = np.ix_(k, k)
@@ -140,21 +144,24 @@ class SkeletonDecomposition:
     dual_skeleton: frozenset
 
     def reglues(self):
-        """Does regluing the system reproduce the source element-for-element?"""
-        L = glued_sum(self.system)
+        """Does regluing the system reproduce the source element-for-element?
+        The closure of the block orders is compared with the order of M: if
+        they are equal, the sum is M, a validated lattice, so no sum is
+        built."""
+        carrier, leq = order_closure(self.system)
         M = self.source
-        if set(L.elements) != set(M.elements):
+        if set(carrier) != set(M.elements):
             return False
-        pos = [M.index(a) for a in L.elements]
-        return np.array_equal(L._leq, M._leq[np.ix_(pos, pos)])
+        pos = [M.index(a) for a in carrier]
+        return np.array_equal(leq, M._leq[np.ix_(pos, pos)])
 
 
 def decompose(M):
     """Split M into its maximal atomistic intervals [x, x*], x ∈ S(M),
     glued over the skeleton lattice.  The resulting system is validated
     and must be strictly monotone; a failure raises InvariantViolated."""
-    S = skeleton_lattice(M)
     st, pl = _star_plus(M)
+    S = _skeleton_lattice(M, st, pl)
     ids = M.elements
     blocks = {x: M.interval(x, ids[st[M.index(x)]]).lattice for x in S.elements}
     sys = GluedSystem(S, blocks)

@@ -1,7 +1,10 @@
 """Procedures the library replaced, kept as oracles: the Boolean-embedding
 backtracker behind the old `breadth`, the per-element distributive law,
-the forbidden-configuration search for n-distributivity, and the id-level
-connected-system code (validators, elevation and quotient)."""
+the forbidden-configuration search for n-distributivity, the id-level
+connected-system code (validators, elevation and quotient), and the
+skeleton pipeline's rebuilds: the per-element modular law, the rebuilt
+interval, the Warshall closure, the sum-building round trip and the
+one-pair-at-a-time (A1)/(A2) loop."""
 
 from itertools import combinations
 
@@ -10,8 +13,8 @@ import numpy as np
 from latglue.connect import ChainDependence, ConnectViolation, \
     ConnectedSystem, NotModularSkeleton, _check_disjoint
 from latglue.core import FiniteLattice, LatticeError
-from latglue.glue import GluedSystem, _is_filter, _is_ideal, \
-    validate as glue_validate
+from latglue.glue import GluedSystem, GlueViolation, NotALattice, \
+    _is_filter, _is_ideal, _membership, validate as glue_validate
 from latglue.predicates import NotModular, is_modular
 
 
@@ -303,3 +306,99 @@ def oracle_connected_sum(cs):
     if bad:
         raise LatticeError(f"quotient is not a glued system: {bad}")
     return sys, pis
+
+
+# -- the skeleton pipeline, rebuilt instead of derived -------------------------
+
+def oracle_is_modular(L):
+    """Modular law a ≦ c ⟹ a + (b·c) = (a+b)·c, over all triples: one
+    comparison per element a, over all b and all c ≧ a at once."""
+    J, M, leq = L._join, L._meet, L._leq
+    for a in range(L.n):
+        cs = np.flatnonzero(leq[a])
+        if not np.array_equal(J[a][M[:, cs]], M[J[a][:, None], cs]):
+            return False
+    return True
+
+
+def oracle_interval(L, lo, hi):
+    """The interval [lo, hi] rebuilt from its order by `from_leq`."""
+    idxs = np.flatnonzero(L._leq[L.index(lo)] & L._leq[:, L.index(hi)])
+    return FiniteLattice.from_leq([L._ids[i] for i in idxs],
+                                  L._leq[idxs][:, idxs])
+
+
+def oracle_closure(sys):
+    """The carrier and the closure of the union of the block orders, by
+    Warshall's n steps."""
+    carrier = sys.carrier()
+    idx = {a: i for i, a in enumerate(carrier)}
+    n = len(carrier)
+    leq = np.zeros((n, n), dtype=bool)
+    for L in sys.blocks.values():
+        pos = [idx[a] for a in L.elements]
+        leq[np.ix_(pos, pos)] |= L._leq
+    for k in range(n):
+        leq |= np.outer(leq[:, k], leq[k])
+    return carrier, leq
+
+
+def oracle_glued_sum(sys):
+    """The sum rebuilt from the Warshall closure."""
+    carrier, leq = oracle_closure(sys)
+    n = len(carrier)
+    cyclic = np.argwhere(leq & leq.T & ~np.eye(n, dtype=bool))
+    if len(cyclic):
+        a, b = (carrier[i] for i in cyclic[0])
+        raise NotALattice(f"closure order not antisymmetric at ({a!r}, {b!r})")
+    try:
+        return FiniteLattice.from_leq(carrier, leq)
+    except LatticeError as e:
+        raise NotALattice(str(e)) from e
+
+
+def oracle_reglues(dec):
+    """Build the sum of the decomposition and compare it with the source."""
+    L = oracle_glued_sum(dec.system)
+    M = dec.source
+    if set(L.elements) != set(M.elements):
+        return False
+    pos = [M.index(a) for a in L.elements]
+    return np.array_equal(L._leq, M._leq[np.ix_(pos, pos)])
+
+
+def oracle_glue_violations(sys):
+    """The (A1)-(A4) violations as `glue.validate` lists them, every
+    comparable overlapping pair checked on its own with about 20 numpy
+    calls.  The derived checks that follow an empty list are left out."""
+    S = sys.skeleton
+    carrier, pos, loc, B, C = _membership(sys)[:5]
+    blocks = [sys.blocks[x] for x in S.elements]
+    visit = C > 0
+    for i, j in S._cov:
+        visit[i, j] = True
+    np.fill_diagonal(visit, False)
+    I, J = np.nonzero(visit)
+    incomparable = ~(S._leq[I, J] | S._leq[J, I])
+    outside = B[I] & B[J] & ~(B[S._meet[I, J]] & B[S._join[I, J]])
+    a4 = incomparable & outside.any(axis=1)
+    out = []
+    for p in np.flatnonzero(S._leq[I, J] | a4):
+        i, j = I[p], J[p]
+        x, y = S.elements[i], S.elements[j]
+        if a4[p]:
+            bad = sorted((carrier[c] for c in np.flatnonzero(outside[p])), key=str)
+            out.append(GlueViolation("A4", (x, y, tuple(bad))))
+        elif not C[i, j]:
+            out.append(GlueViolation("A3", (x, y)))
+        elif not _is_filter(blocks[i], B[j, pos[i]]):
+            out.append(GlueViolation("A1", (x, y, "overlap is not a filter of the lower block")))
+        elif not _is_ideal(blocks[j], B[i, pos[j]]):
+            out.append(GlueViolation("A1", (x, y, "overlap is not an ideal of the upper block")))
+        else:
+            ov = np.flatnonzero(B[i] & B[j])
+            ix, iy = loc[i, ov], loc[j, ov]
+            differ = blocks[i]._leq[ix][:, ix] != blocks[j]._leq[iy][:, iy]
+            out += [GlueViolation("A2", (x, y, carrier[ov[a]], carrier[ov[b]]))
+                    for a, b in np.argwhere(differ)]
+    return out

@@ -356,3 +356,27 @@ def test_order_mismatch_witness_does_not_depend_on_hash_seed(tmp_path):
     (mismatch,) = [v for v in json.loads(errs[0])["conditions"]
                    if v["condition"] == "17"]
     assert mismatch["witness"] == ["order mismatch", "0:c", "0:b"]
+
+
+def test_parser_built_once_keeps_no_state_between_calls(tmp_path, capsys):
+    path = tmp_path / "grid.json"
+    assert run(["construct", "grid", "3", "4", "--out", str(path)]) == 0
+    out, dot = tmp_path / "sys.json", tmp_path / "grid.dot"
+    assert run(["skeleton", str(path), "--out", str(out),
+                "--dot", str(dot)]) == 0
+    assert out.exists() and dot.exists()
+    out.unlink()
+    dot.unlink()
+    capsys.readouterr()
+    assert run(["skeleton", str(path)]) == 0
+    second = capsys.readouterr()
+    assert sorted(os.listdir(tmp_path)) == ["grid.json"]
+    assert cli._build_parser() is cli._build_parser()
+    src = os.path.dirname(os.path.dirname(latglue.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    fresh = subprocess.run([sys.executable, "-m", "latglue.cli", "skeleton",
+                            str(path)], env=env, capture_output=True,
+                           text=True)
+    assert fresh.returncode == 0
+    assert (second.out, second.err) == (fresh.stdout, fresh.stderr)

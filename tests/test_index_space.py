@@ -22,6 +22,7 @@ from latglue.glue import GluedSystem, GlueViolation, _assert_derived, \
 from latglue.predicates import is_modular
 from latglue.skeleton import decompose, dual_skeleton, plus, skeleton_set, star
 from latglue.suite import glued_fixtures
+from oracles import oracle_glue_violations
 
 CORPUS = list(enumerate_lattices(7))
 MODULAR = [L for L in CORPUS if is_modular(L)]
@@ -266,6 +267,8 @@ SYSTEMS = _systems()
 def test_validate_matches_all_pairs_loop(name):
     sys = SYSTEMS[name]
     assert canonical(validate(sys)) == canonical(oracle_violations(sys))
+    # and, in the same order, the per-pair loop behind the A1/A2 screen
+    assert validate(sys) == oracle_glue_violations(sys)
 
 
 def test_invalid_systems_are_in_the_differential_corpus():
