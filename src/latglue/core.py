@@ -53,37 +53,176 @@ class InvariantViolated(LatticeError):
         self.witness = witness
 
 
-# Size of one block of the join/meet kernel: about 2**16 cells of the
-# tensor of common bounds.
+# About how many cells a chunked kernel looks at at once.
 _BLOCK_CELLS = 1 << 16
 
 
-def _first_common_bounds(up, order):
-    """For every pair (a, b): the first common bound c in `order`, a linear
-    extension of the order up[i, j] (i below j), and whether c is the least
-    common bound.  Being first in a linear extension, c is minimal.  Every
-    element above c is a common bound, so c is least exactly when the pair
-    has as many common bounds as c has elements above it."""
+# Size of one block of the Möbius back-substitution.
+_SOLVE_BLOCK = 32
+
+
+def _mobius(leq, topo):
+    """The Möbius transforms v and w of the indices along the order
+    leq[i, j] (i below j) and its dual, as the two rows of one array:
+    ζ·v = ζᵀ·w = (0, 1, …, n−1) for ζ = leq, so that the sum of v over the
+    up-set of c, and of w over its down-set, is c.  In the linear
+    extension `topo` ζ is unit upper triangular, and so is ζᵀ in its
+    reverse, so both rows come from one back-substitution, a block of at
+    most _SOLVE_BLOCK positions at a time.  A block I + N, N its strict
+    order, is inverted as (I − N)(I + N²)(I + N⁴)…, whose integer entries
+    count chains of at most 32 elements, below 2**30; every step is exact
+    while the values stay integers below 2**53."""
+    n = len(topo)
+    lt = leq[topo][:, topo]
+    diagonal = np.arange(n)
+    lt[diagonal, diagonal] = False
+    lt = np.array([lt, lt.T[::-1, ::-1]])  # strict, in positions
+    t = np.array([topo, topo[::-1]], dtype=np.float64)[:, :, None]
+    x = np.zeros((2, n, 1))
+    for e in range(n, 0, -_SOLVE_BLOCK):
+        b = slice(max(0, e - _SOLVE_BLOCK), e)
+        rows = lt[:, b].astype(np.float64)
+        y = t[:, b] - rows @ x if e < n else t[:, b]
+        N = rows[:, :, b]
+        y = y - N @ y
+        for _ in range(1, (e - b.start - 1).bit_length()):
+            N = N @ N
+            y += N @ y
+        x[:, b] = y
+    x[1] = x[1, ::-1]
+    vw = np.empty((2, n))
+    vw[:, topo] = x[..., 0]
+    return vw
+
+
+def _least_bounds(leq, topo, ids):
+    """The join and meet tables of the order leq[i, j] (i below j), found
+    without search and checked by counting.
+
+    A pair with a least upper bound j has ↑j as its common upper bounds,
+    so with v from `_mobius` the sum of v over them, the entry of
+    (ζ·diag v)·ζᵀ, is j; meets come dually from ζᵀ and w.  The products
+    are exact in float32 while the sum of |v| stays below 2**24 (it is
+    3,300 for boolean(8) and 16,136 for the partition lattice Π₆).  Every
+    candidate is certified by counting (`_uncertified`), so rounding can
+    flag a pair but never accept one; `_settle` rechecks the flagged
+    pairs exactly."""
+    n = len(topo)
+    up = np.array([leq, leq.T])  # ζ and ζᵀ
+    Uf = up.astype(np.float32)
+    v = _mobius(leq, topo).astype(np.float32)
+    tables = np.empty((2, n, n), dtype=np.int32)
+    step = max(1, _BLOCK_CELLS // (2 * n))  # rows of about 2**16 cells
+    for s in range(0, n, step):
+        rows = slice(s, s + step)
+        c = (Uf[:, rows] * v[:, None, :]) @ Uf.transpose(0, 2, 1)
+        # any value is only a candidate: NaN becomes 0, the rest is clipped
+        np.fmax(c, 0, out=c)
+        tables[:, rows] = np.fmin(c, n - 1, out=c)
+    join, meet = tables
+    _settle(leq, topo, ids, join, meet, _uncertified(Uf, tables))
+    return join, meet
+
+
+def _uncertified(Uf, table):
+    """The counting certificate of the candidate least bounds table[k]
+    over the orders Uf[k, i, j] (i below j, in float32): c is certified
+    for (a, b) when it is a common bound and the pair has exactly as many
+    common bounds as c has elements above it, so that they are ↑c and c
+    is least.  Returns a mask over the orders that flags (a, b) or (b, a)
+    in every pair that fails in some order: (a, b) is flagged unless
+    table[k, a, b] = table[k, b, a] is above a with that count, and (b, a)
+    tests b.  Counts up to 2**24 are exact in float32."""
+    k, n, _ = Uf.shape
+    # the size of ↑c in row a where a ≤ c and 0 elsewhere, never a number
+    # of common bounds (the top is one): one gather tests both
+    sized = (Uf * Uf.sum(axis=2)[:, None, :]).ravel()
+    row = np.arange(0, k * n * n, n).reshape(k, n, 1)
+    bad = table != table.transpose(0, 2, 1)
+    step = max(1, _BLOCK_CELLS // (k * n))
+    for s in range(0, n, step):
+        rows = slice(s, s + step)
+        bad[:, rows] |= sized.take(table[:, rows] + row[:, rows]) \
+            != Uf[:, rows] @ Uf.transpose(0, 2, 1)
+    return bad
+
+
+def _settle(leq, order, ids, join, meet, flagged):
+    """Recheck the pairs flagged in any layer of `flagged` exactly with
+    the per-pair rule: the first common bound in `order`, a linear
+    extension, is least exactly when the pair has as many common bounds as
+    it has elements above it.  A least bound is patched into the table; at
+    the first pair (a ≤ b, row-major) that has none, the join before the
+    meet, NoUniqueJoin or NoUniqueMeet is raised."""
+    if not flagged.any():
+        return
     n = len(order)
-    P = up[order][:, order]
-    above = P.sum(axis=1)
-    Pf = P.astype(np.float32)  # counts up to n are exact in float32
-    n_common = Pf @ Pf.T
-    # P is upper triangular, so the bounds of a pair lie at or after the
-    # later of its two positions: a block of rows from s on looks only at
-    # the pairs and candidates from s on, and the rest comes by symmetry
-    first = np.zeros((n, n), dtype=np.intp)
-    s = 0
-    while s < n:
-        e = min(n, s + max(1, _BLOCK_CELLS // (n - s) ** 2))
-        first[s:e, s:] = s + (P[s:e, None, s:] & P[None, s:, s:]).argmax(axis=2)
-        s = e
-    first = np.maximum(first, first.T)  # the pairs left out are still 0
-    least = n_common == above[first]
-    pos = np.empty(n, dtype=np.intp)  # element index -> position in order
-    pos[order] = np.arange(n)
-    return (order[first[pos][:, pos]].astype(np.int32),
-            least[pos][:, pos])
+    flagged = flagged.reshape(-1, n, n).any(axis=0)
+    A, B = np.nonzero(np.triu(flagged | flagged.T))
+    rules = ((leq, order, join), (leq.T, order[::-1], meet))
+    step = max(1, _BLOCK_CELLS // n)
+    for s in range(0, len(A), step):
+        a, b = A[s:s + step], B[s:s + step]
+        least = []
+        for up, ext, table in rules:
+            common = up[a][:, ext] & up[b][:, ext]
+            first = ext[common.argmax(axis=1)]
+            table[a, b] = table[b, a] = first
+            least.append(common.sum(axis=1) == up[first].sum(axis=1))
+        bad = np.flatnonzero(~(least[0] & least[1]))
+        if len(bad):
+            p = bad[0]
+            if not least[0][p]:
+                _raise_no_bound(ids, a[p], b[p], join[a[p], b[p]], leq,
+                                NoUniqueJoin, "upper")
+            _raise_no_bound(ids, a[p], b[p], meet[a[p], b[p]], leq.T,
+                            NoUniqueMeet, "lower")
+
+
+def _raise_no_bound(ids, a, b, c, up, err, kind):
+    # c is a minimal common bound but not the least, so some common bound
+    # lies outside up[c]; the one with fewest elements below it is minimal
+    # too, and incomparable with c
+    rest = up[a] & up[b] & ~up[c]
+    other = min(np.flatnonzero(rest), key=lambda i: up[:, i].sum())
+    raise err(f"({ids[a]!r}, {ids[b]!r}) has incomparable minimal {kind} "
+              f"bounds {ids[c]!r} and {ids[other]!r}")
+
+
+def _bounds(ids, up_adj, down_adj):
+    """The indices of the bottom and the top; NotBounded unless each is
+    the only element without lower (upper) covers."""
+    if not ids:
+        raise NotBounded("empty element list")  # as the constructor says
+    bottoms = [i for i, d in enumerate(down_adj) if not d]
+    tops = [i for i, u in enumerate(up_adj) if not u]
+    if len(bottoms) != 1 or len(tops) != 1:
+        raise NotBounded(
+            f"minimal elements {[ids[i] for i in bottoms]}, "
+            f"maximal elements {[ids[i] for i in tops]}")
+    return bottoms[0], tops[0]
+
+
+def _kahn(n, up_adj, down_adj):
+    """Kahn's linear extension of the covers; shorter than n when they
+    have a cycle."""
+    indeg = [len(down_adj[i]) for i in range(n)]
+    topo = [i for i in range(n) if indeg[i] == 0]
+    for i in topo:
+        for j in up_adj[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                topo.append(j)
+    return topo
+
+
+def _bit_matrix(rows):
+    """The boolean matrix whose row i holds the bits of the int rows[i]."""
+    n = len(rows)
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows),
+                           dtype=np.uint8).reshape(n, width)
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
 def _ranks(topo, up_adj, down_adj):
@@ -132,39 +271,27 @@ class FiniteLattice:
             up_adj[i].append(j)
             down_adj[j].append(i)
 
-        # topological order (Kahn); failure means a cycle
-        indeg = [len(down_adj[i]) for i in range(n)]
-        topo = [i for i in range(n) if indeg[i] == 0]
-        for i in topo:
-            for j in up_adj[i]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    topo.append(j)
+        topo = _kahn(n, up_adj, down_adj)
         if len(topo) != n:
             raise CycleDetected("cover digraph contains a cycle")
 
-        # reflexive-transitive closure, bottom-up
-        leq = np.zeros((n, n), dtype=bool)
+        # reflexive-transitive closure, bottom-up: bit j of up[i] is i ≦ j
+        up = [0] * n
         for i in reversed(topo):
-            leq[i, i] = True
+            bits = 1 << i
             for j in up_adj[i]:
-                leq[i] |= leq[j]
+                bits |= up[j]
+            up[i] = bits
 
         # strict transitive-reduction check: no cover may be implied by a path
         for i, j in cov:
             for k in up_adj[i]:
-                if k != j and leq[k, j]:
+                if k != j and up[k] >> j & 1:
                     raise NotTransitiveReduction(
                         f"cover ({ids[i]!r}, {ids[j]!r}) is implied via {ids[k]!r}")
+        leq = _bit_matrix(up)
 
-        bottoms = [i for i in range(n) if not down_adj[i]]
-        tops = [i for i in range(n) if not up_adj[i]]
-        if len(bottoms) != 1 or len(tops) != 1:
-            raise NotBounded(
-                f"minimal elements {[ids[i] for i in bottoms]}, "
-                f"maximal elements {[ids[i] for i in tops]}")
-        self._bot = bottoms[0]
-        self._top = tops[0]
+        self._bot, self._top = _bounds(ids, up_adj, down_adj)
 
         self._leq = leq
         self._up_adj = tuple(tuple(a) for a in up_adj)
@@ -172,19 +299,7 @@ class FiniteLattice:
 
         self._height, self._depth = _ranks(topo, up_adj, down_adj)
 
-        # joins over leq and meets over its transpose, each in a linear
-        # extension of its own order: the dual's extension is the reverse
-        topo = np.array(topo)
-        join, join_ok = _first_common_bounds(leq, topo)
-        meet, meet_ok = _first_common_bounds(leq.T, topo[::-1])
-        bad = ~(join_ok & meet_ok)
-        if bad.any():
-            a, b = np.argwhere(np.triu(bad))[0]
-            if not join_ok[a, b]:
-                self._raise_no_bound(a, b, join[a, b], leq, NoUniqueJoin, "upper")
-            self._raise_no_bound(a, b, meet[a, b], leq.T, NoUniqueMeet, "lower")
-        self._join = join
-        self._meet = meet
+        self._join, self._meet = _least_bounds(leq, np.array(topo), ids)
 
     @classmethod
     def from_leq(cls, elements, leq):
@@ -203,16 +318,6 @@ class FiniteLattice:
             raise LatticeError("relation is not a partial order: its covers "
                                "generate a different order")
         return L
-
-    def _raise_no_bound(self, a, b, c, up, err, kind):
-        # c is a minimal common bound but not the least, so some common
-        # bound lies outside up[c]; the one with fewest elements below it
-        # is minimal too, and incomparable with c
-        rest = up[a] & up[b] & ~up[c]
-        other = min(np.flatnonzero(rest), key=lambda i: up[:, i].sum())
-        ids = self._ids
-        raise err(f"({ids[a]!r}, {ids[b]!r}) has incomparable minimal {kind} "
-                  f"bounds {ids[c]!r} and {ids[other]!r}")
 
     # -- basic accessors -------------------------------------------------
 
@@ -345,9 +450,7 @@ class FiniteLattice:
     def restrict(self, subset):
         """Lattice induced on a subset of elements (must itself be a lattice),
         in the parent's element order."""
-        return self._restrict(sorted({self.index(a) for a in subset}))
-
-    def _restrict(self, idxs):
+        idxs = sorted({self.index(a) for a in subset})
         return FiniteLattice.from_leq([self._ids[i] for i in idxs],
                                       self._leq[idxs][:, idxs])
 
@@ -362,10 +465,9 @@ class FiniteLattice:
         """The sublattice on the sorted indices `idxs`, cut out of this
         lattice's tables instead of rebuilt: the joins and meets of a
         sublattice are the parent's, so they are only checked to stay in
-        it.  Covers come in row-major order, as `from_leq` gives them."""
-        m = len(idxs)
+        it."""
         pos = np.full(self.n, -1, dtype=np.int32)
-        pos[idxs] = np.arange(m, dtype=np.int32)
+        pos[idxs] = np.arange(len(idxs), dtype=np.int32)
         pair = (idxs[:, None], idxs)
         join, meet = pos[self._join[pair]], pos[self._meet[pair]]
         if min(join.min(), meet.min()) < 0:
@@ -376,7 +478,17 @@ class FiniteLattice:
                     raise InvariantViolated(
                         f"subset is not closed under {what}",
                         (self._ids[a], self._ids[b]))
-        leq = self._leq[pair]
+        L = self._suborder(idxs)
+        L._join, L._meet = join, meet
+        return L
+
+    def _suborder(self, idxs):
+        """The order induced on the sorted indices `idxs`, as a lattice
+        without its join/meet tables, which the caller supplies.  Covers
+        come in row-major order, as `from_leq` gives them; NotBounded
+        unless the order is bounded."""
+        m = len(idxs)
+        leq = self._leq[idxs[:, None], idxs]
         lt = leq & ~np.eye(m, dtype=bool)
         ltf = lt.astype(np.float32)
         lo, hi = np.nonzero(lt & ((ltf @ ltf) == 0))
@@ -386,20 +498,19 @@ class FiniteLattice:
         for a, b in cov:
             up_adj[a].append(b)
             down_adj[b].append(a)
-        # the parent's heights rise along the order: a linear extension
-        parent_height = [self._height[k] for k in idxs]
-        topo = sorted(range(m), key=parent_height.__getitem__)
         L = object.__new__(FiniteLattice)
         L._ids = tuple(self._ids[k] for k in idxs)
         L._idx = {a: k for k, a in enumerate(L._ids)}
         L.n = m
         L._cov = tuple(cov)
-        L._bot, L._top = topo[0], topo[-1]
+        L._bot, L._top = _bounds(L._ids, up_adj, down_adj)
         L._leq = leq
         L._up_adj = tuple(tuple(a) for a in up_adj)
         L._down_adj = tuple(tuple(a) for a in down_adj)
+        # the parent's heights rise along the order: a linear extension
+        parent_height = [self._height[k] for k in idxs]
+        topo = sorted(range(m), key=parent_height.__getitem__)
         L._height, L._depth = _ranks(topo, up_adj, down_adj)
-        L._join, L._meet = join, meet
         return L
 
 

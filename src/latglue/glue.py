@@ -213,18 +213,29 @@ def _assert_derived(sys, carrier, pos, loc, B, C, start, up, down):
 
     # block operations agree on overlaps: every block holding a and b
     # gives a + b (a·b) the same carrier index; only elements of two or
-    # more blocks can be in an overlap
-    blocks_of = B.sum(axis=0)
-    shared = [np.flatnonzero(blocks_of[p] > 1) for p in pos]
-    owner = np.repeat(np.arange(S.n), [len(k) ** 2 for k in shared])
-    a = np.concatenate([np.repeat(p[k], len(k)) for p, k in zip(pos, shared)])
-    b = np.concatenate([np.tile(p[k], len(k)) for p, k in zip(pos, shared)])
+    # more blocks can be in an overlap.  Row start[i] + k stands for the
+    # k-th element of block i; the pairs of shared rows of each block are
+    # listed for all blocks at once, block by block and a-major
+    sizes = np.diff(start)
+    rows = np.concatenate(pos)  # carrier index of each row
+    shared = np.flatnonzero(B.sum(axis=0)[rows] > 1)
+    count = np.bincount(np.searchsorted(start, shared, side="right") - 1,
+                        minlength=S.n)
+    owner = np.repeat(np.arange(S.n), count ** 2)
+    q = np.arange(len(owner)) - np.repeat(np.cumsum(count ** 2) - count ** 2,
+                                          count ** 2)
+    first = np.cumsum(count) - count
+    ra = shared[first[owner] + q // count[owner]]
+    rb = shared[first[owner] + q % count[owner]]
+    a, b = rows[ra], rows[rb]
     held = np.empty((n, n), dtype=np.intp)
     held[a, b] = np.arange(len(a))  # one block's entry for each pair
     other = held[a, b]
+    cell = (np.cumsum(sizes ** 2) - sizes ** 2)[owner] \
+        + (ra - start[owner]) * sizes[owner] + rb - start[owner]
     for op in ("_join", "_meet"):
-        got = np.concatenate([p[getattr(L, op)[k][:, k]].ravel()
-                              for p, L, k in zip(pos, blocks, shared)])
+        table = np.concatenate([getattr(L, op).ravel() for L in blocks])
+        got = rows[start[owner] + table[cell]]
         bad = np.flatnonzero(got != got[other])
         if len(bad):
             fail(f"blocks disagree on {op[1:]}", owner[bad[0]],

@@ -4,10 +4,12 @@ Lattice: {"elements": [...], "covers": [["a","b"], ...]} with covers listed
 lower-first.  Glued system: {"skeleton": <lattice>, "blocks": {x: <lattice>}}
 where block element names share one carrier namespace.  Connected system:
 additionally {"maps": [{"from": x, "to": y, "pairs": [[a, b], ...]}]} and an
-optional "local": true flag; block elements are namespaced "<x>:<name>" on
-load to enforce disjointness.  A repeated JSON key, a map listed twice or a
-source named twice in one map raises LatticeError rather than keeping the
-last.
+optional "local": true or false flag (a file with either key is one); block
+elements are namespaced "<x>:<name>" on load to enforce disjointness.  A
+repeated JSON key, a map listed twice or a source named twice in one map
+raises LatticeError rather than keeping the last, and so does a key outside
+its object's format or a value of "elements", "covers", "maps" or "pairs"
+that is not a JSON array: nothing is dropped or read as something else.
 """
 
 import json
@@ -22,10 +24,31 @@ def lattice_to_dict(L):
             "covers": [list(c) for c in L.covers]}
 
 
-def _object(d):
+_LATTICE_KEYS = {"elements", "covers"}
+_GLUED_KEYS = {"skeleton", "blocks"}
+_CONNECTED_KEYS = _GLUED_KEYS | {"maps", "local"}
+_MAP_KEYS = {"from", "to", "pairs"}
+
+
+def _object(d, keys=None):
+    """`d`, which must be a JSON object with no key outside `keys`."""
     if not isinstance(d, dict):
         raise LatticeError(f"expected a JSON object, got {type(d).__name__}")
+    if keys is not None:
+        extra = sorted(set(d) - keys)
+        if extra:
+            raise LatticeError(f"unknown key {extra[0]!r}; expected only "
+                               f"{sorted(keys)}")
     return d
+
+
+def _array(d, field):
+    """The value of `field`, which must be a JSON array."""
+    value = d[field]
+    if not isinstance(value, list):
+        raise LatticeError(f"{field!r} must be a JSON array, got "
+                           f"{type(value).__name__}")
+    return value
 
 
 def _unique_keys(items):
@@ -37,7 +60,8 @@ def _unique_keys(items):
     return out
 
 
-def _pairs(pairs):
+def _pairs(d, field):
+    pairs = _array(d, field)
     for c in pairs:
         if not isinstance(c, (list, tuple)) or len(c) != 2:
             raise LatticeError(f"{c!r} is not a pair")
@@ -45,7 +69,8 @@ def _pairs(pairs):
 
 
 def lattice_from_dict(d):
-    return FiniteLattice(_object(d)["elements"], _pairs(d["covers"]))
+    d = _object(d, _LATTICE_KEYS)
+    return FiniteLattice(_array(d, "elements"), _pairs(d, "covers"))
 
 
 def glued_to_dict(sys):
@@ -55,6 +80,7 @@ def glued_to_dict(sys):
 
 
 def glued_from_dict(d):
+    d = _object(d, _GLUED_KEYS)
     S = lattice_from_dict(d["skeleton"])
     return GluedSystem(S, {x: lattice_from_dict(b)
                            for x, b in _object(d["blocks"]).items()})
@@ -71,6 +97,7 @@ def connected_to_dict(cs, local=False):
 
 
 def connected_from_dict(d):
+    d = _object(d, _CONNECTED_KEYS)
     S = lattice_from_dict(d["skeleton"])
 
     def ns(x, a):
@@ -80,10 +107,12 @@ def connected_from_dict(d):
 
     blocks = {}
     for x, b in _object(d["blocks"]).items():
-        blocks[x] = FiniteLattice([ns(x, a) for a in b["elements"]],
-                                  [(ns(x, a), ns(x, c)) for a, c in _pairs(b["covers"])])
+        b = _object(b, _LATTICE_KEYS)
+        blocks[x] = FiniteLattice([ns(x, a) for a in _array(b, "elements")],
+                                  [(ns(x, a), ns(x, c)) for a, c in _pairs(b, "covers")])
     maps = {}
-    for m in d.get("maps", []):
+    for m in _array(d, "maps") if "maps" in d else []:
+        m = _object(m, _MAP_KEYS)
         x, y = m["from"], m["to"]
         for z in (x, y):
             if z not in S:
@@ -91,12 +120,15 @@ def connected_from_dict(d):
         if (x, y) in maps:
             raise LatticeError(f"map {x!r} -> {y!r} is listed twice")
         maps[(x, y)] = pairs = {}
-        for a, b in _pairs(m["pairs"]):
+        for a, b in _pairs(m, "pairs"):
             a = ns(x, a)
             if a in pairs:
                 raise LatticeError(f"map {x!r} -> {y!r} lists source {a!r} twice")
             pairs[a] = ns(y, b)
-    cls = LocalConnectedSystem if d.get("local") else ConnectedSystem
+    local = d.get("local", False)
+    if not isinstance(local, bool):
+        raise LatticeError(f"'local' must be true or false, got {local!r}")
+    cls = LocalConnectedSystem if local else ConnectedSystem
     return cls(S, blocks, maps)
 
 
@@ -104,7 +136,7 @@ def load(path):
     """Load a lattice / glued / connected system file by shape."""
     with open(path) as f:
         d = _object(json.load(f, object_pairs_hook=_unique_keys))
-    if "maps" in d or d.get("local"):
+    if "maps" in d or "local" in d:
         return connected_from_dict(d)
     if "skeleton" in d:
         return glued_from_dict(d)

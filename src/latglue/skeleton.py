@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteLattice, InvariantViolated, find_isomorphism
+from .core import FiniteLattice, InvariantViolated, _kahn, _settle, \
+    _uncertified, find_isomorphism
 from .glue import GluedSystem, nested_cover, order_closure, validate as glue_validate
 from .predicates import NotModular, breadth, is_atomistic, is_modular, is_n_distributive
 
@@ -107,10 +108,12 @@ def dual_skeleton(M):
 def skeleton_lattice(M):
     """S(M) as a lattice under the induced order.
 
-    Built from the transitive reduction of the induced order, then
-    validated against the structural join/meet: x ∨ y must be x + y and
-    x ∧ y must be (x·y)*⁺, with top 1⁺ and bottom 0.  A failure raises
-    InvariantViolated with the first offending pair or element.
+    Its joins are M's and its meets (x·y)*⁺, each checked to stay in
+    S(M); the meets are certified by counting common lower bounds in the
+    induced order, and a pair that fails is rechecked exactly.  The tables
+    are then validated against the structural join/meet: x ∨ y must be
+    x + y and x ∧ y must be (x·y)*⁺, with top 1⁺ and bottom 0.  A failure
+    raises InvariantViolated with the first offending pair or element.
     """
     return _skeleton_lattice(M, *_star_plus(M))
 
@@ -118,11 +121,24 @@ def skeleton_lattice(M):
 def _skeleton_lattice(M, st, pl):
     """`skeleton_lattice` from a* and a⁺ as `_star_plus` gives them."""
     k = np.flatnonzero(pl[st] == np.arange(M.n))  # S(M), in M's order
-    S = M._restrict(k)
+    S = M._suborder(k)
     pair = np.ix_(k, k)
+    join, meet = M._join[pair], pl[st[M._meet[pair]]]
+    pos = np.full(M.n, -1, dtype=np.int32)
+    pos[k] = np.arange(len(k), dtype=np.int32)
+    # M's join of two elements of S(M) that lies in S(M) is their join
+    # there; the meet is certified, and a pair leaving S(M) is flagged
+    S._join, S._meet = pos[join], pos[meet]
+    outside = (S._join < 0) | (S._meet < 0)
+    np.maximum(S._meet, 0, out=S._meet)
+    flagged = outside | _uncertified(S._leq.T[None].astype(np.float32),
+                                     S._meet[None])
+    if flagged.any():
+        topo = np.array(_kahn(S.n, S._up_adj, S._down_adj))
+        _settle(S._leq, topo, S.elements, S._join, S._meet, flagged)
     for what, got, want in (
-            ("skeleton join is not the join of M", k[S._join], M._join[pair]),
-            ("skeleton meet is not (x·y)*⁺", k[S._meet], pl[st[M._meet[pair]]])):
+            ("skeleton join is not the join of M", k[S._join], join),
+            ("skeleton meet is not (x·y)*⁺", k[S._meet], meet)):
         bad = np.argwhere(got != want)
         if len(bad):
             i, j = bad[0]

@@ -4,7 +4,9 @@ the forbidden-configuration search for n-distributivity, the id-level
 connected-system code (validators, elevation and quotient), and the
 skeleton pipeline's rebuilds: the per-element modular law, the rebuilt
 interval, the Warshall closure, the sum-building round trip and the
-one-pair-at-a-time (A1)/(A2) loop."""
+one-pair-at-a-time (A1)/(A2) loop.  Also the first-common-bound search
+behind the join/meet tables, the `from_leq` skeleton lattice and the
+per-block index arrays of the block-operation check."""
 
 from itertools import combinations
 
@@ -12,7 +14,8 @@ import numpy as np
 
 from latglue.connect import ChainDependence, ConnectViolation, \
     ConnectedSystem, NotModularSkeleton, _check_disjoint
-from latglue.core import FiniteLattice, LatticeError
+from latglue.core import _BLOCK_CELLS, FiniteLattice, InvariantViolated, \
+    LatticeError, NoUniqueJoin, NoUniqueMeet
 from latglue.glue import GluedSystem, GlueViolation, NotALattice, \
     _is_filter, _is_ideal, _membership, validate as glue_validate
 from latglue.predicates import NotModular, is_modular
@@ -402,3 +405,112 @@ def oracle_glue_violations(sys):
             out += [GlueViolation("A2", (x, y, carrier[ov[a]], carrier[ov[b]]))
                     for a, b in np.argwhere(differ)]
     return out
+
+
+# -- the join/meet tables, the skeleton lattice, block operations -------------
+
+def _first_common_bounds(up, order):
+    """For every pair (a, b): the first common bound c in `order`, a linear
+    extension of the order up[i, j] (i below j), and whether c is the least
+    common bound.  Being first in a linear extension, c is minimal.  Every
+    element above c is a common bound, so c is least exactly when the pair
+    has as many common bounds as c has elements above it."""
+    n = len(order)
+    P = up[order][:, order]
+    above = P.sum(axis=1)
+    Pf = P.astype(np.float32)  # counts up to n are exact in float32
+    n_common = Pf @ Pf.T
+    # P is upper triangular, so the bounds of a pair lie at or after the
+    # later of its two positions: a block of rows from s on looks only at
+    # the pairs and candidates from s on, and the rest comes by symmetry
+    first = np.zeros((n, n), dtype=np.intp)
+    s = 0
+    while s < n:
+        e = min(n, s + max(1, _BLOCK_CELLS // (n - s) ** 2))
+        first[s:e, s:] = s + (P[s:e, None, s:] & P[None, s:, s:]).argmax(axis=2)
+        s = e
+    first = np.maximum(first, first.T)  # the pairs left out are still 0
+    least = n_common == above[first]
+    pos = np.empty(n, dtype=np.intp)  # element index -> position in order
+    pos[order] = np.arange(n)
+    return (order[first[pos][:, pos]].astype(np.int32),
+            least[pos][:, pos])
+
+
+def kahn_order(L):
+    """The linear extension the constructor checks the tables in: Kahn's
+    order of the covers, minimal elements first in index order."""
+    indeg = [len(d) for d in L._down_adj]
+    topo = [i for i in range(L.n) if indeg[i] == 0]
+    for i in topo:
+        for j in L._up_adj[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                topo.append(j)
+    return np.array(topo)
+
+
+def oracle_tables(leq, topo, ids):
+    """The join and meet tables by the first-common-bound search, or the
+    NoUniqueJoin/NoUniqueMeet it raised at the first pair without a least
+    bound, naming that pair's first common bound in `topo` and another
+    minimal one."""
+    join, join_ok = _first_common_bounds(leq, topo)
+    meet, meet_ok = _first_common_bounds(leq.T, topo[::-1])
+    bad = ~(join_ok & meet_ok)
+    if bad.any():
+        a, b = np.argwhere(np.triu(bad))[0]
+        if not join_ok[a, b]:
+            up, c, err, kind = leq, join[a, b], NoUniqueJoin, "upper"
+        else:
+            up, c, err, kind = leq.T, meet[a, b], NoUniqueMeet, "lower"
+        rest = up[a] & up[b] & ~up[c]
+        other = min(np.flatnonzero(rest), key=lambda i: up[:, i].sum())
+        raise err(f"({ids[a]!r}, {ids[b]!r}) has incomparable minimal {kind} "
+                  f"bounds {ids[c]!r} and {ids[other]!r}")
+    return join, meet
+
+
+def oracle_skeleton_lattice(M, st, pl):
+    """S(M) rebuilt by `from_leq` on the induced order, then checked
+    against M's join and (x·y)*⁺."""
+    k = np.flatnonzero(pl[st] == np.arange(M.n))
+    S = FiniteLattice.from_leq([M._ids[i] for i in k], M._leq[np.ix_(k, k)])
+    pair = np.ix_(k, k)
+    for what, got, want in (
+            ("skeleton join is not the join of M", k[S._join], M._join[pair]),
+            ("skeleton meet is not (x·y)*⁺", k[S._meet], pl[st[M._meet[pair]]])):
+        bad = np.argwhere(got != want)
+        if len(bad):
+            i, j = bad[0]
+            raise InvariantViolated(what, (S.elements[i], S.elements[j]))
+    if k[S._bot] != M._bot:
+        raise InvariantViolated("skeleton bottom is not 0", S.bottom)
+    if k[S._top] != pl[M._top]:
+        raise InvariantViolated("skeleton top is not 1⁺", S.top)
+    return S
+
+
+def oracle_block_operations(sys, carrier, pos, loc, B, C, start, up, down):
+    """The first pair of blocks that disagree on a join or meet of two of
+    their shared elements, as `_assert_derived` names it, from index arrays
+    built block by block; None when all agree."""
+    S = sys.skeleton
+    blocks = [sys.blocks[x] for x in S.elements]
+    n = len(carrier)
+    blocks_of = B.sum(axis=0)
+    shared = [np.flatnonzero(blocks_of[p] > 1) for p in pos]
+    owner = np.repeat(np.arange(S.n), [len(k) ** 2 for k in shared])
+    a = np.concatenate([np.repeat(p[k], len(k)) for p, k in zip(pos, shared)])
+    b = np.concatenate([np.tile(p[k], len(k)) for p, k in zip(pos, shared)])
+    held = np.empty((n, n), dtype=np.intp)
+    held[a, b] = np.arange(len(a))
+    other = held[a, b]
+    for op in ("_join", "_meet"):
+        got = np.concatenate([p[getattr(L, op)[k][:, k]].ravel()
+                              for p, L, k in zip(pos, blocks, shared)])
+        bad = np.flatnonzero(got != got[other])
+        if len(bad):
+            return (f"blocks disagree on {op[1:]}",
+                    (S.elements[owner[bad[0]]], S.elements[owner[other[bad[0]]]]))
+    return None

@@ -380,3 +380,69 @@ def test_parser_built_once_keeps_no_state_between_calls(tmp_path, capsys):
                            text=True)
     assert fresh.returncode == 0
     assert (second.out, second.err) == (fresh.stdout, fresh.stderr)
+
+
+CHAIN3 = {"elements": ["a", "b", "c"], "covers": [["a", "b"], ["b", "c"]]}
+
+
+@pytest.mark.parametrize("command, doc, field", [
+    ("check", {"elements": "abc", "covers": [["a", "b"], ["b", "c"]]},
+     "elements"),
+    ("check", {"elements": {"a": 1, "b": 2, "c": 3},
+               "covers": [["a", "b"], ["b", "c"]]}, "elements"),
+    ("check", {"elements": ["a", "b"], "covers": {"a": "b"}}, "covers"),
+    ("check", {**CHAIN3, "blocks": {"a": CHAIN3}}, "blocks"),
+    ("glue", {"skeleton": {"elements": ["x"], "covers": []},
+              "blocks": {"x": {"elements": "abc", "covers": []}}},
+     "elements"),
+    ("glue", {"skeleton": {"elements": ["x"], "covers": []},
+              "blocks": {"x": {**CHAIN3, "note": "kept?"}}}, "note"),
+    ("glue", {"skeleton": {"elements": ["x"], "covers": []},
+              "blocks": {"x": CHAIN3}, "extra": 1}, "extra"),
+    ("glue", {"skeleton": {"elements": ["x"], "covers": [], "size": 1},
+              "blocks": {"x": CHAIN3}}, "size"),
+], ids=["elements-string", "elements-object", "covers-object",
+        "lattice-with-blocks", "block-elements-string", "block-unknown-key",
+        "glued-unknown-key", "skeleton-unknown-key"])
+def test_misshapen_fields_exit_2_naming_the_field(command, doc, field,
+                                                   tmp_path, capsys):
+    # a string or object iterated as an array, or a key that is dropped,
+    # would load a different lattice or system than the file describes
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = [command, str(bad)]
+    if command == "check":
+        argv += ["--property", "distributive"]
+    assert run(argv) == 2
+    error = json.loads(capsys.readouterr().err.strip())["error"]
+    assert repr(field) in error
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"skeleton": {"elements": ["x"], "covers": []},
+      "blocks": {"x": {"elements": ["a"], "covers": []}},
+      "maps": {"from": "x"}}, "maps"),
+    ({"skeleton": {"elements": ["x", "y"], "covers": [["x", "y"]]},
+      "blocks": {"x": {"elements": ["a"], "covers": []},
+                 "y": {"elements": ["b"], "covers": []}},
+      "maps": [{"from": "x", "to": "y", "pairs": "ab"}]}, "pairs"),
+    ({"skeleton": {"elements": ["x", "y"], "covers": [["x", "y"]]},
+      "blocks": {"x": {"elements": ["a"], "covers": []},
+                 "y": {"elements": ["b"], "covers": []}},
+      "maps": [{"from": "x", "to": "y", "pairs": [["a", "b"]],
+                "via": "z"}]}, "via"),
+    ({"skeleton": {"elements": ["x"], "covers": []},
+      "blocks": {"x": {"elements": "ab", "covers": []}}, "maps": []},
+     "elements"),
+    ({"skeleton": {"elements": ["x"], "covers": []},
+      "blocks": {"x": {"elements": ["a"], "covers": []}}, "maps": [],
+      "local": "yes"}, "local"),
+], ids=["maps-object", "pairs-string", "map-unknown-key",
+        "block-elements-string", "local-not-a-boolean"])
+def test_misshapen_connected_fields_exit_2_naming_the_field(doc, field,
+                                                             tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["connect", str(bad)]) == 2
+    error = json.loads(capsys.readouterr().err.strip())["error"]
+    assert repr(field) in error
