@@ -202,6 +202,10 @@ def cmd_construct(args):
 
 
 def cmd_suite(args):
+    if not 1 <= args.corpus_max <= fix.MAX_ENUMERATED:
+        return _error(f"--corpus-max must be between 1 and "
+                      f"{fix.MAX_ENUMERATED}", corpus_max=args.corpus_max,
+                      bound=[1, fix.MAX_ENUMERATED])
     ok, results = run_suite(corpus_max=args.corpus_max)
     if not ok:
         return _fail("suite", {"failed": [{"criterion": name, "detail": d}

@@ -1,15 +1,16 @@
 """Named lattices, glued/connected fixtures, the projective-plane example,
 and the small-lattice enumerator used as the verification corpus."""
 
-from itertools import combinations, permutations, product as iproduct
+from itertools import combinations
 
-from .core import FiniteLattice, LatticeError, _invariant_classes, product
+import numpy as np
+
+from .core import FiniteLattice, LatticeError, LimitExceeded, _bit_matrix, \
+    _leaves, product
 from .connect import LocalConnectedSystem, connected_sum, elevate
 from .glue import GluedSystem, glued_sum
 
-
-class LimitExceeded(LatticeError):
-    pass
+MAX_ENUMERATED = 8  # elements
 
 
 # -- named lattices ----------------------------------------------------
@@ -363,112 +364,72 @@ def translator_fixtures():
 
 # -- enumeration of small lattices --------------------------------------
 
+def _order_key(leq):
+    """The least order-matrix code, one byte per cell, over the leaves of
+    the individualisation–refinement search on the order leq."""
+    return min(leq[p][:, p].tobytes()
+               for p in (np.argsort(c) for c, _ in _leaves(leq)))
+
+
 def canonical_key(L):
-    """Minimal order-matrix code over permutations respecting structural
-    invariant classes (all automorphism-compatible relabelings)."""
-    inv = _invariant_classes(L)
-    classes = {}
-    for a in sorted(L.elements, key=L.index):
-        classes.setdefault(inv[a], []).append(a)
-    ordered = [classes[k] for k in sorted(classes)]
-    best = None
-    for perm_parts in iproduct(*(permutations(c) for c in ordered)):
-        seq = [a for part in perm_parts for a in part]
-        code = bytes(L.leq(a, b) for a in seq for b in seq)
-        if best is None or code < best:
-            best = code
-    return best
-
-
-def _lattice_from_downsets(downs):
-    n = len(downs)
-    leq = [[i in downs[j] for j in range(n)] for i in range(n)]
-    return FiniteLattice.from_leq([str(i) for i in range(n)], leq)
+    """A key equal for two lattices exactly when they are isomorphic: the
+    least code of L's order matrix relabelled by a leaf of `core._leaves`,
+    over all leaves.  LimitExceeded when the search passes its bound."""
+    return _order_key(L._leq)
 
 
 def enumerate_lattices(max_elements):
     """All lattices with ≤ max_elements elements, one per isomorphism
-    class.
+    class, with ids '0', '1', … in a linear extension of the order.
 
-    Elements are added one at a time in linear-extension order; each new
-    element picks a downward-closed down-set D such that D ∩ ↓j has a
-    maximum for every existing j (so meets stay well defined); states with
-    a unique maximal element are bounded meet-semilattices, i.e. lattices.
-    Isomorphs are rejected by canonical key.
+    Elements are added one at a time in linear-extension order, each down-set
+    a Python int bitset.  A new element's down-set D must meet every ↓j in
+    a principal down-set, so D is down-closed, holds 0, and meets stay
+    defined.  The newest element is maximal, so a state is a lattice when
+    it is the top.  Its order is keyed before anything is built, and only
+    the first lattice of each class is built (and validated by `from_leq`).
     """
-    if max_elements > 8:
-        raise LimitExceeded("enumeration supported up to 8 elements")
+    if max_elements > MAX_ENUMERATED:
+        raise LimitExceeded(
+            f"enumeration supported up to {MAX_ENUMERATED} elements")
     seen = set()
 
-    def emit(downs):
-        maximal = [j for j in range(len(downs))
-                   if not any(j in d for k, d in enumerate(downs) if k != j)]
-        if len(maximal) != 1:
-            return None
-        L = _lattice_from_downsets(downs)
-        key = canonical_key(L)
-        if key in seen:
-            return None
-        seen.add(key)
-        return L
-
-    def down_closed_choices(downs):
-        k = len(downs)
-        for bits in range(1, 1 << k):
-            D = frozenset(i for i in range(k) if bits >> i & 1)
-            if 0 not in D:
-                continue
-            if not all(downs[i] <= D for i in D):
-                continue
-            ok = True
-            for j in range(k):
-                cut = D & downs[j]
-                if not any(cut <= downs[i] for i in cut):
-                    ok = False
-                    break
-            if ok:
-                yield D
-
     def rec(downs):
-        L = emit(downs)
-        if L is not None:
-            yield L
-        if len(downs) == max_elements:
+        n = len(downs)
+        full = (1 << n) - 1
+        if downs[-1] == full:
+            leq = _bit_matrix(downs).T
+            if (key := _order_key(leq)) not in seen:
+                seen.add(key)
+                yield FiniteLattice.from_leq([str(i) for i in range(n)], leq)
+        if n == max_elements:
             return
-        for D in down_closed_choices(downs):
-            yield from rec(downs + [D | {len(downs)}])
+        # only a child whose new element is the top (D holds everything)
+        # is a lattice, and a child of the last level is not extended
+        choices = range(1, 1 << n, 2) if n + 1 < max_elements else (full,)
+        principal = set(downs)
+        for D in choices:
+            if principal.issuperset(map(D.__and__, downs)):
+                yield from rec(downs + [D | 1 << n])
 
     if max_elements >= 1:
-        yield from rec([frozenset({0})])
+        yield from rec([1])
 
 
 def naive_lattice_count(n):
-    """Independent cross-check for small n: enumerate every labeled poset
-    as the closure of an arbitrary upper-triangular relation, filter the
-    bounded/unique-join/meet property, count isomorphism classes."""
+    """Independent cross-check for small n: every partial order on 0..n-1
+    with 0 < 1 < … < n-1 as a linear extension is a transitive
+    upper-triangular relation; count the isomorphism classes of those that
+    `from_leq` accepts as lattices."""
     if n > 5:
         raise LimitExceeded("naive filter is for n <= 5")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    seen_posets = set()
+    above = np.triu_indices(n, 1)
     keys = set()
-    for bits in range(1 << len(pairs)):
-        rel = [{i} for i in range(n)]
-        for b, (i, j) in enumerate(pairs):
-            if bits >> b & 1:
-                rel[i].add(j)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                new = set().union(*(rel[j] for j in rel[i]))
-                if not new <= rel[i]:
-                    rel[i] |= new
-                    changed = True
-        frozen = tuple(frozenset(r) for r in rel)
-        if frozen in seen_posets:
+    for bits in range(1 << len(above[0])):
+        leq = np.eye(n, dtype=bool)
+        leq[above] = [bits >> b & 1 for b in range(len(above[0]))]
+        if not np.array_equal(leq @ leq, leq):
             continue
-        seen_posets.add(frozen)
-        leq = [[j in rel[i] for j in range(n)] for i in range(n)]
         try:
             L = FiniteLattice.from_leq([str(i) for i in range(n)], leq)
         except LatticeError:

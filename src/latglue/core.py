@@ -9,6 +9,8 @@ bound.  Instances are immutable after construction.
 """
 
 from dataclasses import dataclass
+from itertools import compress
+
 import numpy as np
 
 
@@ -42,6 +44,10 @@ class UnknownElement(LatticeError):
 
 class NotComparable(LatticeError):
     pass
+
+
+class LimitExceeded(LatticeError):
+    """An exponential search reached its explicit bound."""
 
 
 class InvariantViolated(LatticeError):
@@ -538,54 +544,80 @@ def product(L1, L2, make_id=None):
     return FiniteLattice(elems, covers)
 
 
-def _invariant_classes(L):
-    """Refined structural invariant per element, for isomorphism pruning."""
-    inv = {a: (L.height(a), L.depth(a), len(L.upper_covers(a)),
-               len(L.lower_covers(a)), len(L.up_set(a)), len(L.down_set(a)))
-           for a in L.elements}
-    for _ in range(2):
-        inv = {a: (inv[a],
-                   tuple(sorted(inv[b] for b in L.upper_covers(a))),
-                   tuple(sorted(inv[b] for b in L.lower_covers(a))))
-              for a in L.elements}
-    return inv
+# Leaves the individualisation–refinement search may visit.
+_MAX_LEAVES = 4096
+
+
+def _refine(above, below, colours):
+    """Colour refinement on the order in which i lies below above[i] and
+    above below[i]: split cells by the colours strictly above and below
+    each element until none splits.  New colours rank the signatures,
+    which start with the old colour, so they depend only on the order.
+    Returns them and the trace, the distinct colours of every round."""
+    trace = [sorted(set(colours))]
+    while len(trace) < 2 or len(trace[-1]) > len(trace[-2]):
+        get = colours.__getitem__
+        sig = [(c, tuple(sorted(map(get, a))), tuple(sorted(map(get, b))))
+               for c, a, b in zip(colours, above, below)]
+        trace.append(sorted(set(sig)))
+        rank = {s: r for r, s in enumerate(trace[-1])}
+        colours = [rank[s] for s in sig]
+    return colours, trace
+
+
+def _leaves(leq, guide=None):
+    """Individualisation–refinement (McKay and Piperno, "Practical graph
+    isomorphism II", 2014) on the order leq[i, j] (i below j): refine, then
+    branch on each twin class (same strict up- and down-set, so permuting
+    it is an automorphism) of the first cell of several elements,
+    individualising the class in index order.  Yields each leaf, a
+    discrete colouring (element i at position colours[i]), with the traces
+    down to it.  A node whose trace differs from `guide` (another order's
+    leaf traces) at its depth is a dead end: no isomorphism maps the
+    guide's path to it.  LimitExceeded when leaves and dead ends pass
+    _MAX_LEAVES."""
+    n = len(leq)
+    lt = (leq & ~np.eye(n, dtype=bool)).tolist()
+    above = [list(compress(range(n), row)) for row in lt]
+    below = [list(compress(range(n), col)) for col in zip(*lt)]
+    sets = list(zip(above, below))
+    twin = [sets.index(s) for s in sets]
+    visited = 0
+
+    def visit(colours, traces):
+        nonlocal visited
+        colours, trace = _refine(above, below, colours)
+        traces = traces + [trace]
+        dead = guide is not None and trace != guide[len(traces) - 1]
+        if dead or len(colours) == len(trace[-1]):
+            visited += 1
+            if visited > _MAX_LEAVES:
+                raise LimitExceeded(f"search passed {_MAX_LEAVES} leaves")
+            if not dead:
+                yield colours, traces
+            return
+        target = min(c for c in colours if colours.count(c) > 1)
+        cell = [i for i, c in enumerate(colours) if c == target]
+        for t in dict.fromkeys(twin[i] for i in cell):
+            split = [c * (n + 1) + n for c in colours]
+            for r, i in enumerate(i for i in cell if twin[i] == t):
+                split[i] -= n - r
+            yield from visit(split, traces)
+
+    yield from visit([0] * n, [])
 
 
 def find_isomorphism(L1, L2, anti=False):
-    """Order-isomorphism L1 → L2 as a dict, or None.
-
-    With anti=True searches for an anti-isomorphism (order-reversing).
-    """
-    if anti:
-        L2 = L2.dual()
-    if L1.n != L2.n or len(L1.covers) != len(L2.covers):
+    """Order-isomorphism L1 → L2 as a dict, or None; with anti=True an
+    anti-isomorphism, searched on the transposed order of L2 (no dual is
+    built).  The first leaf of L1's search guides L2's; the map matching
+    two leaves' colours is returned once checked to preserve the order."""
+    if L1.n != L2.n or len(L1._cov) != len(L2._cov):
         return None
-    inv1 = _invariant_classes(L1)
-    inv2 = _invariant_classes(L2)
-    if sorted(inv1.values()) != sorted(inv2.values()):
-        return None
-    cands = {a: [b for b in L2.elements if inv2[b] == inv1[a]]
-             for a in L1.elements}
-    order = sorted(L1.elements, key=lambda a: (len(cands[a]), L1.height(a)))
-    assigned = {}
-    used = set()
-
-    def extend(k):
-        if k == len(order):
-            return True
-        a = order[k]
-        for b in cands[a]:
-            if b in used:
-                continue
-            if all(L1.leq(a, a2) == L2.leq(b, b2)
-                   and L1.leq(a2, a) == L2.leq(b2, b)
-                   for a2, b2 in assigned.items()):
-                assigned[a] = b
-                used.add(b)
-                if extend(k + 1):
-                    return True
-                del assigned[a]
-                used.remove(b)
-        return False
-
-    return dict(assigned) if extend(0) else None
+    leq2 = L2._leq.T if anti else L2._leq
+    colours1, traces1 = next(_leaves(L1._leq))
+    for colours2, _ in _leaves(leq2, traces1):
+        image = np.argsort(colours2)[colours1]
+        if np.array_equal(leq2[np.ix_(image, image)], L1._leq):
+            return dict(zip(L1._ids, (L2._ids[j] for j in image)))
+    return None

@@ -25,11 +25,13 @@ _corpora = None
 
 
 def _corpus(max_elements):
+    """The lattices of at most max_elements elements.  Within a run_suite
+    call they come from the largest corpus so far, filtered by size."""
     if _corpora is None:
         return list(fix.enumerate_lattices(max_elements))
-    if max_elements not in _corpora:
+    if max(_corpora, default=0) < max_elements:
         _corpora[max_elements] = list(fix.enumerate_lattices(max_elements))
-    return _corpora[max_elements]
+    return [L for L in _corpora[max(_corpora)] if L.n <= max_elements]
 
 
 def _modular_corpus(max_elements):

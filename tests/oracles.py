@@ -6,9 +6,12 @@ skeleton pipeline's rebuilds: the per-element modular law, the rebuilt
 interval, the Warshall closure, the sum-building round trip and the
 one-pair-at-a-time (A1)/(A2) loop.  Also the first-common-bound search
 behind the join/meet tables, the `from_leq` skeleton lattice and the
-per-block index arrays of the block-operation check."""
+per-block index arrays of the block-operation check.  Also the three
+routines the individualisation–refinement search replaced: the
+invariant-class permutation key, the dict-based invariant refinement with
+the backtracking isomorphism search, and the frozenset enumerator."""
 
-from itertools import combinations
+from itertools import combinations, permutations, product as iproduct
 
 import numpy as np
 
@@ -514,3 +517,130 @@ def oracle_block_operations(sys, carrier, pos, loc, B, C, start, up, down):
             return (f"blocks disagree on {op[1:]}",
                     (S.elements[owner[bad[0]]], S.elements[owner[other[bad[0]]]]))
     return None
+
+
+def oracle_invariant_classes(L):
+    """Refined structural invariant per element, for isomorphism pruning."""
+    inv = {a: (L.height(a), L.depth(a), len(L.upper_covers(a)),
+               len(L.lower_covers(a)), len(L.up_set(a)), len(L.down_set(a)))
+           for a in L.elements}
+    for _ in range(2):
+        inv = {a: (inv[a],
+                   tuple(sorted(inv[b] for b in L.upper_covers(a))),
+                   tuple(sorted(inv[b] for b in L.lower_covers(a))))
+               for a in L.elements}
+    return inv
+
+
+def oracle_find_isomorphism(L1, L2, anti=False):
+    """Order-isomorphism L1 → L2 as a dict, or None, by backtracking over
+    invariant classes.  With anti=True searches for an anti-isomorphism
+    (order-reversing)."""
+    if anti:
+        L2 = L2.dual()
+    if L1.n != L2.n or len(L1.covers) != len(L2.covers):
+        return None
+    inv1 = oracle_invariant_classes(L1)
+    inv2 = oracle_invariant_classes(L2)
+    if sorted(inv1.values()) != sorted(inv2.values()):
+        return None
+    cands = {a: [b for b in L2.elements if inv2[b] == inv1[a]]
+             for a in L1.elements}
+    order = sorted(L1.elements, key=lambda a: (len(cands[a]), L1.height(a)))
+    assigned = {}
+    used = set()
+
+    def extend(k):
+        if k == len(order):
+            return True
+        a = order[k]
+        for b in cands[a]:
+            if b in used:
+                continue
+            if all(L1.leq(a, a2) == L2.leq(b, b2)
+                   and L1.leq(a2, a) == L2.leq(b2, b)
+                   for a2, b2 in assigned.items()):
+                assigned[a] = b
+                used.add(b)
+                if extend(k + 1):
+                    return True
+                del assigned[a]
+                used.remove(b)
+        return False
+
+    return dict(assigned) if extend(0) else None
+
+
+def oracle_canonical_key(L):
+    """Minimal order-matrix code over permutations respecting structural
+    invariant classes (all automorphism-compatible relabelings)."""
+    inv = oracle_invariant_classes(L)
+    classes = {}
+    for a in sorted(L.elements, key=L.index):
+        classes.setdefault(inv[a], []).append(a)
+    ordered = [classes[k] for k in sorted(classes)]
+    best = None
+    for perm_parts in iproduct(*(permutations(c) for c in ordered)):
+        seq = [a for part in perm_parts for a in part]
+        code = bytes(L.leq(a, b) for a in seq for b in seq)
+        if best is None or code < best:
+            best = code
+    return best
+
+
+def _lattice_from_downsets(downs):
+    n = len(downs)
+    leq = [[i in downs[j] for j in range(n)] for i in range(n)]
+    return FiniteLattice.from_leq([str(i) for i in range(n)], leq)
+
+
+def oracle_lattice_states(max_elements):
+    """Every state of the frozenset enumerator with a unique maximal
+    element, as a lattice, in visiting order, duplicates included.
+
+    Elements are added one at a time in linear-extension order; each new
+    element picks a downward-closed down-set D such that D ∩ ↓j has a
+    maximum for every existing j (so meets stay well defined); states with
+    a unique maximal element are bounded meet-semilattices, i.e. lattices.
+    """
+    def down_closed_choices(downs):
+        k = len(downs)
+        for bits in range(1, 1 << k):
+            D = frozenset(i for i in range(k) if bits >> i & 1)
+            if 0 not in D:
+                continue
+            if not all(downs[i] <= D for i in D):
+                continue
+            ok = True
+            for j in range(k):
+                cut = D & downs[j]
+                if not any(cut <= downs[i] for i in cut):
+                    ok = False
+                    break
+            if ok:
+                yield D
+
+    def rec(downs):
+        maximal = [j for j in range(len(downs))
+                   if not any(j in d for k, d in enumerate(downs) if k != j)]
+        if len(maximal) == 1:
+            yield _lattice_from_downsets(downs)
+        if len(downs) == max_elements:
+            return
+        for D in down_closed_choices(downs):
+            yield from rec(downs + [D | {len(downs)}])
+
+    if max_elements >= 1:
+        yield from rec([frozenset({0})])
+
+
+def oracle_enumerate_lattices(max_elements):
+    """All lattices with ≤ max_elements elements, one per isomorphism
+    class: the states of `oracle_lattice_states`, isomorphs rejected by
+    `oracle_canonical_key`."""
+    seen = set()
+    for L in oracle_lattice_states(max_elements):
+        key = oracle_canonical_key(L)
+        if key not in seen:
+            seen.add(key)
+            yield L

@@ -213,6 +213,29 @@ def test_suite_command(capsys):
     assert out.count("PASS") == 12
 
 
+@pytest.mark.parametrize("bound", ["9", "0", "-3"])
+def test_suite_corpus_max_out_of_range_exits_2_before_any_criterion(
+        bound, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "run_suite",
+                        lambda corpus_max: ran.append(corpus_max) or (True, []))
+    assert run(["suite", "--corpus-max", bound]) == 2
+    captured = capsys.readouterr()
+    assert ran == [] and captured.out == ""
+    error = json.loads(captured.err)
+    assert "between 1 and 8" in error["error"]
+    assert error["bound"] == [1, 8] and error["corpus_max"] == int(bound)
+
+
+@pytest.mark.parametrize("bound", [1, 8])
+def test_suite_corpus_max_in_range_runs(bound, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "run_suite",
+                        lambda corpus_max: ran.append(corpus_max) or (True, []))
+    assert run(["suite", "--corpus-max", str(bound)]) == 0
+    assert ran == [bound]
+
+
 
 def test_glue_rejects_blocks_outside_the_skeleton(tmp_path, capsys):
     src = tmp_path / "ghost.json"
