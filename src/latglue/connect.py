@@ -13,7 +13,8 @@ import numpy as np
 
 from .core import _BLOCK_CELLS, FiniteLattice, InvariantViolated, \
     LatticeError, UnknownElement
-from .glue import GluedSystem, _check_block_keys, validate as glue_validate
+from .glue import GluedSystem, _block_tables, _chain_failures, \
+    _check_block_keys, _compose, _fill, validate as glue_validate
 from .predicates import is_modular
 
 
@@ -101,20 +102,6 @@ def _check_disjoint(blocks):
 
 # -- index space --------------------------------------------------------------
 
-def _block_tables(blocks):
-    """The blocks' order, join and meet tables stacked and padded to the
-    largest block; leq is False and join/meet are 0 on padding."""
-    b = max(L.n for L in blocks)
-    leq = np.zeros((len(blocks), b, b), dtype=bool)
-    join = np.zeros((len(blocks), b, b), dtype=np.intp)
-    meet = np.zeros_like(join)
-    for i, L in enumerate(blocks):
-        leq[i, :L.n, :L.n] = L._leq
-        join[i, :L.n, :L.n] = L._join
-        meet[i, :L.n, :L.n] = L._meet
-    return leq, join, meet
-
-
 def _map_tensor(S, blocks, maps):
     """The maps as the phi tensor, and `given`, the n×n matrix of pairs
     that carry a nonempty map.  Maps on diagonal pairs are not stored."""
@@ -134,12 +121,6 @@ def _map_tensor(S, blocks, maps):
             values += [dst[c] for c in m.values()]
     phi.reshape(-1)[cells] = values
     return phi, given
-
-
-def _compose(outer, inner):
-    """outer ∘ inner for index maps (-1 undefined); `outer` is gathered at
-    the defined entries of `inner` and may broadcast against it."""
-    return np.where(inner >= 0, outer(np.maximum(inner, 0)), -1)
 
 
 def _images(f, b):
@@ -206,38 +187,6 @@ def _cover_matrix(S):
     for i, j in S._cov:
         cov[i, j] = True
     return cov
-
-
-def _chain_failures(S, phi):
-    """The (19) triples (x, z, y) with x < z < y, grouped as {(x, y): [z]}.
-
-    Only cover triples x ≺ c < y are checked first.  That is exact: if
-    φ(x, y) = φ(c, y)∘φ(x, c) for every upper cover c of x, then by
-    induction on the length of [x, z] and associativity of partial
-    composition φ(x, y) = φ(z, y)∘φ(x, z) for every z in [x, y].  Only when
-    a cover triple fails are all triples materialised, one x at a time."""
-    n, b = S.n, phi.shape[2]
-    lt = S._leq & ~np.eye(n, dtype=bool)
-    cov = np.array(S._cov, dtype=np.intp).reshape(-1, 2)
-    step = max(1, _BLOCK_CELLS // (n * b))
-    ys = np.arange(n)[None, :, None]
-    for s in range(0, len(cov), step):
-        x, c = cov[s:s + step, 0], cov[s:s + step, 1]
-        comp = _compose(lambda a: phi[c[:, None, None], ys, a],
-                        phi[x, c][:, None, :])
-        if ((comp != phi[x]).any(2) & lt[c]).any():
-            break
-    else:
-        return {}
-    out = {}
-    for x in range(n):
-        up = np.flatnonzero(lt[x])
-        comp = _compose(lambda a: phi[up[:, None, None], up[None, :, None], a],
-                        phi[x, up][:, None, :])
-        bad = (comp != phi[x, up][None]).any(2) & lt[np.ix_(up, up)]
-        for y, z in zip(*np.nonzero(bad.T)):
-            out.setdefault((x, int(up[y])), []).append(int(up[z]))
-    return out
 
 
 def _glue_failures(S, phi):
@@ -465,24 +414,13 @@ def elevate(lcs):
     if bad:
         raise LatticeError(f"invalid local system: {bad}")
     S = lcs.skeleton
-    ids, n, leq = S._ids, S.n, S._leq
+    ids, n = S._ids, S.n
     blocks = [lcs.blocks[x] for x in ids]
     phi, _ = _map_tensor(S, blocks, lcs.maps)
-    first = np.zeros((n, n), dtype=np.intp)
-    for x, up in enumerate(S._up_adj):
-        if up:
-            up = np.array(up)
-            first[x] = up[np.argmax(leq[up], axis=0)]
-    lt = leq & ~np.eye(n, dtype=bool)
-    height = np.array(S._height)
-    for h in range(S.length() - 1, -1, -1):
-        x, y = np.nonzero(lt & (height == h)[:, None])
-        c = first[x, y]
-        phi[x, y] = _compose(lambda a: phi[c[:, None], y[:, None], a],
-                             phi[x, c])
+    _fill(S, phi)
 
     # the dicts, pair by pair in the order the maps were filled
-    order = np.argsort(-height, kind="stable")
+    order = np.argsort(-np.array(S._height), kind="stable")
     offset = np.concatenate(([0], np.cumsum([L.n for L in blocks])))
     names = [a for L in blocks for a in L.elements]
     x, y, a = np.nonzero(phi[order] >= 0)

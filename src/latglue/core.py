@@ -414,20 +414,6 @@ class FiniteLattice:
         return {(self._ids[i], self._ids[j])
                 for i, j in zip(*np.nonzero(self._leq))}
 
-    def maximal_chains(self, lo, hi):
-        """Maximal chains from lo up to hi through covers, as id lists,
-        generated lazily in depth-first order."""
-        j = self.index(hi)
-
-        def walk(i):
-            if i == j:
-                yield [hi]
-            elif self._leq[i, j]:
-                for k in self._up_adj[i]:
-                    for rest in walk(k):
-                        yield [self._ids[i], *rest]
-        return walk(self.index(lo))
-
     # -- derived lattices ------------------------------------------------
 
     def dual(self):

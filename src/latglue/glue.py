@@ -1,14 +1,16 @@
 """S-glued systems: blocks over a shared carrier indexed by a skeleton
 lattice.  Validates the gluing axioms, builds the sum as the transitive
 closure of the union of the block orders, and computes sup/inf through the
-block-local staircase formulas."""
+block-local staircase formulas, by the cover recurrence `connect` uses."""
 
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
-from .core import _BLOCK_CELLS, FiniteLattice, InvariantViolated, LatticeError
+from .core import _BLOCK_CELLS, FiniteLattice, InvariantViolated, \
+    LatticeError, UnknownElement
 
 
 class NotALattice(LatticeError):
@@ -31,6 +33,11 @@ class GluedSystem:
 
     def __post_init__(self):
         _check_block_keys(self.skeleton, self.blocks)
+        object.__setattr__(self, "blocks", MappingProxyType(dict(self.blocks)))
+
+    @cached_property
+    def _formulas(self):
+        return _formula_tables(self)  # built once: the blocks are read-only
 
     def carrier(self):
         seen = {}
@@ -278,61 +285,142 @@ def glued_sum(sys):
         raise NotALattice(str(e)) from e
 
 
-def _staircase_up(sys, a, chain):
-    # sup(a, 0_last) along a maximal chain, using only block joins
-    c = a
-    for x, y in zip(chain, chain[1:]):
-        c = sys.blocks[x].join(c, sys.zero(y))
-    return c
+# -- maps along the skeleton: padded n×n×bmax index tensors (see connect) ---
+
+def _block_tables(blocks):
+    """The blocks' order, join and meet tables stacked and padded to the
+    largest block; leq is False and join/meet are 0 on padding."""
+    b = max(L.n for L in blocks)
+    leq = np.zeros((len(blocks), b, b), dtype=bool)
+    join = np.zeros((len(blocks), b, b), dtype=np.intp)
+    meet = np.zeros_like(join)
+    for i, L in enumerate(blocks):
+        leq[i, :L.n, :L.n] = L._leq
+        join[i, :L.n, :L.n] = L._join
+        meet[i, :L.n, :L.n] = L._meet
+    return leq, join, meet
 
 
-def _staircase_down(sys, a, chain):
-    # inf(a, 1_last) along a descending maximal chain, using block meets
-    c = a
-    for x, y in zip(chain, chain[1:]):
-        c = sys.blocks[x].meet(c, sys.one(y))
-    return c
+def _compose(outer, inner):
+    """outer ∘ inner for index maps (-1 undefined); `outer` is gathered at
+    the defined entries of `inner` and may broadcast against it."""
+    return np.where(inner >= 0, outer(np.maximum(inner, 0)), -1)
 
 
-def _sup_to_zero(sys, a, x, z):
-    first, *second = islice(sys.skeleton.maximal_chains(x, z), 2)
-    result = _staircase_up(sys, a, first)
-    for chain in second:
-        if _staircase_up(sys, a, chain) != result:
-            raise InvariantViolated("sup staircase depends on the chain",
-                                    (a, x, z))
-    return result
+def _fill(S, phi):
+    """Extend maps given on the covers of S to every pair x < y, in place,
+    going down S one height at a time: phi[x, y] = phi[c, y] ∘ phi[x, c]
+    for the first upper cover c of x below y."""
+    n, leq = S.n, S._leq
+    first = np.zeros((n, n), dtype=np.intp)
+    for x, up in enumerate(S._up_adj):
+        if up:
+            up = np.array(up)
+            first[x] = up[np.argmax(leq[up], axis=0)]
+    lt = leq & ~np.eye(n, dtype=bool)
+    height = np.array(S._height)
+    for h in range(S.length() - 1, -1, -1):
+        x, y = np.nonzero(lt & (height == h)[:, None])
+        c = first[x, y]
+        phi[x, y] = _compose(lambda a: phi[c[:, None], y[:, None], a],
+                             phi[x, c])
 
 
-def _inf_to_one(sys, a, x, z):
-    first, *second = (chain[::-1] for chain in
-                      islice(sys.skeleton.maximal_chains(z, x), 2))
-    result = _staircase_down(sys, a, first)
-    for chain in second:
-        if _staircase_down(sys, a, chain) != result:
-            raise InvariantViolated("inf staircase depends on the chain",
-                                    (a, x, z))
-    return result
+def _chain_failures(S, phi):
+    """The triples x < z < y with φ(x, y) ≠ φ(z, y)∘φ(x, z), as {(x, y): [z]}.
+
+    Only cover triples x ≺ c < y are checked first.  That is exact: if
+    φ(x, y) = φ(c, y)∘φ(x, c) for every upper cover c of x, then by
+    induction on the length of [x, z] and associativity of partial
+    composition φ(x, y) = φ(z, y)∘φ(x, z) for every z in [x, y], and all
+    maximal chains compose alike.  Only when a cover triple fails are all
+    triples materialised, one x at a time."""
+    n, b = S.n, phi.shape[2]
+    lt = S._leq & ~np.eye(n, dtype=bool)
+    cov = np.array(S._cov, dtype=np.intp).reshape(-1, 2)
+    step = max(1, _BLOCK_CELLS // (n * b))
+    ys = np.arange(n)[None, :, None]
+    for s in range(0, len(cov), step):
+        x, c = cov[s:s + step, 0], cov[s:s + step, 1]
+        comp = _compose(lambda a: phi[c[:, None, None], ys, a],
+                        phi[x, c][:, None, :])
+        if ((comp != phi[x]).any(2) & lt[c]).any():
+            break
+    else:
+        return {}
+    out = {}
+    for x in range(n):
+        up = np.flatnonzero(lt[x])
+        comp = _compose(lambda a: phi[up[:, None, None], up[None, :, None], a],
+                        phi[x, up][:, None, :])
+        bad = (comp != phi[x, up][None]).any(2) & lt[np.ix_(up, up)]
+        for y, z in zip(*np.nonzero(bad.T)):
+            out.setdefault((x, int(up[y])), []).append(int(up[z]))
+    return out
+
+
+def _formula_tables(sys):
+    """The carrier, its index and the sum's sup and inf tables over it,
+    from block operations only.  U[x, z] maps block x to block z for each
+    x ≦ z of the skeleton, a ↦ a ∨ 0_c ∨ … ∨ 0_z by the joins of the lower
+    blocks along a chain x ≺ c ≺ … ≺ z; sup(a, b) = U[x, z](a) ∨_z
+    U[y, z](b) with x, y the first blocks of a, b and z = x ∨ y.  inf is
+    the same on the dual skeleton, with meets and 1_c.  A step outside
+    its cover's blocks, or chains that disagree, raise InvariantViolated."""
+    S = sys.skeleton
+    carrier, pos, loc, _, _, start, _, _ = _membership(sys)
+    blocks = [sys.blocks[x] for x in S.elements]
+    _, join, meet = _block_tables(blocks)
+    rows, size = np.concatenate(pos), np.diff(start)
+    first = np.argmax(loc >= 0, axis=0)
+    at = loc[first, np.arange(len(carrier))]
+    n, k = S.n, np.arange(join.shape[1])
+    tables = []
+    for T, op, end, name in ((S, join, "_bot", "sup"),
+                             (S.dual(), meet, "_top", "inf")):
+        end = rows[start[:-1] + [getattr(L, end) for L in blocks]]
+        U = np.full((n, n, len(k)), -1, dtype=np.intp)
+        U[np.arange(n), np.arange(n)] = np.where(k < size[:, None], k, -1)
+        X, C = np.array(T._cov, dtype=np.intp).reshape(-1, 2).T
+        e = loc[X, end[C]][:, None]  # 0_c in block x, -1 if it is not there
+        held = k < size[X][:, None]
+        g = rows[start[X][:, None] + np.where(held, op[X[:, None], k, e], 0)]
+        U[X, C] = np.where(held, loc[C[:, None], g], -1)
+        bad = np.argwhere(held & ((e < 0) | (U[X, C] < 0)))
+        if len(bad):  # witness: 0_c if block x lacks it, else the step's end
+            i, a = bad[0]
+            raise InvariantViolated(
+                f"{name} staircase step leaves its cover's blocks",
+                (S._ids[X[i]], S._ids[C[i]],
+                 carrier[end[C[i]] if e[i, 0] < 0 else g[i, a]]))
+        _fill(T, U)
+        chains = _chain_failures(T, U)
+        if chains:
+            (x, z), (c, *_) = next(iter(chains.items()))
+            raise InvariantViolated(f"{name} staircase depends on the chain",
+                                    (S._ids[x], S._ids[c], S._ids[z]))
+        z = T._join[first[:, None], first]
+        r = op[z, U[first[:, None], z, at[:, None]], U[first, z, at]]
+        tables.append(rows[start[z] + r])
+    return (carrier, {a: i for i, a in enumerate(carrier)}, *tables)
+
+
+def _lookup(sys, table, a, b):
+    carrier, index = sys._formulas[:2]
+    for c in (a, b):
+        if c not in index:
+            raise UnknownElement(f"{c!r} is in no block")
+    return carrier[sys._formulas[table][index[a], index[b]]]
 
 
 def sup_via_formulas(sys, a, b):
-    """sup in the sum, computed from block joins only: raise both arguments
-    to the zero of the join block by the staircase rule, then join there."""
-    S = sys.skeleton
-    x = sys.blocks_of(a)[0]
-    y = sys.blocks_of(b)[0]
-    z = S.join(x, y)
-    return sys.blocks[z].join(_sup_to_zero(sys, a, x, z),
-                              _sup_to_zero(sys, b, y, z))
+    """sup in the sum from block joins only (see _formula_tables)."""
+    return _lookup(sys, 2, a, b)
 
 
 def inf_via_formulas(sys, a, b):
-    S = sys.skeleton
-    x = sys.blocks_of(a)[0]
-    y = sys.blocks_of(b)[0]
-    z = S.meet(x, y)
-    return sys.blocks[z].meet(_inf_to_one(sys, a, x, z),
-                              _inf_to_one(sys, b, y, z))
+    """inf in the sum from block meets only, the dual of sup_via_formulas."""
+    return _lookup(sys, 3, a, b)
 
 
 def nested_cover(sys):
@@ -365,13 +453,11 @@ def zero_one_maps(sys):
     S = sys.skeleton
     zero = {x: sys.zero(x) for x in S.elements}
     one = {x: sys.one(x) for x in S.elements}
-    join_ok = all(sup_via_formulas(sys, zero[x], zero[y]) == zero[S.join(x, y)]
-                  for x in S.elements for y in S.elements)
-    meet_ok = all(inf_via_formulas(sys, one[x], one[y]) == one[S.meet(x, y)]
-                  for x in S.elements for y in S.elements)
+    _, index, sup, inf = sys._formulas
+    z, o = (np.array([index[a] for a in m.values()]) for m in (zero, one))
     flags = {
-        "zero_join_preserving": join_ok,
-        "one_meet_preserving": meet_ok,
+        "zero_join_preserving": np.array_equal(sup[np.ix_(z, z)], z[S._join]),
+        "one_meet_preserving": np.array_equal(inf[np.ix_(o, o)], o[S._meet]),
         "zero_injective": len(set(zero.values())) == len(zero),
         "one_injective": len(set(one.values())) == len(one),
     }

@@ -6,11 +6,13 @@ corpus enumerator itself."""
 
 import time
 
+import numpy as np
+
 from . import constructions as fix
 from .connect import connected_sum, elevate, equivalent
 from .core import LatticeError, find_isomorphism, product
-from .glue import glued_sum, inf_via_formulas, is_monotone_strict, \
-    length_bound_check, sup_via_formulas, validate, zero_one_maps
+from .glue import glued_sum, is_monotone_strict, length_bound_check, \
+    validate, zero_one_maps
 from .hom import LatticeHom, check_star, corollary_54_check, glue_homs, \
     is_homomorphism, is_injective, simplicity_transfer_check
 from .predicates import breadth, is_distributive, is_modular, \
@@ -70,15 +72,14 @@ def _sum_fixtures(corpus_max):
 
 
 def _formulas_match(sys, L=None):
+    """Are the system's sup/inf tables the join/meet of its sum L?"""
     if L is None:
         L = glued_sum(sys)
-    for a in L.elements:
-        for b in L.elements:
-            if sup_via_formulas(sys, a, b) != L.join(a, b):
-                return False
-            if inf_via_formulas(sys, a, b) != L.meet(a, b):
-                return False
-    return True
+    carrier, _, sup, inf = sys._formulas
+    at = np.array([L._idx.get(a, -1) for a in carrier])
+    return len(at) == L.n and (at >= 0).all() \
+        and np.array_equal(at[sup], L._join[np.ix_(at, at)]) \
+        and np.array_equal(at[inf], L._meet[np.ix_(at, at)])
 
 
 def criterion_01_roundtrip(corpus_max):

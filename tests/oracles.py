@@ -9,9 +9,12 @@ behind the join/meet tables, the `from_leq` skeleton lattice and the
 per-block index arrays of the block-operation check.  Also the three
 routines the individualisation–refinement search replaced: the
 invariant-class permutation key, the dict-based invariant refinement with
-the backtracking isomorphism search, and the frozenset enumerator."""
+the backtracking isomorphism search, and the frozenset enumerator.  Also
+the maximal-chain walker behind the per-query staircase formulas, and the
+id-level all-pairs loops of `zero_one_maps`, `corollary_54_check`,
+`check_star` and the homomorphism test."""
 
-from itertools import combinations, permutations, product as iproduct
+from itertools import combinations, islice, permutations, product as iproduct
 
 import numpy as np
 
@@ -21,6 +24,7 @@ from latglue.core import _BLOCK_CELLS, FiniteLattice, InvariantViolated, \
     LatticeError, NoUniqueJoin, NoUniqueMeet
 from latglue.glue import GluedSystem, GlueViolation, NotALattice, \
     _is_filter, _is_ideal, _membership, validate as glue_validate
+from latglue.glue import glued_sum
 from latglue.predicates import NotModular, is_modular
 
 
@@ -644,3 +648,146 @@ def oracle_enumerate_lattices(max_elements):
         if key not in seen:
             seen.add(key)
             yield L
+
+
+# -- the staircase formulas by walking maximal chains --------------------------
+
+def maximal_chains(L, lo, hi):
+    """Maximal chains from lo up to hi through covers, as id lists,
+    generated lazily in depth-first order."""
+    j = L.index(hi)
+
+    def walk(i):
+        if i == j:
+            yield [hi]
+        elif L._leq[i, j]:
+            for k in L._up_adj[i]:
+                for rest in walk(k):
+                    yield [L._ids[i], *rest]
+    return walk(L.index(lo))
+
+
+def _staircase_up(sys, a, chain):
+    # sup(a, 0_last) along a maximal chain, using only block joins
+    c = a
+    for x, y in zip(chain, chain[1:]):
+        c = sys.blocks[x].join(c, sys.zero(y))
+    return c
+
+
+def _staircase_down(sys, a, chain):
+    # inf(a, 1_last) along a descending maximal chain, using block meets
+    c = a
+    for x, y in zip(chain, chain[1:]):
+        c = sys.blocks[x].meet(c, sys.one(y))
+    return c
+
+
+def _sup_to_zero(sys, a, x, z):
+    first, *second = islice(maximal_chains(sys.skeleton, x, z), 2)
+    result = _staircase_up(sys, a, first)
+    for chain in second:
+        if _staircase_up(sys, a, chain) != result:
+            raise InvariantViolated("sup staircase depends on the chain",
+                                    (a, x, z))
+    return result
+
+
+def _inf_to_one(sys, a, x, z):
+    first, *second = (chain[::-1] for chain in
+                      islice(maximal_chains(sys.skeleton, z, x), 2))
+    result = _staircase_down(sys, a, first)
+    for chain in second:
+        if _staircase_down(sys, a, chain) != result:
+            raise InvariantViolated("inf staircase depends on the chain",
+                                    (a, x, z))
+    return result
+
+
+def oracle_sup_via_formulas(sys, a, b):
+    """One query: walk the first two maximal chains from each argument's
+    first block up to the join block, then join there."""
+    S = sys.skeleton
+    x = sys.blocks_of(a)[0]
+    y = sys.blocks_of(b)[0]
+    z = S.join(x, y)
+    return sys.blocks[z].join(_sup_to_zero(sys, a, x, z),
+                              _sup_to_zero(sys, b, y, z))
+
+
+def oracle_inf_via_formulas(sys, a, b):
+    S = sys.skeleton
+    x = sys.blocks_of(a)[0]
+    y = sys.blocks_of(b)[0]
+    z = S.meet(x, y)
+    return sys.blocks[z].meet(_inf_to_one(sys, a, x, z),
+                              _inf_to_one(sys, b, y, z))
+
+
+def oracle_zero_one_maps(sys):
+    """The preservation flags by one formula query per skeleton pair."""
+    S = sys.skeleton
+    zero = {x: sys.zero(x) for x in S.elements}
+    one = {x: sys.one(x) for x in S.elements}
+    join_ok = all(oracle_sup_via_formulas(sys, zero[x], zero[y])
+                  == zero[S.join(x, y)]
+                  for x in S.elements for y in S.elements)
+    meet_ok = all(oracle_inf_via_formulas(sys, one[x], one[y])
+                  == one[S.meet(x, y)]
+                  for x in S.elements for y in S.elements)
+    flags = {
+        "zero_join_preserving": join_ok,
+        "one_meet_preserving": meet_ok,
+        "zero_injective": len(set(zero.values())) == len(zero),
+        "one_injective": len(set(one.values())) == len(one),
+    }
+    return zero, one, flags
+
+
+def oracle_corollary_54_check(sys, host):
+    """Host joins and meets of every pair of the sum, id by id."""
+    S = sys.skeleton
+    zero_one = all(
+        host.join(sys.zero(x), sys.zero(y)) == sys.zero(S.join(x, y))
+        and host.meet(sys.one(x), sys.one(y)) == sys.one(S.meet(x, y))
+        for x in S.elements for y in S.elements)
+    if not is_modular(S) and not zero_one:
+        return False
+    L = glued_sum(sys)
+    carrier = set(L.elements)
+    for a in carrier:
+        for b in carrier:
+            j, m = host.join(a, b), host.meet(a, b)
+            if j not in carrier or m not in carrier:
+                return False
+            if j != L.join(a, b) or m != L.meet(a, b):
+                return False
+    return True
+
+
+def oracle_unpreserved_pair(h):
+    """The first pair whose join or meet h does not preserve, or None."""
+    m = h.map
+    for a in h.domain.elements:
+        for b in h.domain.elements:
+            if m[h.domain.join(a, b)] != h.codomain.join(m[a], m[b]):
+                return a, b
+            if m[h.domain.meet(a, b)] != h.codomain.meet(m[a], m[b]):
+                return a, b
+    return None
+
+
+def oracle_check_star(sys, fam):
+    """Condition (*) pair by pair."""
+    S = sys.skeleton
+    host = next(iter(fam.values())).codomain
+    for x in S.elements:
+        for y in S.elements:
+            j, w = S.join(x, y), S.meet(x, y)
+            if host.join(fam[x].map[sys.zero(x)], fam[y].map[sys.zero(y)]) \
+                    != fam[j].map[sys.zero(j)]:
+                return False
+            if host.meet(fam[x].map[sys.one(x)], fam[y].map[sys.one(y)]) \
+                    != fam[w].map[sys.one(w)]:
+                return False
+    return True

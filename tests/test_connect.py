@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from oracles import oracle_connected_sum, oracle_elevate, \
+from oracles import maximal_chains, oracle_connected_sum, oracle_elevate, \
     oracle_validate_connected, oracle_validate_local
 from latglue import connect
 from latglue.connect import ChainDependence, ConnectedSystem, \
@@ -85,7 +85,7 @@ def _all_chains_elevation(lcs):
             if x == y or not S.leq(x, y):
                 continue
             composed = []
-            for ch in S.maximal_chains(x, y):
+            for ch in maximal_chains(S, x, y):
                 m = {a: a for a in lcs.blocks[x].elements}
                 for u, v in zip(ch, ch[1:]):
                     step = lcs.phi(u, v)

@@ -9,9 +9,7 @@ import pytest
 
 import latglue
 
-from latglue import glue
-from latglue.constructions import boolean, chain, \
-    distributive_with_skeleton, fig_3by3_system, grid, \
+from latglue.constructions import chain, fig_3by3_system, grid, \
     hd_two_chains, hd_two_m3, hd_two_m3_edge, m3_chain_edges, \
     m3_chain_of_three, note2_overlap_system, note3_system, \
     section1_nonexample_a1, section1_nonexample_a4, unbounded_family
@@ -19,6 +17,8 @@ from latglue.core import FiniteLattice, InvariantViolated, find_isomorphism
 from latglue.glue import GluedSystem, NotALattice, glued_sum, \
     inf_via_formulas, is_monotone_original, is_monotone_strict, length_bound_check, \
     sup_via_formulas, validate, zero_one_maps
+from oracles import _staircase_up, maximal_chains
+from test_derived_skeleton import MUTANTS
 
 VALID = {
     "fig_3by3": fig_3by3_system(),
@@ -185,17 +185,26 @@ def test_blocks_of_and_carrier():
     assert set(sys.carrier()) == set("abcdefghi")
 
 
-@pytest.mark.parametrize("walk,staircase,upward", [
-    ("_sup_to_zero", "_staircase_up", True),
-    ("_inf_to_one", "_staircase_down", False)])
-def test_chain_dependent_staircase_raises_with_witness(walk, staircase,
-                                                       upward, monkeypatch):
-    sys = distributive_with_skeleton(boolean(2))
-    S = sys.skeleton
-    x, z = (S.bottom, S.top) if upward else (S.top, S.bottom)
-    a = sys.blocks[x].bottom
-    # the element after the first step differs between the two chains
-    monkeypatch.setattr(glue, staircase, lambda sys, a, chain: chain[1])
-    with pytest.raises(InvariantViolated, match="depends on the chain") as e:
-        getattr(glue, walk)(sys, a, x, z)
-    assert e.value.witness == (a, x, z)
+def test_chain_dependent_staircase_raises_with_witness():
+    # (A2) broken inside one overlap of decompose(dws(M3)): the three
+    # chains from x up to z are not all raised alike, and the first two
+    # a depth-first walker meets agree
+    name = "decompose-dws(M3)-flipped-inside-{|0,1,a,b,c}-{|1,c}"
+    sys = next(m[4] for m in MUTANTS if m[0] == name)
+    x, c, z = "{|0,1,a,b,c}", "{|1,c}", "{|1}"
+    chains = list(maximal_chains(sys.skeleton, x, z))
+    assert [ch[1] for ch in chains] == ["{|1,a}", "{|1,b}", c]
+    raised = [_staircase_up(sys, "{|}", ch) for ch in chains]
+    assert raised == ["{|}", "{|}", "{|1}"]
+    with pytest.raises(InvariantViolated,
+                       match="sup staircase depends on the chain") as e:
+        sup_via_formulas(sys, "{|}", "{|}")
+    assert e.value.witness == (x, c, z)
+    # the same kind of mutant at another overlap breaks the meets, and
+    # the witness runs down the skeleton
+    name = "decompose-dws(M3)-flipped-inside-{|1,b}-{|1}"
+    sys = next(m[4] for m in MUTANTS if m[0] == name)
+    with pytest.raises(InvariantViolated,
+                       match="inf staircase depends on the chain") as e:
+        inf_via_formulas(sys, "{|}", "{|}")
+    assert e.value.witness == (z, "{|1,b}", x)
