@@ -142,8 +142,8 @@ def cmd_skeleton(args):
     sk = sorted(dec.skeleton_set, key=str)
     print(f"skeleton: {len(sk)} elements: {', '.join(map(str, sk))}")
     for x in dec.skeleton_lattice.elements:
-        B = dec.blocks[x]
-        print(f"  block [{x}, {B.top}]: {B.n} elements")
+        print(f"  block [{x}, {dec.system.one(x)}]: "
+              f"{len(dec.system.block_set(x))} elements")
     ok = dec.reglues()
     print(f"roundtrip: {'OK' if ok else 'FAILED'}")
     _write_outputs(args, dec.system, dot_lattice=L, highlight=dec.skeleton_set)

@@ -1,11 +1,18 @@
 """S-glued systems: blocks over a shared carrier indexed by a skeleton
 lattice.  Validates the gluing axioms, builds the sum as the transitive
 closure of the union of the block orders, and computes sup/inf through the
-block-local staircase formulas, by the cover recurrence `connect` uses."""
+block-local staircase formulas, by the cover recurrence `connect` uses.
 
+Inside, a system is read through one membership record in carrier
+indices (`Membership`), built once per system: from the blocks' ids for a
+hand-made system, or in one pass over a lattice's tables when every
+block is a sublattice of it (`_sliced_blocks`), as in a decomposition."""
+
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,30 +40,42 @@ class GluedSystem:
 
     def __post_init__(self):
         _check_block_keys(self.skeleton, self.blocks)
-        object.__setattr__(self, "blocks", MappingProxyType(dict(self.blocks)))
+        if not (isinstance(self.blocks, SlicedBlocks)
+                and self.blocks.keys_in_order == self.skeleton.elements):
+            object.__setattr__(self, "blocks",
+                               MappingProxyType(dict(self.blocks)))
+
+    @cached_property
+    def _members(self):
+        """The blocks in carrier indices, built once: the blocks are
+        read-only."""
+        if isinstance(self.blocks, SlicedBlocks):
+            return self.blocks.members
+        return _membership(self)
 
     @cached_property
     def _formulas(self):
         return _formula_tables(self)  # built once: the blocks are read-only
 
     def carrier(self):
-        seen = {}
-        for x in self.skeleton.elements:
-            for a in self.blocks[x].elements:
-                seen[a] = None
-        return tuple(seen)
+        return self._members.carrier
 
     def block_set(self, x):
-        return set(self.blocks[x].elements)
+        m = self._members
+        i = self.skeleton._idx[x]
+        return {m.carrier[c] for c in m.rows[m.start[i]:m.start[i + 1]]}
 
     def blocks_of(self, a):
-        return [x for x in self.skeleton.elements if a in self.blocks[x]]
+        m = self._members
+        if a not in m.index:
+            return []
+        return [self.skeleton._ids[i] for i in np.flatnonzero(m.B[:, m.index[a]])]
 
     def zero(self, x):
-        return self.blocks[x].bottom
+        return self._members.carrier[self._members.zero[self.skeleton._idx[x]]]
 
     def one(self, x):
-        return self.blocks[x].top
+        return self._members.carrier[self._members.one[self.skeleton._idx[x]]]
 
 
 def _check_block_keys(skeleton, blocks):
@@ -65,67 +84,213 @@ def _check_block_keys(skeleton, blocks):
         raise LatticeError(f"blocks missing or keyed outside the skeleton: {sorted(odd, key=str)}")
 
 
-def _is_filter(L, mask):
-    """Are the elements marked in `mask` a filter of L: nonempty, closed
-    upward and under meets?"""
-    i = np.flatnonzero(mask)
-    return len(i) > 0 and not L._leq[i][:, ~mask].any() \
-        and mask[L._meet[i][:, i]].all()
+class Membership(NamedTuple):
+    """A system's blocks in carrier indices, block i the i-th skeleton
+    element.  The carrier lists each element where it first appears,
+    block by block in skeleton order and in block order within a block;
+    `index` maps an id to its carrier index.  Row r, from start[i] to
+    start[i + 1] - 1 for block i, stands for the (r - start[i])-th element
+    of that block: rows[r] is its carrier index, and up[r] (down[r]) its
+    up-set (down-set) in the block as a carrier mask.  loc[i] maps a
+    carrier index to its index in block i (-1 outside it), B = loc >= 0
+    and C = B·Bᵀ the overlap sizes.  zero and one are the carrier indices
+    of each block's 0 and 1.  join and meet are the blocks' tables in
+    their own indices, each block's raveled after the one before."""
+    carrier: tuple
+    index: dict
+    rows: np.ndarray
+    loc: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    start: np.ndarray
+    up: np.ndarray
+    down: np.ndarray
+    zero: np.ndarray
+    one: np.ndarray
+    join: np.ndarray
+    meet: np.ndarray
+
+    def block(self, i):
+        """Block i's carrier indices, and its order, join and meet tables
+        in its own indices."""
+        s, e = self.start[i], self.start[i + 1]
+        pos, k, c = self.rows[s:e], e - s, _cell_start(self.start)[i]
+        return (pos, self.up[s:e][:, pos],
+                *(t[c:c + k * k].reshape(k, k) for t in (self.join, self.meet)))
 
 
-def _is_ideal(L, mask):
-    """Are the elements marked in `mask` an ideal of L: nonempty, closed
-    downward and under joins?"""
-    i = np.flatnonzero(mask)
-    return len(i) > 0 and not L._leq[:, i][~mask].any() \
-        and mask[L._join[i][:, i]].all()
+def _cell_start(start):
+    """Where each block's table begins in the raveled tables."""
+    size = np.diff(start)
+    return np.cumsum(size ** 2) - size ** 2
+
+
+def _square(count):
+    """All pairs (a, b) of 0 ≦ a, b < count[i] for every i, i by i and
+    a-major: the owner i, a and b of each."""
+    owner = np.repeat(np.arange(len(count)), count ** 2)
+    q = np.arange(len(owner)) - np.repeat(np.cumsum(count ** 2) - count ** 2,
+                                          count ** 2)
+    return owner, q // count[owner], q % count[owner]
+
+
+def _members(carrier, rows, start, up, down, zero, one, join, meet):
+    """The membership record; loc, B and C come from `rows`."""
+    n = len(start) - 1
+    owner = np.repeat(np.arange(n), np.diff(start))
+    loc = np.full((n, len(carrier)), -1, dtype=np.intp)
+    loc[owner, rows] = np.arange(len(rows)) - start[owner]
+    B = loc >= 0
+    Bf = B.astype(np.float32)  # overlap sizes up to 2**24 are exact
+    return Membership(carrier, {a: i for i, a in enumerate(carrier)}, rows,
+                      loc, B, (Bf @ Bf.T).astype(np.intp), start, up, down,
+                      zero, one, join, meet)
 
 
 def _membership(sys):
-    """The blocks in carrier indices: pos[i] lists the carrier index of each
-    element of the i-th block (in block order), loc[i] maps a carrier index
-    to its index in that block (-1 outside it), B is the skeleton × carrier
-    membership matrix and C = B·Bᵀ the overlap sizes.  Row start[i] + k of
-    `up` (`down`) is the up-set (down-set) of the k-th element of block i
-    in that block, as a carrier mask."""
-    S = sys.skeleton
-    carrier = sys.carrier()
+    """The membership record of a system from its blocks' ids."""
+    blocks = [sys.blocks[x] for x in sys.skeleton.elements]
+    carrier = tuple(dict.fromkeys(a for L in blocks for a in L.elements))
     idx = {a: i for i, a in enumerate(carrier)}
-    blocks = [sys.blocks[x] for x in S.elements]
-    pos = [np.array([idx[a] for a in L.elements]) for L in blocks]
-    loc = np.full((S.n, len(carrier)), -1)
-    for i, p in enumerate(pos):
-        loc[i, p] = np.arange(len(p))
-    B = loc >= 0
-    Bf = B.astype(np.float32)  # overlap sizes up to 2**24 are exact
-    start = np.cumsum([0] + [len(p) for p in pos])
+    rows = np.array([idx[a] for L in blocks for a in L.elements],
+                    dtype=np.intp)
+    start = np.cumsum([0] + [L.n for L in blocks])
     up = np.zeros((start[-1], len(carrier)), dtype=bool)
     down = np.zeros_like(up)
-    for i, (p, L) in enumerate(zip(pos, blocks)):
-        up[start[i]:start[i + 1], p] = L._leq
-        down[start[i]:start[i + 1], p] = L._leq.T
-    return (carrier, pos, loc, B, (Bf @ Bf.T).astype(np.intp),
-            start, up, down)
+    for i, L in enumerate(blocks):
+        pos = rows[start[i]:start[i + 1]]
+        up[start[i]:start[i + 1], pos] = L._leq
+        down[start[i]:start[i + 1], pos] = L._leq.T
+    zero, one = (rows[start[:-1] + [getattr(L, end) for L in blocks]]
+                 for end in ("_bot", "_top"))
+    join, meet = (np.concatenate([getattr(L, op).ravel() for L in blocks],
+                                 dtype=np.int32) for op in ("_join", "_meet"))
+    return _members(carrier, rows, start, up, down, zero, one, join, meet)
 
 
-def _interval_overlaps(sys, pos, loc, B, start, up, down, I, J):
+class SlicedBlocks(Mapping):
+    """Blocks that are sublattices of one lattice M, given as masks over
+    its elements and keyed by skeleton element: a read-only mapping that
+    slices a block's FiniteLattice out of M (`FiniteLattice._slice`, with
+    its closure check) only when it is asked for, once.  `members` is the
+    system's membership record."""
+
+    def __init__(self, keys, M, mask, members):
+        self.keys_in_order = tuple(keys)
+        self._key = {x: i for i, x in enumerate(self.keys_in_order)}
+        self._M, self._mask, self.members = M, mask, members
+        self._built = {}
+
+    def __getitem__(self, x):
+        if x not in self._built:
+            self._built[x] = self._M._slice(
+                np.flatnonzero(self._mask[self._key[x]]))
+        return self._built[x]
+
+    def __contains__(self, x):
+        return x in self._key
+
+    def __iter__(self):
+        return iter(self.keys_in_order)
+
+    def __len__(self):
+        return len(self.keys_in_order)
+
+    def __repr__(self):
+        return f"SlicedBlocks({len(self)} blocks of {self._M!r})"
+
+
+def _sliced_blocks(keys, M, mask, lo, hi):
+    """The blocks mask[i] of M, keyed by keys[i], each to be a sublattice
+    with 0 = lo[i] and 1 = hi[i] (index arrays), with their membership
+    record cut in one pass from M's order and tables.
+
+    A block's join and meet tables are M's, looked up for all blocks at
+    once; the first block, in key order, with a join (then a meet) that
+    leaves it raises InvariantViolated as `FiniteLattice._slice` does, and
+    so does the first block that lo and hi do not bound."""
+    ids, n = M._ids, M.n
+    owner, elem = np.nonzero(mask)  # block by block, in M's order
+    size = mask.sum(axis=1)
+    start = np.concatenate(([0], np.cumsum(size)))
+    place = np.full(mask.shape, -1, dtype=np.intp)  # index in block i
+    place[owner, elem] = np.arange(len(elem)) - start[owner]
+    # the tables, M's looked up for the blocks of one size at a time
+    cell = _cell_start(start)
+    tables = [np.empty(cell[-1] + size[-1] ** 2, dtype=np.int32) for _ in "jm"]
+    for s in np.unique(size):
+        g = np.flatnonzero(size == s)
+        e = elem[start[g][:, None] + np.arange(s)]
+        pair = (e[:, :, None] * n + e[:, None, :]).reshape(len(g), -1)
+        at = cell[g][:, None] + np.arange(s * s)
+        for t, T in zip(tables, (M._join, M._meet)):
+            c = T.take(pair).astype(np.intp)  # take is slow on int32 indices
+            c += g[:, None] * n
+            t[at] = place.take(c)
+    out = [np.flatnonzero(t < 0)[:1] for t in tables]
+    if any(len(o) for o in out):
+        i = min(np.searchsorted(cell, o[0], side="right") - 1
+                for o in out if len(o))
+        for what, o in zip(("join", "meet"), out):
+            if len(o) and o[0] < cell[i] + size[i] ** 2:
+                a, b = divmod(o[0] - cell[i], size[i])
+                raise InvariantViolated(
+                    f"subset is not closed under {what}",
+                    (ids[elem[start[i] + a]], ids[elem[start[i] + b]]))
+    every = np.arange(len(mask))
+    bounded = mask[every, lo] & mask[every, hi] \
+        & ~(mask & ~(M._leq[lo] & M._leq.T[hi])).any(axis=1)
+    if not bounded.all():
+        i = np.argmin(bounded)
+        raise InvariantViolated("block is not bounded by its ends",
+                                (ids[lo[i]], ids[hi[i]]))
+    # the carrier: elements by the first block they are in, then M's order
+    held = mask.any(axis=0)
+    perm = np.argsort(np.where(held, mask.argmax(axis=0), len(mask)),
+                      kind="stable")[:held.sum()]
+    where = np.full(n, -1, dtype=np.intp)
+    where[perm] = np.arange(len(perm))
+    inside = np.take(mask, perm, axis=1)[owner]
+    up = np.take(M._leq, perm, axis=1)[elem] & inside
+    down = np.take(M._leq.T, perm, axis=1)[elem] & inside
+    members = _members(tuple(ids[p] for p in perm), where[elem], start, up,
+                       down, where[lo], where[hi], *tables)
+    return SlicedBlocks(keys, M, mask, members)
+
+
+def _is_filter(leq, meet, mask):
+    """Are the elements marked in `mask` a filter of the lattice with order
+    `leq` and meet table `meet`: nonempty, closed upward and under meets?"""
+    i = np.flatnonzero(mask)
+    return len(i) > 0 and not leq[i][:, ~mask].any() \
+        and mask[meet[i][:, i]].all()
+
+
+def _is_ideal(leq, join, mask):
+    """Are the elements marked in `mask` an ideal of the lattice with order
+    `leq` and join table `join`: nonempty, closed downward and under
+    joins?"""
+    i = np.flatnonzero(mask)
+    return len(i) > 0 and not leq[:, i][~mask].any() \
+        and mask[join[i][:, i]].all()
+
+
+def _interval_overlaps(m, I, J):
     """For pairs x < y of skeleton indices I, J: is their overlap the
     principal filter ↑0_y of block x and the principal ideal ↓1_x of
     block y, i.e. [0_y, 1_x] in either block?"""
-    blocks = [sys.blocks[x] for x in sys.skeleton.elements]
-    zero = np.array([p[L._bot] for p, L in zip(pos, blocks)])
-    one = np.array([p[L._top] for p, L in zip(pos, blocks)])
-    at0, at1 = loc[I, zero[J]], loc[J, one[I]]
-    overlap = B[I] & B[J]
+    at0, at1 = m.loc[I, m.zero[J]], m.loc[J, m.one[I]]
+    overlap = m.B[I] & m.B[J]
     return (at0 >= 0) & (at1 >= 0) \
-        & (up[start[I] + at0] == overlap).all(axis=1) \
-        & (down[start[J] + at1] == overlap).all(axis=1)
+        & (m.up[m.start[I] + at0] == overlap).all(axis=1) \
+        & (m.down[m.start[J] + at1] == overlap).all(axis=1)
 
 
-def _orders_agree(loc, B, start, up, I, J):
+def _orders_agree(m, I, J):
     """For pairs x < y of skeleton indices I, J: does every element of
     their overlap have the same up-set within the overlap in both blocks?
     Looked at in chunks of about 2**16 cells."""
+    loc, B, start, up = m.loc, m.B, m.start, m.up
     p, c = np.nonzero(B[I] & B[J])
     differ = np.zeros(len(I), dtype=bool)
     step = max(1, _BLOCK_CELLS // B.shape[1])
@@ -152,9 +317,8 @@ def validate(sys):
     are checked one at a time.  The A2 witnesses of one pair come in
     carrier order."""
     S = sys.skeleton
-    membership = _membership(sys)
-    carrier, pos, loc, B, C, start, up, down = membership
-    blocks = [sys.blocks[x] for x in S.elements]
+    m = sys._members
+    carrier, loc, B, C = m.carrier, m.loc, m.B, m.C
     visit = C > 0
     for i, j in S._cov:
         visit[i, j] = True
@@ -167,9 +331,8 @@ def validate(sys):
     a4 = incomparable & outside.any(axis=1)
     glued = np.flatnonzero(comparable & (C[I, J] > 0))
     passed = np.zeros(len(I), dtype=bool)
-    passed[glued] = _interval_overlaps(sys, pos, loc, B, start, up, down,
-                                       I[glued], J[glued]) \
-        & _orders_agree(loc, B, start, up, I[glued], J[glued])
+    passed[glued] = _interval_overlaps(m, I[glued], J[glued]) \
+        & _orders_agree(m, I[glued], J[glued])
     out = []
     for p in np.flatnonzero((comparable & ~passed) | a4):
         i, j = I[p], J[p]
@@ -177,29 +340,34 @@ def validate(sys):
         if a4[p]:
             bad = sorted((carrier[c] for c in np.flatnonzero(outside[p])), key=str)
             out.append(GlueViolation("A4", (x, y, tuple(bad))))
-        elif not C[i, j]:
+            continue
+        if not C[i, j]:
             out.append(GlueViolation("A3", (x, y)))
-        elif not _is_filter(blocks[i], B[j, pos[i]]):
+            continue
+        pos_i, leq_i, _, meet_i = m.block(i)
+        pos_j, leq_j, join_j, _ = m.block(j)
+        if not _is_filter(leq_i, meet_i, B[j, pos_i]):
             out.append(GlueViolation("A1", (x, y, "overlap is not a filter of the lower block")))
-        elif not _is_ideal(blocks[j], B[i, pos[j]]):
+        elif not _is_ideal(leq_j, join_j, B[i, pos_j]):
             out.append(GlueViolation("A1", (x, y, "overlap is not an ideal of the upper block")))
         else:
             ov = np.flatnonzero(B[i] & B[j])
             ix, iy = loc[i, ov], loc[j, ov]
-            differ = blocks[i]._leq[ix][:, ix] != blocks[j]._leq[iy][:, iy]
+            differ = leq_i[ix][:, ix] != leq_j[iy][:, iy]
             out += [GlueViolation("A2", (x, y, carrier[ov[a]], carrier[ov[b]]))
                     for a, b in np.argwhere(differ)]
     if not out:
-        _assert_derived(sys, *membership)
+        _assert_derived(sys, m)
     return out
 
 
-def _assert_derived(sys, carrier, pos, loc, B, C, start, up, down):
+def _assert_derived(sys, m):
     """The facts (A1)-(A4) imply, each checked for all pairs of blocks at
-    once; a failure raises InvariantViolated with an offending pair."""
+    once from the membership record `m`; a failure raises
+    InvariantViolated with an offending pair."""
     S = sys.skeleton
-    blocks = [sys.blocks[x] for x in S.elements]
-    n = len(carrier)
+    C, start, rows = m.C, m.start, m.rows
+    n = len(m.carrier)
 
     def fail(what, i, j):
         raise InvariantViolated(what, (S.elements[i], S.elements[j]))
@@ -213,7 +381,7 @@ def _assert_derived(sys, carrier, pos, loc, B, C, start, up, down):
 
     # a pair x < y overlaps in [0_y, 1_x], computed in either block
     I, J = np.nonzero((C > 0) & S._leq & ~np.eye(S.n, dtype=bool))
-    ok = _interval_overlaps(sys, pos, loc, B, start, up, down, I, J)
+    ok = _interval_overlaps(m, I, J)
     if not ok.all():
         p = np.argmin(ok)
         fail("overlap is not [0_y, 1_x]", I[p], J[p])
@@ -224,28 +392,23 @@ def _assert_derived(sys, carrier, pos, loc, B, C, start, up, down):
     # k-th element of block i; the pairs of shared rows of each block are
     # listed for all blocks at once, block by block and a-major
     sizes = np.diff(start)
-    rows = np.concatenate(pos)  # carrier index of each row
-    shared = np.flatnonzero(B.sum(axis=0)[rows] > 1)
+    shared = np.flatnonzero(m.B.sum(axis=0)[rows] > 1)
     count = np.bincount(np.searchsorted(start, shared, side="right") - 1,
                         minlength=S.n)
-    owner = np.repeat(np.arange(S.n), count ** 2)
-    q = np.arange(len(owner)) - np.repeat(np.cumsum(count ** 2) - count ** 2,
-                                          count ** 2)
+    owner, qa, qb = _square(count)
     first = np.cumsum(count) - count
-    ra = shared[first[owner] + q // count[owner]]
-    rb = shared[first[owner] + q % count[owner]]
+    ra, rb = shared[first[owner] + qa], shared[first[owner] + qb]
     a, b = rows[ra], rows[rb]
     held = np.empty((n, n), dtype=np.intp)
     held[a, b] = np.arange(len(a))  # one block's entry for each pair
     other = held[a, b]
-    cell = (np.cumsum(sizes ** 2) - sizes ** 2)[owner] \
+    cell = _cell_start(start)[owner] \
         + (ra - start[owner]) * sizes[owner] + rb - start[owner]
-    for op in ("_join", "_meet"):
-        table = np.concatenate([getattr(L, op).ravel() for L in blocks])
-        got = rows[start[owner] + table[cell]]
+    for op in ("join", "meet"):
+        got = rows[start[owner] + getattr(m, op)[cell]]
         bad = np.flatnonzero(got != got[other])
         if len(bad):
-            fail(f"blocks disagree on {op[1:]}", owner[bad[0]],
+            fail(f"blocks disagree on {op}", owner[bad[0]],
                  owner[other[bad[0]]])
 
 
@@ -254,18 +417,16 @@ def order_closure(sys):
     orders over it.  The union is reflexive, so squaring it (a float32
     product through BLAS) doubles the length of the paths it closes over;
     squaring stops when the relation no longer grows."""
-    carrier = sys.carrier()
-    idx = {a: i for i, a in enumerate(carrier)}
-    n = len(carrier)
-    leq = np.zeros((n, n), dtype=bool)
-    for L in sys.blocks.values():
-        pos = [idx[a] for a in L.elements]
-        leq[np.ix_(pos, pos)] |= L._leq
+    m = sys._members
+    # the union: for each carrier element, its up-sets in all its blocks
+    order = np.argsort(m.rows, kind="stable")
+    leq = np.logical_or.reduceat(
+        m.up[order], np.searchsorted(m.rows[order], np.arange(len(m.carrier))))
     while True:
         f = leq.astype(np.float32)
         closed = (f @ f) > 0
         if np.array_equal(closed, leq):
-            return carrier, leq
+            return m.carrier, leq
         leq = closed
 
 
@@ -368,24 +529,27 @@ def _formula_tables(sys):
     the same on the dual skeleton, with meets and 1_c.  A step outside
     its cover's blocks, or chains that disagree, raise InvariantViolated."""
     S = sys.skeleton
-    carrier, pos, loc, _, _, start, _, _ = _membership(sys)
-    blocks = [sys.blocks[x] for x in S.elements]
-    _, join, meet = _block_tables(blocks)
-    rows, size = np.concatenate(pos), np.diff(start)
-    first = np.argmax(loc >= 0, axis=0)
-    at = loc[first, np.arange(len(carrier))]
+    m = sys._members
+    carrier, rows, start = m.carrier, m.rows, m.start
+    size = np.diff(start)
+    # the blocks' tables padded to the largest block, 0 on padding
+    join = np.zeros((S.n, size.max(), size.max()), dtype=np.intp)
+    meet = np.zeros_like(join)
+    cell = _square(size)
+    join[cell], meet[cell] = m.join, m.meet
+    first = np.argmax(m.B, axis=0)
+    at = m.loc[first, np.arange(len(carrier))]
     n, k = S.n, np.arange(join.shape[1])
     tables = []
-    for T, op, end, name in ((S, join, "_bot", "sup"),
-                             (S.dual(), meet, "_top", "inf")):
-        end = rows[start[:-1] + [getattr(L, end) for L in blocks]]
+    for T, op, end, name in ((S, join, m.zero, "sup"),
+                             (S.dual(), meet, m.one, "inf")):
         U = np.full((n, n, len(k)), -1, dtype=np.intp)
         U[np.arange(n), np.arange(n)] = np.where(k < size[:, None], k, -1)
         X, C = np.array(T._cov, dtype=np.intp).reshape(-1, 2).T
-        e = loc[X, end[C]][:, None]  # 0_c in block x, -1 if it is not there
+        e = m.loc[X, end[C]][:, None]  # 0_c in block x, -1 if it is not there
         held = k < size[X][:, None]
         g = rows[start[X][:, None] + np.where(held, op[X[:, None], k, e], 0)]
-        U[X, C] = np.where(held, loc[C[:, None], g], -1)
+        U[X, C] = np.where(held, m.loc[C[:, None], g], -1)
         bad = np.argwhere(held & ((e < 0) | (U[X, C] < 0)))
         if len(bad):  # witness: 0_c if block x lacks it, else the step's end
             i, a = bad[0]
@@ -402,7 +566,7 @@ def _formula_tables(sys):
         z = T._join[first[:, None], first]
         r = op[z, U[first[:, None], z, at[:, None]], U[first, z, at]]
         tables.append(rows[start[z] + r])
-    return (carrier, {a: i for i, a in enumerate(carrier)}, *tables)
+    return (carrier, m.index, *tables)
 
 
 def _lookup(sys, table, a, b):
@@ -425,11 +589,12 @@ def inf_via_formulas(sys, a, b):
 
 def nested_cover(sys):
     """The first skeleton cover one of whose blocks contains the other,
-    or None."""
-    for x, y in sys.skeleton.covers:
-        sx, sy = sys.block_set(x), sys.block_set(y)
-        if sx <= sy or sy <= sx:
-            return x, y
+    or None: a block is in another when their overlap is all of it."""
+    S, C = sys.skeleton, sys._members.C
+    i, j = np.array(S._cov, dtype=np.intp).reshape(-1, 2).T
+    nested = np.flatnonzero((C[i, j] == C[i, i]) | (C[i, j] == C[j, j]))
+    if len(nested):
+        return S._ids[i[nested[0]]], S._ids[j[nested[0]]]
     return None
 
 

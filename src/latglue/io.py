@@ -2,7 +2,9 @@
 
 Lattice: {"elements": [...], "covers": [["a","b"], ...]} with covers listed
 lower-first.  Glued system: {"skeleton": <lattice>, "blocks": {x: <lattice>}}
-where block element names share one carrier namespace.  Connected system:
+where block element names share one carrier namespace and each block key is
+the string form of its skeleton element (two skeleton elements with one
+string form, such as 1 and "1", are refused).  Connected system:
 additionally {"maps": [{"from": x, "to": y, "pairs": [[a, b], ...]}]} and an
 optional "local": true or false flag (a file with either key is one); block
 elements are namespaced "<x>:<name>" on load to enforce disjointness.  A
@@ -79,11 +81,24 @@ def glued_to_dict(sys):
                        for x in sys.skeleton.elements}}
 
 
+def _skeleton_keys(S, blocks):
+    """The blocks object with each key, a JSON string, resolved to the
+    skeleton element whose `str` it is, as `glued_to_dict` wrote it; a key
+    that names none is kept for the key check.  LatticeError when two
+    skeleton elements share one string form (say 1 and "1")."""
+    named = {}
+    for x in S.elements:
+        if named.setdefault(str(x), x) != x:
+            raise LatticeError(f"skeleton elements {named[str(x)]!r} and "
+                               f"{x!r} share the block key {str(x)!r}")
+    return {named.get(k, k): b for k, b in _object(blocks).items()}
+
+
 def glued_from_dict(d):
     d = _object(d, _GLUED_KEYS)
     S = lattice_from_dict(d["skeleton"])
-    return GluedSystem(S, {x: lattice_from_dict(b)
-                           for x, b in _object(d["blocks"]).items()})
+    return GluedSystem(S, {x: lattice_from_dict(b) for x, b
+                           in _skeleton_keys(S, d["blocks"]).items()})
 
 
 def connected_to_dict(cs, local=False):
@@ -106,7 +121,7 @@ def connected_from_dict(d):
         return a if a.startswith(f"{x}:") else f"{x}:{a}"
 
     blocks = {}
-    for x, b in _object(d["blocks"]).items():
+    for x, b in _skeleton_keys(S, d["blocks"]).items():
         b = _object(b, _LATTICE_KEYS)
         blocks[x] = FiniteLattice([ns(x, a) for a in _array(b, "elements")],
                                   [(ns(x, a), ns(x, c)) for a, c in _pairs(b, "covers")])

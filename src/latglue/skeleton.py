@@ -8,7 +8,8 @@ import numpy as np
 
 from .core import FiniteLattice, InvariantViolated, _kahn, _settle, \
     _uncertified, find_isomorphism
-from .glue import GluedSystem, nested_cover, order_closure, validate as glue_validate
+from .glue import GluedSystem, _sliced_blocks, nested_cover, order_closure, \
+    validate as glue_validate
 from .predicates import NotModular, breadth, is_atomistic, is_modular, is_n_distributive
 
 
@@ -155,7 +156,7 @@ class SkeletonDecomposition:
     source: FiniteLattice
     skeleton_set: frozenset
     skeleton_lattice: FiniteLattice
-    blocks: dict  # x -> FiniteLattice on the interval [x, x*]
+    blocks: dict  # x -> FiniteLattice on [x, x*]: the system's blocks
     system: GluedSystem
     dual_skeleton: frozenset
 
@@ -175,21 +176,32 @@ class SkeletonDecomposition:
 def decompose(M):
     """Split M into its maximal atomistic intervals [x, x*], x ∈ S(M),
     glued over the skeleton lattice.  The resulting system is validated
-    and must be strictly monotone; a failure raises InvariantViolated."""
+    and must be strictly monotone; a failure raises InvariantViolated.
+
+    The blocks are cut from M's tables all at once, in M's index space
+    (`glue._sliced_blocks`); a block's FiniteLattice is built only when
+    `blocks[x]` is asked for."""
     st, pl = _star_plus(M)
     S = _skeleton_lattice(M, st, pl)
-    ids = M.elements
-    blocks = {x: M.interval(x, ids[st[M.index(x)]]).lattice for x in S.elements}
-    sys = GluedSystem(S, blocks)
+    k = np.flatnonzero(pl[st] == np.arange(M.n))  # S(M), in M's order
+    top = st[k]
+    sys = GluedSystem(S, _sliced_blocks(S.elements, M,
+                                        M._leq[k] & M._leq.T[top], k, top))
+    _check_decomposition(sys)
+    return SkeletonDecomposition(
+        M, frozenset(S.elements), S, sys.blocks, sys,
+        frozenset(M._ids[i] for i in np.flatnonzero(st[pl] == np.arange(M.n))))
+
+
+def _check_decomposition(sys):
+    """A decomposition's system must satisfy the glue axioms and be
+    strictly monotone; InvariantViolated names the first failure."""
     bad = glue_validate(sys)
     if bad:
         raise InvariantViolated("decomposition violates the glue axioms", bad[0])
     nested = nested_cover(sys)
     if nested is not None:
         raise InvariantViolated("decomposition is not strictly monotone", nested)
-    return SkeletonDecomposition(
-        M, frozenset(S.elements), S, blocks, sys,
-        frozenset(ids[i] for i in np.flatnonzero(st[pl] == np.arange(M.n))))
 
 
 def roundtrip(M):

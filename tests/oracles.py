@@ -18,12 +18,13 @@ from itertools import combinations, islice, permutations, product as iproduct
 
 import numpy as np
 
+from latglue import skeleton
 from latglue.connect import ChainDependence, ConnectViolation, \
     ConnectedSystem, NotModularSkeleton, _check_disjoint
 from latglue.core import _BLOCK_CELLS, FiniteLattice, InvariantViolated, \
     LatticeError, NoUniqueJoin, NoUniqueMeet
 from latglue.glue import GluedSystem, GlueViolation, NotALattice, \
-    _is_filter, _is_ideal, _membership, validate as glue_validate
+    _is_filter, _is_ideal, validate as glue_validate
 from latglue.glue import glued_sum
 from latglue.predicates import NotModular, is_modular
 
@@ -159,9 +160,9 @@ def _iso_filter_to_ideal(Lx, Ly, m, cond, pair, out):
     if not dom <= set(Lx.elements) or not img <= set(Ly.elements):
         out.append(ConnectViolation(cond, pair, "map leaves its blocks"))
         return
-    if not _is_filter(Lx, _mask(Lx, dom)):
+    if not _is_filter(Lx._leq, Lx._meet, _mask(Lx, dom)):
         out.append(ConnectViolation(cond, pair, "domain is not a filter"))
-    if not _is_ideal(Ly, _mask(Ly, img)):
+    if not _is_ideal(Ly._leq, Ly._join, _mask(Ly, img)):
         out.append(ConnectViolation(cond, pair, "image is not an ideal"))
     for a in m:
         for b in m:
@@ -377,12 +378,81 @@ def oracle_reglues(dec):
     return np.array_equal(L._leq, M._leq[np.ix_(pos, pos)])
 
 
+def oracle_membership(sys):
+    """The blocks in carrier indices from ids, rebuilt on every call:
+    pos[i] lists the carrier index of each element of the i-th block (in
+    block order), loc[i] maps a carrier index to its index in that block
+    (-1 outside it), B is the skeleton × carrier membership matrix and
+    C = B·Bᵀ the overlap sizes.  Row start[i] + k of `up` (`down`) is the
+    up-set (down-set) of the k-th element of block i in that block, as a
+    carrier mask."""
+    S = sys.skeleton
+    blocks = [sys.blocks[x] for x in S.elements]
+    seen = {}
+    for L in blocks:
+        for a in L.elements:
+            seen[a] = None
+    carrier = tuple(seen)
+    idx = {a: i for i, a in enumerate(carrier)}
+    pos = [np.array([idx[a] for a in L.elements]) for L in blocks]
+    loc = np.full((S.n, len(carrier)), -1)
+    for i, p in enumerate(pos):
+        loc[i, p] = np.arange(len(p))
+    B = loc >= 0
+    Bf = B.astype(np.float32)
+    start = np.cumsum([0] + [len(p) for p in pos])
+    up = np.zeros((start[-1], len(carrier)), dtype=bool)
+    down = np.zeros_like(up)
+    for i, (p, L) in enumerate(zip(pos, blocks)):
+        up[start[i]:start[i + 1], p] = L._leq
+        down[start[i]:start[i + 1], p] = L._leq.T
+    return (carrier, pos, loc, B, (Bf @ Bf.T).astype(np.intp),
+            start, up, down)
+
+
+def oracle_decompose(M):
+    """`decompose` as it was: S(M), then one `interval` slice per skeleton
+    element, glued as a hand-made system (whose membership comes from the
+    blocks' ids), validated and checked strictly monotone.  Returns the
+    skeleton lattice, the blocks and the system."""
+    st, pl = skeleton._star_plus(M)
+    S = skeleton._skeleton_lattice(M, st, pl)
+    ids = M.elements
+    blocks = {x: M.interval(x, ids[st[M.index(x)]]).lattice
+              for x in S.elements}
+    sys = GluedSystem(S, blocks)
+    oracle_decompose_checks(sys)
+    return S, blocks, sys
+
+
+def oracle_decompose_checks(sys):
+    """The checks `decompose` runs on its system, as it ran them."""
+    bad = glue_validate(sys)
+    if bad:
+        raise InvariantViolated("decomposition violates the glue axioms",
+                                bad[0])
+    nested = oracle_nested_cover(sys)
+    if nested is not None:
+        raise InvariantViolated("decomposition is not strictly monotone",
+                                nested)
+
+
+def oracle_nested_cover(sys):
+    """The first skeleton cover one of whose blocks contains the other, by
+    id sets."""
+    for x, y in sys.skeleton.covers:
+        sx, sy = set(sys.blocks[x].elements), set(sys.blocks[y].elements)
+        if sx <= sy or sy <= sx:
+            return x, y
+    return None
+
+
 def oracle_glue_violations(sys):
     """The (A1)-(A4) violations as `glue.validate` lists them, every
     comparable overlapping pair checked on its own with about 20 numpy
     calls.  The derived checks that follow an empty list are left out."""
     S = sys.skeleton
-    carrier, pos, loc, B, C = _membership(sys)[:5]
+    carrier, pos, loc, B, C = oracle_membership(sys)[:5]
     blocks = [sys.blocks[x] for x in S.elements]
     visit = C > 0
     for i, j in S._cov:
@@ -401,9 +471,9 @@ def oracle_glue_violations(sys):
             out.append(GlueViolation("A4", (x, y, tuple(bad))))
         elif not C[i, j]:
             out.append(GlueViolation("A3", (x, y)))
-        elif not _is_filter(blocks[i], B[j, pos[i]]):
+        elif not _is_filter(blocks[i]._leq, blocks[i]._meet, B[j, pos[i]]):
             out.append(GlueViolation("A1", (x, y, "overlap is not a filter of the lower block")))
-        elif not _is_ideal(blocks[j], B[i, pos[j]]):
+        elif not _is_ideal(blocks[j]._leq, blocks[j]._join, B[i, pos[j]]):
             out.append(GlueViolation("A1", (x, y, "overlap is not an ideal of the upper block")))
         else:
             ov = np.flatnonzero(B[i] & B[j])

@@ -240,6 +240,57 @@ def test_glue_rejects_blocks_outside_the_skeleton(tmp_path, capsys):
     assert "ghost" in json.loads(capsys.readouterr().err.strip())["error"]
 
 
+def test_skeleton_out_with_integer_ids_is_read_back_by_glue(tmp_path,
+                                                            capsys):
+    # the blocks are keyed by str(x) on the way out, the skeleton keeps 0
+    src = tmp_path / "m.json"
+    src.write_text(json.dumps({"elements": [0, 1, 2, 3],
+                               "covers": [[0, 1], [0, 2], [1, 3], [2, 3]]}))
+    out = tmp_path / "sys.json"
+    assert run(["skeleton", str(src), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(["glue", str(out)]) == 0
+    assert capsys.readouterr().out == \
+        "valid glued system: 1 blocks, sum has 4 elements, length 2\n"
+    loaded = lio.load(out)
+    assert loaded.skeleton.elements == (0,) and list(loaded.blocks) == [0]
+
+
+def test_connected_system_with_integer_skeleton_ids_is_read(tmp_path,
+                                                            capsys):
+    doc = {"skeleton": {"elements": [0, 1], "covers": [[0, 1]]},
+           "blocks": {"0": {"elements": ["a", "b"], "covers": [["a", "b"]]},
+                      "1": {"elements": ["c", "d"], "covers": [["c", "d"]]}},
+           "maps": [{"from": 0, "to": 1, "pairs": [["b", "c"]]}],
+           "local": True}
+    src = tmp_path / "local.json"
+    src.write_text(json.dumps(doc))
+    assert run(["connect", str(src)]) == 0
+    assert capsys.readouterr().out == \
+        "valid connected system: quotient sum has 3 elements, length 2\n"
+
+
+def test_skeleton_ids_with_one_string_form_exit_2(tmp_path, capsys):
+    # in the chain 1 < "1" < 2 the skeleton is {1, "1"}: --out can key
+    # only one of their blocks "1", and reading it back must not guess
+    src = tmp_path / "chain.json"
+    src.write_text(json.dumps({"elements": [1, "1", 2],
+                               "covers": [[1, "1"], ["1", 2]]}))
+    out = tmp_path / "sys.json"
+    assert run(["skeleton", str(src), "--out", str(out)]) == 0
+    capsys.readouterr()
+    for command in ("glue", "connect"):
+        doc = json.loads(out.read_text())
+        if command == "connect":
+            doc["local"] = True
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(doc))
+        assert run([command, str(path)]) == 2
+        error = json.loads(capsys.readouterr().err.strip())["error"]
+        assert error == ("LatticeError: skeleton elements 1 and '1' share "
+                         "the block key '1'")
+
+
 def test_repeated_json_key_exits_2(tmp_path, capsys):
     # json keeps the last of two equal keys, so block "1" would silently be
     # the second of the two listed

@@ -18,7 +18,7 @@ from latglue.constructions import boolean, chain, enumerate_lattices, grid, \
 from latglue.core import FiniteLattice, InvariantViolated, NoUniqueJoin, \
     NoUniqueMeet
 from latglue.glue import GluedSystem, GlueViolation, _assert_derived, \
-    _membership, glued_sum, validate
+    glued_sum, validate
 from latglue.predicates import is_modular
 from latglue.skeleton import decompose, dual_skeleton, plus, skeleton_set, star
 from latglue.suite import glued_fixtures
@@ -294,7 +294,7 @@ DERIVED = {
 def test_derived_checks_raise_with_a_witness(name):
     sys, what, witness = DERIVED[name]
     with pytest.raises(InvariantViolated, match=re.escape(what)) as e:
-        _assert_derived(sys, *_membership(sys))
+        _assert_derived(sys, sys._members)
     assert e.value.witness == witness
 
 

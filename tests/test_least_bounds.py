@@ -16,13 +16,12 @@ from latglue import core, skeleton
 from latglue.constructions import boolean, grid, m_k
 from latglue.core import FiniteLattice, InvariantViolated, LatticeError, \
     NoUniqueJoin, NoUniqueMeet, product
-from latglue.glue import GluedSystem, _assert_derived, _membership, \
-    glued_sum, validate
+from latglue.glue import GluedSystem, _assert_derived, glued_sum, validate
 from latglue.predicates import is_modular
 from latglue.skeleton import _skeleton_lattice, _star_plus, decompose
 from latglue.suite import glued_fixtures
 from oracles import kahn_order, oracle_block_operations, \
-    oracle_skeleton_lattice, oracle_tables
+    oracle_membership, oracle_skeleton_lattice, oracle_tables
 from test_derived_skeleton import FIELDS, sweep_shapes
 from test_index_space import SYSTEMS
 from test_pruned_predicates import CORPUS8
@@ -321,14 +320,14 @@ def _count(sys):
 
 def derived_outcome(sys, check):
     try:
-        check(sys, *_membership(sys))
+        check(sys, sys._members)
     except InvariantViolated as e:
         return str(e).split(":")[0], e.witness
     return None
 
 
-def block_operations(sys, *membership):
-    result = oracle_block_operations(sys, *membership)
+def block_operations(sys, members):
+    result = oracle_block_operations(sys, *oracle_membership(sys))
     if result is not None:
         raise InvariantViolated(*result)
 
