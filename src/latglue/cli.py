@@ -59,7 +59,10 @@ def _load(path, want=None):
 
 def _write_outputs(args, obj, dot_lattice=None, highlight=()):
     if getattr(args, "out", None):
-        lio.save(obj, args.out)
+        try:
+            lio.save(obj, args.out)
+        except LatticeError as e:  # refused before any file is opened
+            raise SystemExit(_error(f"{type(e).__name__}: {e}", file=args.out))
     if getattr(args, "dot", None):
         L = dot_lattice if dot_lattice is not None else obj
         with open(args.dot, "w") as f:

@@ -5,9 +5,14 @@ over modular skeletons with maps given only on skeleton covers.
 Maps are dicts of element ids at the API edge.  Inside, the blocks are
 taken in skeleton index order and the maps become one padded n×n×bmax int
 tensor: phi[x, y, a] is the index in block y of the image of the a-th
-element of block x, -1 where undefined, and phi[x, x] is the identity."""
+element of block x, -1 where undefined, and phi[x, x] is the identity.
+A ConnectedSystem's blocks and maps are read-only, so its tensor and its
+identification record (`Identification`) are built once per system."""
 
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +51,21 @@ class ConnectedSystem:
     def __post_init__(self):
         _check_block_keys(self.skeleton, self.blocks)
         _check_map_entries(self.skeleton, self.blocks, self.maps)
+        object.__setattr__(self, "blocks", MappingProxyType(dict(self.blocks)))
+        object.__setattr__(self, "maps", MappingProxyType(
+            {k: MappingProxyType(dict(m)) for k, m in self.maps.items()}))
+
+    @cached_property
+    def _tensor(self):
+        """The phi tensor and `given`, built once: the maps are read-only."""
+        phi, given = _map_tensor(self.skeleton, [self.blocks[x] for x in
+                                                 self.skeleton._ids], self.maps)
+        phi.flags.writeable = False
+        return phi, given
+
+    @cached_property
+    def _identification(self):
+        return _identification(self)  # built once: the maps are read-only
 
     def phi(self, x, y):
         """The partial map φ_yx from L_x toward L_y (empty when absent)."""
@@ -54,10 +74,8 @@ class ConnectedSystem:
         return self.maps.get((x, y), {})
 
     def block_of(self, a):
-        for x in self.skeleton.elements:
-            if a in self.blocks[x]:
-                return x
-        raise LatticeError(f"{a!r} is in no block")
+        rec = self._identification
+        return self.skeleton._ids[rec.owner[rec.position(a)]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,7 +237,7 @@ def validate_connected(cs):
     S = cs.skeleton
     ids, n = S._ids, S.n
     blocks = [cs.blocks[x] for x in ids]
-    phi, given = _map_tensor(S, blocks, cs.maps)
+    phi, given = cs._tensor
     lt = S._leq & ~np.eye(n, dtype=bool)
     count = (phi >= 0).sum(2)
     stray = given & ~lt
@@ -255,25 +273,108 @@ def validate_connected(cs):
     return out
 
 
-def equivalent(cs, a, b):
-    """a ~ b: the images of a and b at the join of their blocks coincide.
+class Identification(NamedTuple):
+    """A connected system's carrier in indices, built once from its phi
+    tensor.  The carrier is the blocks concatenated in skeleton order, as
+    connected_sum numbers it; `index` maps an id to its carrier index and
+    owner[g] is the skeleton index of g's block.  img[g, z] is the carrier
+    index of g's image in block z and pre[g, z] that of its preimage there
+    (the last in block order, should a map not be injective), -1 where
+    undefined; both are g itself in g's own block.  `clash` is the first
+    pair of ids, in carrier order, at which the join-side and meet-side
+    criteria disagree, or None."""
+    carrier: tuple
+    index: dict
+    owner: np.ndarray
+    img: np.ndarray
+    pre: np.ndarray
+    clash: object
 
-    Agreement with the meet-side criterion (preimages at the block meet)
-    is checked, as the two are provably equivalent."""
-    x, y = cs.block_of(a), cs.block_of(b)
+    def position(self, a):
+        if a not in self.index:
+            raise LatticeError(f"{a!r} is in no block")
+        return self.index[a]
+
+
+def _identification(cs):
+    """The identification record of cs, from its phi tensor."""
     S = cs.skeleton
-    j, w = S.join(x, y), S.meet(x, y)
-    up_a, up_b = cs.phi(x, j).get(a), cs.phi(y, j).get(b)
-    join_side = up_a is not None and up_a == up_b
-    inv_x = {v: k for k, v in cs.phi(w, x).items()}
-    inv_y = {v: k for k, v in cs.phi(w, y).items()}
-    meet_side = a in inv_x and b in inv_y and inv_x[a] == inv_y[b]
-    if x == y:
-        meet_side = a == b
-    if join_side != meet_side:
+    phi = cs._tensor[0]
+    size = [cs.blocks[x].n for x in S._ids]
+    start = np.concatenate(([0], np.cumsum(size))).astype(np.intp)
+    owner = np.repeat(np.arange(S.n), size)
+    f = phi[owner, :, np.arange(start[-1]) - start[owner]]
+    img = np.where(f >= 0, start[:-1] + f, -1)
+    pre = np.full_like(img, -1)
+    x, y, a = np.nonzero(phi >= 0)  # block x's a-th element goes to block y
+    pre[start[y] + phi[x, y, a], x] = start[x] + a
+    carrier = tuple(a for x in S._ids for a in cs.blocks[x].elements)
+    rec = Identification(carrier, {a: g for g, a in enumerate(carrier)},
+                         owner, img, pre, None)
+    return rec._replace(clash=_first_clash(rec, S))
+
+
+def _identified(rec, S, g, h):
+    """Criterion (ii) for carrier indices g and h (broadcast): their images
+    at the join of their blocks are defined and equal."""
+    z = S._join[rec.owner[g], rec.owner[h]]
+    up = rec.img[g, z]
+    return (up >= 0) & (up == rec.img[h, z])
+
+
+def _co_identified(rec, S, g, h):
+    """Criterion (iv): their preimages at the meet of their blocks are
+    defined and equal (within one block, g = h)."""
+    z = S._meet[rec.owner[g], rec.owner[h]]
+    down = rec.pre[g, z]
+    return (down >= 0) & (down == rec.pre[h, z])
+
+
+def _first_clash(rec, S):
+    """The first pair of ids, in carrier order, at which (ii) and (iv)
+    disagree, rows at a time; None when they agree everywhere."""
+    N = len(rec.carrier)
+    every = np.arange(N)[None, :]
+    step = max(1, _BLOCK_CELLS // max(N, 1))
+    for s in range(0, N, step):
+        rows = np.arange(s, min(N, s + step))[:, None]
+        bad = np.flatnonzero(_identified(rec, S, rows, every)
+                             != _co_identified(rec, S, rows, every))
+        if len(bad):
+            g, h = divmod(int(bad[0]), N)
+            return rec.carrier[s + g], rec.carrier[h]
+    return None
+
+
+def _unclashed(cs):
+    """The identification record of cs, or InvariantViolated with the first
+    pair at which the join-side and meet-side criteria disagree."""
+    rec = cs._identification
+    if rec.clash is not None:
         raise InvariantViolated("join-side and meet-side criteria disagree",
-                                (a, b))
-    return join_side
+                                rec.clash)
+    return rec
+
+
+def equivalent(cs, a, b):
+    """a ~ b: the images of a and b at the join of their blocks coincide,
+    a lookup in the system's identification record.
+
+    Agreement with the meet-side criterion (preimages at the block meet),
+    as the two are provably equivalent, is checked on every pair once per
+    system: if they disagree anywhere, every query raises
+    InvariantViolated with the first disagreeing pair in carrier order."""
+    rec = cs._identification
+    g, h = rec.position(a), rec.position(b)
+    return bool(_identified(_unclashed(cs), cs.skeleton, g, h))
+
+
+def _relation(cs):
+    """`equivalent` on every pair of the carrier, as an N×N matrix in
+    carrier order."""
+    rec = _unclashed(cs)
+    g = np.arange(len(rec.carrier))
+    return _identified(rec, cs.skeleton, g[:, None], g[None, :])
 
 
 def _components(n, u, v):
@@ -430,10 +531,16 @@ def elevate(lcs):
     src = [names[g] for g in offset[x] + a]
     dst = [names[g] for g in offset[y] + phi[x, y, a]]
     starts = np.flatnonzero(np.diff(x * n + y, prepend=-1))
-    cs = ConnectedSystem(S, dict(lcs.blocks), {})
-    # entries are block elements by construction, so they skip the check
-    for s, e in zip(starts, [*starts[1:], len(x)]):
-        cs.maps[(ids[x[s]], ids[y[s]])] = dict(zip(src[s:e], dst[s:e]))
+    maps = {(ids[x[s]], ids[y[s]]): MappingProxyType(dict(zip(src[s:e], dst[s:e])))
+            for s, e in zip(starts, [*starts[1:], len(x)])}
+    # entries are block elements by construction, so they skip the check,
+    # and the tensor they were read from is handed over
+    cs = ConnectedSystem(S, lcs.blocks, {})
+    object.__setattr__(cs, "maps", MappingProxyType(maps))
+    given = (phi >= 0).any(2)
+    np.fill_diagonal(given, False)
+    phi.flags.writeable = False
+    cs.__dict__["_tensor"] = phi, given
     bad = validate_connected(cs)
     for v in bad:
         if v.condition == "19":

@@ -4,7 +4,8 @@ Lattice: {"elements": [...], "covers": [["a","b"], ...]} with covers listed
 lower-first.  Glued system: {"skeleton": <lattice>, "blocks": {x: <lattice>}}
 where block element names share one carrier namespace and each block key is
 the string form of its skeleton element (two skeleton elements with one
-string form, such as 1 and "1", are refused).  Connected system:
+string form, such as 1 and "1", are refused by the reader and the writer
+alike, the writer before it opens the file).  Connected system:
 additionally {"maps": [{"from": x, "to": y, "pairs": [[a, b], ...]}]} and an
 optional "local": true or false flag (a file with either key is one); block
 elements are namespaced "<x>:<name>" on load to enforce disjointness.  A
@@ -75,22 +76,30 @@ def lattice_from_dict(d):
     return FiniteLattice(_array(d, "elements"), _pairs(d, "covers"))
 
 
-def glued_to_dict(sys):
-    return {"skeleton": lattice_to_dict(sys.skeleton),
-            "blocks": {str(x): lattice_to_dict(sys.blocks[x])
-                       for x in sys.skeleton.elements}}
-
-
-def _skeleton_keys(S, blocks):
-    """The blocks object with each key, a JSON string, resolved to the
-    skeleton element whose `str` it is, as `glued_to_dict` wrote it; a key
-    that names none is kept for the key check.  LatticeError when two
-    skeleton elements share one string form (say 1 and "1")."""
+def _block_keys(S):
+    """{key: x}, each skeleton element x under its block key `str(x)`, for
+    writing and reading alike.  LatticeError when two skeleton elements
+    share one string form (say 1 and "1"): a file can key only one block
+    by it."""
     named = {}
     for x in S.elements:
         if named.setdefault(str(x), x) != x:
             raise LatticeError(f"skeleton elements {named[str(x)]!r} and "
                                f"{x!r} share the block key {str(x)!r}")
+    return named
+
+
+def glued_to_dict(sys):
+    return {"skeleton": lattice_to_dict(sys.skeleton),
+            "blocks": {k: lattice_to_dict(sys.blocks[x])
+                       for k, x in _block_keys(sys.skeleton).items()}}
+
+
+def _skeleton_keys(S, blocks):
+    """The blocks object with each key, a JSON string, resolved to the
+    skeleton element whose `str` it is, as `glued_to_dict` wrote it; a key
+    that names none is kept for the key check."""
+    named = _block_keys(S)
     return {named.get(k, k): b for k, b in _object(blocks).items()}
 
 
@@ -159,8 +168,11 @@ def load(path):
 
 
 def save(obj, path):
+    """Write obj's JSON form; an object it cannot write raises before the
+    file is opened."""
+    d = to_dict(obj)
     with open(path, "w") as f:
-        json.dump(to_dict(obj), f, indent=1, sort_keys=True)
+        json.dump(d, f, indent=1, sort_keys=True)
         f.write("\n")
 
 

@@ -4,13 +4,14 @@ results, the star/plus calculus, the worked constructions, connected-sum
 machinery, homomorphism gluing, the counterexample catalog, and the
 corpus enumerator itself."""
 
+import functools
 import time
 
 import numpy as np
 
 from . import constructions as fix
-from .connect import connected_sum, elevate, equivalent
-from .core import LatticeError, find_isomorphism, product
+from .connect import _relation, connected_sum, elevate
+from .core import _BLOCK_CELLS, LatticeError, find_isomorphism, product
 from .glue import glued_sum, is_monotone_strict, length_bound_check, \
     validate, zero_one_maps
 from .hom import LatticeHom, check_star, corollary_54_check, glue_homs, \
@@ -21,9 +22,11 @@ from .skeleton import decompose, lemma61_suite, maximal_atomistic_intervals, \
     roundtrip, skeleton_duality_suite, skeleton_lattice, skeleton_set
 
 
-# The corpora enumerated during one run_suite call, by size; None outside
-# a call, so that no state carries over from one call to the next.
+# The corpora enumerated during one run_suite call, by size, and the
+# fixtures built during it, by name; None outside a call, so that no state
+# carries over from one call to the next.
 _corpora = None
+_fixtures = None
 
 
 def _corpus(max_elements):
@@ -40,6 +43,20 @@ def _modular_corpus(max_elements):
     return [L for L in _corpus(max_elements) if is_modular(L)]
 
 
+def _shared(key, build):
+    """build(), once per run_suite call: within a call the criteria share
+    what it returns."""
+    if _fixtures is None:
+        return build()
+    if key not in _fixtures:
+        _fixtures[key] = build()
+    return _fixtures[key]
+
+
+def _section4():
+    return _shared("section4", fix.section4_example)
+
+
 def glued_fixtures():
     """All valid glued-system fixtures, by name."""
     out = {
@@ -53,11 +70,30 @@ def glued_fixtures():
         "m3_chain_edges": fix.m3_chain_edges(),
         "distributive_over_b2": fix.distributive_with_skeleton(fix.boolean(2)),
         "square_over_m3": fix.square_sublattice(fix.m3()),
-        "projective_example": fix.section4_example()["glued_system"],
+        "projective_example": _section4()["glued_system"],
     }
     for n in (1, 2, 3):
         out[f"unbounded_{n}"] = fix.unbounded_family(n)
     return out
+
+
+def _summed(sys):
+    """sys, and a call that returns its sum, built on the first call."""
+    return sys, functools.cache(functools.partial(glued_sum, sys))
+
+
+def _glued():
+    """The glued fixtures, each with its sum: name -> _summed(system)."""
+    return _shared("glued", lambda: {name: _summed(sys) for name, sys
+                                     in glued_fixtures().items()})
+
+
+def _squares(corpus_max):
+    """(S, *_summed(square_sublattice(S))) for the modular S of at most
+    min(corpus_max, 7) elements."""
+    return _shared(("squares", min(corpus_max, 7)), lambda: [
+        (S, *_summed(fix.square_sublattice(S)))
+        for S in _modular_corpus(min(corpus_max, 7))])
 
 
 def _sum_fixtures(corpus_max):
@@ -65,9 +101,8 @@ def _sum_fixtures(corpus_max):
     out = [fix.grid(p, q) for p in range(1, 5) for q in range(p, 5)]
     out += [fix.boolean(n) for n in range(1, 5)]
     out.append(product(fix.m3(), fix.chain(1)))
-    for S in _modular_corpus(min(corpus_max, 7)):
-        out.append(glued_sum(fix.square_sublattice(S)))
-    out.append(fix.section4_example()["sum"])
+    out += [total() for _, _, total in _squares(corpus_max)]
+    out.append(_section4()["sum"])
     return out
 
 
@@ -93,8 +128,8 @@ def criterion_01_roundtrip(corpus_max):
 def criterion_02_formulas(corpus_max):
     """Block-staircase sup/inf equals the closure-order bounds everywhere."""
     checked = 0
-    for sys in glued_fixtures().values():
-        if not _formulas_match(sys):
+    for sys, total in _glued().values():
+        if not _formulas_match(sys, total()):
             return False, "mismatch on a glued fixture"
         checked += 1
     for M in _modular_corpus(corpus_max):
@@ -106,11 +141,11 @@ def criterion_02_formulas(corpus_max):
 
 def criterion_03_transfer(corpus_max):
     """Modularity, breadth, and n-distributivity transfer block-wise."""
-    for name, sys in glued_fixtures().items():
+    for name, (sys, total) in _glued().items():
         blocks = [sys.blocks[x] for x in sys.skeleton.elements]
         if not all(is_modular(B) for B in blocks):
             continue
-        L = glued_sum(sys)
+        L = total()
         if not is_modular(L):
             return False, f"{name}: modular blocks but non-modular sum"
         if breadth(L) != max(breadth(B) for B in blocks):
@@ -159,24 +194,23 @@ def criterion_06_distributive_construction(corpus_max):
 
 def criterion_07_square_construction(corpus_max):
     """Every small modular S yields a sublattice of S×S with skeleton S."""
-    mods = _modular_corpus(min(corpus_max, 7))
-    for S in mods:
-        sys = fix.square_sublattice(S)
+    squares = _squares(corpus_max)
+    for S, sys, total in squares:
         bad = validate(sys)
         if bad:
             return False, (f"square_sublattice of a {S.n}-element S "
                            f"violates {bad[0].axiom}")
         if not corollary_54_check(sys, product(S, S)):
             return False, f"not a sublattice of S×S for a {S.n}-element S"
-        if find_isomorphism(skeleton_lattice(glued_sum(sys)), S) is None:
+        if find_isomorphism(skeleton_lattice(total()), S) is None:
             return False, f"skeleton not isomorphic to a {S.n}-element S"
-    return True, f"{len(mods)} modular skeletons realized inside S×S"
+    return True, f"{len(squares)} modular skeletons realized inside S×S"
 
 
 def criterion_08_projective_example(corpus_max):
     """The two-plane example: length 6, breadth 3, modular, simple,
     generated by the five designated elements."""
-    ex = fix.section4_example()
+    ex = _section4()
     M = ex["sum"]
     checks = {
         "length 6": M.length() == 6,
@@ -191,32 +225,87 @@ def criterion_08_projective_example(corpus_max):
         f"failed: {', '.join(bad)}"
 
 
-def _equiv_criteria(cs, a, b):
-    S = cs.skeleton
-    x, y = cs.block_of(a), cs.block_of(b)
-    i = any(cs.phi(x, z).get(a) is not None
-            and cs.phi(x, z).get(a) == cs.phi(y, z).get(b)
-            for z in S.elements)
-    up_a, up_b = cs.phi(x, S.join(x, y)).get(a), cs.phi(y, S.join(x, y)).get(b)
-    ii = up_a is not None and up_a == up_b
-    inv = {}
-    for z in S.elements:
-        inv[z] = ({v: k for k, v in cs.phi(z, x).items()},
-                  {v: k for k, v in cs.phi(z, y).items()})
-    iii = any(a in ix and b in iy and ix[a] == iy[b]
-              for ix, iy in inv.values())
-    ix, iy = inv[S.meet(x, y)]
-    iv = a in ix and b in iy and ix[a] == iy[b]
-    return i, ii, iii, iv
-
-
 def connected_fixtures():
     return {
-        "projective_example": fix.section4_example()["local_system"],
+        "projective_example": _section4()["local_system"],
         "copies_over_b2": fix.copies_local_system(fix.boolean(2)),
         "copies_over_b3": fix.copies_local_system(fix.boolean(3),
                                                   fix.chain(2)),
     }
+
+
+def _some_block(side):
+    """Criteria (i) and (iii) from img or pre: side[g, z] is defined and
+    equals side[h, z] for some block z, in chunks of rows."""
+    N, n = side.shape
+    out = np.zeros((N, N), dtype=bool)
+    step = max(1, _BLOCK_CELLS // max(N * n, 1))
+    for s in range(0, N, step):
+        mine = side[s:s + step, None, :]
+        out[s:s + step] = ((mine >= 0) & (mine == side[None, :, :])).any(2)
+    return out
+
+
+def _at(side, table, owner):
+    """Criteria (ii) and (iv): side[g, z] is defined and equals side[h, z]
+    at z = table[block of g, block of h], the join or the meet."""
+    z = table[np.ix_(owner, owner)]
+    mine = np.take_along_axis(side, z, 1)
+    return (mine >= 0) & (mine == side[np.arange(len(side)), z])
+
+
+def _not_an_equivalence(R, carrier):
+    """Why the relation R on carrier is not an equivalence, or None.  Row by
+    row, row a fails at a (reflexivity), or at the first b with
+    R[a, b] != R[b, a] (symmetry) or with R[a, b], R[b, c] and not R[a, c]
+    for some c (transitivity, R·R ⊆ R)."""
+    Rf = R.astype(np.float32)  # path counts up to 2**24 are exact
+    rows = ~R.diagonal() | (R != R.T).any(1) | ((Rf @ Rf > 0) & ~R).any(1)
+    if not rows.any():
+        return None
+    a = int(np.argmax(rows))
+    if not R[a, a]:
+        return f"not reflexive at {carrier[a]}"
+    asym = R[a] != R[:, a]
+    intrans = R[a] & (R & ~R[a]).any(1)
+    return "not symmetric" if asym[np.argmax(asym | intrans)] \
+        else "not transitive"
+
+
+def _criteria(cs):
+    """The identification criteria (i)-(iv) of cs on every pair of its
+    carrier, as four N×N matrices in carrier order."""
+    rec, S = cs._identification, cs.skeleton
+    return np.stack([_some_block(rec.img), _at(rec.img, S._join, rec.owner),
+                     _some_block(rec.pre), _at(rec.pre, S._meet, rec.owner)])
+
+
+def check_connected(cs):
+    """The connected-sums criterion on one system: the identification
+    criteria (i)-(iv) and `equivalent` give one relation, which is an
+    equivalence, and the projections onto the quotient's blocks are
+    isomorphisms.  The detail of the first failure, in carrier order, or
+    None."""
+    rec, S = cs._identification, cs.skeleton
+    criteria = _criteria(cs)
+    split = (criteria != criteria[1]).any(0)
+    if split.any():
+        g, h = np.unravel_index(np.argmax(split), split.shape)
+        return f"criteria disagree at ({rec.carrier[g]}, {rec.carrier[h]})"
+    R = criteria[1]
+    off = _relation(cs) != R
+    if off.any():
+        g, h = np.unravel_index(np.argmax(off), off.shape)
+        return f"equivalent disagrees at ({rec.carrier[g]}, {rec.carrier[h]})"
+    bad = _not_an_equivalence(R, rec.carrier)
+    if bad is not None:
+        return bad
+    gsys, pis = connected_sum(cs)
+    for x in S.elements:
+        h = LatticeHom(cs.blocks[x], gsys.blocks[x], pis[x])
+        if not (is_homomorphism(h) and is_injective(h)):
+            return f"projection at {x} is not an iso"
+    return None
 
 
 def criterion_09_connect(corpus_max):
@@ -227,31 +316,9 @@ def criterion_09_connect(corpus_max):
             cs = elevate(lcs)
         except LatticeError as e:
             return False, f"{name}: {e}"
-        carrier = [a for x in cs.skeleton.elements
-                   for a in cs.blocks[x].elements]
-        rel = {}
-        for a in carrier:
-            for b in carrier:
-                i, ii, iii, iv = _equiv_criteria(cs, a, b)
-                if not i == ii == iii == iv:
-                    return False, f"{name}: criteria disagree at ({a}, {b})"
-                rel[a, b] = ii
-                if equivalent(cs, a, b) != ii:
-                    return False, f"{name}: equivalent disagrees at ({a}, {b})"
-        for a in carrier:
-            if not rel[a, a]:
-                return False, f"{name}: not reflexive at {a}"
-            for b in carrier:
-                if rel[a, b] != rel[b, a]:
-                    return False, f"{name}: not symmetric"
-                for c in carrier:
-                    if rel[a, b] and rel[b, c] and not rel[a, c]:
-                        return False, f"{name}: not transitive"
-        gsys, pis = connected_sum(cs)
-        for x in cs.skeleton.elements:
-            h = LatticeHom(cs.blocks[x], gsys.blocks[x], pis[x])
-            if not (is_homomorphism(h) and is_injective(h)):
-                return False, f"{name}: projection at {x} is not an iso"
+        bad = check_connected(cs)
+        if bad is not None:
+            return False, f"{name}: {bad}"
     return True, "criteria (i)-(iv) coincide; projections are isomorphisms"
 
 
@@ -266,14 +333,15 @@ def hom_family_fixtures():
                              {a: a for a in sys.blocks[x].elements})
                for x in sys.skeleton.elements}
         out[f"identity_{name}"] = (sys, fam, M)
+    glued = _glued()
     S = fix.m3()
-    sys = fix.square_sublattice(S)
+    sys = glued["square_over_m3"][0]
     host = product(S, S)
     fam = {x: LatticeHom(sys.blocks[x], host,
                          {a: a for a in sys.blocks[x].elements})
            for x in S.elements}
     out["square_inclusion"] = (sys, fam, host)
-    sys = fix.fig_3by3_system()
+    sys = glued["fig_3by3"][0]
     host = fix.chain(0)
     fam = {x: LatticeHom(sys.blocks[x], host,
                          {a: "0" for a in sys.blocks[x].elements})
@@ -296,9 +364,10 @@ def criterion_10_hom_gluing(corpus_max):
             return False, f"{name}: glued map is not a homomorphism"
         if is_injective(h) != all(is_injective(g) for g in fam.values()):
             return False, f"{name}: injectivity is not block-wise"
+    glued = _glued()
     simple_sums = {
-        "hd_two_m3_edge": fix.hd_two_m3_edge(),
-        "m3_chain_edges": fix.m3_chain_edges(),
+        "hd_two_m3_edge": glued["hd_two_m3_edge"][0],
+        "m3_chain_edges": glued["m3_chain_edges"][0],
         "projective_all_m3": fix.section4_example(all_m3=True)["glued_system"],
     }
     for name, sys in simple_sums.items():
@@ -315,27 +384,29 @@ def criterion_11_counterexamples(corpus_max):
     a4 = validate(fix.section1_nonexample_a4())
     if not a4 or any(v.axiom != "A4" for v in a4):
         return False, "second non-system not rejected with tag A4"
-    ov = fix.note2_overlap_system()
+    glued = _glued()
+    ov = glued["note2_overlap"][0]
     if validate(ov) or is_monotone_strict(ov):
         return False, "overlap fixture should validate but not be strict"
     _, _, flags = zero_one_maps(ov)
     if flags["zero_injective"] or ov.zero("1") != ov.zero("2"):
         return False, "overlap fixture should have coinciding block zeros"
-    n3 = fix.note3_system()
+    n3, n3_total = glued["note3"]
     if validate(n3):
         return False, "block-skeleton fixture should validate"
     union_sk = set()
     for x in n3.skeleton.elements:
         union_sk |= skeleton_set(n3.blocks[x])
-    if not skeleton_set(glued_sum(n3)) < union_sk:
+    if not skeleton_set(n3_total()) < union_sk:
         return False, "sum skeleton should be strictly below the block union"
     lengths = []
     for n in range(1, 6):
-        sys = fix.unbounded_family(n)
+        sys, total = glued.get(f"unbounded_{n}") \
+            or _summed(fix.unbounded_family(n))
         if validate(sys) or sys.skeleton.length() != 2 \
                 or not length_bound_check(sys):
             return False, f"staircase family broken at n={n}"
-        lengths.append(glued_sum(sys).length())
+        lengths.append(total().length())
     if lengths != sorted(set(lengths)):
         return False, "staircase sum lengths should strictly increase"
     return True, f"all rejections tagged; staircase lengths {lengths}"
@@ -374,9 +445,9 @@ CRITERIA = [
 def run_suite(corpus_max=6, emit=print):
     """Run all criteria; returns (all_passed, results).  Each result is
     (name, passed, detail, seconds) and one line is emitted per criterion."""
-    global _corpora
+    global _corpora, _fixtures
     results = []
-    _corpora = {}
+    _corpora, _fixtures = {}, {}
     try:
         for i, (name, fn) in enumerate(CRITERIA, start=1):
             t0 = time.monotonic()
@@ -389,5 +460,5 @@ def run_suite(corpus_max=6, emit=print):
             emit(f"[{i:2d}/12] {'PASS' if ok else 'FAIL'} {name}: "
                  f"{detail} ({dt:.1f}s)")
     finally:
-        _corpora = None
+        _corpora = _fixtures = None
     return all(r[1] for r in results), results

@@ -1,8 +1,9 @@
 """Procedures the library replaced, kept as oracles: the Boolean-embedding
 backtracker behind the old `breadth`, the per-element distributive law,
 the forbidden-configuration search for n-distributivity, the id-level
-connected-system code (validators, elevation and quotient), and the
-skeleton pipeline's rebuilds: the per-element modular law, the rebuilt
+connected-system code (validators, elevation, quotient, the
+identification test and the connected-sums criterion's per-pair loops),
+and the skeleton pipeline's rebuilds: the per-element modular law, the rebuilt
 interval, the Warshall closure, the sum-building round trip and the
 one-pair-at-a-time (A1)/(A2) loop.  Also the first-common-bound search
 behind the join/meet tables, the `from_leq` skeleton lattice and the
@@ -20,12 +21,13 @@ import numpy as np
 
 from latglue import skeleton
 from latglue.connect import ChainDependence, ConnectViolation, \
-    ConnectedSystem, NotModularSkeleton, _check_disjoint
+    ConnectedSystem, NotModularSkeleton, _check_disjoint, connected_sum
 from latglue.core import _BLOCK_CELLS, FiniteLattice, InvariantViolated, \
     LatticeError, NoUniqueJoin, NoUniqueMeet
 from latglue.glue import GluedSystem, GlueViolation, NotALattice, \
     _is_filter, _is_ideal, validate as glue_validate
 from latglue.glue import glued_sum
+from latglue.hom import LatticeHom, is_homomorphism, is_injective
 from latglue.predicates import NotModular, is_modular
 
 
@@ -258,14 +260,20 @@ def oracle_elevate(lcs):
         raise LatticeError(f"invalid local system: {bad}")
     S = lcs.skeleton
     ids, up, leq = S._ids, S._up_adj, S._leq
-    cs = ConnectedSystem(S, dict(lcs.blocks), {})
+    maps = {}
+
+    def phi(x, y):
+        return {a: a for a in lcs.blocks[x].elements} if x == y \
+            else maps.get((x, y), {})
+
     for i in sorted(range(S.n), key=S._height.__getitem__, reverse=True):
         for j in np.flatnonzero(leq[i]):
             if j != i:
                 c = next(k for k in up[i] if leq[k, j])
-                m = _compose(cs.phi(ids[c], ids[j]), lcs.phi(ids[i], ids[c]))
+                m = _compose(phi(ids[c], ids[j]), lcs.phi(ids[i], ids[c]))
                 if m:
-                    cs.maps[(ids[i], ids[j])] = m
+                    maps[(ids[i], ids[j])] = m
+    cs = ConnectedSystem(S, lcs.blocks, maps)
     bad = oracle_validate_connected(cs)
     for v in bad:
         if v.condition == "19":
@@ -274,6 +282,118 @@ def oracle_elevate(lcs):
     if bad:
         raise LatticeError(f"elevated system invalid: {bad}")
     return cs
+
+
+def _oracle_block_of(cs, a):
+    for x in cs.skeleton.elements:
+        if a in cs.blocks[x]:
+            return x
+    raise LatticeError(f"{a!r} is in no block")
+
+
+def oracle_equivalent(cs, a, b):
+    """The id-level identification test: images at the join of the blocks,
+    checked against preimages at their meet on the queried pair only."""
+    x, y = _oracle_block_of(cs, a), _oracle_block_of(cs, b)
+    S = cs.skeleton
+    j, w = S.join(x, y), S.meet(x, y)
+    up_a, up_b = cs.phi(x, j).get(a), cs.phi(y, j).get(b)
+    join_side = up_a is not None and up_a == up_b
+    inv_x = {v: k for k, v in cs.phi(w, x).items()}
+    inv_y = {v: k for k, v in cs.phi(w, y).items()}
+    meet_side = a in inv_x and b in inv_y and inv_x[a] == inv_y[b]
+    if x == y:
+        meet_side = a == b
+    if join_side != meet_side:
+        raise InvariantViolated("join-side and meet-side criteria disagree",
+                                (a, b))
+    return join_side
+
+
+def oracle_equiv_criteria(cs, a, b):
+    """The four identification criteria on one pair, by dict lookups:
+    (i) images agree in some block, (ii) at the join of the blocks,
+    (iii) preimages agree in some block, (iv) at their meet."""
+    S = cs.skeleton
+    x, y = _oracle_block_of(cs, a), _oracle_block_of(cs, b)
+    i = any(cs.phi(x, z).get(a) is not None
+            and cs.phi(x, z).get(a) == cs.phi(y, z).get(b)
+            for z in S.elements)
+    up_a, up_b = cs.phi(x, S.join(x, y)).get(a), cs.phi(y, S.join(x, y)).get(b)
+    ii = up_a is not None and up_a == up_b
+    inv = {}
+    for z in S.elements:
+        inv[z] = ({v: k for k, v in cs.phi(z, x).items()},
+                  {v: k for k, v in cs.phi(z, y).items()})
+    iii = any(a in ix and b in iy and ix[a] == iy[b]
+              for ix, iy in inv.values())
+    ix, iy = inv[S.meet(x, y)]
+    iv = a in ix and b in iy and ix[a] == iy[b]
+    return i, ii, iii, iv
+
+
+def oracle_equiv_matrices(cs):
+    """oracle_equiv_criteria on every pair of the carrier, as a 4×N×N
+    array in carrier order, with the dicts and their inverses built once
+    per system: (i) and (iii) look only at the blocks where a has an image
+    or a preimage."""
+    S = cs.skeleton
+    to = {(y, z): cs.phi(y, z) for y in S.elements for z in S.elements}
+    back = {(z, y): {v: k for k, v in m.items()} for (z, y), m in to.items()}
+    carrier = [(y, b) for y in S.elements for b in cs.blocks[y].elements]
+    out = []
+    for x, a in carrier:
+        ups = {z: to[x, z][a] for z in S.elements if a in to[x, z]}
+        downs = {z: back[z, x][a] for z in S.elements if a in back[z, x]}
+        row = []
+        for y, b in carrier:
+            j, w = S.join(x, y), S.meet(x, y)
+            row.append((any(to[y, z].get(b) == c for z, c in ups.items()),
+                        j in ups and to[y, j].get(b) == ups[j],
+                        any(back[z, y].get(b) == p for z, p in downs.items()),
+                        w in downs and back[w, y].get(b) == downs[w]))
+        out.append(row)
+    return np.array(out, dtype=bool).reshape(len(carrier), len(carrier), 4) \
+        .transpose(2, 0, 1)
+
+
+def oracle_not_an_equivalence(carrier, rel):
+    """The reflexivity, symmetry and transitivity loops over rel, a dict on
+    pairs: the first failure's detail, or None."""
+    for a in carrier:
+        if not rel[a, a]:
+            return f"not reflexive at {a}"
+        for b in carrier:
+            if rel[a, b] != rel[b, a]:
+                return "not symmetric"
+            for c in carrier:
+                if rel[a, b] and rel[b, c] and not rel[a, c]:
+                    return "not transitive"
+    return None
+
+
+def oracle_connected_check(cs):
+    """The per-pair loops of the connected-sums criterion on one system:
+    the detail of its first failure, or None."""
+    carrier = [a for x in cs.skeleton.elements for a in cs.blocks[x].elements]
+    rel = {}
+    for a in carrier:
+        for b in carrier:
+            i, ii, iii, iv = oracle_equiv_criteria(cs, a, b)
+            if not i == ii == iii == iv:
+                return f"criteria disagree at ({a}, {b})"
+            rel[a, b] = ii
+            if oracle_equivalent(cs, a, b) != ii:
+                return f"equivalent disagrees at ({a}, {b})"
+    bad = oracle_not_an_equivalence(carrier, rel)
+    if bad is not None:
+        return bad
+    gsys, pis = connected_sum(cs)
+    for x in cs.skeleton.elements:
+        h = LatticeHom(cs.blocks[x], gsys.blocks[x], pis[x])
+        if not (is_homomorphism(h) and is_injective(h)):
+            return f"projection at {x} is not an iso"
+    return None
 
 
 def oracle_connected_sum(cs):

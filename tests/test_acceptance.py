@@ -48,6 +48,32 @@ def test_run_suite_enumerates_each_corpus_size_once(monkeypatch):
     assert suite._corpora is None  # nothing carries over to the next call
 
 
+def test_run_suite_builds_each_fixture_once_per_call(monkeypatch):
+    built = []
+
+    def counted(name, fn):
+        def build(*args, **kwargs):
+            # lattice arguments by identity: the corpus is held for the call
+            built.append((name, tuple(map(id, args)), tuple(kwargs.items())))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(suite.fix, name, build)
+
+    for name in ("section4_example", "square_sublattice", "fig_3by3_system",
+                 "hd_two_m3_edge", "note3_system"):
+        counted(name, getattr(suite.fix, name))
+    for _ in range(2):  # each call builds its own, once per fixture
+        built.clear()
+        ok, _ = suite.run_suite(CORPUS_MAX, emit=lambda line: None)
+        assert ok
+        assert suite._fixtures is None  # dropped after the call
+        assert len(built) == len(set(built))
+        assert [b for b in built if b[0] == "section4_example"] \
+            == [("section4_example", (), ()),
+                ("section4_example", (), (("all_m3", True),))]
+        assert sum(b[0] == "square_sublattice" for b in built) \
+            == 1 + len(suite._modular_corpus(CORPUS_MAX))
+
+
 def test_suite_passes_under_python_O():
     src = os.path.dirname(os.path.dirname(latglue.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

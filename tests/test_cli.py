@@ -13,7 +13,7 @@ from latglue import cli, connect, skeleton
 from latglue import io as lio
 from latglue.cli import FIXTURES, main
 from latglue.constructions import fig_3by3_system
-from latglue.core import FiniteLattice, find_isomorphism
+from latglue.core import FiniteLattice, LatticeError, find_isomorphism
 from latglue.glue import GluedSystem
 
 
@@ -271,24 +271,38 @@ def test_connected_system_with_integer_skeleton_ids_is_read(tmp_path,
 
 
 def test_skeleton_ids_with_one_string_form_exit_2(tmp_path, capsys):
-    # in the chain 1 < "1" < 2 the skeleton is {1, "1"}: --out can key
-    # only one of their blocks "1", and reading it back must not guess
+    # in the chain 1 < "1" < 2 the skeleton is {1, "1"}: a file can key
+    # only one of their blocks "1", so --out refuses to write it, and
+    # reading such a file back must not guess
+    message = "LatticeError: skeleton elements 1 and '1' share the block key '1'"
     src = tmp_path / "chain.json"
     src.write_text(json.dumps({"elements": [1, "1", 2],
                                "covers": [[1, "1"], ["1", 2]]}))
-    out = tmp_path / "sys.json"
-    assert run(["skeleton", str(src), "--out", str(out)]) == 0
-    capsys.readouterr()
+    out, dot = tmp_path / "sys.json", tmp_path / "sys.dot"
+    assert run(["skeleton", str(src), "--out", str(out), "--dot", str(dot)]) == 2
+    assert json.loads(capsys.readouterr().err.strip()) \
+        == {"error": message, "file": str(out)}
+    assert not out.exists() and not dot.exists()
+    block = {"elements": ["1"], "covers": []}
+    doc = {"skeleton": {"elements": [1, "1"], "covers": [[1, "1"]]},
+           "blocks": {"1": block}}
     for command in ("glue", "connect"):
-        doc = json.loads(out.read_text())
         if command == "connect":
             doc["local"] = True
         path = tmp_path / f"{command}.json"
         path.write_text(json.dumps(doc))
         assert run([command, str(path)]) == 2
-        error = json.loads(capsys.readouterr().err.strip())["error"]
-        assert error == ("LatticeError: skeleton elements 1 and '1' share "
-                         "the block key '1'")
+        assert json.loads(capsys.readouterr().err.strip())["error"] == message
+
+
+def test_writer_refuses_skeleton_ids_with_one_string_form(tmp_path):
+    S = FiniteLattice([1, "1"], [(1, "1")])
+    blocks = {1: FiniteLattice(["p"], []), "1": FiniteLattice(["q"], [])}
+    for obj in (GluedSystem(S, blocks), connect.ConnectedSystem(S, blocks, {})):
+        path = tmp_path / f"{type(obj).__name__}.json"
+        with pytest.raises(LatticeError, match="share the block key '1'"):
+            lio.save(obj, path)
+        assert not path.exists()
 
 
 def test_repeated_json_key_exits_2(tmp_path, capsys):

@@ -4,14 +4,17 @@ skeletons."""
 
 import random
 
+import numpy as np
 import pytest
 
-from oracles import maximal_chains, oracle_connected_sum, oracle_elevate, \
+from oracles import maximal_chains, oracle_connected_check, \
+    oracle_connected_sum, oracle_elevate, oracle_equiv_criteria, \
+    oracle_equiv_matrices, oracle_equivalent, oracle_not_an_equivalence, \
     oracle_validate_connected, oracle_validate_local
 from latglue import connect
 from latglue.connect import ChainDependence, ConnectedSystem, \
-    LocalConnectedSystem, NotModularSkeleton, connected_sum, elevate, \
-    equivalent, validate_connected, validate_local
+    LocalConnectedSystem, NotModularSkeleton, _map_tensor, connected_sum, \
+    elevate, equivalent, validate_connected, validate_local
 from latglue.constructions import boolean, chain, copies_local_system, \
     grid, m3, n5, section4_example
 from latglue.core import FiniteLattice, InvariantViolated, LatticeError, \
@@ -20,6 +23,8 @@ from latglue.io import connected_from_dict
 from latglue.skeleton import decompose
 from latglue.glue import glued_sum, validate as glue_validate
 from latglue.hom import LatticeHom, is_homomorphism, is_injective
+from latglue.suite import _criteria, _not_an_equivalence, check_connected, \
+    connected_fixtures
 
 
 @pytest.fixture(scope="module")
@@ -472,3 +477,147 @@ def test_map_entries_must_lie_in_their_blocks():
             cls(S, blocks, {("0", "1"): {"u:1": "u:0"}})
         with pytest.raises(UnknownElement, match="'2' is not a skeleton element"):
             cls(S, blocks, {("0", "2"): {}})
+
+
+# -- the identification record against the id-level oracles -------------------
+
+SUITE_SYSTEMS = ("projective_example", "copies_over_b2", "copies_over_b3")
+RECORD_SYSTEMS = {
+    **{f"suite-{name}": lambda name=name: connected_fixtures()[name]
+       for name in SUITE_SYSTEMS},
+    **DIFF_SYSTEMS,
+}
+
+
+@pytest.mark.parametrize("build", RECORD_SYSTEMS.values(), ids=RECORD_SYSTEMS)
+def test_identification_matches_id_level_oracle(build):
+    """The criteria (i)-(iv) from img/pre, and equivalent, on every pair;
+    the per-pair oracles themselves where they are affordable."""
+    cs = elevate(build())
+    carrier = cs._identification.carrier
+    want = oracle_equiv_matrices(cs)
+    assert np.array_equal(_criteria(cs), want)
+    assert [[equivalent(cs, a, b) for b in carrier] for a in carrier] \
+        == want[1].tolist()
+    assert [cs.block_of(a) for a in carrier] == [
+        x for x in cs.skeleton.elements for _ in cs.blocks[x].elements]
+    if len(carrier) <= 64:
+        assert want.transpose(1, 2, 0).tolist() == [
+            [list(oracle_equiv_criteria(cs, a, b)) for b in carrier]
+            for a in carrier]
+        assert [[oracle_equivalent(cs, a, b) for b in carrier]
+                for a in carrier] == want[1].tolist()
+
+
+def _redirected(cs, rng):
+    """cs with one map entry a -> c sent elsewhere; the entry that went
+    there, if any, takes c, so that the map stays injective."""
+    key = rng.choice(sorted(cs.maps, key=str))
+    m = dict(cs.maps[key])
+    a = rng.choice(sorted(m))
+    c = rng.choice([d for d in cs.blocks[key[1]].elements if d != m[a]])
+    for e in m:
+        if m[e] == c:
+            m[e] = m[a]
+    m[a] = c
+    return ConnectedSystem(cs.skeleton, cs.blocks, {**cs.maps, key: m})
+
+
+def _unshared_preimage(cs, rng):
+    """cs with φ(w, x) losing a common preimage p of a ∈ L_x and b ∈ L_y,
+    x and y incomparable with meet w: a and b stay identified at x ∨ y, but
+    have no common preimage at x ∧ y."""
+    S = cs.skeleton
+    spots = [(S.meet(x, y), x, p) for x in S.elements for y in S.elements
+             if not (S.leq(x, y) or S.leq(y, x))
+             for p in sorted(set(cs.phi(S.meet(x, y), x))
+                             & set(cs.phi(S.meet(x, y), y)))]
+    w, x, p = rng.choice(spots)
+    m = dict(cs.maps[(w, x)])
+    del m[p]
+    return ConnectedSystem(S, cs.blocks, {**cs.maps, (w, x): m})
+
+
+@pytest.mark.parametrize("corrupt", [_redirected, _unshared_preimage])
+@pytest.mark.parametrize("name", SUITE_SYSTEMS)
+def test_connected_check_matches_oracle_on_corruptions(name, corrupt):
+    """Criterion 9's check gives the per-pair loops' verdict and detail."""
+    cs = elevate(connected_fixtures()[name])
+    assert check_connected(cs) is None and oracle_connected_check(cs) is None
+    for seed in range(4):
+        broken = corrupt(cs, random.Random(f"{corrupt.__name__}:{name}:{seed}"))
+        got = _outcome(check_connected, broken)
+        assert got == _outcome(oracle_connected_check, broken)
+        assert got is not None
+        if corrupt is _unshared_preimage:
+            assert got.startswith("criteria disagree at ")
+            # the first pair, in carrier order, where (ii) and (iv) differ
+            carrier = broken._identification.carrier
+            want = oracle_equiv_matrices(broken)
+            g, h = np.argwhere(want[1] != want[3])[0]
+            with pytest.raises(InvariantViolated, match="criteria disagree") as e:
+                equivalent(broken, carrier[0], carrier[0])
+            assert e.value.witness == (carrier[g], carrier[h])
+
+
+def test_maps_are_read_only_and_the_record_is_built_once(example, monkeypatch):
+    lcs = example["local_system"]
+    cs = elevate(lcs)
+    key = next(iter(cs.maps))
+    with pytest.raises(TypeError):
+        cs.maps[key] = {}
+    with pytest.raises(TypeError):
+        cs.maps[key]["lo:0"] = "lo:0"
+    with pytest.raises(TypeError):
+        cs.blocks["s0"] = cs.blocks["s1"]
+    # elevate hands over the tensor it filled, read-only and equal to the
+    # one derived from the maps
+    assert "_tensor" in vars(cs)
+    phi, given = cs._tensor
+    ref_phi, ref_given = _map_tensor(
+        cs.skeleton, [cs.blocks[x] for x in cs.skeleton.elements], cs.maps)
+    assert np.array_equal(phi, ref_phi) and np.array_equal(given, ref_given)
+    with pytest.raises(ValueError):
+        phi[0, 0, 0] = 1
+    # a hand-made system copies the maps it is given
+    maps = {k: dict(m) for k, m in cs.maps.items()}
+    made = ConnectedSystem(cs.skeleton, cs.blocks, maps)
+    maps[key].clear()
+    assert made.maps == cs.maps
+    built = []
+    build = connect._identification
+    monkeypatch.setattr(connect, "_identification",
+                        lambda cs: built.append(cs) or build(cs))
+    carrier = [a for x in cs.skeleton.elements for a in cs.blocks[x].elements]
+    for a in carrier:
+        cs.block_of(a)
+        for b in carrier[:5]:
+            equivalent(cs, a, b)
+    assert check_connected(cs) is None
+    assert built == [cs]
+    with pytest.raises(LatticeError, match="'zz' is in no block"):
+        cs.block_of("zz")
+    with pytest.raises(LatticeError, match="'zz' is in no block"):
+        equivalent(cs, "lo:0", "zz")
+
+
+def test_equivalence_failures_match_the_loops():
+    """Seeded relations near an equivalence (a partition with a few cells
+    flipped): the same verdict and detail as the reflexivity, symmetry and
+    transitivity loops."""
+    seen = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(1, 9)
+        label = [rng.randrange(3) for _ in range(n)]
+        R = np.array([[p == q for q in label] for p in label])
+        for _ in range(rng.randint(0, 2)):
+            i, j = rng.randrange(n), rng.randrange(n)
+            R[i, j] = not R[i, j]
+        carrier = [f"e{i}" for i in range(n)]
+        rel = {(carrier[i], carrier[j]): bool(R[i, j])
+               for i in range(n) for j in range(n)}
+        got = _not_an_equivalence(R, carrier)
+        assert got == oracle_not_an_equivalence(carrier, rel)
+        seen.add(got if got is None else got.split(" at ")[0])
+    assert seen == {None, "not reflexive", "not symmetric", "not transitive"}
