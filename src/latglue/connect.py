@@ -44,6 +44,7 @@ class ConnectViolation:
 
 @dataclass(frozen=True, eq=False)
 class ConnectedSystem:
+    """Blocks and maps are kept as read-only copies of the ones given."""
     skeleton: FiniteLattice
     blocks: dict  # skeleton element -> FiniteLattice, pairwise disjoint
     maps: dict    # (x, y) with x ≦ y -> dict; absent means empty
@@ -314,20 +315,14 @@ def _identification(cs):
     return rec._replace(clash=_first_clash(rec, S))
 
 
-def _identified(rec, S, g, h):
-    """Criterion (ii) for carrier indices g and h (broadcast): their images
-    at the join of their blocks are defined and equal."""
-    z = S._join[rec.owner[g], rec.owner[h]]
-    up = rec.img[g, z]
-    return (up >= 0) & (up == rec.img[h, z])
-
-
-def _co_identified(rec, S, g, h):
-    """Criterion (iv): their preimages at the meet of their blocks are
-    defined and equal (within one block, g = h)."""
-    z = S._meet[rec.owner[g], rec.owner[h]]
-    down = rec.pre[g, z]
-    return (down >= 0) & (down == rec.pre[h, z])
+def _agree(rec, side, table, g, h):
+    """For carrier indices g and h (broadcast): side[g, z] is defined and
+    equals side[h, z] at z = table[block of g, block of h].  Criterion (ii)
+    is img at the skeleton's join, criterion (iv) pre at its meet (within
+    one block, g = h)."""
+    z = table[rec.owner[g], rec.owner[h]]
+    mine = side[g, z]
+    return (mine >= 0) & (mine == side[h, z])
 
 
 def _first_clash(rec, S):
@@ -338,8 +333,8 @@ def _first_clash(rec, S):
     step = max(1, _BLOCK_CELLS // max(N, 1))
     for s in range(0, N, step):
         rows = np.arange(s, min(N, s + step))[:, None]
-        bad = np.flatnonzero(_identified(rec, S, rows, every)
-                             != _co_identified(rec, S, rows, every))
+        bad = np.flatnonzero(_agree(rec, rec.img, S._join, rows, every)
+                             != _agree(rec, rec.pre, S._meet, rows, every))
         if len(bad):
             g, h = divmod(int(bad[0]), N)
             return rec.carrier[s + g], rec.carrier[h]
@@ -366,7 +361,7 @@ def equivalent(cs, a, b):
     InvariantViolated with the first disagreeing pair in carrier order."""
     rec = cs._identification
     g, h = rec.position(a), rec.position(b)
-    return bool(_identified(_unclashed(cs), cs.skeleton, g, h))
+    return bool(_agree(_unclashed(cs), rec.img, cs.skeleton._join, g, h))
 
 
 def _relation(cs):
@@ -374,7 +369,7 @@ def _relation(cs):
     carrier order."""
     rec = _unclashed(cs)
     g = np.arange(len(rec.carrier))
-    return _identified(rec, cs.skeleton, g[:, None], g[None, :])
+    return _agree(rec, rec.img, cs.skeleton._join, g[:, None], g[None, :])
 
 
 def _components(n, u, v):

@@ -248,7 +248,8 @@ def _some_block(side):
 
 def _at(side, table, owner):
     """Criteria (ii) and (iv): side[g, z] is defined and equals side[h, z]
-    at z = table[block of g, block of h], the join or the meet."""
+    at z = table[block of g, block of h], the join or the meet.  Gathered
+    apart from `equivalent`'s lookup, so that its relation is checked."""
     z = table[np.ix_(owner, owner)]
     mine = np.take_along_axis(side, z, 1)
     return (mine >= 0) & (mine == side[np.arange(len(side)), z])

@@ -510,8 +510,8 @@ def test_identification_matches_id_level_oracle(build):
 
 
 def _redirected(cs, rng):
-    """cs with one map entry a -> c sent elsewhere; the entry that went
-    there, if any, takes c, so that the map stays injective."""
+    """cs with one map entry a -> b redirected to c; the entry that went
+    to c, if any, takes b, so that the map stays injective."""
     key = rng.choice(sorted(cs.maps, key=str))
     m = dict(cs.maps[key])
     a = rng.choice(sorted(m))
