@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 
 from .core import FiniteLattice, LatticeError, LimitExceeded, _bit_matrix, \
-    _leaves, product
+    _lattices, _leaves, product
 from .connect import LocalConnectedSystem, connected_sum, elevate
 from .glue import GluedSystem, glued_sum
 
@@ -183,10 +183,10 @@ def copies_local_system(S, block=None):
     composition agrees and the quotient identifies all copies)."""
     if block is None:
         block = chain(1)
-    blocks = {x: FiniteLattice([f"{x}:{a}" for a in block.elements],
-                               [(f"{x}:{a}", f"{x}:{b}")
-                                for a, b in block.covers])
-              for x in S.elements}
+    blocks = dict(zip(S.elements, _lattices(
+        ([f"{x}:{a}" for a in block.elements],
+         [(f"{x}:{a}", f"{x}:{b}") for a, b in block.covers])
+        for x in S.elements)))
     maps = {(x, y): {f"{x}:{a}": f"{y}:{a}" for a in block.elements}
             for x, y in S.covers}
     return LocalConnectedSystem(S, blocks, maps)
@@ -241,20 +241,20 @@ def distributive_with_skeleton(S):
         return [frozenset(c) for r in range(len(base) + 1)
                 for c in combinations(base, r)]
 
-    blocks = {}
-    for x in S.elements:
+    def block(x):
         down = S.down_set(x)
         up = S.up_set(x)
         elems = [(A, B) for A in powerset(down) for B in powerset(up)]
-        ids = [pid(A, B) for A, B in elems]
         covers = []
         for A, B in elems:
             for a in down - A:
                 covers.append((pid(A, B), pid(A | {a}, B)))
             for b in B:
                 covers.append((pid(A, B), pid(A, B - {b})))
-        blocks[x] = FiniteLattice(ids, covers)
-    return GluedSystem(S, blocks)
+        return [pid(A, B) for A, B in elems], covers
+
+    return GluedSystem(S, dict(zip(S.elements,
+                                   _lattices(map(block, S.elements)))))
 
 
 def square_sublattice(S):
@@ -265,13 +265,11 @@ def square_sublattice(S):
     def pid(u, v):
         return f"{u},{v}"
 
-    blocks = {}
-    for x in S.elements:
+    def block(x):
         lo_u = plus(S, x)
         hi_v = star(S, x)
         us = [u for u in S.elements if S.leq(lo_u, u) and S.leq(u, x)]
         vs = [v for v in S.elements if S.leq(x, v) and S.leq(v, hi_v)]
-        ids = [pid(u, v) for u in us for v in vs]
         covers = []
         for u in us:
             for v in vs:
@@ -281,8 +279,10 @@ def square_sublattice(S):
                 for v2 in S.upper_covers(v):
                     if S.leq(v2, hi_v):
                         covers.append((pid(u, v), pid(u, v2)))
-        blocks[x] = FiniteLattice(ids, covers)
-    return GluedSystem(S, blocks)
+        return [pid(u, v) for u in us for v in vs], covers
+
+    return GluedSystem(S, dict(zip(S.elements,
+                                   _lattices(map(block, S.elements)))))
 
 
 # -- the projective-plane example ---------------------------------------

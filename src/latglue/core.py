@@ -5,7 +5,9 @@ A lattice is built from a list of element ids and a list of cover pairs
 join/meet tables and validates everything: the cover digraph must be acyclic,
 must be its own transitive reduction, the order must be bounded, and every
 pair of elements must have a unique least upper bound and greatest lower
-bound.  Instances are immutable after construction.
+bound.  Instances are immutable after construction.  Many lattices are
+built as one batch (`_lattices`), which shares the table arithmetic among
+lattices of one size; the constructor is the batch of one.
 """
 
 from dataclasses import dataclass
@@ -68,23 +70,29 @@ _SOLVE_BLOCK = 32
 
 
 def _mobius(leq, topo):
-    """The Möbius transforms v and w of the indices along the order
-    leq[i, j] (i below j) and its dual, as the two rows of one array:
-    ζ·v = ζᵀ·w = (0, 1, …, n−1) for ζ = leq, so that the sum of v over the
-    up-set of c, and of w over its down-set, is c.  In the linear
-    extension `topo` ζ is unit upper triangular, and so is ζᵀ in its
-    reverse, so both rows come from one back-substitution, a block of at
-    most _SOLVE_BLOCK positions at a time.  A block I + N, N its strict
-    order, is inverted as (I − N)(I + N²)(I + N⁴)…, whose integer entries
-    count chains of at most 32 elements, below 2**30; every step is exact
-    while the values stay integers below 2**53."""
-    n = len(topo)
-    lt = leq[topo][:, topo]
-    diagonal = np.arange(n)
-    lt[diagonal, diagonal] = False
-    lt = np.array([lt, lt.T[::-1, ::-1]])  # strict, in positions
-    t = np.array([topo, topo[::-1]], dtype=np.float64)[:, :, None]
-    x = np.zeros((2, n, 1))
+    """The Möbius transforms v and w of the indices along the orders
+    leq[k, i, j] (i below j), m of them of one size n, and their duals:
+    row k of the (2m, n) result is v of order k and row m + k its w.
+    ζ·v = ζᵀ·w = (0, 1, …, n−1) for ζ = leq[k], so that the sum of v over
+    the up-set of c, and of w over its down-set, is c.  In the linear
+    extension topo[k] ζ is unit upper triangular, and so is ζᵀ in its
+    reverse, so every row comes from one stacked back-substitution, a block
+    of at most _SOLVE_BLOCK positions at a time.  A block I + N, N its
+    strict order, is inverted as (I − N)(I + N²)(I + N⁴)…, whose integer
+    entries count chains of at most 32 elements, below 2**30; every step is
+    exact while the values stay integers below 2**53."""
+    m, n = topo.shape
+    offset = np.arange(0, 2 * m * n, n)[:, None]  # of each row, flattened
+    rows = topo + offset[:m]
+    # ζ in positions, transposed: rows permuted, then rows of the transpose
+    posT = leq.reshape(m * n, n)[rows].transpose(0, 2, 1) \
+        .reshape(m * n, n)[rows]
+    # strict, in positions: the orders, then their duals reversed
+    lt = np.concatenate([posT.transpose(0, 2, 1), posT[:, ::-1, ::-1]])
+    lt.reshape(2 * m, n * n)[:, ::n + 1] = False
+    order = np.concatenate([topo, topo[:, ::-1]])
+    t = order.astype(np.float64)[:, :, None]
+    x = np.zeros((2 * m, n, 1))
     for e in range(n, 0, -_SOLVE_BLOCK):
         b = slice(max(0, e - _SOLVE_BLOCK), e)
         rows = lt[:, b].astype(np.float64)
@@ -95,15 +103,16 @@ def _mobius(leq, topo):
             N = N @ N
             y += N @ y
         x[:, b] = y
-    x[1] = x[1, ::-1]
-    vw = np.empty((2, n))
-    vw[:, topo] = x[..., 0]
-    return vw
+    vw = np.empty(2 * m * n)
+    vw[order + offset] = x[..., 0]
+    return vw.reshape(2 * m, n)
 
 
-def _least_bounds(leq, topo, ids):
-    """The join and meet tables of the order leq[i, j] (i below j), found
-    without search and checked by counting.
+def _least_bounds(leq, topo):
+    """Candidate join and meet tables of the orders leq[k, i, j] (i below
+    j), m of them of one size n, found without search, with the mask of
+    the pairs their counting certificate leaves open; both (2m, n, n), the
+    join of order k at k and its meet at m + k.
 
     A pair with a least upper bound j has ↑j as its common upper bounds,
     so with v from `_mobius` the sum of v over them, the entry of
@@ -113,21 +122,28 @@ def _least_bounds(leq, topo, ids):
     candidate is certified by counting (`_uncertified`), so rounding can
     flag a pair but never accept one; `_settle` rechecks the flagged
     pairs exactly."""
-    n = len(topo)
-    up = np.array([leq, leq.T])  # ζ and ζᵀ
-    Uf = up.astype(np.float32)
+    m, n, _ = leq.shape
+    # the orders ζ, then their transposes ζᵀ
+    Uf = np.concatenate([leq, leq.transpose(0, 2, 1)], dtype=np.float32)
     v = _mobius(leq, topo).astype(np.float32)
-    tables = np.empty((2, n, n), dtype=np.int32)
-    step = max(1, _BLOCK_CELLS // (2 * n))  # rows of about 2**16 cells
-    for s in range(0, n, step):
-        rows = slice(s, s + step)
-        c = (Uf[:, rows] * v[:, None, :]) @ Uf.transpose(0, 2, 1)
+    tables = np.empty((2 * m, n, n), dtype=np.int32)
+    for o, rows in _chunks(2 * m, n):
+        c = (Uf[o, rows] * v[o, None, :]) @ Uf[o].transpose(0, 2, 1)
         # any value is only a candidate: NaN becomes 0, the rest is clipped
         np.fmax(c, 0, out=c)
-        tables[:, rows] = np.fmin(c, n - 1, out=c)
-    join, meet = tables
-    _settle(leq, topo, ids, join, meet, _uncertified(Uf, tables))
-    return join, meet
+        tables[o, rows] = np.fmin(c, n - 1, out=c)
+    return tables, _uncertified(Uf, tables)
+
+
+def _chunks(k, n):
+    """Slices (orders, rows) that cover the products of a stack of k n×n
+    matrices, each touching about _BLOCK_CELLS cells: many small orders at
+    a time, one large order a block of rows at a time."""
+    per = max(1, _BLOCK_CELLS // (n * n))
+    step = max(1, _BLOCK_CELLS // (per * n))
+    for o in range(0, k, per):
+        for s in range(0, n, step):
+            yield slice(o, o + per), slice(s, s + step)
 
 
 def _uncertified(Uf, table):
@@ -145,11 +161,9 @@ def _uncertified(Uf, table):
     sized = (Uf * Uf.sum(axis=2)[:, None, :]).ravel()
     row = np.arange(0, k * n * n, n).reshape(k, n, 1)
     bad = table != table.transpose(0, 2, 1)
-    step = max(1, _BLOCK_CELLS // (k * n))
-    for s in range(0, n, step):
-        rows = slice(s, s + step)
-        bad[:, rows] |= sized.take(table[:, rows] + row[:, rows]) \
-            != Uf[:, rows] @ Uf.transpose(0, 2, 1)
+    for o, rows in _chunks(k, n):
+        bad[o, rows] |= sized.take(table[o, rows] + row[o, rows]) \
+            != Uf[o, rows] @ Uf[o].transpose(0, 2, 1)
     return bad
 
 
@@ -222,12 +236,13 @@ def _kahn(n, up_adj, down_adj):
     return topo
 
 
-def _bit_matrix(rows):
-    """The boolean matrix whose row i holds the bits of the int rows[i]."""
-    n = len(rows)
+def _bit_matrix(rows, n=None):
+    """The boolean matrix whose row i holds the low n bits of the int
+    rows[i]; n is len(rows) unless given."""
+    n = len(rows) if n is None else n
     width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows),
-                           dtype=np.uint8).reshape(n, width)
+    packed = np.frombuffer(b"".join([r.to_bytes(width, "little") for r in rows]),
+                           dtype=np.uint8).reshape(len(rows), width)
     return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
@@ -245,67 +260,118 @@ def _ranks(topo, up_adj, down_adj):
     return tuple(height), tuple(depth)
 
 
+def _ordered(elements, covers):
+    """The lattice of `elements` and `covers` without its order matrix
+    and tables, checked in Python: distinct ids, covers between known
+    elements and each listed once, no cycle, no cover implied by a path,
+    one bottom and one top.  Returns it with Kahn's linear extension and
+    the closure, bit j of up[i] set when i ≦ j."""
+    ids = tuple(elements)
+    if not ids:
+        raise NotBounded("empty element list")
+    L = object.__new__(FiniteLattice)
+    L._ids = ids
+    L._idx = idx = {a: i for i, a in enumerate(ids)}
+    if len(idx) != len(ids):
+        seen = set()
+        for a in ids:
+            if a in seen:
+                raise LatticeError(f"duplicate element ids: {a!r} is repeated")
+            seen.add(a)
+    L.n = n = len(ids)
+
+    cov = []
+    seen = set()
+    for lo, hi in covers:
+        if lo not in idx or hi not in idx:
+            raise UnknownElement(f"cover ({lo!r}, {hi!r}) references unknown element")
+        if lo == hi:
+            raise CycleDetected(f"self-cover at {lo!r}")
+        pair = (idx[lo], idx[hi])
+        if pair in seen:
+            raise LatticeError(f"duplicate cover ({lo!r}, {hi!r})")
+        seen.add(pair)
+        cov.append(pair)
+    L._cov = tuple(cov)
+
+    up_adj = [[] for _ in range(n)]
+    down_adj = [[] for _ in range(n)]
+    for i, j in cov:
+        up_adj[i].append(j)
+        down_adj[j].append(i)
+
+    topo = _kahn(n, up_adj, down_adj)
+    if len(topo) != n:
+        raise CycleDetected("cover digraph contains a cycle")
+
+    # reflexive-transitive closure, bottom-up: bit j of up[i] is i ≦ j
+    up = [0] * n
+    for i in reversed(topo):
+        bits = 1 << i
+        for j in up_adj[i]:
+            bits |= up[j]
+        up[i] = bits
+
+    # strict transitive-reduction check: no cover may be implied by a path
+    for i, j in cov:
+        for k in up_adj[i]:
+            if k != j and up[k] >> j & 1:
+                raise NotTransitiveReduction(
+                    f"cover ({ids[i]!r}, {ids[j]!r}) is implied via {ids[k]!r}")
+
+    L._bot, L._top = _bounds(ids, up_adj, down_adj)
+    L._up_adj = tuple(map(tuple, up_adj))
+    L._down_adj = tuple(map(tuple, down_adj))
+    L._height, L._depth = _ranks(topo, up_adj, down_adj)
+    return L, topo, up
+
+
+def _lattices(specs):
+    """The lattices of the (elements, covers) pairs in `specs`, in order,
+    built as one batch.  Each is checked in Python (`_ordered`); the
+    lattices of one size then get their order matrices from one bit
+    unpacking and their join/meet tables from one `_least_bounds`, and
+    the pairs left open are settled per lattice (`_settle`).
+
+    The error raised is the one that building the specs one at a time
+    raises first: a failed check, or a pair without a least bound
+    (NoUniqueJoin, NoUniqueMeet) in an earlier spec's tables.  `specs` may
+    be a generator, whose own errors count as the spec's it was making.
+    The error carries `spec`, the index of the spec it was raised for."""
+    built, error = [], None
+    try:
+        for elements, covers in specs:
+            built.append(_ordered(elements, covers))
+    except Exception as e:  # raised after the specs before it are settled
+        error = e
+    sizes = {}
+    for k, (L, _, _) in enumerate(built):
+        sizes.setdefault(L.n, []).append(k)
+    to_settle = [None] * len(built)  # (linear extension, flagged pairs)
+    for n, ks in sizes.items():
+        leq = _bit_matrix([r for k in ks for r in built[k][2]], n) \
+            .reshape(len(ks), n, n)
+        topo = np.array([built[k][1] for k in ks])
+        tables, flagged = _least_bounds(leq, topo)
+        for i, k in enumerate(ks):
+            L = built[k][0]
+            L._leq, L._join, L._meet = leq[i], tables[i], tables[len(ks) + i]
+            to_settle[k] = topo[i], flagged[i::len(ks)]
+    for k, ((L, _, _), (topo, flagged)) in enumerate(zip(built, to_settle)):
+        try:
+            _settle(L._leq, topo, L._ids, L._join, L._meet, flagged)
+        except LatticeError as e:
+            e.spec = k
+            raise
+    if error is not None:
+        error.spec = len(built)
+        raise error
+    return [L for L, _, _ in built]
+
+
 class FiniteLattice:
     def __init__(self, elements, covers):
-        ids = tuple(elements)
-        if not ids:
-            raise NotBounded("empty element list")
-        if len(set(ids)) != len(ids):
-            raise LatticeError("duplicate element ids")
-        self._ids = ids
-        self._idx = {a: i for i, a in enumerate(ids)}
-        n = len(ids)
-        self.n = n
-
-        cov = []
-        seen = set()
-        for lo, hi in covers:
-            if lo not in self._idx or hi not in self._idx:
-                raise UnknownElement(f"cover ({lo!r}, {hi!r}) references unknown element")
-            if lo == hi:
-                raise CycleDetected(f"self-cover at {lo!r}")
-            pair = (self._idx[lo], self._idx[hi])
-            if pair in seen:
-                raise LatticeError(f"duplicate cover ({lo!r}, {hi!r})")
-            seen.add(pair)
-            cov.append(pair)
-        self._cov = tuple(cov)
-
-        up_adj = [[] for _ in range(n)]
-        down_adj = [[] for _ in range(n)]
-        for i, j in cov:
-            up_adj[i].append(j)
-            down_adj[j].append(i)
-
-        topo = _kahn(n, up_adj, down_adj)
-        if len(topo) != n:
-            raise CycleDetected("cover digraph contains a cycle")
-
-        # reflexive-transitive closure, bottom-up: bit j of up[i] is i ≦ j
-        up = [0] * n
-        for i in reversed(topo):
-            bits = 1 << i
-            for j in up_adj[i]:
-                bits |= up[j]
-            up[i] = bits
-
-        # strict transitive-reduction check: no cover may be implied by a path
-        for i, j in cov:
-            for k in up_adj[i]:
-                if k != j and up[k] >> j & 1:
-                    raise NotTransitiveReduction(
-                        f"cover ({ids[i]!r}, {ids[j]!r}) is implied via {ids[k]!r}")
-        leq = _bit_matrix(up)
-
-        self._bot, self._top = _bounds(ids, up_adj, down_adj)
-
-        self._leq = leq
-        self._up_adj = tuple(tuple(a) for a in up_adj)
-        self._down_adj = tuple(tuple(a) for a in down_adj)
-
-        self._height, self._depth = _ranks(topo, up_adj, down_adj)
-
-        self._join, self._meet = _least_bounds(leq, np.array(topo), ids)
+        self.__dict__ = _lattices([(elements, covers)])[0].__dict__
 
     @classmethod
     def from_leq(cls, elements, leq):

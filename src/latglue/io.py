@@ -13,11 +13,15 @@ repeated JSON key, a map listed twice or a source named twice in one map
 raises LatticeError rather than keeping the last, and so does a key outside
 its object's format or a value of "elements", "covers", "maps" or "pairs"
 that is not a JSON array: nothing is dropped or read as something else.
+The blocks of a system are built in one batch; an error in reading or
+building a block keeps its text behind the block's key ("block '3,4':
+cover digraph contains a cycle"), and an error in a map's pairs names
+the map.
 """
 
 import json
 
-from .core import FiniteLattice, LatticeError
+from .core import FiniteLattice, LatticeError, _lattices
 from .connect import ConnectedSystem, LocalConnectedSystem
 from .glue import GluedSystem
 
@@ -71,9 +75,14 @@ def _pairs(d, field):
     return [tuple(c) for c in pairs]
 
 
-def lattice_from_dict(d):
+def _spec(d):
+    """The (elements, covers) of a lattice object."""
     d = _object(d, _LATTICE_KEYS)
-    return FiniteLattice(_array(d, "elements"), _pairs(d, "covers"))
+    return _array(d, "elements"), _pairs(d, "covers")
+
+
+def lattice_from_dict(d):
+    return FiniteLattice(*_spec(d))
 
 
 def _block_keys(S):
@@ -95,19 +104,28 @@ def glued_to_dict(sys):
                        for k, x in _block_keys(sys.skeleton).items()}}
 
 
-def _skeleton_keys(S, blocks):
-    """The blocks object with each key, a JSON string, resolved to the
-    skeleton element whose `str` it is, as `glued_to_dict` wrote it; a key
-    that names none is kept for the key check."""
+def _blocks(S, blocks, spec):
+    """The blocks object as {x: lattice}, each key, a JSON string,
+    resolved to the skeleton element x whose `str` it is, as
+    `glued_to_dict` wrote it (a key that names none is kept for the key
+    check).  Every block is built from spec(x, its object) in one batch
+    (`core._lattices`); an error in reading or building a block is
+    prefixed with its key."""
     named = _block_keys(S)
-    return {named.get(k, k): b for k, b in _object(blocks).items()}
+    keys = list(_object(blocks))
+    try:
+        lattices = _lattices(spec(named.get(k, k), b)
+                             for k, b in blocks.items())
+    except (LatticeError, KeyError, TypeError, ValueError) as e:
+        e.args = (f"block {keys[e.spec]!r}: {e}",)
+        raise
+    return {named.get(k, k): L for k, L in zip(keys, lattices)}
 
 
 def glued_from_dict(d):
     d = _object(d, _GLUED_KEYS)
     S = lattice_from_dict(d["skeleton"])
-    return GluedSystem(S, {x: lattice_from_dict(b) for x, b
-                           in _skeleton_keys(S, d["blocks"]).items()})
+    return GluedSystem(S, _blocks(S, d["blocks"], lambda x, b: _spec(b)))
 
 
 def connected_to_dict(cs, local=False):
@@ -126,14 +144,15 @@ def connected_from_dict(d):
 
     def ns(x, a):
         if not isinstance(a, str):
-            raise LatticeError(f"element id {a!r} of block {x!r} is not a string")
+            raise LatticeError(f"element id {a!r} is not a string")
         return a if a.startswith(f"{x}:") else f"{x}:{a}"
 
-    blocks = {}
-    for x, b in _skeleton_keys(S, d["blocks"]).items():
-        b = _object(b, _LATTICE_KEYS)
-        blocks[x] = FiniteLattice([ns(x, a) for a in _array(b, "elements")],
-                                  [(ns(x, a), ns(x, c)) for a, c in _pairs(b, "covers")])
+    def spec(x, b):
+        elements, covers = _spec(b)
+        return ([ns(x, a) for a in elements],
+                [(ns(x, a), ns(x, c)) for a, c in covers])
+
+    blocks = _blocks(S, d["blocks"], spec)
     maps = {}
     for m in _array(d, "maps") if "maps" in d else []:
         m = _object(m, _MAP_KEYS)
@@ -144,11 +163,14 @@ def connected_from_dict(d):
         if (x, y) in maps:
             raise LatticeError(f"map {x!r} -> {y!r} is listed twice")
         maps[(x, y)] = pairs = {}
-        for a, b in _pairs(m, "pairs"):
-            a = ns(x, a)
-            if a in pairs:
-                raise LatticeError(f"map {x!r} -> {y!r} lists source {a!r} twice")
-            pairs[a] = ns(y, b)
+        try:
+            for a, b in _pairs(m, "pairs"):
+                a = ns(x, a)
+                if a in pairs:
+                    raise LatticeError(f"source {a!r} is listed twice")
+                pairs[a] = ns(y, b)
+        except LatticeError as e:
+            raise LatticeError(f"map {x!r} -> {y!r}: {e}") from None
     local = d.get("local", False)
     if not isinstance(local, bool):
         raise LatticeError(f"'local' must be true or false, got {local!r}")

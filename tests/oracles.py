@@ -13,7 +13,9 @@ invariant-class permutation key, the dict-based invariant refinement with
 the backtracking isomorphism search, and the frozenset enumerator.  Also
 the maximal-chain walker behind the per-query staircase formulas, and the
 id-level all-pairs loops of `zero_one_maps`, `corollary_54_check`,
-`check_star` and the homomorphism test."""
+`check_star` and the homomorphism test.  Also the one-lattice-at-a-time
+constructor that the batch build replaced, with its unstacked Möbius
+product."""
 
 from itertools import combinations, islice, permutations, product as iproduct
 
@@ -22,8 +24,10 @@ import numpy as np
 from latglue import skeleton
 from latglue.connect import ChainDependence, ConnectViolation, \
     ConnectedSystem, NotModularSkeleton, _check_disjoint, connected_sum
-from latglue.core import _BLOCK_CELLS, FiniteLattice, InvariantViolated, \
-    LatticeError, NoUniqueJoin, NoUniqueMeet
+from latglue.core import _BLOCK_CELLS, _SOLVE_BLOCK, CycleDetected, \
+    FiniteLattice, InvariantViolated, LatticeError, NoUniqueJoin, \
+    NoUniqueMeet, NotBounded, NotTransitiveReduction, UnknownElement, \
+    _bit_matrix, _bounds, _kahn, _ranks, _settle, _uncertified
 from latglue.glue import GluedSystem, GlueViolation, NotALattice, \
     _is_filter, _is_ideal, validate as glue_validate
 from latglue.glue import glued_sum
@@ -981,3 +985,114 @@ def oracle_check_star(sys, fam):
                     != fam[w].map[sys.one(w)]:
                 return False
     return True
+
+
+# -- the one-lattice-at-a-time constructor ------------------------------------
+
+def _oracle_mobius(leq, topo):
+    """v and w of one order, as the two rows of one array (see
+    `core._mobius`, which stacks many orders)."""
+    n = len(topo)
+    lt = leq[topo][:, topo]
+    diagonal = np.arange(n)
+    lt[diagonal, diagonal] = False
+    lt = np.array([lt, lt.T[::-1, ::-1]])  # strict, in positions
+    t = np.array([topo, topo[::-1]], dtype=np.float64)[:, :, None]
+    x = np.zeros((2, n, 1))
+    for e in range(n, 0, -_SOLVE_BLOCK):
+        b = slice(max(0, e - _SOLVE_BLOCK), e)
+        rows = lt[:, b].astype(np.float64)
+        y = t[:, b] - rows @ x if e < n else t[:, b]
+        N = rows[:, :, b]
+        y = y - N @ y
+        for _ in range(1, (e - b.start - 1).bit_length()):
+            N = N @ N
+            y += N @ y
+        x[:, b] = y
+    x[1] = x[1, ::-1]
+    vw = np.empty((2, n))
+    vw[:, topo] = x[..., 0]
+    return vw
+
+
+def _oracle_least_bounds(leq, topo, ids):
+    """The join and meet tables of one order from its own Möbius product,
+    certified by counting, rows of about _BLOCK_CELLS cells at a time."""
+    n = len(topo)
+    up = np.array([leq, leq.T])  # ζ and ζᵀ
+    Uf = up.astype(np.float32)
+    v = _oracle_mobius(leq, topo).astype(np.float32)
+    tables = np.empty((2, n, n), dtype=np.int32)
+    step = max(1, _BLOCK_CELLS // (2 * n))
+    for s in range(0, n, step):
+        rows = slice(s, s + step)
+        c = (Uf[:, rows] * v[:, None, :]) @ Uf.transpose(0, 2, 1)
+        np.fmax(c, 0, out=c)
+        tables[:, rows] = np.fmin(c, n - 1, out=c)
+    join, meet = tables
+    _settle(leq, topo, ids, join, meet, _uncertified(Uf, tables))
+    return join, meet
+
+
+def oracle_lattice(elements, covers):
+    """The constructor as it built one lattice before batches: the same
+    checks in the same order (duplicate ids named by their first repeat),
+    then the lattice's own tables."""
+    L = object.__new__(FiniteLattice)
+    ids = tuple(elements)
+    if not ids:
+        raise NotBounded("empty element list")
+    if len(set(ids)) != len(ids):
+        seen = set()
+        dup = next(a for a in ids if a in seen or seen.add(a))
+        raise LatticeError(f"duplicate element ids: {dup!r} is repeated")
+    L._ids = ids
+    L._idx = {a: i for i, a in enumerate(ids)}
+    n = len(ids)
+    L.n = n
+
+    cov = []
+    seen = set()
+    for lo, hi in covers:
+        if lo not in L._idx or hi not in L._idx:
+            raise UnknownElement(f"cover ({lo!r}, {hi!r}) references unknown element")
+        if lo == hi:
+            raise CycleDetected(f"self-cover at {lo!r}")
+        pair = (L._idx[lo], L._idx[hi])
+        if pair in seen:
+            raise LatticeError(f"duplicate cover ({lo!r}, {hi!r})")
+        seen.add(pair)
+        cov.append(pair)
+    L._cov = tuple(cov)
+
+    up_adj = [[] for _ in range(n)]
+    down_adj = [[] for _ in range(n)]
+    for i, j in cov:
+        up_adj[i].append(j)
+        down_adj[j].append(i)
+
+    topo = _kahn(n, up_adj, down_adj)
+    if len(topo) != n:
+        raise CycleDetected("cover digraph contains a cycle")
+
+    up = [0] * n
+    for i in reversed(topo):
+        bits = 1 << i
+        for j in up_adj[i]:
+            bits |= up[j]
+        up[i] = bits
+
+    for i, j in cov:
+        for k in up_adj[i]:
+            if k != j and up[k] >> j & 1:
+                raise NotTransitiveReduction(
+                    f"cover ({ids[i]!r}, {ids[j]!r}) is implied via {ids[k]!r}")
+    leq = _bit_matrix(up)
+
+    L._bot, L._top = _bounds(ids, up_adj, down_adj)
+    L._leq = leq
+    L._up_adj = tuple(tuple(a) for a in up_adj)
+    L._down_adj = tuple(tuple(a) for a in down_adj)
+    L._height, L._depth = _ranks(topo, up_adj, down_adj)
+    L._join, L._meet = _oracle_least_bounds(leq, np.array(topo), ids)
+    return L

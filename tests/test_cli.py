@@ -528,3 +528,50 @@ def test_misshapen_connected_fields_exit_2_naming_the_field(doc, field,
     assert run(["connect", str(bad)]) == 2
     error = json.loads(capsys.readouterr().err.strip())["error"]
     assert repr(field) in error
+
+
+BLOCK_ERRORS = {
+    "cycle": ({"elements": ["a", "b"], "covers": [["a", "b"], ["b", "a"]]},
+              "CycleDetected: block 'y': cover digraph contains a cycle"),
+    "empty": ({"elements": [], "covers": []},
+              "NotBounded: block 'y': empty element list"),
+    "duplicate": ({"elements": ["a", "b", "a"], "covers": [["a", "b"]]},
+                  "LatticeError: block 'y': duplicate element ids: "
+                  "{a!r} is repeated"),
+}
+
+
+@pytest.mark.parametrize("command", ["glue", "connect"])
+@pytest.mark.parametrize("kind", sorted(BLOCK_ERRORS))
+def test_block_errors_name_their_block(command, kind, tmp_path, capsys):
+    # both readers build every block in one batch; the error still names
+    # the block it was raised for, after a valid one, and keeps its text
+    block, message = BLOCK_ERRORS[kind]
+    doc = {"skeleton": {"elements": ["x", "y"], "covers": [["x", "y"]]},
+           "blocks": {"x": {"elements": ["p", "q"], "covers": [["p", "q"]]},
+                      "y": block}}
+    if command == "connect":
+        doc["local"] = True
+    src = tmp_path / f"{kind}.json"
+    src.write_text(json.dumps(doc))
+    assert run([command, str(src)]) == 2
+    a = "y:a" if command == "connect" else "a"
+    assert json.loads(capsys.readouterr().err.strip()) \
+        == {"error": message.format(a=a), "file": str(src)}
+
+
+def test_map_errors_name_their_map(tmp_path, capsys):
+    doc = {"skeleton": {"elements": ["x", "y"], "covers": [["x", "y"]]},
+           "blocks": {"x": {"elements": ["p", "q"], "covers": [["p", "q"]]},
+                      "y": {"elements": ["r"], "covers": []}},
+           "maps": [{"from": "x", "to": "y", "pairs": [["q", "r"], ["q", 5]]}]}
+    src = tmp_path / "map.json"
+    src.write_text(json.dumps(doc))
+    assert run(["connect", str(src)]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] \
+        == "LatticeError: map 'x' -> 'y': source 'x:q' is listed twice"
+    doc["maps"][0]["pairs"] = [["q", 5]]
+    src.write_text(json.dumps(doc))
+    assert run(["connect", str(src)]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] \
+        == "LatticeError: map 'x' -> 'y': element id 5 is not a string"

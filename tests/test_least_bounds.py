@@ -93,7 +93,7 @@ def partition_lattice(k):
                                partition_lattice(5)],
                          ids=["M30", "M10xM10", "Pi5"])
 def test_tables_match_search_with_large_moebius_values(L):
-    vw = core._mobius(L._leq, kahn_order(L))
+    vw = core._mobius(L._leq[None], kahn_order(L)[None])
     assert np.abs(vw).max() > L.n  # far from the indices they sum to
     assert_tables_match_search(L)
 
@@ -167,8 +167,9 @@ def shifted(leq, topo):
     every candidate is its bound less n: one row lower in the flat
     tables, where a gather unchecked for range would find a count."""
     vw = MOBIUS(leq, topo)
-    vw[0, topo[-1]] -= len(topo)
-    vw[1, topo[0]] -= len(topo)
+    m, n = topo.shape
+    vw[np.arange(m), topo[:, -1]] -= n
+    vw[m + np.arange(m), topo[:, 0]] -= n
     return vw
 
 
@@ -180,9 +181,14 @@ def test_wrong_moebius_values_are_never_accepted(garbage, monkeypatch):
     # every candidate is then wrong or unchecked arithmetic; the tables
     # must still come out of the exact recheck, and non-lattices still fail
     monkeypatch.setattr(core, "_mobius", shifted if garbage == "shifted" else
-                        lambda leq, topo: np.full((2, len(topo)), garbage))
-    for L in (boolean(4), grid(3, 5), m_k(5)):
+                        lambda leq, topo: np.full((2 * len(topo), topo.shape[1]),
+                                                  garbage))
+    lattices = (boolean(4), grid(3, 5), m_k(5), grid(1, 7), m_k(14))
+    for L in lattices:
         assert_tables_match_search(FiniteLattice(L.elements, L.covers))
+    # a batch stacks the orders of one size: 16 elements three times
+    for L in core._lattices([(L.elements, L.covers) for L in lattices]):
+        assert_tables_match_search(L)
     for ids, leq in random_orders(30, seed=10):
         try:
             want = oracle_tables(leq, row_major_kahn(leq), ids)
