@@ -242,15 +242,18 @@ def distributive_with_skeleton(S):
                 for c in combinations(base, r)]
 
     def block(x):
-        down = S.down_set(x)
-        up = S.up_set(x)
+        # (x] and [x) in S's order, so that covers are listed in one order
+        down = [a for a in S.elements if S.leq(a, x)]
+        up = [b for b in S.elements if S.leq(x, b)]
         elems = [(A, B) for A in powerset(down) for B in powerset(up)]
         covers = []
         for A, B in elems:
-            for a in down - A:
-                covers.append((pid(A, B), pid(A | {a}, B)))
-            for b in B:
-                covers.append((pid(A, B), pid(A, B - {b})))
+            for a in down:
+                if a not in A:
+                    covers.append((pid(A, B), pid(A | {a}, B)))
+            for b in up:
+                if b in B:
+                    covers.append((pid(A, B), pid(A, B - {b})))
         return [pid(A, B) for A, B in elems], covers
 
     return GluedSystem(S, dict(zip(S.elements,
@@ -265,6 +268,9 @@ def square_sublattice(S):
     def pid(u, v):
         return f"{u},{v}"
 
+    def upper_covers(a):  # listed as S lists them, not as a set iterates
+        return [S._ids[i] for i in S._up_adj[S.index(a)]]
+
     def block(x):
         lo_u = plus(S, x)
         hi_v = star(S, x)
@@ -273,10 +279,10 @@ def square_sublattice(S):
         covers = []
         for u in us:
             for v in vs:
-                for u2 in S.upper_covers(u):
+                for u2 in upper_covers(u):
                     if S.leq(u2, x):
                         covers.append((pid(u, v), pid(u2, v)))
-                for v2 in S.upper_covers(v):
+                for v2 in upper_covers(v):
                     if S.leq(v2, hi_v):
                         covers.append((pid(u, v), pid(u, v2)))
         return [pid(u, v) for u in us for v in vs], covers

@@ -1,4 +1,4 @@
-"""Finite bounded lattices given by their cover relation.
+"""Finite bounded lattices given by their cover relation or their order.
 
 A lattice is built from a list of element ids and a list of cover pairs
 (lower, upper).  Construction eagerly computes the order closure and the
@@ -8,6 +8,10 @@ pair of elements must have a unique least upper bound and greatest lower
 bound.  Instances are immutable after construction.  Many lattices are
 built as one batch (`_lattices`), which shares the table arithmetic among
 lattices of one size; the constructor is the batch of one.
+
+An order matrix takes one route, `_from_order`, to a lattice without tables:
+`from_leq` builds them as a batch of one does, and a sublattice cut out of
+a parent (`_slice`, the skeleton S(M)) takes the parent's.
 """
 
 from dataclasses import dataclass
@@ -212,8 +216,6 @@ def _raise_no_bound(ids, a, b, c, up, err, kind):
 def _bounds(ids, up_adj, down_adj):
     """The indices of the bottom and the top; NotBounded unless each is
     the only element without lower (upper) covers."""
-    if not ids:
-        raise NotBounded("empty element list")  # as the constructor says
     bottoms = [i for i, d in enumerate(down_adj) if not d]
     tops = [i for i, u in enumerate(up_adj) if not u]
     if len(bottoms) != 1 or len(tops) != 1:
@@ -221,19 +223,6 @@ def _bounds(ids, up_adj, down_adj):
             f"minimal elements {[ids[i] for i in bottoms]}, "
             f"maximal elements {[ids[i] for i in tops]}")
     return bottoms[0], tops[0]
-
-
-def _kahn(n, up_adj, down_adj):
-    """Kahn's linear extension of the covers; shorter than n when they
-    have a cycle."""
-    indeg = [len(down_adj[i]) for i in range(n)]
-    topo = [i for i in range(n) if indeg[i] == 0]
-    for i in topo:
-        for j in up_adj[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                topo.append(j)
-    return topo
 
 
 def _bit_matrix(rows, n=None):
@@ -260,12 +249,9 @@ def _ranks(topo, up_adj, down_adj):
     return tuple(height), tuple(depth)
 
 
-def _ordered(elements, covers):
-    """The lattice of `elements` and `covers` without its order matrix
-    and tables, checked in Python: distinct ids, covers between known
-    elements and each listed once, no cycle, no cover implied by a path,
-    one bottom and one top.  Returns it with Kahn's linear extension and
-    the closure, bit j of up[i] set when i ≦ j."""
+def _named(elements):
+    """A lattice with the ids `elements` and nothing else yet; NotBounded
+    when there are none, LatticeError naming the first repeated id."""
     ids = tuple(elements)
     if not ids:
         raise NotBounded("empty element list")
@@ -278,8 +264,39 @@ def _ordered(elements, covers):
             if a in seen:
                 raise LatticeError(f"duplicate element ids: {a!r} is repeated")
             seen.add(a)
-    L.n = n = len(ids)
+    L.n = len(ids)
+    return L
 
+
+def _linked(L, cov):
+    """Give L the covers `cov`, index pairs; returns their adjacency up and
+    down and Kahn's linear extension.  CycleDetected on a cycle."""
+    L._cov = tuple(cov)
+    up_adj = [[] for _ in range(L.n)]
+    down_adj = [[] for _ in range(L.n)]
+    for i, j in L._cov:
+        up_adj[i].append(j)
+        down_adj[j].append(i)
+    indeg = list(map(len, down_adj))
+    topo = [i for i in range(L.n) if indeg[i] == 0]
+    for i in topo:
+        for j in up_adj[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                topo.append(j)
+    if len(topo) != L.n:
+        raise CycleDetected("cover digraph contains a cycle")
+    return up_adj, down_adj, topo
+
+
+def _ordered(elements, covers):
+    """The lattice of `elements` and `covers` without its order matrix
+    and tables, checked in Python: distinct ids, covers between known
+    elements and each listed once, no cycle, no cover implied by a path,
+    one bottom and one top.  Returns it with Kahn's linear extension and
+    the closure, bit j of up[i] set when i ≦ j."""
+    L = _named(elements)
+    ids, idx = L._ids, L._idx
     cov = []
     seen = set()
     for lo, hi in covers:
@@ -292,20 +309,10 @@ def _ordered(elements, covers):
             raise LatticeError(f"duplicate cover ({lo!r}, {hi!r})")
         seen.add(pair)
         cov.append(pair)
-    L._cov = tuple(cov)
-
-    up_adj = [[] for _ in range(n)]
-    down_adj = [[] for _ in range(n)]
-    for i, j in cov:
-        up_adj[i].append(j)
-        down_adj[j].append(i)
-
-    topo = _kahn(n, up_adj, down_adj)
-    if len(topo) != n:
-        raise CycleDetected("cover digraph contains a cycle")
+    up_adj, down_adj, topo = _linked(L, cov)
 
     # reflexive-transitive closure, bottom-up: bit j of up[i] is i ≦ j
-    up = [0] * n
+    up = [0] * L.n
     for i in reversed(topo):
         bits = 1 << i
         for j in up_adj[i]:
@@ -319,11 +326,37 @@ def _ordered(elements, covers):
                 raise NotTransitiveReduction(
                     f"cover ({ids[i]!r}, {ids[j]!r}) is implied via {ids[k]!r}")
 
-    L._bot, L._top = _bounds(ids, up_adj, down_adj)
+    L._bot, L._top = _bounds(L._ids, up_adj, down_adj)
     L._up_adj = tuple(map(tuple, up_adj))
     L._down_adj = tuple(map(tuple, down_adj))
     L._height, L._depth = _ranks(topo, up_adj, down_adj)
     return L, topo, up
+
+
+def _from_order(elements, leq):
+    """The lattice of the partial order leq[i, j] (i below j) over
+    `elements`, without join/meet tables, and Kahn's linear extension of
+    it.  Its covers lt & ~(lt·lt), in row-major order, come from one
+    float32 product, which also refuses a relation that is not a partial
+    order, right after the cycle check; NotBounded unless bounded."""
+    L = _named(elements)
+    lt = leq & ~np.eye(L.n, dtype=bool)
+    # float32 products go through BLAS and count paths up to n exactly
+    ltf = lt.astype(np.float32)
+    two_steps = (ltf @ ltf) > 0
+    lo, hi = np.nonzero(lt & ~two_steps)
+    up_adj, down_adj, topo = _linked(L, zip(lo.tolist(), hi.tolist()))
+    # transitive and antisymmetric exactly when every two-step path is a
+    # strict step (a cycle a < b < a is the two-step path a, a)
+    if not leq.diagonal().all() or (two_steps & ~lt).any():
+        raise LatticeError("relation is not a partial order: its covers "
+                           "generate a different order")
+    L._leq = leq
+    L._bot, L._top = _bounds(L._ids, up_adj, down_adj)
+    L._up_adj = tuple(map(tuple, up_adj))
+    L._down_adj = tuple(map(tuple, down_adj))
+    L._height, L._depth = _ranks(topo, up_adj, down_adj)
+    return L, np.array(topo)
 
 
 def _lattices(specs):
@@ -376,19 +409,12 @@ class FiniteLattice:
     @classmethod
     def from_leq(cls, elements, leq):
         """Lattice of the reflexive partial order `leq`, a boolean matrix
-        over `elements`.  Its covers lt & ~(lt @ lt) go through the validating
-        constructor; a relation that is not a partial order is rejected,
-        because the order its covers generate differs from it."""
-        ids = tuple(elements)
-        leq = np.asarray(leq, dtype=bool)
-        lt = leq & ~np.eye(len(ids), dtype=bool)
-        # float32 products go through BLAS and count paths up to n exactly
-        ltf = lt.astype(np.float32)
-        covers = lt & ((ltf @ ltf) == 0)
-        L = cls(ids, [(ids[i], ids[j]) for i, j in zip(*np.nonzero(covers))])
-        if not np.array_equal(L._leq, leq):
-            raise LatticeError("relation is not a partial order: its covers "
-                               "generate a different order")
+        over `elements` that the lattice keeps a copy of (`_from_order`),
+        with its join/meet tables built as a batch of one builds them."""
+        L, topo = _from_order(elements, np.array(leq, dtype=bool, order="C"))
+        tables, flagged = _least_bounds(L._leq[None], topo[None])
+        L._join, L._meet = tables
+        _settle(L._leq, topo, L._ids, L._join, L._meet, flagged)
         return L
 
     # -- basic accessors -------------------------------------------------
@@ -536,39 +562,8 @@ class FiniteLattice:
                     raise InvariantViolated(
                         f"subset is not closed under {what}",
                         (self._ids[a], self._ids[b]))
-        L = self._suborder(idxs)
+        L, _ = _from_order([self._ids[k] for k in idxs], self._leq[pair])
         L._join, L._meet = join, meet
-        return L
-
-    def _suborder(self, idxs):
-        """The order induced on the sorted indices `idxs`, as a lattice
-        without its join/meet tables, which the caller supplies.  Covers
-        come in row-major order, as `from_leq` gives them; NotBounded
-        unless the order is bounded."""
-        m = len(idxs)
-        leq = self._leq[idxs[:, None], idxs]
-        lt = leq & ~np.eye(m, dtype=bool)
-        ltf = lt.astype(np.float32)
-        lo, hi = np.nonzero(lt & ((ltf @ ltf) == 0))
-        cov = list(zip(lo.tolist(), hi.tolist()))
-        up_adj = [[] for _ in range(m)]
-        down_adj = [[] for _ in range(m)]
-        for a, b in cov:
-            up_adj[a].append(b)
-            down_adj[b].append(a)
-        L = object.__new__(FiniteLattice)
-        L._ids = tuple(self._ids[k] for k in idxs)
-        L._idx = {a: k for k, a in enumerate(L._ids)}
-        L.n = m
-        L._cov = tuple(cov)
-        L._bot, L._top = _bounds(L._ids, up_adj, down_adj)
-        L._leq = leq
-        L._up_adj = tuple(tuple(a) for a in up_adj)
-        L._down_adj = tuple(tuple(a) for a in down_adj)
-        # the parent's heights rise along the order: a linear extension
-        parent_height = [self._height[k] for k in idxs]
-        topo = sorted(range(m), key=parent_height.__getitem__)
-        L._height, L._depth = _ranks(topo, up_adj, down_adj)
         return L
 
 
@@ -587,12 +582,12 @@ def product(L1, L2, make_id=None):
         make_id = lambda a, b: f"{a},{b}"
     elems = [make_id(a, b) for a in L1.elements for b in L2.elements]
     covers = []
-    for a in L1.elements:
-        for b in L2.elements:
-            for a2 in L1.upper_covers(a):
-                covers.append((make_id(a, b), make_id(a2, b)))
-            for b2 in L2.upper_covers(b):
-                covers.append((make_id(a, b), make_id(a, b2)))
+    for a, ups1 in zip(L1.elements, L1._up_adj):
+        for b, ups2 in zip(L2.elements, L2._up_adj):
+            for a2 in ups1:
+                covers.append((make_id(a, b), make_id(L1._ids[a2], b)))
+            for b2 in ups2:
+                covers.append((make_id(a, b), make_id(a, L2._ids[b2])))
     return FiniteLattice(elems, covers)
 
 

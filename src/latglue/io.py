@@ -11,8 +11,9 @@ optional "local": true or false flag (a file with either key is one); block
 elements are namespaced "<x>:<name>" on load to enforce disjointness.  A
 repeated JSON key, a map listed twice or a source named twice in one map
 raises LatticeError rather than keeping the last, and so does a key outside
-its object's format or a value of "elements", "covers", "maps" or "pairs"
-that is not a JSON array: nothing is dropped or read as something else.
+its object's format, a missing field, named in the error, or a value of
+"elements", "covers", "maps" or "pairs" that is not a JSON array: nothing
+is dropped or read as something else.
 The blocks of a system are built in one batch; an error in reading or
 building a block keeps its text behind the block's key ("block '3,4':
 cover digraph contains a cycle"), and an error in a map's pairs names
@@ -49,9 +50,16 @@ def _object(d, keys=None):
     return d
 
 
+def _field(d, field, where=""):
+    """The value of `field`; LatticeError naming it when it is missing."""
+    if field not in d:
+        raise LatticeError(f"{where}missing field {field!r}")
+    return d[field]
+
+
 def _array(d, field):
     """The value of `field`, which must be a JSON array."""
-    value = d[field]
+    value = _field(d, field)
     if not isinstance(value, list):
         raise LatticeError(f"{field!r} must be a JSON array, got "
                            f"{type(value).__name__}")
@@ -124,8 +132,9 @@ def _blocks(S, blocks, spec):
 
 def glued_from_dict(d):
     d = _object(d, _GLUED_KEYS)
-    S = lattice_from_dict(d["skeleton"])
-    return GluedSystem(S, _blocks(S, d["blocks"], lambda x, b: _spec(b)))
+    S = lattice_from_dict(_field(d, "skeleton"))
+    return GluedSystem(S, _blocks(S, _field(d, "blocks"),
+                                  lambda x, b: _spec(b)))
 
 
 def connected_to_dict(cs, local=False):
@@ -140,7 +149,7 @@ def connected_to_dict(cs, local=False):
 
 def connected_from_dict(d):
     d = _object(d, _CONNECTED_KEYS)
-    S = lattice_from_dict(d["skeleton"])
+    S = lattice_from_dict(_field(d, "skeleton"))
 
     def ns(x, a):
         if not isinstance(a, str):
@@ -152,11 +161,12 @@ def connected_from_dict(d):
         return ([ns(x, a) for a in elements],
                 [(ns(x, a), ns(x, c)) for a, c in covers])
 
-    blocks = _blocks(S, d["blocks"], spec)
+    blocks = _blocks(S, _field(d, "blocks"), spec)
     maps = {}
     for m in _array(d, "maps") if "maps" in d else []:
         m = _object(m, _MAP_KEYS)
-        x, y = m["from"], m["to"]
+        x = _field(m, "from", "map: ")
+        y = _field(m, "to", f"map from {x!r}: ")
         for z in (x, y):
             if z not in S:
                 raise LatticeError(f"map endpoint {z!r} is not a skeleton element")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteLattice, InvariantViolated, _kahn, _settle, \
+from .core import FiniteLattice, InvariantViolated, _from_order, _settle, \
     _uncertified, find_isomorphism
 from .glue import GluedSystem, _sliced_blocks, nested_cover, order_closure, \
     validate as glue_validate
@@ -122,8 +122,8 @@ def skeleton_lattice(M):
 def _skeleton_lattice(M, st, pl):
     """`skeleton_lattice` from a* and a⁺ as `_star_plus` gives them."""
     k = np.flatnonzero(pl[st] == np.arange(M.n))  # S(M), in M's order
-    S = M._suborder(k)
     pair = np.ix_(k, k)
+    S, topo = _from_order([M._ids[i] for i in k], M._leq[pair])
     join, meet = M._join[pair], pl[st[M._meet[pair]]]
     pos = np.full(M.n, -1, dtype=np.int32)
     pos[k] = np.arange(len(k), dtype=np.int32)
@@ -134,9 +134,7 @@ def _skeleton_lattice(M, st, pl):
     np.maximum(S._meet, 0, out=S._meet)
     flagged = outside | _uncertified(S._leq.T[None].astype(np.float32),
                                      S._meet[None])
-    if flagged.any():
-        topo = np.array(_kahn(S.n, S._up_adj, S._down_adj))
-        _settle(S._leq, topo, S.elements, S._join, S._meet, flagged)
+    _settle(S._leq, topo, S.elements, S._join, S._meet, flagged)
     for what, got, want in (
             ("skeleton join is not the join of M", k[S._join], join),
             ("skeleton meet is not (x·y)*⁺", k[S._meet], meet)):

@@ -27,7 +27,7 @@ from latglue.connect import ChainDependence, ConnectViolation, \
 from latglue.core import _BLOCK_CELLS, _SOLVE_BLOCK, CycleDetected, \
     FiniteLattice, InvariantViolated, LatticeError, NoUniqueJoin, \
     NoUniqueMeet, NotBounded, NotTransitiveReduction, UnknownElement, \
-    _bit_matrix, _bounds, _kahn, _ranks, _settle, _uncertified
+    _bit_matrix, _bounds, _ranks, _settle, _uncertified
 from latglue.glue import GluedSystem, GlueViolation, NotALattice, \
     _is_filter, _is_ideal, validate as glue_validate
 from latglue.glue import glued_sum
@@ -672,6 +672,53 @@ def oracle_tables(leq, topo, ids):
     return join, meet
 
 
+def oracle_from_leq(elements, leq):
+    """`FiniteLattice.from_leq` as it was: the covers lt & ~(lt @ lt) as id
+    pairs through the validating constructor, and the order they generate
+    compared with `leq` afterwards."""
+    ids = tuple(elements)
+    leq = np.asarray(leq, dtype=bool)
+    lt = leq & ~np.eye(len(ids), dtype=bool)
+    ltf = lt.astype(np.float32)
+    covers = lt & ((ltf @ ltf) == 0)
+    L = FiniteLattice(ids, [(ids[i], ids[j]) for i, j in zip(*np.nonzero(covers))])
+    if not np.array_equal(L._leq, leq):
+        raise LatticeError("relation is not a partial order: its covers "
+                           "generate a different order")
+    return L
+
+
+def oracle_suborder(M, idxs):
+    """The order M induces on the sorted indices `idxs` as a lattice
+    without join/meet tables, as `FiniteLattice._suborder` built it: covers
+    in row-major order, adjacency, bounds, and ranks along M's heights."""
+    m = len(idxs)
+    leq = M._leq[idxs[:, None], idxs]
+    lt = leq & ~np.eye(m, dtype=bool)
+    ltf = lt.astype(np.float32)
+    lo, hi = np.nonzero(lt & ((ltf @ ltf) == 0))
+    cov = list(zip(lo.tolist(), hi.tolist()))
+    up_adj = [[] for _ in range(m)]
+    down_adj = [[] for _ in range(m)]
+    for a, b in cov:
+        up_adj[a].append(b)
+        down_adj[b].append(a)
+    L = object.__new__(FiniteLattice)
+    L._ids = tuple(M._ids[k] for k in idxs)
+    L._idx = {a: k for k, a in enumerate(L._ids)}
+    L.n = m
+    L._cov = tuple(cov)
+    L._bot, L._top = _bounds(L._ids, up_adj, down_adj)
+    L._leq = leq
+    L._up_adj = tuple(tuple(a) for a in up_adj)
+    L._down_adj = tuple(tuple(a) for a in down_adj)
+    # M's heights rise along the order: a linear extension
+    parent_height = [M._height[k] for k in idxs]
+    topo = sorted(range(m), key=parent_height.__getitem__)
+    L._height, L._depth = _ranks(topo, up_adj, down_adj)
+    return L
+
+
 def oracle_skeleton_lattice(M, st, pl):
     """S(M) rebuilt by `from_leq` on the induced order, then checked
     against M's join and (x·y)*⁺."""
@@ -1071,7 +1118,8 @@ def oracle_lattice(elements, covers):
         up_adj[i].append(j)
         down_adj[j].append(i)
 
-    topo = _kahn(n, up_adj, down_adj)
+    L._up_adj, L._down_adj = up_adj, down_adj
+    topo = kahn_order(L).tolist()
     if len(topo) != n:
         raise CycleDetected("cover digraph contains a cycle")
 

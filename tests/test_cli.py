@@ -413,6 +413,29 @@ def test_map_on_a_diagonal_pair_violates_17(pairs, tmp_path, capsys):
                                         "witness": "map on a diagonal pair"}]
 
 
+def cli_under_hash_seed(argv, seed):
+    """`latglue argv` in a fresh interpreter with PYTHONHASHSEED=seed."""
+    src = os.path.dirname(os.path.dirname(latglue.__file__))
+    env = {**os.environ, "PYTHONHASHSEED": seed,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "latglue.cli", *argv],
+                          env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("argv", [["m3xc1"], ["square_over_m3"],
+                                  ["distributive_over_b2"],
+                                  ["grid", "11", "12"]],
+                         ids=lambda argv: "-".join(argv))
+def test_construct_output_does_not_depend_on_hash_seed(argv):
+    # covers are listed in the order the factors list theirs, not in the
+    # order a set of ids iterates
+    outs = [cli_under_hash_seed(["construct", *argv], seed)
+            for seed in ("1", "2")]
+    assert [done.returncode for done in outs] == [0, 0]
+    assert outs[0].stdout == outs[1].stdout
+
+
 def test_order_mismatch_witness_does_not_depend_on_hash_seed(tmp_path):
     doc = {"skeleton": {"elements": ["0", "1"], "covers": [["0", "1"]]},
            "blocks": {"0": {"elements": ["a", "b", "c"],
@@ -423,15 +446,9 @@ def test_order_mismatch_witness_does_not_depend_on_hash_seed(tmp_path):
                      "pairs": [["c", "d"], ["b", "e"], ["a", "f"]]}]}
     bad = tmp_path / "reversing.json"
     bad.write_text(json.dumps(doc))
-    src = os.path.dirname(os.path.dirname(latglue.__file__))
     errs = []
     for seed in ("1", "2", "3", "4", "5", "6"):
-        env = {**os.environ, "PYTHONHASHSEED": seed,
-               "PYTHONPATH": os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-m", "latglue.cli", "connect",
-                               str(bad)], env=env, capture_output=True,
-                              text=True)
+        done = cli_under_hash_seed(["connect", str(bad)], seed)
         assert done.returncode == 1
         errs.append(done.stderr)
     assert len(set(errs)) == 1
@@ -575,3 +592,43 @@ def test_map_errors_name_their_map(tmp_path, capsys):
     assert run(["connect", str(src)]) == 2
     assert json.loads(capsys.readouterr().err.strip())["error"] \
         == "LatticeError: map 'x' -> 'y': element id 5 is not a string"
+
+
+TWO_BLOCKS = {"x": {"elements": ["p"], "covers": []},
+              "y": {"elements": ["r"], "covers": []}}
+SKELETON_XY = {"elements": ["x", "y"], "covers": [["x", "y"]]}
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("glue", {"skeleton": SKELETON_XY,
+              "blocks": {**TWO_BLOCKS, "y": {"covers": []}}},
+     "block 'y': missing field 'elements'"),
+    ("glue", {"skeleton": SKELETON_XY,
+              "blocks": {**TWO_BLOCKS, "x": {"elements": ["p"]}}},
+     "block 'x': missing field 'covers'"),
+    ("connect", {"skeleton": SKELETON_XY, "maps": []},
+     "missing field 'blocks'"),
+    ("connect", {"blocks": TWO_BLOCKS, "local": True},
+     "missing field 'skeleton'"),
+    ("connect", {"skeleton": SKELETON_XY, "blocks": TWO_BLOCKS,
+                 "maps": [{"to": "y", "pairs": [["p", "r"]]}]},
+     "map: missing field 'from'"),
+    ("connect", {"skeleton": SKELETON_XY, "blocks": TWO_BLOCKS,
+                 "maps": [{"from": "x", "pairs": [["p", "r"]]}]},
+     "map from 'x': missing field 'to'"),
+    ("connect", {"skeleton": SKELETON_XY, "blocks": TWO_BLOCKS,
+                 "maps": [{"from": "x", "to": "y"}]},
+     "map 'x' -> 'y': missing field 'pairs'"),
+    ("check", {"covers": []}, "missing field 'elements'"),
+], ids=["block-elements", "block-covers", "blocks", "skeleton", "map-from",
+        "map-to", "map-pairs", "elements"])
+def test_missing_fields_exit_2_naming_them(command, doc, message, tmp_path,
+                                           capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    argv = [command, str(bad)]
+    if command == "check":
+        argv += ["--property", "modular"]
+    assert run(argv) == 2
+    assert json.loads(capsys.readouterr().err.strip()) \
+        == {"error": f"LatticeError: {message}", "file": str(bad)}

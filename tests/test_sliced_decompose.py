@@ -18,10 +18,10 @@ import random
 import numpy as np
 import pytest
 
-from latglue import cli, glue, skeleton
+from latglue import cli, core, glue, skeleton
 from latglue import io as lio
 from latglue.constructions import boolean, grid
-from latglue.core import FiniteLattice, InvariantViolated
+from latglue.core import InvariantViolated
 from latglue.glue import GluedSystem, glued_sum, order_closure, validate
 from latglue.predicates import is_modular
 from latglue.skeleton import decompose
@@ -241,12 +241,14 @@ def test_a_skeleton_request_slices_only_the_skeleton(M, tmp_path, capsys,
     lio.save(M, path)
     k = len(skeleton.skeleton_set(M))
     sizes = []
-    real = FiniteLattice._suborder
+    real = core._from_order
 
-    def counted(self, idxs):
-        sizes.append(len(idxs))
-        return real(self, idxs)
-    monkeypatch.setattr(FiniteLattice, "_suborder", counted)
+    def counted(elements, leq):
+        sizes.append(len(elements))
+        return real(elements, leq)
+    # every order → lattice step: slices and from_leq in core, S(M) here
+    monkeypatch.setattr(core, "_from_order", counted)
+    monkeypatch.setattr(skeleton, "_from_order", counted)
     assert cli.main(["skeleton", str(path)]) == 0
     assert sizes == [k]
     assert "roundtrip: OK" in capsys.readouterr().out
