@@ -8,7 +8,7 @@ from .core import (FiniteLattice, Interval, LatticeError, CycleDetected,
 from .glue import GluedSystem, GlueViolation, NotALattice
 from .connect import (ConnectedSystem, LocalConnectedSystem,
                       NotModularSkeleton, ChainDependence)
-from .predicates import NotModular, CongruencePartition
+from .predicates import NotModular
 from .skeleton import SkeletonDecomposition
 from .hom import LatticeHom
 

@@ -69,9 +69,11 @@ def glue_homs(sys, fam):
     Requires the skeleton to be modular or the (*) condition to hold.
     The result is verified to be a homomorphism rather than assumed.
     """
-    S = sys.skeleton
+    S, m = sys.skeleton, sys._members
     for x, y in S.covers:
-        for a in sys.block_set(x) & sys.block_set(y):
+        # shared elements in carrier order, so the witness is the first one
+        for c in np.flatnonzero(m.B[S._idx[x]] & m.B[S._idx[y]]):
+            a = m.carrier[c]
             if fam[x].map[a] != fam[y].map[a]:
                 raise OverlapDisagreement((x, y, a))
     if not is_modular(S) and not check_star(sys, fam):

@@ -1,20 +1,15 @@
 """Decision procedures for lattice classes: modularity, semimodularity,
 distributivity, atomisticity, breadth, n-distributivity, simplicity."""
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .core import _BLOCK_CELLS, LatticeError, UnknownElement
+from .core import _BLOCK_CELLS, LatticeError
 
 
 class NotModular(LatticeError):
     pass
-
-
-def _tables(L):
-    return L._join, L._meet, L._leq
 
 
 def is_modular(L):
@@ -35,19 +30,21 @@ def is_modular(L):
     return ok
 
 
+def _covers_close(adj, table):
+    """Is table[b, c] in adj[b] and in adj[c] for every two members b ≠ c
+    of one list of `adj`: semimodularity on (_up_adj, _join), its dual on
+    (_down_adj, _meet)."""
+    return all(table[b, c] in adj[b] and table[b, c] in adj[c]
+               for covers in adj for b, c in combinations(covers, 2))
+
+
 def is_semimodular(L):
     """Cover form: a ≺ b, a ≺ c, b ≠ c implies b+c covers both b and c."""
-    for a in L.elements:
-        ups = sorted(L.upper_covers(a))
-        for b, c in combinations(ups, 2):
-            s = L.join(b, c)
-            if s not in L.upper_covers(b) or s not in L.upper_covers(c):
-                return False
-    return True
+    return _covers_close(L._up_adj, L._join)
 
 
 def is_dual_semimodular(L):
-    return is_semimodular(L.dual())
+    return _covers_close(L._down_adj, L._meet)
 
 
 def _join_irreducibles(L):
@@ -63,15 +60,15 @@ def is_distributive(L):
 
 
 def is_atomistic(L):
-    atoms = L.atoms()
-    for a in L.elements:
-        if L.join_all(p for p in atoms if L.leq(p, a)) != a:
-            return False
-    return True
+    """A finite lattice is atomistic iff each join-irreducible (one lower
+    cover) is an atom (that cover is 0): every element is the join of the
+    join-irreducibles below it, and a join-irreducible is a join of atoms
+    only if it is one."""
+    return all(d == (L._bot,) for d in L._down_adj if len(d) == 1)
 
 
 def is_coatomistic(L):
-    return is_atomistic(L.dual())
+    return all(u == (L._top,) for u in L._up_adj if len(u) == 1)
 
 
 def breadth(L):
@@ -105,7 +102,7 @@ def _irredundant_sets(L, k, _cand=None):
     Subsets of an irredundant set are irredundant, so the sets grow one
     size at a time: each set takes a larger index c not below its join, and
     keeps it if every old member stays off its leave-one-out join with c."""
-    J, _, leq = _tables(L)
+    J, leq = L._join, L._leq
     if _cand is None:
         _cand = np.delete(np.arange(L.n), L._bot)
     rows = _cand[:, None]
@@ -149,7 +146,7 @@ def is_n_distributive(L, n):
     total, loo = sets
     keys = np.unique(np.column_stack([total, np.sort(loo, axis=1)]), axis=0)
     total, loo = keys[:, 0], keys[:, 1:]
-    J, M, _ = _tables(L)
+    J, M = L._join, L._meet
     for x in range(L.n):
         rhs = M[x, loo[:, 0]]
         for j in range(1, n + 1):
@@ -157,53 +154,6 @@ def is_n_distributive(L, n):
         if not np.array_equal(M[x, total], rhs):
             return False
     return True
-
-
-@dataclass(frozen=True)
-class CongruencePartition:
-    lattice: object
-    blocks: tuple  # tuple of frozensets of element ids
-
-    def collapses(self, a, b):
-        for blk in self.blocks:
-            if a in blk:
-                return b in blk
-        raise UnknownElement(repr(a))
-
-    def is_full(self):
-        return len(self.blocks) == 1
-
-    def is_trivial(self):
-        return len(self.blocks) == self.lattice.n
-
-
-def principal_congruence(L, a, b):
-    """Smallest congruence collapsing a and b, by closure under the
-    join/meet compatibility rules."""
-    n = L.n
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    J, M, _ = _tables(L)
-    work = [(L.index(a), L.index(b))]
-    while work:
-        i, j = work.pop()
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            continue
-        parent[ri] = rj
-        for c in range(n):
-            work.append((J[i, c], J[j, c]))
-            work.append((M[i, c], M[j, c]))
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(L.elements[i])
-    return CongruencePartition(L, tuple(frozenset(g) for g in groups.values()))
 
 
 def is_simple(L):
@@ -217,7 +167,7 @@ def is_simple(L):
     kept; it does not change reachability."""
     if L.n < 2:
         return False
-    J, _, leq = _tables(L)
+    J, leq = L._join, L._leq
     ps = _join_irreducibles(L)
     lower = np.array([L._down_adj[i][0] for i in ps])
     up, up_lower = J[ps], J[lower]  # q+x and q₊+x, one row per q
@@ -235,28 +185,14 @@ def is_simple(L):
         D = reach
 
 
-def is_sublattice(host, subset):
-    subset = set(subset)
-    for a in subset:
-        host.index(a)
-    for a in subset:
-        for b in subset:
-            if host.join(a, b) not in subset or host.meet(a, b) not in subset:
-                return False
-    return True
-
-
 def generated_sublattice(host, generators):
-    """Closure of a generating set under join and meet."""
-    closed = set(generators)
-    frontier = list(closed)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in list(closed):
-                for c in (host.join(a, b), host.meet(a, b)):
-                    if c not in closed:
-                        closed.add(c)
-                        fresh.append(c)
-        frontier = fresh
-    return closed
+    """Closure of a generating set under join and meet: a mask of host
+    indices grown by the tables on its own pairs until it stops growing."""
+    mask = np.zeros(host.n, dtype=bool)
+    mask[[host.index(a) for a in generators]] = True
+    while True:
+        i = np.flatnonzero(mask)
+        mask[host._join[np.ix_(i, i)]] = True
+        mask[host._meet[np.ix_(i, i)]] = True
+        if mask.sum() == len(i):
+            return {host._ids[k] for k in i}

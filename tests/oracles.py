@@ -15,8 +15,12 @@ the maximal-chain walker behind the per-query staircase formulas, and the
 id-level all-pairs loops of `zero_one_maps`, `corollary_54_check`,
 `check_star` and the homomorphism test.  Also the one-lattice-at-a-time
 constructor that the batch build replaced, with its unstacked Möbius
-product."""
+product.  Also the id-level predicates: atomistic as every element the
+join of the atoms below it, the generated sublattice by id-pair closure,
+and the congruence partitions, principal congruences and sublattice test
+that `is_simple` is checked against."""
 
+from dataclasses import dataclass
 from itertools import combinations, islice, permutations, product as iproduct
 
 import numpy as np
@@ -1144,3 +1148,87 @@ def oracle_lattice(elements, covers):
     L._height, L._depth = _ranks(topo, up_adj, down_adj)
     L._join, L._meet = _oracle_least_bounds(leq, np.array(topo), ids)
     return L
+
+
+def oracle_atomistic(L):
+    """Every element is the join of the atoms below it, by id."""
+    atoms = L.atoms()
+    for a in L.elements:
+        if L.join_all(p for p in atoms if L.leq(p, a)) != a:
+            return False
+    return True
+
+
+def oracle_generated_sublattice(host, generators):
+    """Closure of a generating set under join and meet, one id pair at a
+    time."""
+    closed = set(generators)
+    frontier = list(closed)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in list(closed):
+                for c in (host.join(a, b), host.meet(a, b)):
+                    if c not in closed:
+                        closed.add(c)
+                        fresh.append(c)
+        frontier = fresh
+    return closed
+
+
+@dataclass(frozen=True)
+class CongruencePartition:
+    lattice: object
+    blocks: tuple  # tuple of frozensets of element ids
+
+    def collapses(self, a, b):
+        for blk in self.blocks:
+            if a in blk:
+                return b in blk
+        raise UnknownElement(repr(a))
+
+    def is_full(self):
+        return len(self.blocks) == 1
+
+    def is_trivial(self):
+        return len(self.blocks) == self.lattice.n
+
+
+def principal_congruence(L, a, b):
+    """Smallest congruence collapsing a and b, by closure under the
+    join/meet compatibility rules."""
+    n = L.n
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    J, M = L._join, L._meet
+    work = [(L.index(a), L.index(b))]
+    while work:
+        i, j = work.pop()
+        ri, rj = find(i), find(j)
+        if ri == rj:
+            continue
+        parent[ri] = rj
+        for c in range(n):
+            work.append((J[i, c], J[j, c]))
+            work.append((M[i, c], M[j, c]))
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(L.elements[i])
+    return CongruencePartition(L, tuple(frozenset(g) for g in groups.values()))
+
+
+def is_sublattice(host, subset):
+    subset = set(subset)
+    for a in subset:
+        host.index(a)
+    for a in subset:
+        for b in subset:
+            if host.join(a, b) not in subset or host.meet(a, b) not in subset:
+                return False
+    return True

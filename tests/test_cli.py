@@ -457,6 +457,38 @@ def test_order_mismatch_witness_does_not_depend_on_hash_seed(tmp_path):
     assert mismatch["witness"] == ["order mismatch", "0:c", "0:b"]
 
 
+MIXED_IDS = {"elements": [0, 1, "b", 2],
+             "covers": [[0, 1], [0, "b"], [1, 2], ["b", 2]]}
+
+
+def test_mixed_ids_do_not_depend_on_hash_seed(tmp_path):
+    # 0 has an int and a str upper cover; every property is decided in
+    # index space, so none sorts ids.  The square is not simple: check
+    # exits 1 with that one violation, every other run exits 0.
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(MIXED_IDS))
+    check = ["check", str(path)]
+    for p in [*cli.PROPERTIES, "n-distributive:2"]:
+        check += ["--property", p]
+    runs = [check, ["dot", str(path)],
+            ["skeleton", str(path), "--out", str(tmp_path / "sys.json")],
+            ["glue", str(tmp_path / "sys.json")]]
+    seen = []
+    for seed in ("1", "2", "3"):
+        done = [cli_under_hash_seed(argv, seed) for argv in runs]
+        assert [d.returncode for d in done] == [1, 0, 0, 0], \
+            [d.stderr for d in done]
+        seen.append([(d.stdout, d.stderr) for d in done])
+    assert seen[0] == seen[1] == seen[2]
+    (out, err), *_ = seen[0]
+    assert out == ("modular: true\nsemimodular: true\n"
+                   "dual-semimodular: true\ndistributive: true\n"
+                   "atomistic: true\nsimple: false\nbreadth: 2\n"
+                   "n-distributive:2: true\n")
+    assert json.loads(err) == {"violation": "property", "property": "simple",
+                               "file": str(path)}
+
+
 def test_parser_built_once_keeps_no_state_between_calls(tmp_path, capsys):
     path = tmp_path / "grid.json"
     assert run(["construct", "grid", "3", "4", "--out", str(path)]) == 0

@@ -12,7 +12,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from latglue import cli
 
-NAMES = ["0", "1", "a", "b", "c", "x", "y", "x:a"]
+# JSON ints among the names, so that lattices mix int and str ids
+NAMES = ["0", "1", "a", "b", "c", "x", "y", "x:a", 0, 1, 2]
 
 # mostly names, sometimes a value of the wrong JSON type
 atoms = st.one_of(st.sampled_from(NAMES), st.sampled_from(NAMES),
@@ -38,13 +39,22 @@ def _chain(names):
             "covers": [list(c) for c in zip(names, names[1:])]}
 
 
-# chains over the shared names are real lattices, so that deeper checks run
+def _square(names):
+    lo, b, c, hi = names
+    return {"elements": names,
+            "covers": [[lo, b], [lo, c], [b, hi], [c, hi]]}
+
+
+# chains and squares over the shared names are real lattices, so that
+# deeper checks run; a square's bottom and top have two covers each
 chains = st.lists(st.sampled_from(NAMES), min_size=1, max_size=4,
                   unique=True).map(_chain)
+squares = st.lists(st.sampled_from(NAMES), min_size=4, max_size=4,
+                   unique=True).map(_square)
 lattices = st.one_of(
     st.fixed_dictionaries({"elements": st.lists(atoms, max_size=5),
                            "covers": _pairs(6)}),
-    chains, json_values)
+    chains, squares, json_values)
 SQUARE = {"elements": ["x", "y", "z", "w"],
           "covers": [["x", "y"], ["x", "z"], ["y", "w"], ["z", "w"]]}
 skeletons = st.one_of(
@@ -85,8 +95,14 @@ connected = st.one_of(
     st.builds(lambda g, m, local: {**g, "maps": m, **local},
               glued, maps,
               st.sampled_from([{}, {"local": True}, {"local": 1}])))
+# every property on each lattice, n-distributive with a drawn n
+checks = st.tuples(
+    st.integers(1, 3).map(lambda n: ["check", "{}", *(
+        a for p in [*cli.PROPERTIES, f"n-distributive:{n}"]
+        for a in ("--property", p))]),
+    lattices)
 documents = st.one_of(
-    st.tuples(st.just(["check", "{}", "--property", "modular"]), lattices),
+    checks,
     st.tuples(st.just(["dot", "{}"]), st.one_of(lattices, glued)),
     st.tuples(st.just(["skeleton", "{}"]), lattices),
     st.tuples(st.just(["glue", "{}"]), glued),

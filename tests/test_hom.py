@@ -2,8 +2,13 @@
 side condition, verified glued maps, injectivity, sublattice recognition,
 and simplicity of sums of simple blocks."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import latglue
 from latglue import hom
 from latglue.constructions import boolean, chain, fig_3by3_system, grid, \
     hd_two_m3, hd_two_m3_edge, m3, m3_chain_edges, section4_example, \
@@ -51,6 +56,37 @@ def test_glue_rejects_overlap_disagreement():
     fam[x] = LatticeHom(sys.blocks[x], M, skew)
     with pytest.raises(OverlapDisagreement):
         glue_homs(sys, fam)
+
+
+SKEWED_OVERLAP = """
+from latglue.constructions import hd_two_m3_edge
+from latglue.glue import glued_sum
+from latglue.hom import LatticeHom, OverlapDisagreement, glue_homs
+sys_ = hd_two_m3_edge()
+host = glued_sum(sys_)
+fam = {x: LatticeHom(sys_.blocks[x], host,
+                     {a: a for a in sys_.blocks[x].elements})
+       for x in sys_.skeleton.elements}
+fam["s0"].map.update(a="z", t="z")  # disagrees on both shared elements
+try:
+    glue_homs(sys_, fam)
+except OverlapDisagreement as e:
+    print(e.args[0])
+"""
+
+
+def test_overlap_witness_does_not_depend_on_hash_seed():
+    # the first shared element in carrier order, not in set order
+    src = os.path.dirname(os.path.dirname(latglue.__file__))
+    outs = set()
+    for seed in ("1", "2", "3", "4", "5", "6"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        outs.add(subprocess.run([sys.executable, "-c", SKEWED_OVERLAP],
+                                env=env, capture_output=True, text=True,
+                                check=True).stdout)
+    assert outs == {"('s0', 's1', 'a')\n"}
 
 
 def test_glue_constant_family_is_not_injective():

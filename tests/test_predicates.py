@@ -1,20 +1,26 @@
 """Law checkers against brute-force oracles, breadth, n-distributivity,
-congruences, and sublattice utilities."""
+and the congruence and sublattice oracles that `is_simple` and
+`generated_sublattice` are checked against."""
 
+import random
 from itertools import combinations
 
 import pytest
 
 from latglue.constructions import boolean, chain, enumerate_lattices, \
-    fano_lattice, grid, m3, m_k, n5
-from latglue.core import product
-from latglue.predicates import CongruencePartition, NotModular, breadth, \
-    generated_sublattice, is_atomistic, is_coatomistic, is_distributive, \
-    is_dual_semimodular, is_modular, is_n_distributive, is_semimodular, \
-    is_simple, is_sublattice, principal_congruence
-from oracles import has_forbidden_n_config, order_embeds_boolean
+    fano_lattice, grid, m3, m_k, n5, section4_example
+from latglue.core import FiniteLattice, UnknownElement, product
+from latglue.predicates import NotModular, breadth, generated_sublattice, \
+    is_atomistic, is_coatomistic, is_distributive, is_dual_semimodular, \
+    is_modular, is_n_distributive, is_semimodular, is_simple
+from oracles import CongruencePartition, has_forbidden_n_config, \
+    is_sublattice, oracle_atomistic, oracle_generated_sublattice, \
+    order_embeds_boolean, principal_congruence
 
 CORPUS6 = list(enumerate_lattices(6))
+CORPUS8 = list(enumerate_lattices(8))
+# 0 < 1, b < 2: an element with an int and a str upper cover
+MIXED = FiniteLattice([0, 1, "b", 2], [(0, 1), (0, "b"), (1, 2), ("b", 2)])
 
 
 def oracle_modular(L):
@@ -213,3 +219,42 @@ def test_breadth_bound_for_products_of_chains():
     # the breadth of a product is at most the number of factors
     for p, q in combinations(range(1, 4), 2):
         assert breadth(grid(p, q)) <= 2
+
+
+def _index_space_inputs():
+    """The ≤ 8 corpus, every interval of its modular members, grid(16,16),
+    the section 4 sum and the mixed-id square."""
+    out = [(f"corpus8-{k}", L) for k, L in enumerate(CORPUS8)]
+    for k, L in enumerate(CORPUS8):
+        if is_modular(L):
+            out += [(f"corpus8-{k}[{a},{b}]", L.interval(a, b).lattice)
+                    for a in L.elements for b in L.elements if L.leq(a, b)]
+    return out + [("grid16x16", grid(16, 16)),
+                  ("section4", section4_example()["sum"]), ("mixed", MIXED)]
+
+
+INDEX_SPACE = _index_space_inputs()
+
+
+def test_cover_walk_predicates_match_the_id_level_oracles():
+    for name, L in INDEX_SPACE:
+        D = L.dual()
+        assert is_semimodular(L) == oracle_semimodular(L), name
+        assert is_dual_semimodular(L) == oracle_semimodular(D), name
+        assert is_atomistic(L) == oracle_atomistic(L), name
+        assert is_coatomistic(L) == oracle_atomistic(D), name
+
+
+def test_generated_sublattice_matches_the_id_pair_closure():
+    rng = random.Random(0)
+    for name, L in INDEX_SPACE:
+        for _ in range(3):
+            gens = rng.sample(L.elements, rng.randint(0, min(L.n, 4)))
+            assert generated_sublattice(L, gens) == \
+                oracle_generated_sublattice(L, gens), (name, gens)
+
+
+def test_generated_sublattice_refuses_an_unknown_generator():
+    with pytest.raises(UnknownElement):
+        generated_sublattice(boolean(3), ["a", "zz"])
+    assert generated_sublattice(boolean(3), []) == set()

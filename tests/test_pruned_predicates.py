@@ -16,9 +16,9 @@ from latglue.core import FiniteLattice, product
 from latglue.glue import glued_sum
 from latglue.predicates import NotModular, _irredundant_sets, \
     _join_irreducibles, breadth, is_distributive, is_modular, \
-    is_n_distributive, is_simple, principal_congruence
+    is_n_distributive, is_simple
 from latglue.suite import glued_fixtures
-from oracles import oracle_breadth, oracle_distributive
+from oracles import oracle_breadth, oracle_distributive, principal_congruence
 
 CORPUS8 = list(enumerate_lattices(8))
 NS = (1, 2, 3, 4)
