@@ -6,9 +6,12 @@ Maps are dicts of element ids at the API edge.  Inside, the blocks are
 taken in skeleton index order and the maps become one padded n×n×bmax int
 tensor: phi[x, y, a] is the index in block y of the image of the a-th
 element of block x, -1 where undefined, and phi[x, x] is the identity.
-A ConnectedSystem's blocks and maps are read-only, so its tensor and its
-identification record (`Identification`) are built once per system."""
+A system's blocks and maps are read-only, so its tensor, block tables,
+disjointness check and identification record (`Identification`) are
+built once per system; `elevate` hands the local system's to the system
+it returns, whose maps (`TensorMaps`) are read from the filled tensor."""
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -18,8 +21,9 @@ import numpy as np
 
 from .core import _BLOCK_CELLS, FiniteLattice, InvariantViolated, \
     LatticeError, UnknownElement
-from .glue import GluedSystem, _block_tables, _chain_failures, \
-    _check_block_keys, _compose, _fill, validate as glue_validate
+from .glue import GluedSystem, _block_membership, _block_tables, \
+    _by_height, _chain_failures, _check_block_keys, _compose, _fill, \
+    validate as glue_validate
 from .predicates import is_modular
 
 
@@ -43,26 +47,41 @@ class ConnectViolation:
 
 
 @dataclass(frozen=True, eq=False)
-class ConnectedSystem:
-    """Blocks and maps are kept as read-only copies of the ones given."""
+class _System:
+    """Blocks and maps are kept as read-only copies of the ones given, and
+    the maps' phi tensor is built with them, which checks that every map
+    runs between skeleton elements and sends elements of its source block
+    to elements of its target block.  The block tables and the
+    disjointness check are built once, when first needed."""
     skeleton: FiniteLattice
     blocks: dict  # skeleton element -> FiniteLattice, pairwise disjoint
-    maps: dict    # (x, y) with x ≦ y -> dict; absent means empty
+    maps: dict    # (x, y) -> dict; absent means empty
 
     def __post_init__(self):
         _check_block_keys(self.skeleton, self.blocks)
-        _check_map_entries(self.skeleton, self.blocks, self.maps)
         object.__setattr__(self, "blocks", MappingProxyType(dict(self.blocks)))
+        phi, given = _map_tensor(self.skeleton, self._block_list, self.maps)
+        phi.flags.writeable = False
+        self.__dict__["_tensor"] = phi, given
         object.__setattr__(self, "maps", MappingProxyType(
             {k: MappingProxyType(dict(m)) for k, m in self.maps.items()}))
 
     @cached_property
-    def _tensor(self):
-        """The phi tensor and `given`, built once: the maps are read-only."""
-        phi, given = _map_tensor(self.skeleton, [self.blocks[x] for x in
-                                                 self.skeleton._ids], self.maps)
-        phi.flags.writeable = False
-        return phi, given
+    def _block_list(self):
+        return [self.blocks[x] for x in self.skeleton._ids]
+
+    @cached_property
+    def _tables(self):
+        return _block_tables(self._block_list)
+
+    @cached_property
+    def _disjoint(self):
+        _check_disjoint(self.blocks)
+        return True
+
+
+class ConnectedSystem(_System):
+    """Maps on pairs x ≦ y."""
 
     @cached_property
     def _identification(self):
@@ -79,34 +98,67 @@ class ConnectedSystem:
         return self.skeleton._ids[rec.owner[rec.position(a)]]
 
 
-@dataclass(frozen=True, eq=False)
-class LocalConnectedSystem:
-    skeleton: FiniteLattice  # must be modular
-    blocks: dict
-    maps: dict  # (x, y) for skeleton covers x ≺ y only
-
-    def __post_init__(self):
-        _check_block_keys(self.skeleton, self.blocks)
-        _check_map_entries(self.skeleton, self.blocks, self.maps)
+class LocalConnectedSystem(_System):
+    """Maps on skeleton covers x ≺ y only; the skeleton must be modular."""
 
     def phi(self, x, y):
         return self.maps.get((x, y), {})
 
 
-def _check_map_entries(S, blocks, maps):
-    """Every map runs between skeleton elements and sends elements of its
-    source block to elements of its target block."""
-    for (x, y), m in maps.items():
-        for z in (x, y):
-            if z not in S:
-                raise UnknownElement(
-                    f"map {x!r} -> {y!r}: {z!r} is not a skeleton element")
-        for z, side in ((x, m.keys()), (y, m.values())):
-            known = blocks[z]._idx.keys()
-            if not known >= set(side):
-                a = next(a for a in side if a not in known)
-                raise UnknownElement(
-                    f"map {x!r} -> {y!r}: {a!r} is not an element of block {z!r}")
+class TensorMaps(Mapping):
+    """The maps of an elevated system, read from its phi tensor: a
+    read-only mapping keyed by the pairs x ≠ y with a nonempty map, that
+    builds a pair's dict of element ids only when it is asked for, once.
+    Pairs come in the order elevate fills them: x by descending height
+    (ties in skeleton order), then y in skeleton order."""
+
+    def __init__(self, S, blocks, phi, given):
+        self._S, self._blocks, self._phi, self._given = S, blocks, phi, given
+        self._built = {}
+
+    def _index(self, key):
+        try:
+            x, y = key
+            i, j = self._S._idx[x], self._S._idx[y]
+        except (KeyError, TypeError, ValueError):
+            raise KeyError(key) from None
+        if not self._given[i, j]:
+            raise KeyError(key)
+        return i, j
+
+    def _pair_dict(self, i, j):
+        a = np.flatnonzero(self._phi[i, j] >= 0)
+        src, dst = self._blocks[i]._ids, self._blocks[j]._ids
+        return MappingProxyType({src[k]: dst[c] for k, c in
+                                 zip(a.tolist(), self._phi[i, j, a].tolist())})
+
+    def __getitem__(self, key):
+        if key not in self._built:
+            self._built[key] = self._pair_dict(*self._index(key))
+        return self._built[key]
+
+    def __contains__(self, key):
+        try:
+            self._index(key)
+        except KeyError:
+            return False
+        return True
+
+    @cached_property
+    def _pairs(self):
+        ids = self._S._ids
+        rows = _by_height(self._S)
+        x, y = np.nonzero(self._given[rows])
+        return tuple((ids[i], ids[j]) for i, j in zip(rows[x], y))
+
+    def __iter__(self):
+        return iter(self._pairs)
+
+    def __len__(self):
+        return len(self._pairs)
+
+    def __repr__(self):
+        return f"TensorMaps({len(self)} maps)"
 
 
 def _check_disjoint(blocks):
@@ -123,7 +175,9 @@ def _check_disjoint(blocks):
 
 def _map_tensor(S, blocks, maps):
     """The maps as the phi tensor, and `given`, the n×n matrix of pairs
-    that carry a nonempty map.  Maps on diagonal pairs are not stored."""
+    that carry a nonempty map.  Maps on diagonal pairs are not stored.
+    UnknownElement for the first map, in `maps` order, with an end that
+    is not a skeleton element or an entry outside its block."""
     n, b = S.n, max(L.n for L in blocks)
     phi = np.full((n, n, b), -1, dtype=np.intp)
     k = np.arange(b)
@@ -132,14 +186,30 @@ def _map_tensor(S, blocks, maps):
     given = np.zeros((n, n), dtype=bool)
     cells, values = [], []
     for (x, y), m in maps.items():
+        for z in (x, y):
+            if z not in S._idx:
+                raise UnknownElement(
+                    f"map {x!r} -> {y!r}: {z!r} is not a skeleton element")
         i, j = S._idx[x], S._idx[y]
+        src = _entries(blocks[i], m.keys(), x, y, x)
+        dst = _entries(blocks[j], m.values(), x, y, y)
         given[i, j] = bool(m)
         if i != j:
-            src, dst, base = blocks[i]._idx, blocks[j]._idx, (i * n + j) * b
-            cells += [base + src[a] for a in m]
-            values += [dst[c] for c in m.values()]
+            base = (i * n + j) * b
+            cells += [base + a for a in src]
+            values += dst
     phi.reshape(-1)[cells] = values
     return phi, given
+
+
+def _entries(L, side, x, y, z):
+    """The indices in block L (of skeleton element z) of one side of the
+    map x -> y."""
+    try:
+        return [L._idx[a] for a in side]
+    except KeyError as e:
+        raise UnknownElement(f"map {x!r} -> {y!r}: {e.args[0]!r} is not an "
+                             f"element of block {z!r}") from None
 
 
 def _images(f, b):
@@ -203,8 +273,8 @@ def _iso_violations(cond, pair, flags, Lx, Ly, m):
 
 def _cover_matrix(S):
     cov = np.zeros((S.n, S.n), dtype=bool)
-    for i, j in S._cov:
-        cov[i, j] = True
+    i, j = np.array(S._cov, dtype=np.intp).reshape(-1, 2).T
+    cov[i, j] = True
     return cov
 
 
@@ -234,17 +304,17 @@ def validate_connected(cs):
     and meets are compatible (20)/(20δ).  A map on a diagonal or
     non-comparable pair violates (17).  Violations come in (x, y) index
     order, then (20)/(20δ) in the same order."""
-    _check_disjoint(cs.blocks)
+    cs._disjoint  # LatticeError unless the blocks are disjoint
     S = cs.skeleton
     ids, n = S._ids, S.n
-    blocks = [cs.blocks[x] for x in ids]
+    blocks = cs._block_list
     phi, given = cs._tensor
     lt = S._leq & ~np.eye(n, dtype=bool)
     count = (phi >= 0).sum(2)
     stray = given & ~lt
     X, Y = np.nonzero(lt & (count > 0))
     iso = np.zeros((4, n, n), dtype=bool)
-    iso[:, X, Y] = _iso_failures(_block_tables(blocks), X, Y, phi[X, Y])
+    iso[:, X, Y] = _iso_failures(cs._tables, X, Y, phi[X, Y])
     f18 = _cover_matrix(S) & (count == 0)
     f19 = _chain_failures(S, phi)
     flagged = stray | iso.any(0) | f18
@@ -399,20 +469,28 @@ def connected_sum(cs):
     (height, then the block's name; ties between blocks go to the least id).
     Elements are numbered globally, block after block in skeleton order.
     """
-    _check_disjoint(cs.blocks)
+    cs._disjoint  # LatticeError unless the blocks are disjoint
     S = cs.skeleton
     ids, n = S._ids, S.n
-    blocks = [cs.blocks[x] for x in ids]
+    blocks = cs._block_list
     size = [L.n for L in blocks]
-    offset = [0, *np.cumsum(size).tolist()]
+    offset = np.concatenate(([0], np.cumsum(size))).astype(np.intp)
     N = offset[-1]
-    u, v = [], []
-    for (x, y), m in cs.maps.items():
-        i, j = S._idx[x], S._idx[y]
-        src, dst = blocks[i]._idx, blocks[j]._idx
-        u += [offset[i] + src[a] for a in m]
-        v += [offset[j] + dst[c] for c in m.values()]
-    root = _components(N, np.array(u, dtype=np.intp), np.array(v, dtype=np.intp))
+    # the edges: the maps off the diagonal from the tensor, and those on
+    # diagonal pairs, which it does not store, from their dicts
+    phi, given = cs._tensor
+    b = phi.shape[2]
+    cell = np.flatnonzero(phi >= 0)  # far faster than a nonzero on 3 axes
+    xs, ys = cell // (n * b), cell // b % n
+    off = xs != ys
+    cell, xs, ys = cell[off], xs[off], ys[off]
+    u, v = [offset[xs] + cell % b], [offset[ys] + phi.reshape(-1)[cell]]
+    for i in np.flatnonzero(given.diagonal()):
+        L, m = blocks[i], cs.maps[(ids[i], ids[i])]
+        u.append(offset[i] + np.array([L._idx[a] for a in m], dtype=np.intp))
+        v.append(offset[i] + np.array([L._idx[c] for c in m.values()],
+                                      dtype=np.intp))
+    root = _components(N, np.concatenate(u), np.concatenate(v))
     block = np.repeat(np.arange(n), size)
     dup = np.sort(block * N + root)
     dup = dup[1:][dup[1:] == dup[:-1]]
@@ -439,6 +517,11 @@ def connected_sum(cs):
         pis[x] = dict(zip(L.elements, name[offset[i]:offset[i + 1]]))
         quotient[x] = L._relabelled(name[offset[i]:offset[i + 1]])
     sys = GluedSystem(S, quotient)
+    # its membership record: the classes, each first met at its least
+    # element (the root), are the carrier in order of their roots
+    roots, rows = np.unique(root, return_inverse=True)
+    sys.__dict__["_members"] = _block_membership(
+        [quotient[x] for x in ids], tuple(name[r] for r in roots), rows)
     bad = glue_validate(sys)
     if bad:
         raise LatticeError(f"quotient is not a glued system: {bad}")
@@ -452,30 +535,34 @@ def validate_local(lcs):
     domains (24)/(24δ)."""
     if not is_modular(lcs.skeleton):
         raise NotModularSkeleton("locally connected systems require a modular skeleton")
-    _check_disjoint(lcs.blocks)
+    lcs._disjoint  # LatticeError unless the blocks are disjoint
     S = lcs.skeleton
     ids = S._ids
-    blocks = [lcs.blocks[x] for x in ids]
-    phi, _ = _map_tensor(S, blocks, lcs.maps)
+    blocks = lcs._block_list
+    phi = lcs._tensor[0]
     b = phi.shape[2]
     cov = np.array(S._cov, dtype=np.intp).reshape(-1, 2)
     X, Y = cov[:, 0], cov[:, 1]
     f = phi[X, Y]
     empty = (f < 0).all(1)
     iso = np.zeros((4, len(f)), dtype=bool)
-    iso[:, ~empty] = _iso_failures(_block_tables(blocks), X[~empty],
-                                   Y[~empty], f[~empty])
+    iso[:, ~empty] = _iso_failures(lcs._tables, X[~empty], Y[~empty],
+                                   f[~empty])
     out = []
-    for k, (x, y) in enumerate(cov):
+    for k in np.flatnonzero(empty | iso.any(0)):
+        x, y = cov[k]
         pair = (ids[x], ids[y])
         if empty[k]:
             out.append(ConnectViolation("22", pair, "empty cover map"))
-        elif iso[:, k].any():
+        else:
             out += _iso_violations("22", pair, iso[:, k], blocks[x],
                                    blocks[y], lcs.maps[pair])
     is_cover = _cover_matrix(S)
-    out += [ConnectViolation("22", (x, y), "map on a non-cover pair")
-            for x, y in lcs.maps if not is_cover[S._idx[x], S._idx[y]]]
+    keys = list(lcs.maps)
+    at = np.array([S._idx[z] for key in keys for z in key],
+                  dtype=np.intp).reshape(-1, 2)
+    out += [ConnectViolation("22", keys[k], "map on a non-cover pair")
+            for k in np.flatnonzero(~is_cover[at[:, 0], at[:, 1]])]
     # diamonds w ≺ x, y ≺ j with w = x∧y and j = x∨y (so x ≠ y)
     r, c = np.arange(S.n)[:, None], np.arange(S.n)[None, :]
     W, J = S._meet, S._join
@@ -510,32 +597,19 @@ def elevate(lcs):
     if bad:
         raise LatticeError(f"invalid local system: {bad}")
     S = lcs.skeleton
-    ids, n = S._ids, S.n
-    blocks = [lcs.blocks[x] for x in ids]
-    phi, _ = _map_tensor(S, blocks, lcs.maps)
+    phi = lcs._tensor[0].copy()
     _fill(S, phi)
-
-    # the dicts, pair by pair in the order the maps were filled
-    order = np.argsort(-np.array(S._height), kind="stable")
-    offset = np.concatenate(([0], np.cumsum([L.n for L in blocks])))
-    names = [a for L in blocks for a in L.elements]
-    x, y, a = np.nonzero(phi[order] >= 0)
-    x = order[x]
-    keep = x != y
-    x, y, a = x[keep], y[keep], a[keep]
-    src = [names[g] for g in offset[x] + a]
-    dst = [names[g] for g in offset[y] + phi[x, y, a]]
-    starts = np.flatnonzero(np.diff(x * n + y, prepend=-1))
-    maps = {(ids[x[s]], ids[y[s]]): MappingProxyType(dict(zip(src[s:e], dst[s:e])))
-            for s, e in zip(starts, [*starts[1:], len(x)])}
-    # entries are block elements by construction, so they skip the check,
-    # and the tensor they were read from is handed over
-    cs = ConnectedSystem(S, lcs.blocks, {})
-    object.__setattr__(cs, "maps", MappingProxyType(maps))
     given = (phi >= 0).any(2)
     np.fill_diagonal(given, False)
     phi.flags.writeable = False
-    cs.__dict__["_tensor"] = phi, given
+    # the local system's blocks, tables and disjointness check are handed
+    # over with the filled tensor; a map's dict is built when asked for
+    cs = object.__new__(ConnectedSystem)
+    cs.__dict__.update(
+        skeleton=S, blocks=lcs.blocks, _tensor=(phi, given),
+        maps=TensorMaps(S, lcs._block_list, phi, given),
+        _block_list=lcs._block_list, _tables=lcs._tables,
+        _disjoint=lcs._disjoint)
     bad = validate_connected(cs)
     for v in bad:
         if v.condition == "19":

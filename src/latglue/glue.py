@@ -154,13 +154,23 @@ def _membership(sys):
     idx = {a: i for i, a in enumerate(carrier)}
     rows = np.array([idx[a] for L in blocks for a in L.elements],
                     dtype=np.intp)
-    start = np.cumsum([0] + [L.n for L in blocks])
+    return _block_membership(blocks, carrier, rows)
+
+
+def _block_membership(blocks, carrier, rows):
+    """The membership record of `blocks`, in skeleton order, whose
+    elements, block after block, are carrier[rows]."""
+    size = np.array([L.n for L in blocks])
+    start = np.concatenate(([0], np.cumsum(size)))
+    # the rows r ≦ c of each block: c is in r's up-set, r in c's down-set
+    owner, a, b = _square(size)
+    leq = np.concatenate([L._leq.ravel() for L in blocks])
+    base = start[owner][leq]
+    r, c = base + a[leq], base + b[leq]
     up = np.zeros((start[-1], len(carrier)), dtype=bool)
     down = np.zeros_like(up)
-    for i, L in enumerate(blocks):
-        pos = rows[start[i]:start[i + 1]]
-        up[start[i]:start[i + 1], pos] = L._leq
-        down[start[i]:start[i + 1], pos] = L._leq.T
+    up[r, rows[c]] = True
+    down[c, rows[r]] = True
     zero, one = (rows[start[:-1] + [getattr(L, end) for L in blocks]]
                  for end in ("_bot", "_top"))
     join, meet = (np.concatenate([getattr(L, op).ravel() for L in blocks],
@@ -468,23 +478,34 @@ def _compose(outer, inner):
     return np.where(inner >= 0, outer(np.maximum(inner, 0)), -1)
 
 
+def _by_height(S):
+    """The elements of S by descending height, ties in index order."""
+    return np.argsort(-np.array(S._height), kind="stable")
+
+
 def _fill(S, phi):
     """Extend maps given on the covers of S to every pair x < y, in place,
     going down S one height at a time: phi[x, y] = phi[c, y] ∘ phi[x, c]
     for the first upper cover c of x below y."""
     n, leq = S.n, S._leq
-    first = np.zeros((n, n), dtype=np.intp)
-    for x, up in enumerate(S._up_adj):
-        if up:
-            up = np.array(up)
-            first[x] = up[np.argmax(leq[up], axis=0)]
-    lt = leq & ~np.eye(n, dtype=bool)
-    height = np.array(S._height)
-    for h in range(S.length() - 1, -1, -1):
-        x, y = np.nonzero(lt & (height == h)[:, None])
-        c = first[x, y]
-        phi[x, y] = _compose(lambda a: phi[c[:, None], y[:, None], a],
-                             phi[x, c])
+    # the pairs x < y, by descending height of x
+    rows = _by_height(S)
+    x, y = np.nonzero((leq & ~np.eye(n, dtype=bool))[rows])
+    if not len(x):
+        return
+    x = rows[x]
+    # each pair's first upper cover of x below y: x has one, so the -1
+    # padding after x's covers is never reached
+    d = max(map(len, S._up_adj))
+    up = np.array([list(u) + [-1] * (d - len(u)) for u in S._up_adj],
+                  dtype=np.intp)
+    first = up[x, leq[up[x], y[:, None]].argmax(1)]
+    h = np.array(S._height)[x]
+    ends = [*(np.flatnonzero(h[1:] != h[:-1]) + 1).tolist(), len(x)]
+    for s, e in zip([0, *ends], ends):
+        xs, ys, c = x[s:e], y[s:e], first[s:e]
+        phi[xs, ys] = _compose(lambda a: phi[c[:, None], ys[:, None], a],
+                               phi[xs, c])
 
 
 def _chain_failures(S, phi):

@@ -8,7 +8,10 @@ string form, such as 1 and "1", are refused by the reader and the writer
 alike, the writer before it opens the file).  Connected system:
 additionally {"maps": [{"from": x, "to": y, "pairs": [[a, b], ...]}]} and an
 optional "local": true or false flag (a file with either key is one); block
-elements are namespaced "<x>:<name>" on load to enforce disjointness.  A
+elements are namespaced on load to enforce disjointness: each id of block x
+becomes "<x>:<id>", with backslashes and colons in x escaped by a
+backslash, unless every id of the block already begins so (a file `save`
+wrote), so that distinct (block, id) pairs never share a name.  A
 repeated JSON key, a map listed twice or a source named twice in one map
 raises LatticeError rather than keeping the last, and so does a key outside
 its object's format, a missing field, named in the error, or a value of
@@ -147,19 +150,55 @@ def connected_to_dict(cs, local=False):
     return out
 
 
+def _prefix(x):
+    """The prefix of block x's carrier ids: its key, with backslashes and
+    colons escaped by a backslash, then a colon.  The first unescaped
+    colon ends it, so no block's prefix begins another's."""
+    return str(x).replace("\\", "\\\\").replace(":", "\\:") + ":"
+
+
+class _Names(dict):
+    """{id: carrier id} for the ids of one block: each id prefixed with
+    the block's prefix, or, when every id already begins with it (as in a
+    file that `save` wrote), the ids themselves.  Two distinct (block, id)
+    pairs thus never share a carrier id.  An id the block does not list
+    is named the same way (`__missing__`), for the error that refuses
+    it."""
+
+    def __init__(self, x, ids):
+        for a in ids:
+            if not isinstance(a, str):
+                raise _not_a_string(a)
+        p = _prefix(x)
+        self.prefix = "" if ids and all(a.startswith(p) for a in ids) else p
+        super().__init__((a, self.prefix + a) for a in ids)
+
+    def __missing__(self, a):
+        if not isinstance(a, str):
+            raise _not_a_string(a)
+        return self.prefix + a
+
+    def carrier_id(self, a):
+        try:
+            return self[a]
+        except TypeError:  # unhashable, so not a string either
+            raise _not_a_string(a) from None
+
+
+def _not_a_string(a):
+    return LatticeError(f"element id {a!r} is not a string")
+
+
 def connected_from_dict(d):
     d = _object(d, _CONNECTED_KEYS)
     S = lattice_from_dict(_field(d, "skeleton"))
-
-    def ns(x, a):
-        if not isinstance(a, str):
-            raise LatticeError(f"element id {a!r} is not a string")
-        return a if a.startswith(f"{x}:") else f"{x}:{a}"
+    names = {}
 
     def spec(x, b):
         elements, covers = _spec(b)
-        return ([ns(x, a) for a in elements],
-                [(ns(x, a), ns(x, c)) for a, c in covers])
+        names[x] = ns = _Names(x, elements)
+        return ([ns[a] for a in elements],
+                [(ns.carrier_id(a), ns.carrier_id(c)) for a, c in covers])
 
     blocks = _blocks(S, _field(d, "blocks"), spec)
     maps = {}
@@ -173,12 +212,14 @@ def connected_from_dict(d):
         if (x, y) in maps:
             raise LatticeError(f"map {x!r} -> {y!r} is listed twice")
         maps[(x, y)] = pairs = {}
+        # a skeleton element without a block is refused after the maps
+        nx, ny = (names.get(z) or _Names(z, ()) for z in (x, y))
         try:
             for a, b in _pairs(m, "pairs"):
-                a = ns(x, a)
+                a = nx.carrier_id(a)
                 if a in pairs:
                     raise LatticeError(f"source {a!r} is listed twice")
-                pairs[a] = ns(y, b)
+                pairs[a] = ny.carrier_id(b)
         except LatticeError as e:
             raise LatticeError(f"map {x!r} -> {y!r}: {e}") from None
     local = d.get("local", False)

@@ -18,7 +18,9 @@ constructor that the batch build replaced, with its unstacked Möbius
 product.  Also the id-level predicates: atomistic as every element the
 join of the atoms below it, the generated sublattice by id-pair closure,
 and the congruence partitions, principal congruences and sublattice test
-that `is_simple` is checked against."""
+that `is_simple` is checked against.  Also the per-height cover
+recurrence behind `elevate` and the formula tables, with its per-element
+search for first covers."""
 
 from dataclasses import dataclass
 from itertools import combinations, islice, permutations, product as iproduct
@@ -290,6 +292,26 @@ def oracle_elevate(lcs):
     if bad:
         raise LatticeError(f"elevated system invalid: {bad}")
     return cs
+
+
+def oracle_fill(S, phi):
+    """The cover recurrence one height at a time, with one n×n nonzero per
+    height and the first upper cover of each element found by a per-element
+    argmax: phi[x, y] = phi[c, y] ∘ phi[x, c], in place."""
+    n, leq = S.n, S._leq
+    first = np.zeros((n, n), dtype=np.intp)
+    for x, up in enumerate(S._up_adj):
+        if up:
+            up = np.array(up)
+            first[x] = up[np.argmax(leq[up], axis=0)]
+    lt = leq & ~np.eye(n, dtype=bool)
+    height = np.array(S._height)
+    for h in range(S.length() - 1, -1, -1):
+        x, y = np.nonzero(lt & (height == h)[:, None])
+        c = first[x, y]
+        inner = phi[x, c]
+        phi[x, y] = np.where(inner >= 0, phi[c[:, None], y[:, None],
+                                             np.maximum(inner, 0)], -1)
 
 
 def _oracle_block_of(cs, a):
