@@ -279,22 +279,30 @@ def _cover_matrix(S):
 
 
 def _glue_failures(S, phi):
-    """(20) and (20δ) for every pair (x, y) at once, in chunks of rows:
-    with j = x∨y and w = x∧y, im φ(x, j) ∩ im φ(y, j) ⊆ im φ(w, j) and
-    dom φ(w, x) ∩ dom φ(w, y) ⊆ dom φ(w, j)."""
+    """(20) and (20δ) for every pair (x, y): with j = x∨y and w = x∧y,
+    im φ(x, j) ∩ im φ(y, j) ⊆ im φ(w, j) and dom φ(w, x) ∩ dom φ(w, y) ⊆
+    dom φ(w, j).  For x ≦ y, j = y and w = x, so both read A ∩ B ⊆ A and
+    hold for any tensor; and both are symmetric in x and y.  So only the
+    incomparable pairs x < y (in index order) are looked at, their five
+    maps gathered in chunks of pairs, and the result is mirrored."""
     n, b = S.n, phi.shape[2]
-    img = _images(phi.reshape(n * n, b), b).reshape(n, n, b)
-    dom = phi >= 0
+    rows = phi.reshape(n * n, b)
+    X, Y = np.nonzero(np.triu(~(S._leq | S._leq.T)))
     f20 = np.zeros((n, n), dtype=bool)
     f20d = np.zeros((n, n), dtype=bool)
-    step = max(1, _BLOCK_CELLS // (n * b))
-    cols = np.arange(n)[None, :]
-    for s in range(0, n, step):
-        rows = np.arange(s, min(n, s + step))[:, None]
-        j, w = S._join[rows, cols], S._meet[rows, cols]
-        f20[rows[:, 0]] = (img[rows, j] & img[cols, j] & ~img[w, j]).any(2)
-        f20d[rows[:, 0]] = (dom[w, rows] & dom[w, cols] & ~dom[w, j]).any(2)
-    return f20, f20d
+    step = max(1, _BLOCK_CELLS // b)
+    for s in range(0, len(X), step):
+        x, y = X[s:s + step], Y[s:s + step]
+        j, w = S._join[x, y], S._meet[x, y]
+        # φ(x, j), φ(y, j), φ(w, j), φ(w, x), φ(w, y)
+        f = rows.take(np.concatenate([x, y, w, w, w]) * n
+                      + np.concatenate([j, j, j, x, y]), axis=0) \
+            .reshape(5, len(x), b)
+        img = _images(f[:3].reshape(-1, b), b).reshape(3, len(x), b)
+        dom = f[2:] >= 0
+        f20[x, y] = (img[0] & img[1] & ~img[2]).any(1)
+        f20d[x, y] = (dom[1] & dom[2] & ~dom[0]).any(1)
+    return f20 | f20.T, f20d | f20d.T
 
 
 def validate_connected(cs):
@@ -371,14 +379,18 @@ def _identification(cs):
     """The identification record of cs, from its phi tensor."""
     S = cs.skeleton
     phi = cs._tensor[0]
+    n, b = phi.shape[1:]
     size = [cs.blocks[x].n for x in S._ids]
     start = np.concatenate(([0], np.cumsum(size))).astype(np.intp)
     owner = np.repeat(np.arange(S.n), size)
     f = phi[owner, :, np.arange(start[-1]) - start[owner]]
     img = np.where(f >= 0, start[:-1] + f, -1)
     pre = np.full_like(img, -1)
-    x, y, a = np.nonzero(phi >= 0)  # block x's a-th element goes to block y
-    pre[start[y] + phi[x, y, a], x] = start[x] + a
+    # block x's a-th element goes to block y; the flat scan keeps the C
+    # order of a nonzero on 3 axes, so a later a overwrites an earlier one
+    cell = np.flatnonzero(phi >= 0)
+    x, y, a = cell // (n * b), cell // b % n, cell % b
+    pre[start[y] + phi.reshape(-1)[cell], x] = start[x] + a
     carrier = tuple(a for x in S._ids for a in cs.blocks[x].elements)
     rec = Identification(carrier, {a: g for g, a in enumerate(carrier)},
                          owner, img, pre, None)

@@ -235,20 +235,6 @@ def _bit_matrix(rows, n=None):
     return np.unpackbits(packed, axis=1, count=n, bitorder="little").view(bool)
 
 
-def _ranks(topo, up_adj, down_adj):
-    """Height and depth (longest chain down to 0 and up to 1) of every
-    element, given a linear extension `topo` of the order."""
-    height = [0] * len(topo)
-    depth = [0] * len(topo)
-    for i in topo:
-        for j in down_adj[i]:
-            height[i] = max(height[i], height[j] + 1)
-    for i in reversed(topo):
-        for j in up_adj[i]:
-            depth[i] = max(depth[i], depth[j] + 1)
-    return tuple(height), tuple(depth)
-
-
 def _named(elements):
     """A lattice with the ids `elements` and nothing else yet; NotBounded
     when there are none, LatticeError naming the first repeated id."""
@@ -269,24 +255,45 @@ def _named(elements):
 
 
 def _linked(L, cov):
-    """Give L the covers `cov`, index pairs; returns their adjacency up and
-    down and Kahn's linear extension.  CycleDetected on a cycle."""
+    """Give L the covers `cov`, index pairs, their adjacency up and down,
+    and every element's height and depth (longest chain down to 0 and up
+    to 1); returns Kahn's linear extension.  CycleDetected on a cycle.
+
+    Kahn's pass visits elements first in, first out, and so by
+    nondecreasing height.  An element is appended while its last lower
+    cover is visited; its other lower covers were visited before, so none
+    is higher, and its height is that cover's plus one, final when it is
+    appended.  Depths come from one pass back along Kahn's order."""
+    n = L.n
     L._cov = tuple(cov)
-    up_adj = [[] for _ in range(L.n)]
-    down_adj = [[] for _ in range(L.n)]
+    up_adj = [[] for _ in range(n)]
+    down_adj = [[] for _ in range(n)]
     for i, j in L._cov:
         up_adj[i].append(j)
         down_adj[j].append(i)
     indeg = list(map(len, down_adj))
-    topo = [i for i in range(L.n) if indeg[i] == 0]
+    height = [0] * n
+    topo = [i for i in range(n) if indeg[i] == 0]
     for i in topo:
+        h = height[i] + 1
         for j in up_adj[i]:
             indeg[j] -= 1
             if indeg[j] == 0:
+                height[j] = h
                 topo.append(j)
-    if len(topo) != L.n:
+    if len(topo) != n:
         raise CycleDetected("cover digraph contains a cycle")
-    return up_adj, down_adj, topo
+    depth = [0] * n
+    for i in reversed(topo):
+        d = 0
+        for j in up_adj[i]:
+            if depth[j] >= d:
+                d = depth[j] + 1
+        depth[i] = d
+    L._up_adj = tuple(map(tuple, up_adj))
+    L._down_adj = tuple(map(tuple, down_adj))
+    L._height, L._depth = tuple(height), tuple(depth)
+    return topo
 
 
 def _ordered(elements, covers):
@@ -309,7 +316,8 @@ def _ordered(elements, covers):
             raise LatticeError(f"duplicate cover ({lo!r}, {hi!r})")
         seen.add(pair)
         cov.append(pair)
-    up_adj, down_adj, topo = _linked(L, cov)
+    topo = _linked(L, cov)
+    up_adj = L._up_adj
 
     # reflexive-transitive closure, bottom-up: bit j of up[i] is i ≦ j
     up = [0] * L.n
@@ -326,10 +334,7 @@ def _ordered(elements, covers):
                 raise NotTransitiveReduction(
                     f"cover ({ids[i]!r}, {ids[j]!r}) is implied via {ids[k]!r}")
 
-    L._bot, L._top = _bounds(L._ids, up_adj, down_adj)
-    L._up_adj = tuple(map(tuple, up_adj))
-    L._down_adj = tuple(map(tuple, down_adj))
-    L._height, L._depth = _ranks(topo, up_adj, down_adj)
+    L._bot, L._top = _bounds(L._ids, up_adj, L._down_adj)
     return L, topo, up
 
 
@@ -345,17 +350,14 @@ def _from_order(elements, leq):
     ltf = lt.astype(np.float32)
     two_steps = (ltf @ ltf) > 0
     lo, hi = np.nonzero(lt & ~two_steps)
-    up_adj, down_adj, topo = _linked(L, zip(lo.tolist(), hi.tolist()))
+    topo = _linked(L, zip(lo.tolist(), hi.tolist()))
     # transitive and antisymmetric exactly when every two-step path is a
     # strict step (a cycle a < b < a is the two-step path a, a)
     if not leq.diagonal().all() or (two_steps & ~lt).any():
         raise LatticeError("relation is not a partial order: its covers "
                            "generate a different order")
     L._leq = leq
-    L._bot, L._top = _bounds(L._ids, up_adj, down_adj)
-    L._up_adj = tuple(map(tuple, up_adj))
-    L._down_adj = tuple(map(tuple, down_adj))
-    L._height, L._depth = _ranks(topo, up_adj, down_adj)
+    L._bot, L._top = _bounds(L._ids, L._up_adj, L._down_adj)
     return L, np.array(topo)
 
 

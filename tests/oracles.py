@@ -20,7 +20,9 @@ join of the atoms below it, the generated sublattice by id-pair closure,
 and the congruence partitions, principal congruences and sublattice test
 that `is_simple` is checked against.  Also the per-height cover
 recurrence behind `elevate` and the formula tables, with its per-element
-search for first covers."""
+search for first covers.  Also the full-grid kernels of (19) and of
+(20)/(20δ), the 3-axis split behind the identification record, and the
+separate rank pass after Kahn's order."""
 
 from dataclasses import dataclass
 from itertools import combinations, islice, permutations, product as iproduct
@@ -29,13 +31,15 @@ import numpy as np
 
 from latglue import skeleton
 from latglue.connect import ChainDependence, ConnectViolation, \
-    ConnectedSystem, NotModularSkeleton, _check_disjoint, connected_sum
+    ConnectedSystem, NotModularSkeleton, _check_disjoint, _images, \
+    connected_sum
 from latglue.core import _BLOCK_CELLS, _SOLVE_BLOCK, CycleDetected, \
     FiniteLattice, InvariantViolated, LatticeError, NoUniqueJoin, \
     NoUniqueMeet, NotBounded, NotTransitiveReduction, UnknownElement, \
-    _bit_matrix, _bounds, _ranks, _settle, _uncertified
+    _bit_matrix, _bounds, _settle, _uncertified
 from latglue.glue import GluedSystem, GlueViolation, NotALattice, \
-    _is_filter, _is_ideal, validate as glue_validate
+    _compose as _index_compose, _is_filter, _is_ideal, \
+    validate as glue_validate
 from latglue.glue import glued_sum
 from latglue.hom import LatticeHom, is_homomorphism, is_injective
 from latglue.predicates import NotModular, is_modular
@@ -312,6 +316,67 @@ def oracle_fill(S, phi):
         inner = phi[x, c]
         phi[x, y] = np.where(inner >= 0, phi[c[:, None], y[:, None],
                                              np.maximum(inner, 0)], -1)
+
+
+def oracle_chain_failures(S, phi):
+    """`glue._chain_failures` as it was: each cover x ≺ c composed against
+    every column y of the skeleton, masked by c < y afterwards, then every
+    triple listed one x at a time after the first failure."""
+    n, b = S.n, phi.shape[2]
+    lt = S._leq & ~np.eye(n, dtype=bool)
+    cov = np.array(S._cov, dtype=np.intp).reshape(-1, 2)
+    step = max(1, _BLOCK_CELLS // (n * b))
+    ys = np.arange(n)[None, :, None]
+    for s in range(0, len(cov), step):
+        x, c = cov[s:s + step, 0], cov[s:s + step, 1]
+        comp = _index_compose(lambda a: phi[c[:, None, None], ys, a],
+                              phi[x, c][:, None, :])
+        if ((comp != phi[x]).any(2) & lt[c]).any():
+            break
+    else:
+        return {}
+    out = {}
+    for x in range(n):
+        up = np.flatnonzero(lt[x])
+        comp = _index_compose(
+            lambda a: phi[up[:, None, None], up[None, :, None], a],
+            phi[x, up][:, None, :])
+        bad = (comp != phi[x, up][None]).any(2) & lt[np.ix_(up, up)]
+        for y, z in zip(*np.nonzero(bad.T)):
+            out.setdefault((x, int(up[y])), []).append(int(up[z]))
+    return out
+
+
+def oracle_glue_failures(S, phi):
+    """`connect._glue_failures` as it was: (20) and (20δ) on every cell of
+    the n×n grid, in chunks of rows, from image masks of the whole tensor."""
+    n, b = S.n, phi.shape[2]
+    img = _images(phi.reshape(n * n, b), b).reshape(n, n, b)
+    dom = phi >= 0
+    f20 = np.zeros((n, n), dtype=bool)
+    f20d = np.zeros((n, n), dtype=bool)
+    step = max(1, _BLOCK_CELLS // (n * b))
+    cols = np.arange(n)[None, :]
+    for s in range(0, n, step):
+        rows = np.arange(s, min(n, s + step))[:, None]
+        j, w = S._join[rows, cols], S._meet[rows, cols]
+        f20[rows[:, 0]] = (img[rows, j] & img[cols, j] & ~img[w, j]).any(2)
+        f20d[rows[:, 0]] = (dom[w, rows] & dom[w, cols] & ~dom[w, j]).any(2)
+    return f20, f20d
+
+
+def oracle_preimages(cs):
+    """The `pre` array of the identification record from a nonzero on the
+    tensor's 3 axes: the preimage in block x of each carrier element,
+    the last in block order where a map is not injective."""
+    S = cs.skeleton
+    phi = cs._tensor[0]
+    size = [cs.blocks[x].n for x in S._ids]
+    start = np.concatenate(([0], np.cumsum(size))).astype(np.intp)
+    pre = np.full((start[-1], S.n), -1, dtype=np.intp)
+    x, y, a = np.nonzero(phi >= 0)
+    pre[start[y] + phi[x, y, a], x] = start[x] + a
+    return pre
 
 
 def _oracle_block_of(cs, a):
@@ -662,6 +727,42 @@ def _first_common_bounds(up, order):
     pos[order] = np.arange(n)
     return (order[first[pos][:, pos]].astype(np.int32),
             least[pos][:, pos])
+
+
+def _ranks(topo, up_adj, down_adj):
+    """Height and depth (longest chain down to 0 and up to 1) of every
+    element, given a linear extension `topo` of the order."""
+    height = [0] * len(topo)
+    depth = [0] * len(topo)
+    for i in topo:
+        for j in down_adj[i]:
+            height[i] = max(height[i], height[j] + 1)
+    for i in reversed(topo):
+        for j in up_adj[i]:
+            depth[i] = max(depth[i], depth[j] + 1)
+    return tuple(height), tuple(depth)
+
+
+def oracle_linked(n, cov):
+    """`core._linked` before it set ranks: the adjacency up and down of the
+    index covers `cov` over range(n), Kahn's linear extension, and the
+    heights and depths of a separate `_ranks` pass along it."""
+    up_adj = [[] for _ in range(n)]
+    down_adj = [[] for _ in range(n)]
+    for i, j in cov:
+        up_adj[i].append(j)
+        down_adj[j].append(i)
+    indeg = list(map(len, down_adj))
+    topo = [i for i in range(n) if indeg[i] == 0]
+    for i in topo:
+        for j in up_adj[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                topo.append(j)
+    if len(topo) != n:
+        raise CycleDetected("cover digraph contains a cycle")
+    return (tuple(map(tuple, up_adj)), tuple(map(tuple, down_adj)), topo,
+            *_ranks(topo, up_adj, down_adj))
 
 
 def kahn_order(L):
