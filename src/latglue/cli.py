@@ -47,8 +47,8 @@ def _error(message, **context):
 def _load(path, want=None):
     try:
         obj = lio.load(path)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError,
-            LatticeError) as e:
+    except (OSError, UnicodeDecodeError, RecursionError,
+            json.JSONDecodeError, KeyError, TypeError, LatticeError) as e:
         raise SystemExit(_error(f"{type(e).__name__}: {e}", file=path))
     if want is not None and not isinstance(obj, want):
         names = [t.__name__ for t in (want if isinstance(want, tuple)
@@ -57,16 +57,21 @@ def _load(path, want=None):
     return obj
 
 
-def _write_outputs(args, obj, dot_lattice=None, highlight=()):
-    if getattr(args, "out", None):
-        try:
-            lio.save(obj, args.out)
-        except LatticeError as e:  # refused before any file is opened
-            raise SystemExit(_error(f"{type(e).__name__}: {e}", file=args.out))
-    if getattr(args, "dot", None):
-        L = dot_lattice if dot_lattice is not None else obj
-        with open(args.dot, "w") as f:
-            f.write(lio.to_dot(L, highlight))
+def _write_outputs(out=None, obj=None, dot=None, lattice=None, highlight=()):
+    """Write `obj` as JSON to the path `out`, then `lattice` as DOT to the
+    path `dot`, each when its path is given.  An object the writer refuses
+    (before it opens the file) or a path that cannot be written exits 2
+    with a JSON error naming the path."""
+    path = out
+    try:
+        if out:
+            lio.save(obj, out)
+        path = dot
+        if dot:
+            with open(dot, "w") as f:
+                f.write(lio.to_dot(lattice, highlight))
+    except (OSError, LatticeError) as e:
+        raise SystemExit(_error(f"{type(e).__name__}: {e}", file=path))
 
 
 def cmd_check(args):
@@ -107,7 +112,7 @@ def cmd_glue(args):
     L = glued_sum(sys_)
     print(f"valid glued system: {len(sys_.skeleton.elements)} blocks, "
           f"sum has {L.n} elements, length {L.length()}")
-    _write_outputs(args, L)
+    _write_outputs(args.out, L, args.dot, L)
     return 0
 
 
@@ -132,7 +137,7 @@ def cmd_connect(args):
     L = glued_sum(gsys)
     print(f"valid connected system: quotient sum has {L.n} elements, "
           f"length {L.length()}")
-    _write_outputs(args, gsys, dot_lattice=L)
+    _write_outputs(args.out, gsys, args.dot, L)
     return 0
 
 
@@ -149,7 +154,7 @@ def cmd_skeleton(args):
               f"{len(dec.system.block_set(x))} elements")
     ok = dec.reglues()
     print(f"roundtrip: {'OK' if ok else 'FAILED'}")
-    _write_outputs(args, dec.system, dot_lattice=L, highlight=dec.skeleton_set)
+    _write_outputs(args.out, dec.system, args.dot, L, dec.skeleton_set)
     if not ok:
         return _fail("roundtrip", {"file": args.file})
     return 0
@@ -190,17 +195,15 @@ def cmd_construct(args):
         obj = FIXTURES[args.name](*args.params)
     except (TypeError, ValueError, LatticeError) as e:
         return _error(f"{type(e).__name__}: {e}")
-    if args.out:
-        lio.save(obj, args.out)
-    else:
+    if not args.out:
         print(json.dumps(lio.to_dict(obj), indent=1, sort_keys=True))
+    _write_outputs(args.out, obj)
     if args.dot:
         L = obj if isinstance(obj, FiniteLattice) else glued_sum(obj) \
             if isinstance(obj, GluedSystem) else None
         if L is None:
             return _error("no lattice to draw for this fixture")
-        with open(args.dot, "w") as f:
-            f.write(lio.to_dot(L))
+        _write_outputs(dot=args.dot, lattice=L)
     return 0
 
 
@@ -227,12 +230,10 @@ def cmd_dot(args):
     if L is None:
         return _error("file does not describe a lattice or glued system",
                       file=args.file)
-    text = lio.to_dot(L)
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
+        _write_outputs(dot=args.out, lattice=L)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(lio.to_dot(L))
     return 0
 
 

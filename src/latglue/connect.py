@@ -530,10 +530,12 @@ def connected_sum(cs):
         quotient[x] = L._relabelled(name[offset[i]:offset[i + 1]])
     sys = GluedSystem(S, quotient)
     # its membership record: the classes, each first met at its least
-    # element (the root), are the carrier in order of their roots
+    # element (the root), are the carrier in order of their roots; π_x
+    # only renames, so the blocks' tables are the ones the kernels read
     roots, rows = np.unique(root, return_inverse=True)
     sys.__dict__["_members"] = _block_membership(
-        [quotient[x] for x in ids], tuple(name[r] for r in roots), rows)
+        [quotient[x] for x in ids], cs._tables, tuple(name[r] for r in roots),
+        rows)
     bad = glue_validate(sys)
     if bad:
         raise LatticeError(f"quotient is not a glued system: {bad}")

@@ -95,7 +95,8 @@ class Membership(NamedTuple):
     carrier index to its index in block i (-1 outside it), B = loc >= 0
     and C = B·Bᵀ the overlap sizes.  zero and one are the carrier indices
     of each block's 0 and 1.  join and meet are the blocks' tables in
-    their own indices, each block's raveled after the one before."""
+    their own indices, stacked and padded to the largest block (int32, 0
+    on padding): `_block_tables`' layout, which connect's kernels share."""
     carrier: tuple
     index: dict
     rows: np.ndarray
@@ -114,24 +115,25 @@ class Membership(NamedTuple):
         """Block i's carrier indices, and its order, join and meet tables
         in its own indices."""
         s, e = self.start[i], self.start[i + 1]
-        pos, k, c = self.rows[s:e], e - s, _cell_start(self.start)[i]
-        return (pos, self.up[s:e][:, pos],
-                *(t[c:c + k * k].reshape(k, k) for t in (self.join, self.meet)))
+        pos, k = self.rows[s:e], e - s
+        return pos, self.up[s:e][:, pos], self.join[i, :k, :k], \
+            self.meet[i, :k, :k]
 
 
-def _cell_start(start):
-    """Where each block's table begins in the raveled tables."""
-    size = np.diff(start)
-    return np.cumsum(size ** 2) - size ** 2
-
-
-def _square(count):
-    """All pairs (a, b) of 0 ≦ a, b < count[i] for every i, i by i and
-    a-major: the owner i, a and b of each."""
-    owner = np.repeat(np.arange(len(count)), count ** 2)
-    q = np.arange(len(owner)) - np.repeat(np.cumsum(count ** 2) - count ** 2,
-                                          count ** 2)
-    return owner, q // count[owner], q % count[owner]
+def _block_tables(blocks):
+    """The blocks' order, join and meet tables stacked and padded to the
+    largest block; leq is False and join/meet (int32) are 0 on padding.
+    The membership record keeps join and meet so, and connect's kernels
+    read all three."""
+    b = max(L.n for L in blocks)
+    leq = np.zeros((len(blocks), b, b), dtype=bool)
+    join = np.zeros((len(blocks), b, b), dtype=np.int32)
+    meet = np.zeros_like(join)
+    for i, L in enumerate(blocks):
+        leq[i, :L.n, :L.n] = L._leq
+        join[i, :L.n, :L.n] = L._join
+        meet[i, :L.n, :L.n] = L._meet
+    return leq, join, meet
 
 
 def _members(carrier, rows, start, up, down, zero, one, join, meet):
@@ -154,27 +156,25 @@ def _membership(sys):
     idx = {a: i for i, a in enumerate(carrier)}
     rows = np.array([idx[a] for L in blocks for a in L.elements],
                     dtype=np.intp)
-    return _block_membership(blocks, carrier, rows)
+    return _block_membership(blocks, _block_tables(blocks), carrier, rows)
 
 
-def _block_membership(blocks, carrier, rows):
+def _block_membership(blocks, tables, carrier, rows):
     """The membership record of `blocks`, in skeleton order, whose
-    elements, block after block, are carrier[rows]."""
+    elements, block after block, are carrier[rows]; `tables` are their
+    `_block_tables`, whose join and meet the record keeps."""
+    leq, join, meet = tables
     size = np.array([L.n for L in blocks])
     start = np.concatenate(([0], np.cumsum(size)))
     # the rows r ≦ c of each block: c is in r's up-set, r in c's down-set
-    owner, a, b = _square(size)
-    leq = np.concatenate([L._leq.ravel() for L in blocks])
-    base = start[owner][leq]
-    r, c = base + a[leq], base + b[leq]
+    i, a, b = np.nonzero(leq)
+    r, c = start[i] + a, start[i] + b
     up = np.zeros((start[-1], len(carrier)), dtype=bool)
     down = np.zeros_like(up)
     up[r, rows[c]] = True
     down[c, rows[r]] = True
     zero, one = (rows[start[:-1] + [getattr(L, end) for L in blocks]]
                  for end in ("_bot", "_top"))
-    join, meet = (np.concatenate([getattr(L, op).ravel() for L in blocks],
-                                 dtype=np.int32) for op in ("_join", "_meet"))
     return _members(carrier, rows, start, up, down, zero, one, join, meet)
 
 
@@ -226,24 +226,21 @@ def _sliced_blocks(keys, M, mask, lo, hi):
     place = np.full(mask.shape, -1, dtype=np.intp)  # index in block i
     place[owner, elem] = np.arange(len(elem)) - start[owner]
     # the tables, M's looked up for the blocks of one size at a time
-    cell = _cell_start(start)
-    tables = [np.empty(cell[-1] + size[-1] ** 2, dtype=np.int32) for _ in "jm"]
+    tables = np.zeros((2, len(mask), size.max(), size.max()), dtype=np.int32)
     for s in np.unique(size):
         g = np.flatnonzero(size == s)
         e = elem[start[g][:, None] + np.arange(s)]
-        pair = (e[:, :, None] * n + e[:, None, :]).reshape(len(g), -1)
-        at = cell[g][:, None] + np.arange(s * s)
+        pair = e[:, :, None] * n + e[:, None, :]
         for t, T in zip(tables, (M._join, M._meet)):
             c = T.take(pair).astype(np.intp)  # take is slow on int32 indices
-            c += g[:, None] * n
-            t[at] = place.take(c)
-    out = [np.flatnonzero(t < 0)[:1] for t in tables]
+            c += g[:, None, None] * n
+            t[g, :s, :s] = place.take(c)
+    out = [np.argwhere(t < 0)[:1] for t in tables]
     if any(len(o) for o in out):
-        i = min(np.searchsorted(cell, o[0], side="right") - 1
-                for o in out if len(o))
+        i = min(o[0, 0] for o in out if len(o))
         for what, o in zip(("join", "meet"), out):
-            if len(o) and o[0] < cell[i] + size[i] ** 2:
-                a, b = divmod(o[0] - cell[i], size[i])
+            if len(o) and o[0, 0] == i:
+                a, b = o[0, 1:]
                 raise InvariantViolated(
                     f"subset is not closed under {what}",
                     (ids[elem[start[i] + a]], ids[elem[start[i] + b]]))
@@ -398,24 +395,19 @@ def _assert_derived(sys, m):
 
     # block operations agree on overlaps: every block holding a and b
     # gives a + b (a·b) the same carrier index; only elements of two or
-    # more blocks can be in an overlap.  Row start[i] + k stands for the
-    # k-th element of block i; the pairs of shared rows of each block are
-    # listed for all blocks at once, block by block and a-major
-    sizes = np.diff(start)
-    shared = np.flatnonzero(m.B.sum(axis=0)[rows] > 1)
-    count = np.bincount(np.searchsorted(start, shared, side="right") - 1,
-                        minlength=S.n)
-    owner, qa, qb = _square(count)
-    first = np.cumsum(count) - count
-    ra, rb = shared[first[owner] + qa], shared[first[owner] + qb]
-    a, b = rows[ra], rows[rb]
+    # more blocks can be in an overlap.  The pairs of shared elements of
+    # each block are listed for all blocks at once, block by block and
+    # a-major, in block indices
+    shared = np.zeros(m.join.shape[:2], dtype=bool)
+    shared[np.arange(shared.shape[1]) < np.diff(start)[:, None]] = \
+        m.B.sum(axis=0)[rows] > 1
+    owner, qa, qb = np.nonzero(shared[:, :, None] & shared[:, None, :])
+    a, b = rows[start[owner] + qa], rows[start[owner] + qb]
     held = np.empty((n, n), dtype=np.intp)
     held[a, b] = np.arange(len(a))  # one block's entry for each pair
     other = held[a, b]
-    cell = _cell_start(start)[owner] \
-        + (ra - start[owner]) * sizes[owner] + rb - start[owner]
     for op in ("join", "meet"):
-        got = rows[start[owner] + getattr(m, op)[cell]]
+        got = rows[start[owner] + getattr(m, op)[owner, qa, qb]]
         bad = np.flatnonzero(got != got[other])
         if len(bad):
             fail(f"blocks disagree on {op}", owner[bad[0]],
@@ -457,20 +449,6 @@ def glued_sum(sys):
 
 
 # -- maps along the skeleton: padded n×n×bmax index tensors (see connect) ---
-
-def _block_tables(blocks):
-    """The blocks' order, join and meet tables stacked and padded to the
-    largest block; leq is False and join/meet are 0 on padding."""
-    b = max(L.n for L in blocks)
-    leq = np.zeros((len(blocks), b, b), dtype=bool)
-    join = np.zeros((len(blocks), b, b), dtype=np.intp)
-    meet = np.zeros_like(join)
-    for i, L in enumerate(blocks):
-        leq[i, :L.n, :L.n] = L._leq
-        join[i, :L.n, :L.n] = L._join
-        meet[i, :L.n, :L.n] = L._meet
-    return leq, join, meet
-
 
 def _compose(outer, inner):
     """outer ∘ inner for index maps (-1 undefined); `outer` is gathered at
@@ -557,17 +535,12 @@ def _formula_tables(sys):
     m = sys._members
     carrier, rows, start = m.carrier, m.rows, m.start
     size = np.diff(start)
-    # the blocks' tables padded to the largest block, 0 on padding
-    join = np.zeros((S.n, size.max(), size.max()), dtype=np.intp)
-    meet = np.zeros_like(join)
-    cell = _square(size)
-    join[cell], meet[cell] = m.join, m.meet
     first = np.argmax(m.B, axis=0)
     at = m.loc[first, np.arange(len(carrier))]
-    n, k = S.n, np.arange(join.shape[1])
+    n, k = S.n, np.arange(m.join.shape[1])
     tables = []
-    for T, op, end, name in ((S, join, m.zero, "sup"),
-                             (S.dual(), meet, m.one, "inf")):
+    for T, op, end, name in ((S, m.join, m.zero, "sup"),
+                             (S.dual(), m.meet, m.one, "inf")):
         U = np.full((n, n, len(k)), -1, dtype=np.intp)
         U[np.arange(n), np.arange(n)] = np.where(k < size[:, None], k, -1)
         X, C = np.array(T._cov, dtype=np.intp).reshape(-1, 2).T

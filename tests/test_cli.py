@@ -664,3 +664,49 @@ def test_missing_fields_exit_2_naming_them(command, doc, message, tmp_path,
     assert run(argv) == 2
     assert json.loads(capsys.readouterr().err.strip()) \
         == {"error": f"LatticeError: {message}", "file": str(bad)}
+
+
+# -- output paths that cannot be written, files that cannot be decoded -------
+
+# a fixture each command reads, by the name `construct` knows it by
+INPUTS = {"skeleton": "m3", "glue": "fig_3by3", "connect": "projective_local",
+          "dot": "m3"}
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("construct", "--out"), ("construct", "--dot"),
+    *[(c, f) for c in ("skeleton", "glue", "connect") for f in ("--out", "--dot")],
+    ("dot", "--out")])
+def test_an_output_path_in_a_missing_directory_exits_2(command, flag,
+                                                       tmp_path, capsys):
+    if command == "construct":
+        argv = ["construct", "m3"]
+    else:
+        src = tmp_path / "in.json"
+        assert run(["construct", INPUTS[command], "--out", str(src)]) == 0
+        argv = [command, str(src)]
+    path = tmp_path / "missing" / "x"
+    capsys.readouterr()
+    assert run([*argv, flag, str(path)]) == 2
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["file"] == str(path) and "FileNotFoundError" in err["error"]
+    assert not (tmp_path / "missing").exists()
+
+
+# raw bytes, which no JSON document the fuzz tests write can hold
+RAW = {"not-utf-8": b"\xff", "too-deep": b"[" * 100_000 + b"]" * 100_000}
+
+
+@pytest.mark.parametrize("command", ["check", "glue", "connect", "skeleton",
+                                     "dot"])
+@pytest.mark.parametrize("raw", sorted(RAW))
+def test_undecodable_and_over_deep_files_exit_2(command, raw, tmp_path,
+                                                capsys):
+    path = tmp_path / "raw.json"
+    path.write_bytes(RAW[raw])
+    argv = [command, str(path)]
+    if command == "check":
+        argv += ["--property", "modular"]
+    assert run(argv) == 2
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["file"] == str(path)

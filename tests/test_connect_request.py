@@ -103,8 +103,11 @@ def test_a_connect_request_builds_each_index_structure_once(
             return real(*args)
         monkeypatch.setattr(owner, name, counted)
 
+    # the block tables are counted in both modules: connect's kernels and
+    # the quotient's membership record share one build
     for owner, name in ((connect, "_map_tensor"), (connect, "_block_tables"),
-                        (connect, "_check_disjoint"), (glue, "_membership"),
+                        (glue, "_block_tables"), (connect, "_check_disjoint"),
+                        (glue, "_membership"),
                         (connect.TensorMaps, "_pair_dict")):
         count(owner, name)
     assert cli.main(["connect", str(path)]) == 0
@@ -187,8 +190,9 @@ def test_a_local_system_is_read_only_and_keeps_its_own_copies():
 @pytest.mark.parametrize("p, q", [(1, 3), (2, 2), (3, 4), (4, 4)])
 def test_the_quotient_gets_the_id_level_membership_record(p, q):
     """The record connected_sum hands over from the component labels is the
-    one `_membership` builds from the quotient's ids; on hand-made systems
-    with maps on diagonal and non-comparable pairs too."""
+    one `_membership` builds from the quotient's ids, with the connected
+    system's block tables; on hand-made systems with maps on diagonal and
+    non-comparable pairs too."""
     cs = elevate(_grid_local(p, q))
     S = cs.skeleton
     systems = [cs]
@@ -207,6 +211,8 @@ def test_the_quotient_gets_the_id_level_membership_record(p, q):
         gsys, _ = connected_sum(sys_)
         assert "_members" in vars(gsys)
         got, want = gsys._members, glue._membership(gsys)
+        # the blocks' tables are the connected system's, not rebuilt
+        assert got.join is sys_._tables[1] and got.meet is sys_._tables[2]
         for field, value in zip(want._fields, want):
             if isinstance(value, np.ndarray):
                 assert np.array_equal(getattr(got, field), value), field
