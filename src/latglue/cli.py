@@ -195,15 +195,12 @@ def cmd_construct(args):
         obj = FIXTURES[args.name](*args.params)
     except (TypeError, ValueError, LatticeError) as e:
         return _error(f"{type(e).__name__}: {e}")
+    L = None
+    if args.dot:  # refused before anything is written
+        L = _lattice_of(obj, "no lattice to draw for this fixture")
     if not args.out:
         print(json.dumps(lio.to_dict(obj), indent=1, sort_keys=True))
-    _write_outputs(args.out, obj)
-    if args.dot:
-        L = obj if isinstance(obj, FiniteLattice) else glued_sum(obj) \
-            if isinstance(obj, GluedSystem) else None
-        if L is None:
-            return _error("no lattice to draw for this fixture")
-        _write_outputs(dot=args.dot, lattice=L)
+    _write_outputs(args.out, obj, args.dot, L)
     return 0
 
 
@@ -220,16 +217,23 @@ def cmd_suite(args):
     return 0
 
 
-def cmd_dot(args):
-    obj = _load(args.file)
+def _lattice_of(obj, refusal, **context):
+    """The lattice a DOT diagram of `obj` draws: obj itself, or the sum of a
+    glued system.  Exits 2 with a JSON error (`refusal` when obj is neither)
+    when there is none."""
     try:
         L = obj if isinstance(obj, FiniteLattice) else glued_sum(obj) \
             if isinstance(obj, GluedSystem) else None
     except NotALattice as e:
-        return _error(f"NotALattice: {e}", file=args.file)
+        raise SystemExit(_error(f"NotALattice: {e}", **context))
     if L is None:
-        return _error("file does not describe a lattice or glued system",
-                      file=args.file)
+        raise SystemExit(_error(refusal, **context))
+    return L
+
+
+def cmd_dot(args):
+    L = _lattice_of(_load(args.file), "file does not describe a lattice or "
+                    "glued system", file=args.file)
     if args.out:
         _write_outputs(dot=args.out, lattice=L)
     else:

@@ -83,41 +83,39 @@ def breadth(L):
     ∨_{k≠i} a_k; swapping aᵢ for jᵢ only lowers the other members'
     leave-one-out joins, so the set stays irredundant inside J(L)."""
     cached = getattr(L, "_breadth", None)
-    if cached is not None:
-        return cached
-    cand = _join_irreducibles(L)
-    n = 0
-    while _irredundant_sets(L, n + 1, cand) is not None:
-        n += 1
-    L._breadth = n
-    return n
+    if cached is None:
+        cached = L._breadth = sum(
+            len(total) > 0 for total, _ in _growth(L, _join_irreducibles(L)))
+    return cached
 
 
-def _irredundant_sets(L, k, _cand=None):
-    """The irredundant k-sets of L, no member below the join of the others,
-    as (total join, leave-one-out joins) per set; None once a size has none.
-    Members are drawn from the sorted indices `_cand`, by default every
+def _growth(L, cand=None, k=None):
+    """The irredundant sets of L, no member below the join of the others,
+    one size at a time from 1: (total join, leave-one-out joins) per set,
+    up to size `k` or to the first size with none, which is yielded too.
+    Members are drawn from the sorted indices `cand`, by default every
     non-bottom index.
 
-    Subsets of an irredundant set are irredundant, so the sets grow one
-    size at a time: each set takes a larger index c not below its join, and
-    keeps it if every old member stays off its leave-one-out join with c."""
+    Subsets of an irredundant set are irredundant, so each set grows by a
+    larger index c not below its join, kept if every old member stays off
+    its leave-one-out join with c."""
     J, leq = L._join, L._leq
-    if _cand is None:
-        _cand = np.delete(np.arange(L.n), L._bot)
-    rows = _cand[:, None]
+    if cand is None:
+        cand = np.delete(np.arange(L.n), L._bot)
+    rows = cand[:, None]
     total = rows[:, 0]
     loo = np.full((len(rows), 1), L._bot, dtype=J.dtype)
+    yield total, loo
     step = max(1, _BLOCK_CELLS // L.n)
-    for size in range(2, k + 1):
+    for _ in range(1, k or len(cand) + 1):
         if not len(rows):
-            return None
+            return
         parts = []
         for s in range(0, len(rows), step):
             t = total[s:s + step]
-            r, c = np.nonzero((_cand > rows[s:s + step, -1:])
-                              & ~leq[np.ix_(_cand, t)].T)
-            c = _cand[c]
+            r, c = np.nonzero((cand > rows[s:s + step, -1:])
+                              & ~leq[np.ix_(cand, t)].T)
+            c = cand[c]
             old = J[loo[s + r], c[:, None]]
             keep = ~leq[rows[s + r], old].any(axis=1)
             r, c = s + r[keep], c[keep]
@@ -125,35 +123,87 @@ def _irredundant_sets(L, k, _cand=None):
                           np.column_stack([old[keep], total[r]]),
                           J[total[r], c]))
         rows, loo, total = (np.concatenate(a) for a in zip(*parts))
-    return (total, loo) if len(rows) else None
+        yield total, loo
 
 
-def is_n_distributive(L, n):
-    """Huhn identity x·Σyᵢ = Σⱼ(x·Σ_{i≠j}yᵢ) over all assignments.
+def _breadth_at_most(L, n):
+    """breadth(L) ≤ n, from the cached breadth or by growing on J(L) to
+    size n+1 only."""
+    cached = getattr(L, "_breadth", None)
+    if cached is not None:
+        return cached <= n
+    return _irredundant_sets(L, n + 1, _join_irreducibles(L)) is None
 
-    Only defined for modular lattices; raises NotModular otherwise.
-    The right side is never above the left.  If some yⱼ is below the join
-    of the others, that leave-one-out join is the total and the two sides
-    meet, so only irredundant (n+1)-sets are checked, once per distinct
-    (total, leave-one-out joins)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not is_modular(L):
-        raise NotModular("n-distributivity is defined for modular lattices")
-    sets = _irredundant_sets(L, n + 1)
-    if sets is None:
-        return True
-    total, loo = sets
-    keys = np.unique(np.column_stack([total, np.sort(loo, axis=1)]), axis=0)
-    total, loo = keys[:, 0], keys[:, 1:]
+
+def _irredundant_sets(L, k, _cand=None):
+    """The irredundant k-sets of `_growth` as (total join, leave-one-out
+    joins) per set, members drawn from `_cand`; None once a size up to k
+    has none."""
+    for size, (total, loo) in enumerate(_growth(L, _cand, k), 1):
+        pass
+    return (total, loo) if size == k and len(total) else None
+
+
+def _distinct_rows(total, loo, base):
+    """The sets with distinct sorted leave-one-out joins; those fix the
+    total, the join of any two of them.  Rows are coded as one integer in
+    base `base`, or sorted lexicographically when that would overflow."""
+    loo = np.sort(loo, axis=1)
+    k = loo.shape[1]
+    if base ** k <= np.iinfo(np.int64).max:
+        code = loo.astype(np.int64) @ base ** np.arange(k - 1, -1, -1)
+        _, first = np.unique(code, return_index=True)
+    else:
+        order = np.lexsort(loo.T[::-1])
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (loo[order[1:]] != loo[order[:-1]]).any(axis=1)
+        first = order[new]
+    return total[first], loo[first]
+
+
+def _huhn_holds(L, total, loo):
+    """x·total = Σⱼ x·looⱼ for every x and every row, all x of a chunk of
+    `_BLOCK_CELLS` cells at once."""
     J, M = L._join, L._meet
-    for x in range(L.n):
+    step = max(1, _BLOCK_CELLS // len(total))
+    for s in range(0, L.n, step):
+        x = np.arange(s, min(s + step, L.n))[:, None]
         rhs = M[x, loo[:, 0]]
-        for j in range(1, n + 1):
+        for j in range(1, loo.shape[1]):
             rhs = J[rhs, M[x, loo[:, j]]]
         if not np.array_equal(M[x, total], rhs):
             return False
     return True
+
+
+def is_n_distributive(L, n):
+    """Huhn identity x·Σyᵢ = Σⱼ(x·Σ_{i≠j}yᵢ) over all assignments of
+    y₀…y_n.
+
+    Only defined for modular lattices; raises NotModular otherwise.  Two
+    cases hold without a search:
+
+    - L distributive.  That is the identity at n = 1, and an
+      n-distributive lattice is (n+1)-distributive (Huhn, 1972): apply the
+      n-identity to y₀…y_{n-1}, y_n+y_{n+1}, then again to each term
+      x·Σ_{i≠j}yᵢ with j < n, a join of n+1 of the y's.  Every term that
+      comes out is x times a join of the y's that misses one of them, so
+      below a term of the (n+1)-identity's right side, and that side is
+      never above the left.
+    - breadth(L) ≤ n.  If some yⱼ is below the join of the others, that
+      leave-one-out join is the total and the two sides meet, so only
+      irredundant (n+1)-sets matter, and `breadth`'s swap argument gives
+      one inside J(L) when any exists.
+
+    Otherwise the identity is checked on the irredundant (n+1)-sets of all
+    of L, once per distinct set of leave-one-out joins."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not is_modular(L):
+        raise NotModular("n-distributivity is defined for modular lattices")
+    if is_distributive(L) or _breadth_at_most(L, n):
+        return True
+    return _huhn_holds(L, *_distinct_rows(*_irredundant_sets(L, n + 1), L.n))
 
 
 def is_simple(L):

@@ -1,7 +1,9 @@
 """Procedures the library replaced, kept as oracles: the Boolean-embedding
 backtracker behind the old `breadth`, the per-element distributive law,
-the forbidden-configuration search for n-distributivity, the id-level
-connected-system code (validators, elevation, quotient, the
+the forbidden-configuration search for n-distributivity, the irredundant
+sets regrown from size 1 for each size `breadth` tries, and the
+one-x-at-a-time Huhn check with no distributive or breadth shortcut, the
+id-level connected-system code (validators, elevation, quotient, the
 identification test and the connected-sums criterion's per-pair loops),
 and the skeleton pipeline's rebuilds: the per-element modular law, the rebuilt
 interval, the Warshall closure, the sum-building round trip and the
@@ -42,7 +44,7 @@ from latglue.glue import GluedSystem, GlueViolation, NotALattice, \
     validate as glue_validate
 from latglue.glue import glued_sum
 from latglue.hom import LatticeHom, is_homomorphism, is_injective
-from latglue.predicates import NotModular, is_modular
+from latglue.predicates import NotModular, _join_irreducibles, is_modular
 
 
 def order_embeds_boolean(L, n):
@@ -116,6 +118,71 @@ def oracle_distributive(L):
     J, M = L._join, L._meet
     for a in range(L.n):
         if not np.array_equal(M[a, J], J[np.ix_(M[a], M[a])]):
+            return False
+    return True
+
+
+def oracle_irredundant_sets(L, k, cand=None):
+    """The irredundant k-sets of L, no member below the join of the others,
+    as (total join, leave-one-out joins) per set; None once a size has none.
+    Members are drawn from the sorted indices `cand`, by default every
+    non-bottom index; each call grows sizes 1…k from scratch."""
+    J, leq = L._join, L._leq
+    if cand is None:
+        cand = np.delete(np.arange(L.n), L._bot)
+    rows = cand[:, None]
+    total = rows[:, 0]
+    loo = np.full((len(rows), 1), L._bot, dtype=J.dtype)
+    step = max(1, _BLOCK_CELLS // L.n)
+    for size in range(2, k + 1):
+        if not len(rows):
+            return None
+        parts = []
+        for s in range(0, len(rows), step):
+            t = total[s:s + step]
+            r, c = np.nonzero((cand > rows[s:s + step, -1:])
+                              & ~leq[np.ix_(cand, t)].T)
+            c = cand[c]
+            old = J[loo[s + r], c[:, None]]
+            keep = ~leq[rows[s + r], old].any(axis=1)
+            r, c = s + r[keep], c[keep]
+            parts.append((np.column_stack([rows[r], c]),
+                          np.column_stack([old[keep], total[r]]),
+                          J[total[r], c]))
+        rows, loo, total = (np.concatenate(a) for a in zip(*parts))
+    return (total, loo) if len(rows) else None
+
+
+def oracle_irredundant_breadth(L):
+    """The size of the largest irredundant subset of J(L), one growth from
+    scratch per size."""
+    cand = _join_irreducibles(L)
+    n = 0
+    while oracle_irredundant_sets(L, n + 1, cand) is not None:
+        n += 1
+    return n
+
+
+def oracle_is_n_distributive(L, n):
+    """The Huhn identity on every irredundant (n+1)-set of all of L, once
+    per distinct (total, sorted leave-one-out joins) row, one x at a time,
+    with no distributive or breadth shortcut."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not is_modular(L):
+        raise NotModular("n-distributivity is defined for modular lattices")
+    sets = oracle_irredundant_sets(L, n + 1)
+    if sets is None:
+        return True
+    total, loo = sets
+    keys = np.unique(np.column_stack([total, np.sort(loo, axis=1)]), axis=0)
+    total, loo = keys[:, 0], keys[:, 1:]
+    J, M = L._join, L._meet
+    for x in range(L.n):
+        rhs = M[x, loo[:, 0]]
+        for j in range(1, n + 1):
+            rhs = J[rhs, M[x, loo[:, j]]]
+        if not np.array_equal(M[x, total], rhs):
             return False
     return True
 

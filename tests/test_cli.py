@@ -162,6 +162,22 @@ def test_construct_stdout_json(capsys):
     assert set(d) == {"elements", "covers"}
 
 
+@pytest.mark.parametrize("name, error", [
+    ("nonexample_a1", "NotALattice: "),
+    ("projective_local", "no lattice to draw for this fixture")])
+@pytest.mark.parametrize("out", [True, False], ids=["out", "stdout"])
+def test_construct_dot_without_a_lattice_is_refused_before_writing(
+        name, error, out, tmp_path, capsys):
+    argv = ["construct", name, "--dot", str(tmp_path / "x.dot")]
+    if out:
+        argv += ["--out", str(tmp_path / "x.json")]
+    assert run(argv) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert json.loads(got.err.strip())["error"].startswith(error)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_construct_load_roundtrip(name, tmp_path):
     built = FIXTURES[name]()
