@@ -126,15 +126,6 @@ def _growth(L, cand=None, k=None):
         yield total, loo
 
 
-def _breadth_at_most(L, n):
-    """breadth(L) ≤ n, from the cached breadth or by growing on J(L) to
-    size n+1 only."""
-    cached = getattr(L, "_breadth", None)
-    if cached is not None:
-        return cached <= n
-    return _irredundant_sets(L, n + 1, _join_irreducibles(L)) is None
-
-
 def _irredundant_sets(L, k, _cand=None):
     """The irredundant k-sets of `_growth` as (total join, leave-one-out
     joins) per set, members drawn from `_cand`; None once a size up to k
@@ -142,23 +133,6 @@ def _irredundant_sets(L, k, _cand=None):
     for size, (total, loo) in enumerate(_growth(L, _cand, k), 1):
         pass
     return (total, loo) if size == k and len(total) else None
-
-
-def _distinct_rows(total, loo, base):
-    """The sets with distinct sorted leave-one-out joins; those fix the
-    total, the join of any two of them.  Rows are coded as one integer in
-    base `base`, or sorted lexicographically when that would overflow."""
-    loo = np.sort(loo, axis=1)
-    k = loo.shape[1]
-    if base ** k <= np.iinfo(np.int64).max:
-        code = loo.astype(np.int64) @ base ** np.arange(k - 1, -1, -1)
-        _, first = np.unique(code, return_index=True)
-    else:
-        order = np.lexsort(loo.T[::-1])
-        new = np.ones(len(order), dtype=bool)
-        new[1:] = (loo[order[1:]] != loo[order[:-1]]).any(axis=1)
-        first = order[new]
-    return total[first], loo[first]
 
 
 def _huhn_holds(L, total, loo):
@@ -201,9 +175,12 @@ def is_n_distributive(L, n):
         raise ValueError("n must be >= 1")
     if not is_modular(L):
         raise NotModular("n-distributivity is defined for modular lattices")
-    if is_distributive(L) or _breadth_at_most(L, n):
+    if is_distributive(L) or breadth(L) <= n:
         return True
-    return _huhn_holds(L, *_distinct_rows(*_irredundant_sets(L, n + 1), L.n))
+    total, loo = _irredundant_sets(L, n + 1)
+    # distinct sorted leave-one-out joins fix the total, the join of any two
+    _, first = np.unique(np.sort(loo, axis=1), axis=0, return_index=True)
+    return _huhn_holds(L, total[first], loo[first])
 
 
 def is_simple(L):

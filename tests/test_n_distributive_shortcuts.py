@@ -1,46 +1,18 @@
-"""`breadth` grown once on J(L) and `is_n_distributive` decided by the
-distributive and breadth shortcuts before any Huhn check, against the
-per-size regrowth and the shortcut-free check they replaced (`oracles`),
-and the work each does: sizes grown, growths over all of L, Huhn checks."""
+"""The work `breadth` and `is_n_distributive` do: sizes grown, growths over
+all of L, Huhn checks.  Their verdicts are compared with the oracles in
+`test_pruned_predicates`."""
 
-import numpy as np
 import pytest
 
 from latglue import predicates
 from latglue.constructions import boolean, chain, enumerate_lattices, \
-    fano_lattice, grid, m3, section4_example
+    fano_lattice, m3, section4_example
 from latglue.core import FiniteLattice, product
-from latglue.glue import glued_sum
-from latglue.predicates import NotModular, _distinct_rows, breadth, \
-    is_distributive, is_modular, is_n_distributive
-from latglue.suite import glued_fixtures
-from oracles import oracle_irredundant_breadth, oracle_is_n_distributive
+from latglue.predicates import breadth, is_distributive, is_modular, \
+    is_n_distributive
+from oracles import oracle_irredundant_sets, oracle_is_n_distributive
 
 NS = (1, 2, 3, 4)
-CORPUS7 = list(enumerate_lattices(7))
-CORPUS7_DUALS = [L.dual() for L in CORPUS7]
-
-
-def _inputs():
-    """The ≤ 7 corpus and its duals, the glued fixture sums and their
-    blocks, and the larger named lattices."""
-    out = {f"corpus7-{k}": L for k, L in enumerate(CORPUS7)}
-    out.update({f"corpus7-{k}-dual": L for k, L in enumerate(CORPUS7_DUALS)})
-    for name, sys in glued_fixtures().items():
-        out[f"glued_{name}"] = glued_sum(sys)
-        out.update({f"glued_{name}[{x}]": sys.blocks[x]
-                    for x in sys.skeleton.elements})
-    out.update({f"boolean{k}": boolean(k) for k in range(7)})
-    out.update({
-        "grid6x6": grid(6, 6),
-        "m3xc5": product(m3(), chain(4)),
-        "fanoxc2": product(fano_lattice(), chain(1)),
-        "section4": section4_example()["sum"],
-    })
-    return out
-
-
-INPUTS = _inputs()
 
 
 def fresh(L):
@@ -48,32 +20,10 @@ def fresh(L):
     return FiniteLattice(L.elements, L.covers)
 
 
-@pytest.mark.parametrize("name", sorted(INPUTS))
-def test_breadth_and_n_distributive_match_the_oracles(name):
-    L = INPUTS[name]
-    oracle = fresh(L)
-    b = oracle_irredundant_breadth(oracle)
-    uncached = fresh(L)
-    assert breadth(fresh(L)) == b
-    if not is_modular(oracle):
-        for n in NS:
-            with pytest.raises(NotModular):
-                is_n_distributive(uncached, n)
-            with pytest.raises(NotModular):
-                oracle_is_n_distributive(oracle, n)
-        return
-    cached = fresh(L)
-    breadth(cached)
-    for n in NS:
-        want = oracle_is_n_distributive(oracle, n)
-        assert is_n_distributive(uncached, n) == want, n
-        assert is_n_distributive(cached, n) == want, n
-
-
 def test_oracle_one_distributivity_is_distributivity():
     # independent of `is_n_distributive`, which reads `is_distributive`
     checked = 0
-    for L in CORPUS7 + CORPUS7_DUALS:
+    for L in enumerate_lattices(7):
         if is_modular(L):
             assert oracle_is_n_distributive(L, 1) == is_distributive(L)
             checked += 1
@@ -84,28 +34,13 @@ def test_oracle_one_distributivity_is_distributivity():
     ("fano", 2), ("fano", 3), ("section4", 1), ("section4", 2),
     ("section4", 3), ("m3xm3", 3), ("fanoxc2", 3)])
 def test_huhn_check_in_small_chunks(name, n, monkeypatch):
-    L = {"fano": fano_lattice(), "section4": INPUTS["section4"],
-         "m3xm3": product(m3(), m3()), "fanoxc2": INPUTS["fanoxc2"]}[name]
+    L = {"fano": fano_lattice, "section4": lambda: section4_example()["sum"],
+         "m3xm3": lambda: product(m3(), m3()),
+         "fanoxc2": lambda: product(fano_lattice(), chain(1))}[name]()
     want = oracle_is_n_distributive(fresh(L), n)
     monkeypatch.setattr(predicates, "_BLOCK_CELLS", 7)
     assert is_n_distributive(fresh(L), n) == want
 
-
-def test_distinct_rows_lexsort_matches_the_integer_code():
-    rng = np.random.default_rng(0)
-    loo = rng.integers(0, 6, size=(500, 4))
-    total = loo.max(axis=1)
-    coded = _distinct_rows(total, loo, 6)  # 6**4 fits in int64
-    lexed = _distinct_rows(total, loo, 2 ** 20)  # 2**80 does not
-    assert len(coded[0]) == len(np.unique(np.sort(loo, axis=1), axis=0))
-    for got in (coded, lexed):
-        order = np.lexsort(got[1].T[::-1])
-        assert np.array_equal(got[1][order],
-                              np.unique(np.sort(loo, axis=1), axis=0))
-        assert np.array_equal(got[0][order], got[1][order].max(axis=1))
-
-
-# -- work counts ---------------------------------------------------------------
 
 @pytest.fixture
 def growths(monkeypatch):
@@ -164,6 +99,9 @@ def test_breadth_at_most_n_grows_on_join_irreducibles_only(growths,
 
 
 def test_fano_still_runs_the_huhn_check(growths, huhn_checks):
-    assert not is_n_distributive(fano_lattice(), 2)
+    L = fano_lattice()
+    assert not is_n_distributive(L, 2)
     assert [call["all"] for call in growths] == [False, True]
-    assert len(huhn_checks) == 1
+    # one row per distinct set of leave-one-out joins, no fewer
+    _, loo = oracle_irredundant_sets(L, 3)
+    assert huhn_checks == [len({tuple(sorted(row)) for row in loo.tolist()})]

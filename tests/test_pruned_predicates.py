@@ -2,7 +2,8 @@
 replaced, which is kept here or in `oracles` as the oracle: the multiset
 `is_n_distributive`, the per-cover `principal_congruence` `is_simple`, the
 per-pair `is_modular`, the Boolean-embedding `breadth` and the per-element
-`is_distributive`."""
+`is_distributive`; past the multiset oracle's size, the shortcut-free
+`oracle_is_n_distributive`."""
 
 from itertools import combinations, combinations_with_replacement
 from math import comb
@@ -18,7 +19,8 @@ from latglue.predicates import NotModular, _irredundant_sets, \
     _join_irreducibles, breadth, is_distributive, is_modular, \
     is_n_distributive, is_simple
 from latglue.suite import glued_fixtures
-from oracles import oracle_breadth, oracle_distributive, principal_congruence
+from oracles import oracle_breadth, oracle_distributive, \
+    oracle_is_n_distributive, principal_congruence
 
 CORPUS8 = list(enumerate_lattices(8))
 NS = (1, 2, 3, 4)
@@ -90,8 +92,13 @@ def assert_same_verdicts(L):
     verdicts = {}
     for n in NS:
         verdicts[n] = is_n_distributive(L, n)
+        # with no breadth cached, `is_n_distributive` computes it
+        uncached = FiniteLattice(L.elements, L.covers)
+        assert is_n_distributive(uncached, n) == verdicts[n], n
         if comb(L.n + n, n + 1) <= ORACLE_ROWS:
             assert verdicts[n] == oracle_n_distributive(fresh, n), n
+        else:
+            assert verdicts[n] == oracle_is_n_distributive(fresh, n), n
     return verdicts
 
 
@@ -106,6 +113,12 @@ def test_corpus8_both_element_orders():
     assert false_cases  # M3 and its relatives fail at n = 1
 
 
+def test_corpus7_duals():
+    for L in CORPUS8:
+        if L.n <= 7:
+            assert_same_verdicts(L.dual())
+
+
 NAMED = {f"glued_{name}": glued_sum(sys)
          for name, sys in glued_fixtures().items()}
 NAMED.update({
@@ -115,12 +128,27 @@ NAMED.update({
     "m3xm3": product(m3(), m3()),
     "fano": fano_lattice(),
     "m3xc1": product(m3(), chain(1)),
+    "boolean4": boolean(4),
+    "m3xc5": product(m3(), chain(4)),
+    "fanoxc2": product(fano_lattice(), chain(1)),
+    "section4": section4_example()["sum"],
 })
+NAMED.update({f"glued_{name}[{x}]": sys.blocks[x]
+              for name, sys in glued_fixtures().items()
+              for x in sys.skeleton.elements})
+# beyond the multiset oracle at n = 4, where `oracle_is_n_distributive`
+# stands in for it
+LARGE = {"boolean6": boolean(6), "grid6x6": grid(6, 6)}
 
 
 @pytest.mark.parametrize("name", sorted(NAMED))
 def test_named_lattices(name):
     assert_same_verdicts(NAMED[name])
+
+
+@pytest.mark.parametrize("name", sorted(LARGE))
+def test_large_named_lattices(name):
+    assert_same_verdicts(LARGE[name])
 
 
 def test_oracle_covers_every_named_case_but_one():
