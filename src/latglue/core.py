@@ -171,6 +171,17 @@ def _uncertified(Uf, table):
     return bad
 
 
+def _transitive_closure(rel):
+    """The transitive closure of a reflexive boolean relation, squared (a
+    float32 product through BLAS) until it no longer grows."""
+    while True:
+        f = rel.astype(np.float32)
+        closed = (f @ f) > 0
+        if np.array_equal(closed, rel):
+            return rel
+        rel = closed
+
+
 def _settle(leq, order, ids, join, meet, flagged):
     """Recheck the pairs flagged in any layer of `flagged` exactly with
     the per-pair rule: the first common bound in `order`, a linear

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import _BLOCK_CELLS, FiniteLattice, InvariantViolated, \
-    LatticeError, UnknownElement
+    LatticeError, UnknownElement, _transitive_closure
 
 
 class NotALattice(LatticeError):
@@ -56,6 +56,22 @@ class GluedSystem:
     @cached_property
     def _formulas(self):
         return _formula_tables(self)  # built once: the blocks are read-only
+
+    @cached_property
+    def _sum(self):
+        """The sum lattice, built once (the blocks are read-only): the
+        transitive closure of the union of block orders, re-validated from
+        scratch (unique joins/meets are checked, not assumed)."""
+        carrier, leq = order_closure(self)
+        cyclic = np.argwhere(leq & leq.T & ~np.eye(len(carrier), dtype=bool))
+        if len(cyclic):
+            a, b = (carrier[i] for i in cyclic[0])
+            raise NotALattice(
+                f"closure order not antisymmetric at ({a!r}, {b!r})")
+        try:
+            return FiniteLattice.from_leq(carrier, leq)
+        except LatticeError as e:
+            raise NotALattice(str(e)) from e
 
     def carrier(self):
         return self._members.carrier
@@ -414,38 +430,23 @@ def _assert_derived(sys, m):
                  owner[other[bad[0]]])
 
 
-def order_closure(sys):
-    """The carrier and the transitive closure of the union of the block
-    orders over it.  The union is reflexive, so squaring it (a float32
-    product through BLAS) doubles the length of the paths it closes over;
-    squaring stops when the relation no longer grows."""
+def _order_union(sys):
+    """The carrier and the union of the block orders over it, reflexive."""
     m = sys._members
-    # the union: for each carrier element, its up-sets in all its blocks
     order = np.argsort(m.rows, kind="stable")
-    leq = np.logical_or.reduceat(
+    return m.carrier, np.logical_or.reduceat(
         m.up[order], np.searchsorted(m.rows[order], np.arange(len(m.carrier))))
-    while True:
-        f = leq.astype(np.float32)
-        closed = (f @ f) > 0
-        if np.array_equal(closed, leq):
-            return m.carrier, leq
-        leq = closed
+
+
+def order_closure(sys):
+    """The carrier and the transitive closure of `_order_union`."""
+    carrier, R = _order_union(sys)
+    return carrier, _transitive_closure(R)
 
 
 def glued_sum(sys):
-    """The sum lattice: transitive closure of the union of block orders,
-    re-validated from scratch (unique joins/meets are checked, not assumed).
-    """
-    carrier, leq = order_closure(sys)
-    n = len(carrier)
-    cyclic = np.argwhere(leq & leq.T & ~np.eye(n, dtype=bool))
-    if len(cyclic):
-        a, b = (carrier[i] for i in cyclic[0])
-        raise NotALattice(f"closure order not antisymmetric at ({a!r}, {b!r})")
-    try:
-        return FiniteLattice.from_leq(carrier, leq)
-    except LatticeError as e:
-        raise NotALattice(str(e)) from e
+    """The sum lattice of a system, kept on it (`GluedSystem._sum`)."""
+    return sys._sum
 
 
 # -- maps along the skeleton: padded n×n×bmax index tensors (see connect) ---

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import _BLOCK_CELLS, LatticeError
+from .core import _BLOCK_CELLS, LatticeError, _transitive_closure
 
 
 class NotModular(LatticeError):
@@ -190,8 +190,8 @@ def is_simple(L):
     A finite lattice is simple iff the dependency digraph on its
     join-irreducibles is strongly connected: p D q when some x has
     p ≦ q+x but not p ≦ q₊+x, q₊ the lower cover of q (Freese, Ježek &
-    Nation, *Free Lattices*, Thm 2.35 and Lemma 2.36).  The loop p D p is
-    kept; it does not change reachability."""
+    Nation, *Free Lattices*, Thm 2.35 and Lemma 2.36).  The loop p D p
+    (x = 0) keeps D reflexive for its closure by squaring."""
     if L.n < 2:
         return False
     J, leq = L._join, L._leq
@@ -203,13 +203,7 @@ def is_simple(L):
     for s in range(0, len(ps), step):
         p = ps[s:s + step, None, None]
         D[s:s + step] = (leq[p, up] & ~leq[p, up_lower]).any(axis=2)
-    # reachability by squaring; float32 counts paths up to |J| exactly
-    while True:
-        Df = D.astype(np.float32)
-        reach = (Df @ Df) > 0
-        if np.array_equal(reach, D):
-            return bool(D.all())
-        D = reach
+    return bool(_transitive_closure(D).all())
 
 
 def generated_sublattice(host, generators):

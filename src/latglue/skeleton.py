@@ -8,7 +8,7 @@ import numpy as np
 
 from .core import FiniteLattice, InvariantViolated, _from_order, _settle, \
     _uncertified, find_isomorphism
-from .glue import GluedSystem, _sliced_blocks, nested_cover, order_closure, \
+from .glue import GluedSystem, _order_union, _sliced_blocks, nested_cover, \
     validate as glue_validate
 from .predicates import NotModular, breadth, is_atomistic, is_modular, is_n_distributive
 
@@ -159,16 +159,21 @@ class SkeletonDecomposition:
     dual_skeleton: frozenset
 
     def reglues(self):
-        """Does regluing the system reproduce the source element-for-element?
-        The closure of the block orders is compared with the order of M: if
-        they are equal, the sum is M, a validated lattice, so no sum is
-        built."""
-        carrier, leq = order_closure(self.system)
+        """Does regluing the system reproduce the source M element for
+        element?  On one carrier, the sum's order R⁺, the closure of the
+        reflexive union R of the block orders, is ≤_M iff R ⊆ ≤_M and R
+        holds every cover of M; no closure or sum is built.  If both hold,
+        R⁺ ⊆ ≤_M (≤_M is transitive) and ≤_M, the closure of its covers, is
+        in R⁺.  Conversely, if R⁺ = ≤_M, a path in R from a to b with a ≺ b
+        stays in [a, b] = {a, b}, so (a, b) is in R."""
+        carrier, R = _order_union(self.system)
         M = self.source
         if set(carrier) != set(M.elements):
             return False
-        pos = [M.index(a) for a in carrier]
-        return np.array_equal(leq, M._leq[np.ix_(pos, pos)])
+        at = np.argsort([M._idx[a] for a in carrier])  # M's order in carrier
+        R = R[np.ix_(at, at)]
+        lo, hi = np.array(M._cov, dtype=np.intp).reshape(-1, 2).T
+        return bool(R[lo, hi].all() and not (R & ~M._leq).any())
 
 
 def decompose(M):

@@ -4,7 +4,6 @@ results, the star/plus calculus, the worked constructions, connected-sum
 machinery, homomorphism gluing, the counterexample catalog, and the
 corpus enumerator itself."""
 
-import functools
 import time
 
 import numpy as np
@@ -77,33 +76,17 @@ def glued_fixtures():
     return out
 
 
-def _summed(sys):
-    """sys, and a call that returns its sum, built on the first call."""
-    return sys, functools.cache(functools.partial(glued_sum, sys))
-
-
 def _glued():
-    """The glued fixtures, each with its sum: name -> _summed(system)."""
-    return _shared("glued", lambda: {name: _summed(sys) for name, sys
-                                     in glued_fixtures().items()})
+    """The glued fixtures, by name; each keeps its sum once built."""
+    return _shared("glued", glued_fixtures)
 
 
 def _squares(corpus_max):
-    """(S, *_summed(square_sublattice(S))) for the modular S of at most
+    """(S, square_sublattice(S)) for the modular S of at most
     min(corpus_max, 7) elements."""
     return _shared(("squares", min(corpus_max, 7)), lambda: [
-        (S, *_summed(fix.square_sublattice(S)))
+        (S, fix.square_sublattice(S))
         for S in _modular_corpus(min(corpus_max, 7))])
-
-
-def _sum_fixtures(corpus_max):
-    """The named lattices criterion 1 adds on top of the enumerated corpus."""
-    out = [fix.grid(p, q) for p in range(1, 5) for q in range(p, 5)]
-    out += [fix.boolean(n) for n in range(1, 5)]
-    out.append(product(fix.m3(), fix.chain(1)))
-    out += [total() for _, _, total in _squares(corpus_max)]
-    out.append(_section4()["sum"])
-    return out
 
 
 def _formulas_match(sys, L=None):
@@ -118,9 +101,15 @@ def _formulas_match(sys, L=None):
 
 
 def criterion_01_roundtrip(corpus_max):
-    """Decompose-then-reglue reproduces every modular lattice exactly."""
-    mods = _modular_corpus(corpus_max)
-    lattices = mods + [M for M in _sum_fixtures(corpus_max) if is_modular(M)]
+    """Decompose-then-reglue reproduces every modular lattice exactly: the
+    corpus, then the modular ones among named lattices and sums."""
+    lattices = _modular_corpus(corpus_max)
+    named = [fix.grid(p, q) for p in range(1, 5) for q in range(p, 5)]
+    named += [fix.boolean(n) for n in range(1, 5)]
+    named.append(product(fix.m3(), fix.chain(1)))
+    named += [glued_sum(sys) for _, sys in _squares(corpus_max)]
+    named.append(_section4()["sum"])
+    lattices += [M for M in named if is_modular(M)]
     bad = sum(not roundtrip(M) for M in lattices)
     return bad == 0, f"{len(lattices)} modular lattices, {bad} round-trip failures"
 
@@ -128,8 +117,8 @@ def criterion_01_roundtrip(corpus_max):
 def criterion_02_formulas(corpus_max):
     """Block-staircase sup/inf equals the closure-order bounds everywhere."""
     checked = 0
-    for sys, total in _glued().values():
-        if not _formulas_match(sys, total()):
+    for sys in _glued().values():
+        if not _formulas_match(sys):
             return False, "mismatch on a glued fixture"
         checked += 1
     for M in _modular_corpus(corpus_max):
@@ -141,11 +130,11 @@ def criterion_02_formulas(corpus_max):
 
 def criterion_03_transfer(corpus_max):
     """Modularity, breadth, and n-distributivity transfer block-wise."""
-    for name, (sys, total) in _glued().items():
+    for name, sys in _glued().items():
         blocks = [sys.blocks[x] for x in sys.skeleton.elements]
         if not all(is_modular(B) for B in blocks):
             continue
-        L = total()
+        L = glued_sum(sys)
         if not is_modular(L):
             return False, f"{name}: modular blocks but non-modular sum"
         if breadth(L) != max(breadth(B) for B in blocks):
@@ -195,14 +184,14 @@ def criterion_06_distributive_construction(corpus_max):
 def criterion_07_square_construction(corpus_max):
     """Every small modular S yields a sublattice of S×S with skeleton S."""
     squares = _squares(corpus_max)
-    for S, sys, total in squares:
+    for S, sys in squares:
         bad = validate(sys)
         if bad:
             return False, (f"square_sublattice of a {S.n}-element S "
                            f"violates {bad[0].axiom}")
         if not corollary_54_check(sys, product(S, S)):
             return False, f"not a sublattice of S×S for a {S.n}-element S"
-        if find_isomorphism(skeleton_lattice(total()), S) is None:
+        if find_isomorphism(skeleton_lattice(glued_sum(sys)), S) is None:
             return False, f"skeleton not isomorphic to a {S.n}-element S"
     return True, f"{len(squares)} modular skeletons realized inside S×S"
 
@@ -336,13 +325,13 @@ def hom_family_fixtures():
         out[f"identity_{name}"] = (sys, fam, M)
     glued = _glued()
     S = fix.m3()
-    sys = glued["square_over_m3"][0]
+    sys = glued["square_over_m3"]
     host = product(S, S)
     fam = {x: LatticeHom(sys.blocks[x], host,
                          {a: a for a in sys.blocks[x].elements})
            for x in S.elements}
     out["square_inclusion"] = (sys, fam, host)
-    sys = glued["fig_3by3"][0]
+    sys = glued["fig_3by3"]
     host = fix.chain(0)
     fam = {x: LatticeHom(sys.blocks[x], host,
                          {a: "0" for a in sys.blocks[x].elements})
@@ -367,8 +356,8 @@ def criterion_10_hom_gluing(corpus_max):
             return False, f"{name}: injectivity is not block-wise"
     glued = _glued()
     simple_sums = {
-        "hd_two_m3_edge": glued["hd_two_m3_edge"][0],
-        "m3_chain_edges": glued["m3_chain_edges"][0],
+        "hd_two_m3_edge": glued["hd_two_m3_edge"],
+        "m3_chain_edges": glued["m3_chain_edges"],
         "projective_all_m3": fix.section4_example(all_m3=True)["glued_system"],
     }
     for name, sys in simple_sums.items():
@@ -386,28 +375,27 @@ def criterion_11_counterexamples(corpus_max):
     if not a4 or any(v.axiom != "A4" for v in a4):
         return False, "second non-system not rejected with tag A4"
     glued = _glued()
-    ov = glued["note2_overlap"][0]
+    ov = glued["note2_overlap"]
     if validate(ov) or is_monotone_strict(ov):
         return False, "overlap fixture should validate but not be strict"
     _, _, flags = zero_one_maps(ov)
     if flags["zero_injective"] or ov.zero("1") != ov.zero("2"):
         return False, "overlap fixture should have coinciding block zeros"
-    n3, n3_total = glued["note3"]
+    n3 = glued["note3"]
     if validate(n3):
         return False, "block-skeleton fixture should validate"
     union_sk = set()
     for x in n3.skeleton.elements:
         union_sk |= skeleton_set(n3.blocks[x])
-    if not skeleton_set(n3_total()) < union_sk:
+    if not skeleton_set(glued_sum(n3)) < union_sk:
         return False, "sum skeleton should be strictly below the block union"
     lengths = []
     for n in range(1, 6):
-        sys, total = glued.get(f"unbounded_{n}") \
-            or _summed(fix.unbounded_family(n))
+        sys = glued.get(f"unbounded_{n}") or fix.unbounded_family(n)
         if validate(sys) or sys.skeleton.length() != 2 \
                 or not length_bound_check(sys):
             return False, f"staircase family broken at n={n}"
-        lengths.append(total().length())
+        lengths.append(glued_sum(sys).length())
     if lengths != sorted(set(lengths)):
         return False, "staircase sum lengths should strictly increase"
     return True, f"all rejections tagged; staircase lengths {lengths}"

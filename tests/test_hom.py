@@ -15,6 +15,7 @@ from latglue.constructions import boolean, chain, fig_3by3_system, grid, \
     square_sublattice
 from latglue.core import FiniteLattice, InvariantViolated, LatticeError, \
     product
+from latglue.glue import glued_sum
 from latglue.hom import LatticeHom, OverlapDisagreement, check_star, \
     corollary_54_check, glue_homs, is_homomorphism, is_injective, \
     simplicity_transfer_check
@@ -161,6 +162,7 @@ def test_glue_homs_raises_when_the_glued_map_is_not_a_homomorphism(
     sys = decompose(M).system
     ids = sorted(M.elements, key=M.height)
     C = FiniteLattice(ids, list(zip(ids, ids[1:])))
+    glued_sum(sys)  # the system keeps its sum; the patched name still wins
     # the same carrier ordered as a chain: the identity into M breaks joins
     monkeypatch.setattr(hom, "glued_sum", lambda sys: C)
     with pytest.raises(InvariantViolated, match="not a homomorphism") as e:
