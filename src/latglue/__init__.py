@@ -6,8 +6,7 @@ from .core import (FiniteLattice, Interval, LatticeError, CycleDetected,
                    NotBounded, UnknownElement, NotComparable, product,
                    find_isomorphism)
 from .glue import GluedSystem, GlueViolation, NotALattice
-from .connect import (ConnectedSystem, LocalConnectedSystem,
-                      NotModularSkeleton, ChainDependence)
+from .connect import ConnectedSystem, LocalConnectedSystem, NotModularSkeleton
 from .predicates import NotModular
 from .skeleton import SkeletonDecomposition
 from .hom import LatticeHom

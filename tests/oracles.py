@@ -32,9 +32,8 @@ from itertools import combinations, islice, permutations, product as iproduct
 import numpy as np
 
 from latglue import skeleton
-from latglue.connect import ChainDependence, ConnectViolation, \
-    ConnectedSystem, NotModularSkeleton, _check_disjoint, _images, \
-    connected_sum
+from latglue.connect import ConnectViolation, ConnectedSystem, \
+    NotModularSkeleton, _check_disjoint, _images, connected_sum
 from latglue.core import _BLOCK_CELLS, _SOLVE_BLOCK, CycleDetected, \
     FiniteLattice, InvariantViolated, LatticeError, NoUniqueJoin, \
     NoUniqueMeet, NotBounded, NotTransitiveReduction, UnknownElement, \
@@ -335,7 +334,9 @@ def oracle_validate_local(lcs):
 
 def oracle_elevate(lcs):
     """The dict recurrence: going down the skeleton by height,
-    φ(x, y) = φ(c, y) ∘ φ(x, c) for the first upper cover c of x below y."""
+    φ(x, y) = φ(c, y) ∘ φ(x, c) for the first upper cover c of x below y,
+    with (17)–(20δ) checked again on the result, which `elevate` proves
+    instead."""
     bad = oracle_validate_local(lcs)
     if bad:
         raise LatticeError(f"invalid local system: {bad}")
@@ -356,10 +357,6 @@ def oracle_elevate(lcs):
                     maps[(ids[i], ids[j])] = m
     cs = ConnectedSystem(S, lcs.blocks, maps)
     bad = oracle_validate_connected(cs)
-    for v in bad:
-        if v.condition == "19":
-            raise ChainDependence("maps do not compose along the order (19)",
-                                  v.pair)
     if bad:
         raise LatticeError(f"elevated system invalid: {bad}")
     return cs

@@ -98,18 +98,31 @@ def test_connect_runs_quotient(tmp_path, capsys):
 
 def test_connect_local_validates_once_and_walks_no_chains(
         tmp_path, capsys, monkeypatch):
+    """A local request checks (22)-(24δ) once, the isomorphism check on
+    skeleton covers only, and runs no check of (17)-(20δ): elevate proves
+    them from the local conditions."""
     src = tmp_path / "proj.json"
     run(["construct", "projective_local", "--out", str(src)])
-    validations = []
+    calls, iso_pairs = [], []
 
-    def counted_validate(cs, real=connect.validate_connected):
-        validations.append(cs)
-        return real(cs)
-    monkeypatch.setattr(connect, "validate_connected", counted_validate)
-    monkeypatch.setattr(cli, "validate_connected", counted_validate)
+    def counted(name, real):
+        return lambda *args: calls.append(name) or real(*args)
+    for module, name in ((connect, "validate_local"),
+                         (connect, "validate_connected"),
+                         (cli, "validate_connected"),
+                         (connect, "_chain_failures"),
+                         (connect, "_glue_failures")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+
+    def iso(tables, X, Y, f, real=connect._iso_failures):
+        iso_pairs.extend(zip(X.tolist(), Y.tolist()))
+        return real(tables, X, Y, f)
+    monkeypatch.setattr(connect, "_iso_failures", iso)
     assert run(["connect", str(src)]) == 0
     assert "36 elements" in capsys.readouterr().out
-    assert len(validations) == 1
+    assert calls == ["validate_local"]
+    S = lio.load(src).skeleton
+    assert iso_pairs and set(iso_pairs) <= set(map(tuple, S._cov))
 
 
 def test_skeleton_reports_roundtrip(tmp_path, capsys):
