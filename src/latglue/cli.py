@@ -44,6 +44,15 @@ def _error(message, **context):
     return 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 2 like malformed input: the usage, then a JSON
+    error as the last line on stderr.  Subparsers are of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise SystemExit(_error(f"{self.prog}: {message}"))
+
+
 def _load(path, want=None):
     try:
         obj = lio.load(path)
@@ -209,7 +218,7 @@ def cmd_suite(args):
         return _error(f"--corpus-max must be between 1 and "
                       f"{fix.MAX_ENUMERATED}", corpus_max=args.corpus_max,
                       bound=[1, fix.MAX_ENUMERATED])
-    ok, results = run_suite(corpus_max=args.corpus_max)
+    ok, results = run_suite(corpus_max=args.corpus_max, as_json=args.json)
     if not ok:
         return _fail("suite", {"failed": [{"criterion": name, "detail": d}
                                           for name, p, d, _ in results
@@ -244,7 +253,7 @@ def cmd_dot(args):
 @functools.cache
 def _build_parser():
     """The argument parser, built once per process."""
-    p = argparse.ArgumentParser(prog="latglue", description=__doc__)
+    p = _Parser(prog="latglue", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("check", help="test properties of a lattice file")
@@ -283,6 +292,8 @@ def _build_parser():
 
     u = sub.add_parser("suite", help="run the full acceptance suite")
     u.add_argument("--corpus-max", type=int, default=6)
+    u.add_argument("--json", action="store_true",
+                   help="one JSON object per criterion instead of a line")
     u.set_defaults(fn=cmd_suite)
 
     d = sub.add_parser("dot", help="emit a DOT diagram for a file")

@@ -10,7 +10,7 @@ from .core import FiniteLattice, InvariantViolated, _from_order, _settle, \
     _uncertified, find_isomorphism
 from .glue import GluedSystem, _order_union, _sliced_blocks, nested_cover, \
     validate as glue_validate
-from .predicates import NotModular, breadth, is_atomistic, is_modular, is_n_distributive
+from .predicates import NotModular, breadth, is_modular, is_n_distributive
 
 
 def _require_modular(M):
@@ -34,43 +34,43 @@ def plus(M, a):
     return M.meet_all(M.lower_covers(a))
 
 
+# The element-wise identities of `lemma61_suite` and the pair-wise ones, in
+# the order a violation list names them.
+_ONE = ("bounds", "b", "c", "b-dual", "c-dual")
+_TWO = ("a", "d", "d-dual", "e", "e-dual")
+
+
 def lemma61_suite(M):
     """Exhaustively verify the star/plus calculus and its duals:
     (a) monotonicity, (b) a ≦ a⁺* ≦ a*, (c) a*⁺* = a*, (d) the *⁺-closed
     elements are closed under join, (e) a⁺ + b⁺ = (a+b)⁺.
-    Returns a report dict with a list of violation witnesses (expected []).
-    """
-    _require_modular(M)
-    st = {a: star(M, a) for a in M.elements}
-    pl = {a: plus(M, a) for a in M.elements}
+    Returns a report dict with a list of violation witnesses (expected []):
+    (tag, a) or (tag, (a, b)), a-major in M's order, each a's own
+    identities before its pairs.
+
+    Every identity is one gather from `_star_plus`'s index arrays and M's
+    order and tables, over all elements or all pairs at once."""
+    st, pl = _star_plus(M)
+    leq, join, meet = M._leq, M._join, M._meet
+    ix = np.arange(M.n)
+    sp, ps = st[pl], pl[st]  # a⁺*, a*⁺
+    one = np.stack([~leq[ix, st] | ~leq[pl, ix],
+                    ~leq[ix, sp] | ~leq[sp, st],
+                    st[ps] != st,
+                    ~leq[ps, ix] | ~leq[pl, ps],
+                    pl[sp] != pl], axis=1)
+    closed, dclosed = ps == ix, sp == ix
+    two = np.stack([leq & ~(leq[np.ix_(st, st)] & leq[np.ix_(pl, pl)]),
+                    closed[:, None] & closed & ~closed[join],
+                    dclosed[:, None] & dclosed & ~dclosed[meet],
+                    join[np.ix_(pl, pl)] != pl[join],
+                    meet[np.ix_(st, st)] != st[meet]], axis=2)
     bad = []
-    for a in M.elements:
-        if not M.leq(a, st[a]) or not M.leq(pl[a], a):
-            bad.append(("bounds", a))
-        if not (M.leq(a, st[pl[a]]) and M.leq(st[pl[a]], st[a])):
-            bad.append(("b", a))
-        if st[pl[st[a]]] != st[a]:
-            bad.append(("c", a))
-        if not (M.leq(pl[st[a]], a) and M.leq(pl[a], pl[st[a]])):
-            bad.append(("b-dual", a))
-        if pl[st[pl[a]]] != pl[a]:
-            bad.append(("c-dual", a))
-        for b in M.elements:
-            if M.leq(a, b):
-                if not M.leq(st[a], st[b]) or not M.leq(pl[a], pl[b]):
-                    bad.append(("a", (a, b)))
-            if pl[st[a]] == a and pl[st[b]] == b:
-                s = M.join(a, b)
-                if pl[st[s]] != s:
-                    bad.append(("d", (a, b)))
-            if st[pl[a]] == a and st[pl[b]] == b:
-                m = M.meet(a, b)
-                if st[pl[m]] != m:
-                    bad.append(("d-dual", (a, b)))
-            if M.join(pl[a], pl[b]) != pl[M.join(a, b)]:
-                bad.append(("e", (a, b)))
-            if M.meet(st[a], st[b]) != st[M.meet(a, b)]:
-                bad.append(("e-dual", (a, b)))
+    if one.any() or two.any():
+        ids = M._ids
+        for a in range(M.n):
+            bad += [(tag, ids[a]) for tag, hit in zip(_ONE, one[a]) if hit]
+            bad += [(_TWO[t], (ids[a], ids[b])) for b, t in np.argwhere(two[a])]
     return {"violations": bad, "ok": not bad}
 
 
@@ -213,40 +213,69 @@ def roundtrip(M):
 
 
 def maximal_atomistic_intervals(M):
-    """Independent oracle: scan all comparable pairs, keep the atomistic
-    intervals, return the maximal ones as (lo, hi) pairs."""
+    """Independent oracle for S(M): the maximal atomistic intervals of M as
+    (lo, hi) pairs, row-major in M's order, from M's order and covers
+    alone; no interval is built and a* and a⁺ are not used.
+
+    The join-irreducibles of [a, b] are the c in (a, b] with exactly one
+    lower cover ≥ a, and [a, b] is atomistic when each of them covers a.
+    Whether c is one depends on a only, so [a, b] fails exactly when some
+    c ≤ b is a spoiler of a: above a, not covering it, with one lower
+    cover ≥ a.  An atomistic interval is maximal when it is the only
+    atomistic [c, d] with c ≤ a and b ≤ d.  The counts come from float32
+    products, exact while they stay below 2**24."""
     _require_modular(M)
-    found = []
-    for a in M.elements:
-        for b in M.elements:
-            if M.leq(a, b) and is_atomistic(M.interval(a, b).lattice):
-                found.append((a, b))
-    return [(a, b) for (a, b) in found
-            if not any((c, d) != (a, b) and M.leq(c, a) and M.leq(b, d)
-                       for (c, d) in found)]
+    leq = M._leq.astype(np.float32)
+    lo, hi = np.array(M._cov, dtype=np.intp).reshape(-1, 2).T
+    cov = np.zeros((M.n, M.n), dtype=np.float32)
+    cov[lo, hi] = 1
+    # a lower cover of c that is ≥ a puts c above a
+    spoiler = (leq @ cov == 1) & (cov == 0)
+    atomistic = M._leq & (spoiler.astype(np.float32) @ leq == 0)
+    around = leq.T @ atomistic.astype(np.float32) @ leq.T
+    lo, hi = np.nonzero(atomistic & (around == 1))
+    return [(M._ids[a], M._ids[b]) for a, b in zip(lo, hi)]
 
 
 def skeleton_duality_suite(M):
     """Verify that * and ⁺ are mutually inverse order-isomorphisms between
     S(M) and Sᵟ(M), that Sᵟ(M) is the skeleton of the dual lattice, and —
     when M admits an anti-automorphism — that the skeleton lattice is
-    self-dual."""
-    _require_modular(M)
-    sk = skeleton_set(M)
-    dsk = dual_skeleton(M)
-    report = {}
-    up = {x: star(M, x) for x in sk}
-    report["star_into_dual"] = set(up.values()) == dsk and len(set(up.values())) == len(sk)
-    report["mutually_inverse"] = all(plus(M, up[x]) == x for x in sk) and \
-        all(up.get(plus(M, a)) == a for a in dsk)
-    report["order_iso"] = all(M.leq(x, y) == M.leq(up[x], up[y])
-                              for x in sk for y in sk)
-    report["dual_of_dual_skeleton"] = dsk == skeleton_set(M.dual())
-    anti = find_isomorphism(M, M, anti=True)
-    if anti is not None:
-        S = skeleton_lattice(M)
+    self-dual.
+
+    All on `_star_plus`'s index arrays, for M and for M.dual().  On one
+    pair of arrays the first two checks restate the fixed-point
+    definitions of S(M) and Sᵟ(M); the order, the dual's skeleton and the
+    self-duality carry the content.  A failed report also names a
+    `witness`: the first pair of S(M) whose order * does not keep, or the
+    first element whose a* and a⁺ are not the dual lattice's a⁺ and a*."""
+    st, pl = _star_plus(M)
+    dst, dpl = _star_plus(M.dual())
+    ix = np.arange(M.n)
+    in_sk = pl[st] == ix
+    sk, dsk = np.flatnonzero(in_sk), np.flatnonzero(st[pl] == ix)
+    up = st[sk]
+    image = np.unique(up)
+    keeps = M._leq[np.ix_(sk, sk)] == M._leq[np.ix_(up, up)]
+    report = {
+        "star_into_dual": np.array_equal(image, dsk)
+        and len(image) == len(sk),
+        "mutually_inverse": bool((pl[up] == sk).all()
+                                 and in_sk[pl[dsk]].all()
+                                 and (st[pl[dsk]] == dsk).all()),
+        "order_iso": bool(keeps.all()),
+        "dual_of_dual_skeleton": np.array_equal(
+            dsk, np.flatnonzero(dpl[dst] == ix)),
+    }
+    if find_isomorphism(M, M, anti=True) is not None:
+        S = _skeleton_lattice(M, st, pl)
         report["skeleton_self_dual"] = find_isomorphism(S, S, anti=True) is not None
-    report["ok"] = all(v for k, v in report.items() if k != "ok")
+    report["ok"] = all(report.values())
+    if not report["order_iso"]:
+        i, j = np.argwhere(~keeps)[0]
+        report["witness"] = (M._ids[sk[i]], M._ids[sk[j]])
+    elif not report["dual_of_dual_skeleton"]:
+        report["witness"] = M._ids[np.argmax((dst != pl) | (dpl != st))]
     return report
 
 

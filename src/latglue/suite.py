@@ -4,6 +4,7 @@ results, the star/plus calculus, the worked constructions, connected-sum
 machinery, homomorphism gluing, the counterexample catalog, and the
 corpus enumerator itself."""
 
+import json
 import time
 
 import numpy as np
@@ -18,7 +19,7 @@ from .hom import LatticeHom, check_star, corollary_54_check, glue_homs, \
 from .predicates import breadth, is_distributive, is_modular, \
     is_n_distributive, is_simple, generated_sublattice
 from .skeleton import decompose, lemma61_suite, maximal_atomistic_intervals, \
-    roundtrip, skeleton_duality_suite, skeleton_lattice, skeleton_set
+    skeleton_duality_suite, skeleton_lattice, skeleton_set
 
 
 # The corpora enumerated during one run_suite call, by size, and the
@@ -50,6 +51,13 @@ def _shared(key, build):
     if key not in _fixtures:
         _fixtures[key] = build()
     return _fixtures[key]
+
+
+def _decomposition(M):
+    """decompose(M), once per run_suite call.  Keyed by id(M): the
+    decomposition holds M as its source, so no other lattice takes that id
+    while the call keeps it."""
+    return _shared(("decompose", id(M)), lambda: decompose(M))
 
 
 def _section4():
@@ -110,7 +118,7 @@ def criterion_01_roundtrip(corpus_max):
     named += [glued_sum(sys) for _, sys in _squares(corpus_max)]
     named.append(_section4()["sum"])
     lattices += [M for M in named if is_modular(M)]
-    bad = sum(not roundtrip(M) for M in lattices)
+    bad = sum(not _decomposition(M).reglues() for M in lattices)
     return bad == 0, f"{len(lattices)} modular lattices, {bad} round-trip failures"
 
 
@@ -122,7 +130,7 @@ def criterion_02_formulas(corpus_max):
             return False, "mismatch on a glued fixture"
         checked += 1
     for M in _modular_corpus(corpus_max):
-        if not _formulas_match(decompose(M).system, M):
+        if not _formulas_match(_decomposition(M).system, M):
             return False, "mismatch on a decompose output"
         checked += 1
     return True, f"{checked} systems, exact agreement on all pairs"
@@ -157,7 +165,7 @@ def criterion_05_skeleton(corpus_max):
     """Fixed-point skeleton equals the interval-scan oracle; duality holds."""
     for M in _modular_corpus(corpus_max):
         oracle = {lo for lo, hi in maximal_atomistic_intervals(M)}
-        if skeleton_set(M) != oracle:
+        if _decomposition(M).skeleton_set != oracle:
             return False, f"skeleton/oracle mismatch on a {M.n}-element lattice"
         if not skeleton_duality_suite(M)["ok"]:
             return False, f"duality failure on a {M.n}-element lattice"
@@ -191,7 +199,8 @@ def criterion_07_square_construction(corpus_max):
                            f"violates {bad[0].axiom}")
         if not corollary_54_check(sys, product(S, S)):
             return False, f"not a sublattice of S×S for a {S.n}-element S"
-        if find_isomorphism(skeleton_lattice(glued_sum(sys)), S) is None:
+        if find_isomorphism(_decomposition(glued_sum(sys)).skeleton_lattice,
+                            S) is None:
             return False, f"skeleton not isomorphic to a {S.n}-element S"
     return True, f"{len(squares)} modular skeletons realized inside S×S"
 
@@ -431,9 +440,11 @@ CRITERIA = [
 ]
 
 
-def run_suite(corpus_max=6, emit=print):
+def run_suite(corpus_max=6, emit=print, as_json=False):
     """Run all criteria; returns (all_passed, results).  Each result is
-    (name, passed, detail, seconds) and one line is emitted per criterion."""
+    (name, passed, detail, seconds) and one line is emitted per criterion:
+    a text line, or with `as_json` a JSON object with the criterion's
+    number, name, pass flag, detail and seconds."""
     global _corpora, _fixtures
     results = []
     _corpora, _fixtures = {}, {}
@@ -446,8 +457,10 @@ def run_suite(corpus_max=6, emit=print):
                 ok, detail = False, f"{type(e).__name__}: {e}"
             dt = time.monotonic() - t0
             results.append((name, ok, detail, dt))
-            emit(f"[{i:2d}/12] {'PASS' if ok else 'FAIL'} {name}: "
-                 f"{detail} ({dt:.1f}s)")
+            emit(json.dumps({"criterion": i, "name": name, "passed": bool(ok),
+                             "detail": detail, "seconds": dt})
+                 if as_json else f"[{i:2d}/12] {'PASS' if ok else 'FAIL'} "
+                 f"{name}: {detail} ({dt:.1f}s)")
     finally:
         _corpora = _fixtures = None
     return all(r[1] for r in results), results

@@ -9,7 +9,9 @@ and the skeleton pipeline's rebuilds: the per-element modular law, the rebuilt
 interval, the Warshall closure, the sum-building round trip and the
 one-pair-at-a-time (A1)/(A2) loop.  Also the first-common-bound search
 behind the join/meet tables, the `from_leq` skeleton lattice and the
-per-block index arrays of the block-operation check.  Also the three
+per-block index arrays of the block-operation check.  Also the id-level
+star/plus calculus and duality loops, and the maximal-atomistic-interval
+scan that slices one interval per comparable pair.  Also the three
 routines the individualisation–refinement search replaced: the
 invariant-class permutation key, the dict-based invariant refinement with
 the backtracking isomorphism search, and the frozenset enumerator.  Also
@@ -37,13 +39,14 @@ from latglue.connect import ConnectViolation, ConnectedSystem, \
 from latglue.core import _BLOCK_CELLS, _SOLVE_BLOCK, CycleDetected, \
     FiniteLattice, InvariantViolated, LatticeError, NoUniqueJoin, \
     NoUniqueMeet, NotBounded, NotTransitiveReduction, UnknownElement, \
-    _bit_matrix, _bounds, _settle, _uncertified
+    _bit_matrix, _bounds, _settle, _uncertified, find_isomorphism
 from latglue.glue import GluedSystem, GlueViolation, NotALattice, \
     _compose as _index_compose, _is_filter, _is_ideal, \
     validate as glue_validate
 from latglue.glue import glued_sum
 from latglue.hom import LatticeHom, is_homomorphism, is_injective
-from latglue.predicates import NotModular, _join_irreducibles, is_modular
+from latglue.predicates import NotModular, _join_irreducibles, \
+    is_atomistic, is_modular
 
 
 def order_embeds_boolean(L, n):
@@ -932,6 +935,83 @@ def oracle_skeleton_lattice(M, st, pl):
     if k[S._top] != pl[M._top]:
         raise InvariantViolated("skeleton top is not 1⁺", S.top)
     return S
+
+
+def oracle_lemma61_suite(M):
+    """`lemma61_suite` as it was: id-level loops over the elements and the
+    pairs, a* and a⁺ from `star` and `plus`."""
+    star, plus = skeleton.star, skeleton.plus
+    st = {a: star(M, a) for a in M.elements}
+    pl = {a: plus(M, a) for a in M.elements}
+    bad = []
+    for a in M.elements:
+        if not M.leq(a, st[a]) or not M.leq(pl[a], a):
+            bad.append(("bounds", a))
+        if not (M.leq(a, st[pl[a]]) and M.leq(st[pl[a]], st[a])):
+            bad.append(("b", a))
+        if st[pl[st[a]]] != st[a]:
+            bad.append(("c", a))
+        if not (M.leq(pl[st[a]], a) and M.leq(pl[a], pl[st[a]])):
+            bad.append(("b-dual", a))
+        if pl[st[pl[a]]] != pl[a]:
+            bad.append(("c-dual", a))
+        for b in M.elements:
+            if M.leq(a, b):
+                if not M.leq(st[a], st[b]) or not M.leq(pl[a], pl[b]):
+                    bad.append(("a", (a, b)))
+            if pl[st[a]] == a and pl[st[b]] == b:
+                s = M.join(a, b)
+                if pl[st[s]] != s:
+                    bad.append(("d", (a, b)))
+            if st[pl[a]] == a and st[pl[b]] == b:
+                m = M.meet(a, b)
+                if st[pl[m]] != m:
+                    bad.append(("d-dual", (a, b)))
+            if M.join(pl[a], pl[b]) != pl[M.join(a, b)]:
+                bad.append(("e", (a, b)))
+            if M.meet(st[a], st[b]) != st[M.meet(a, b)]:
+                bad.append(("e-dual", (a, b)))
+    return {"violations": bad, "ok": not bad}
+
+
+def oracle_maximal_atomistic_intervals(M):
+    """`maximal_atomistic_intervals` as it was: slice every comparable
+    pair's interval, keep the atomistic ones, return the maximal ones as
+    (lo, hi) pairs."""
+    if not is_modular(M):
+        raise NotModular("skeleton operations are defined for modular lattices")
+    found = []
+    for a in M.elements:
+        for b in M.elements:
+            if M.leq(a, b) and is_atomistic(M.interval(a, b).lattice):
+                found.append((a, b))
+    return [(a, b) for (a, b) in found
+            if not any((c, d) != (a, b) and M.leq(c, a) and M.leq(b, d)
+                       for (c, d) in found)]
+
+
+def oracle_skeleton_duality_suite(M):
+    """`skeleton_duality_suite` as it was: the skeleton sets against
+    id-level `star` and `plus`, element by element and pair by pair."""
+    star, plus = skeleton.star, skeleton.plus
+    sk = skeleton.skeleton_set(M)
+    dsk = skeleton.dual_skeleton(M)
+    report = {}
+    up = {x: star(M, x) for x in sk}
+    report["star_into_dual"] = set(up.values()) == dsk \
+        and len(set(up.values())) == len(sk)
+    report["mutually_inverse"] = all(plus(M, up[x]) == x for x in sk) and \
+        all(up.get(plus(M, a)) == a for a in dsk)
+    report["order_iso"] = all(M.leq(x, y) == M.leq(up[x], up[y])
+                              for x in sk for y in sk)
+    report["dual_of_dual_skeleton"] = dsk == skeleton.skeleton_set(M.dual())
+    anti = find_isomorphism(M, M, anti=True)
+    if anti is not None:
+        S = skeleton.skeleton_lattice(M)
+        report["skeleton_self_dual"] = find_isomorphism(S, S, anti=True) \
+            is not None
+    report["ok"] = all(v for k, v in report.items() if k != "ok")
+    return report
 
 
 def oracle_block_operations(sys, carrier, pos, loc, B, C, start, up, down):

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import latglue
-from latglue import cli, connect, skeleton
+from latglue import cli, connect, skeleton, suite
 from latglue import io as lio
 from latglue.cli import FIXTURES, main
 from latglue.constructions import fig_3by3_system
@@ -241,7 +241,8 @@ def test_suite_corpus_max_out_of_range_exits_2_before_any_criterion(
         bound, capsys, monkeypatch):
     ran = []
     monkeypatch.setattr(cli, "run_suite",
-                        lambda corpus_max: ran.append(corpus_max) or (True, []))
+                        lambda corpus_max, as_json: ran.append(corpus_max)
+                        or (True, []))
     assert run(["suite", "--corpus-max", bound]) == 2
     captured = capsys.readouterr()
     assert ran == [] and captured.out == ""
@@ -254,9 +255,63 @@ def test_suite_corpus_max_out_of_range_exits_2_before_any_criterion(
 def test_suite_corpus_max_in_range_runs(bound, monkeypatch):
     ran = []
     monkeypatch.setattr(cli, "run_suite",
-                        lambda corpus_max: ran.append(corpus_max) or (True, []))
+                        lambda corpus_max, as_json: ran.append(corpus_max)
+                        or (True, []))
     assert run(["suite", "--corpus-max", str(bound)]) == 0
     assert ran == [bound]
+
+
+def test_suite_json_prints_one_object_per_criterion(capsys):
+    assert run(["suite", "--corpus-max", "3"]) == 0
+    text = capsys.readouterr().out.splitlines()
+    assert run(["suite", "--corpus-max", "3", "--json"]) == 0
+    objects = [json.loads(line)
+               for line in capsys.readouterr().out.splitlines()]
+    assert [o["criterion"] for o in objects] == list(range(1, 13))
+    for line, o in zip(text, objects):
+        assert set(o) == {"criterion", "name", "passed", "detail", "seconds"}
+        assert o["passed"] is True
+        # the text line without its seconds
+        assert line.startswith(f"[{o['criterion']:2d}/12] PASS {o['name']}: "
+                               f"{o['detail']} (")
+
+
+def test_suite_json_failure_keeps_the_exit_code_and_violation(capsys,
+                                                             monkeypatch):
+    monkeypatch.setattr(suite, "CRITERIA",
+                        [("always-fails", lambda corpus_max: (False, "no"))])
+    assert run(["suite", "--corpus-max", "1", "--json"]) == 1
+    captured = capsys.readouterr()
+    (line,) = captured.out.splitlines()
+    assert json.loads(line)["passed"] is False
+    assert json.loads(captured.err.splitlines()[-1]) == {
+        "violation": "suite",
+        "failed": [{"criterion": "always-fails", "detail": "no"}]}
+
+
+@pytest.mark.parametrize("argv, usage, message", [
+    (["bogus"], "usage: latglue [-h]", "invalid choice: 'bogus'"),
+    (["check"], "usage: latglue check", "required: file, --property"),
+    (["suite", "--corpus-max", "abc"], "usage: latglue suite",
+     "invalid int value: 'abc'"),
+], ids=["unknown-command", "check-without-file", "corpus-max-not-int"])
+def test_usage_errors_exit_2_with_a_json_error(argv, usage, message, capsys):
+    with pytest.raises(SystemExit) as e:
+        run(argv)
+    assert e.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(usage)
+    error = json.loads(captured.err.splitlines()[-1])
+    assert list(error) == ["error"] and message in error["error"]
+
+
+def test_help_exits_0_on_stdout(capsys):
+    with pytest.raises(SystemExit) as e:
+        run(["suite", "--help"])
+    assert e.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: latglue suite") \
+        and captured.err == ""
 
 
 
