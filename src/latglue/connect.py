@@ -268,8 +268,7 @@ def _iso_violations(cond, pair, flags, Lx, Ly, m):
 
 def _cover_matrix(S):
     cov = np.zeros((S.n, S.n), dtype=bool)
-    i, j = np.array(S._cov, dtype=np.intp).reshape(-1, 2).T
-    cov[i, j] = True
+    cov[tuple(S._cov_array.T)] = True
     return cov
 
 
@@ -552,7 +551,7 @@ def validate_local(lcs):
     blocks = lcs._block_list
     phi = lcs._tensor[0]
     b = phi.shape[2]
-    cov = np.array(S._cov, dtype=np.intp).reshape(-1, 2)
+    cov = S._cov_array
     X, Y = cov[:, 0], cov[:, 1]
     f = phi[X, Y]
     empty = (f < 0).all(1)

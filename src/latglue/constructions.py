@@ -263,32 +263,27 @@ def distributive_with_skeleton(S):
 def square_sublattice(S):
     """Glued system of the intervals [(x⁺,x), (x,x*)] of S × S, for
     modular S; the sum is a sublattice of S×S with skeleton S."""
-    from .skeleton import plus, star
+    from .skeleton import _star_plus
+    st, pl = _star_plus(S)
+    ids, leq, up = S._ids, S._leq, S._up_adj
 
     def pid(u, v):
-        return f"{u},{v}"
-
-    def upper_covers(a):  # listed as S lists them, not as a set iterates
-        return [S._ids[i] for i in S._up_adj[S.index(a)]]
+        return f"{ids[u]},{ids[v]}"
 
     def block(x):
-        lo_u = plus(S, x)
-        hi_v = star(S, x)
-        us = [u for u in S.elements if S.leq(lo_u, u) and S.leq(u, x)]
-        vs = [v for v in S.elements if S.leq(x, v) and S.leq(v, hi_v)]
+        # [x⁺, x] and [x, x*] in S's order; covers as S lists them
+        us = np.flatnonzero(leq[pl[x]] & leq[:, x])
+        vs = np.flatnonzero(leq[x] & leq[:, st[x]])
         covers = []
         for u in us:
             for v in vs:
-                for u2 in upper_covers(u):
-                    if S.leq(u2, x):
-                        covers.append((pid(u, v), pid(u2, v)))
-                for v2 in upper_covers(v):
-                    if S.leq(v2, hi_v):
-                        covers.append((pid(u, v), pid(u, v2)))
+                covers += [(pid(u, v), pid(u2, v)) for u2 in up[u] if leq[u2, x]]
+                covers += [(pid(u, v), pid(u, v2))
+                           for v2 in up[v] if leq[v2, st[x]]]
         return [pid(u, v) for u in us for v in vs], covers
 
     return GluedSystem(S, dict(zip(S.elements,
-                                   _lattices(map(block, S.elements)))))
+                                   _lattices(map(block, range(S.n))))))
 
 
 # -- the projective-plane example ---------------------------------------
@@ -399,8 +394,9 @@ def enumerate_lattices(max_elements):
         raise LimitExceeded(
             f"enumeration supported up to {MAX_ENUMERATED} elements")
     seen = set()
-
-    def rec(downs):
+    stack = [[1]] if max_elements >= 1 else []  # down-sets, depth first
+    while stack:
+        downs = stack.pop()
         n = len(downs)
         full = (1 << n) - 1
         if downs[-1] == full:
@@ -409,17 +405,14 @@ def enumerate_lattices(max_elements):
                 seen.add(key)
                 yield FiniteLattice.from_leq([str(i) for i in range(n)], leq)
         if n == max_elements:
-            return
+            continue
         # only a child whose new element is the top (D holds everything)
         # is a lattice, and a child of the last level is not extended
         choices = range(1, 1 << n, 2) if n + 1 < max_elements else (full,)
         principal = set(downs)
-        for D in choices:
-            if principal.issuperset(map(D.__and__, downs)):
-                yield from rec(downs + [D | 1 << n])
-
-    if max_elements >= 1:
-        yield from rec([1])
+        # pushed last to first, so that the least D is searched first
+        stack += [downs + [D | 1 << n] for D in reversed(choices)
+                  if principal.issuperset(map(D.__and__, downs))]
 
 
 def naive_lattice_count(n):

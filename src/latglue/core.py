@@ -15,6 +15,7 @@ a parent (`_slice`, the skeleton S(M)) takes the parent's.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 
 import numpy as np
@@ -440,6 +441,15 @@ class FiniteLattice:
     def covers(self):
         return tuple((self._ids[i], self._ids[j]) for i, j in self._cov)
 
+    @cached_property
+    def _cov_array(self):
+        """The covers as a read-only (m, 2) intp array of index pairs, in
+        `_cov`'s order; built on first use and shared by relabelled
+        copies."""
+        cov = np.array(self._cov, dtype=np.intp).reshape(-1, 2)
+        cov.flags.writeable = False
+        return cov
+
     @property
     def bottom(self):
         return self._ids[self._bot]
@@ -589,19 +599,15 @@ class Interval:
     lattice: FiniteLattice
 
 
-def product(L1, L2, make_id=None):
-    """Direct product with componentwise order; ids default to 'a,b'."""
-    if make_id is None:
-        make_id = lambda a, b: f"{a},{b}"
-    elems = [make_id(a, b) for a in L1.elements for b in L2.elements]
+def product(L1, L2):
+    """Direct product with componentwise order; the pair (a, b) is 'a,b'."""
+    ids = [[f"{a},{b}" for b in L2.elements] for a in L1.elements]
     covers = []
-    for a, ups1 in zip(L1.elements, L1._up_adj):
-        for b, ups2 in zip(L2.elements, L2._up_adj):
-            for a2 in ups1:
-                covers.append((make_id(a, b), make_id(L1._ids[a2], b)))
-            for b2 in ups2:
-                covers.append((make_id(a, b), make_id(a, L2._ids[b2])))
-    return FiniteLattice(elems, covers)
+    for i, ups1 in enumerate(L1._up_adj):
+        for j, ups2 in enumerate(L2._up_adj):
+            covers += [(ids[i][j], ids[i2][j]) for i2 in ups1]
+            covers += [(ids[i][j], ids[i][j2]) for j2 in ups2]
+    return FiniteLattice([a for row in ids for a in row], covers)
 
 
 # Leaves the individualisation–refinement search may visit.
@@ -643,9 +649,9 @@ def _leaves(leq, guide=None):
     sets = list(zip(above, below))
     twin = [sets.index(s) for s in sets]
     visited = 0
-
-    def visit(colours, traces):
-        nonlocal visited
+    stack = [([0] * n, [])]  # (colouring, traces above it), depth first
+    while stack:
+        colours, traces = stack.pop()
         colours, trace = _refine(above, below, colours)
         traces = traces + [trace]
         dead = guide is not None and trace != guide[len(traces) - 1]
@@ -655,16 +661,15 @@ def _leaves(leq, guide=None):
                 raise LimitExceeded(f"search passed {_MAX_LEAVES} leaves")
             if not dead:
                 yield colours, traces
-            return
+            continue
         target = min(c for c in colours if colours.count(c) > 1)
         cell = [i for i, c in enumerate(colours) if c == target]
-        for t in dict.fromkeys(twin[i] for i in cell):
+        # pushed last to first, so that the first twin class is searched first
+        for t in reversed(dict.fromkeys(twin[i] for i in cell)):
             split = [c * (n + 1) + n for c in colours]
             for r, i in enumerate(i for i in cell if twin[i] == t):
                 split[i] -= n - r
-            yield from visit(split, traces)
-
-    yield from visit([0] * n, [])
+            stack.append((split, traces))
 
 
 def find_isomorphism(L1, L2, anti=False):

@@ -343,8 +343,7 @@ def validate(sys):
     m = sys._members
     carrier, loc, B, C = m.carrier, m.loc, m.B, m.C
     visit = C > 0
-    for i, j in S._cov:
-        visit[i, j] = True
+    visit[tuple(S._cov_array.T)] = True
     np.fill_diagonal(visit, False)
     I, J = np.nonzero(visit)
     comparable = S._leq[I, J]
@@ -500,7 +499,7 @@ def _chain_failures(S, phi):
     n, b = S.n, phi.shape[2]
     rows = phi.reshape(n * n, b)
     lt = S._leq & ~np.eye(n, dtype=bool)
-    cov = np.array(S._cov, dtype=np.intp).reshape(-1, 2)
+    cov = S._cov_array
     k, Y = np.nonzero(lt[cov[:, 1]])
     X, C = cov[k, 0], cov[k, 1]
     step = max(1, _BLOCK_CELLS // b)
@@ -544,7 +543,7 @@ def _formula_tables(sys):
                              (S.dual(), m.meet, m.one, "inf")):
         U = np.full((n, n, len(k)), -1, dtype=np.intp)
         U[np.arange(n), np.arange(n)] = np.where(k < size[:, None], k, -1)
-        X, C = np.array(T._cov, dtype=np.intp).reshape(-1, 2).T
+        X, C = T._cov_array.T
         e = m.loc[X, end[C]][:, None]  # 0_c in block x, -1 if it is not there
         held = k < size[X][:, None]
         g = rows[start[X][:, None] + np.where(held, op[X[:, None], k, e], 0)]
@@ -590,7 +589,7 @@ def nested_cover(sys):
     """The first skeleton cover one of whose blocks contains the other,
     or None: a block is in another when their overlap is all of it."""
     S, C = sys.skeleton, sys._members.C
-    i, j = np.array(S._cov, dtype=np.intp).reshape(-1, 2).T
+    i, j = S._cov_array.T
     nested = np.flatnonzero((C[i, j] == C[i, i]) | (C[i, j] == C[j, j]))
     if len(nested):
         return S._ids[i[nested[0]]], S._ids[j[nested[0]]]

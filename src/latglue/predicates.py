@@ -126,11 +126,11 @@ def _growth(L, cand=None, k=None):
         yield total, loo
 
 
-def _irredundant_sets(L, k, _cand=None):
+def _irredundant_sets(L, k):
     """The irredundant k-sets of `_growth` as (total join, leave-one-out
-    joins) per set, members drawn from `_cand`; None once a size up to k
-    has none."""
-    for size, (total, loo) in enumerate(_growth(L, _cand, k), 1):
+    joins) per set, members drawn from every non-bottom index; None once a
+    size up to k has none."""
+    for size, (total, loo) in enumerate(_growth(L, k=k), 1):
         pass
     return (total, loo) if size == k and len(total) else None
 

@@ -20,18 +20,12 @@ def _require_modular(M):
 
 def star(M, a):
     """Join of the upper covers of a (1 when a is the top)."""
-    _require_modular(M)
-    if a == M.top:
-        return M.top
-    return M.join_all(M.upper_covers(a))
+    return M._ids[_star_plus(M)[0][M.index(a)]]
 
 
 def plus(M, a):
     """Meet of the lower covers of a (0 when a is the bottom)."""
-    _require_modular(M)
-    if a == M.bottom:
-        return M.bottom
-    return M.meet_all(M.lower_covers(a))
+    return M._ids[_star_plus(M)[1][M.index(a)]]
 
 
 # The element-wise identities of `lemma61_suite` and the pair-wise ones, in
@@ -59,7 +53,7 @@ def lemma61_suite(M):
                     st[ps] != st,
                     ~leq[ps, ix] | ~leq[pl, ps],
                     pl[sp] != pl], axis=1)
-    closed, dclosed = ps == ix, sp == ix
+    closed, dclosed = _fixed_points(st, pl)
     two = np.stack([leq & ~(leq[np.ix_(st, st)] & leq[np.ix_(pl, pl)]),
                     closed[:, None] & closed & ~closed[join],
                     dclosed[:, None] & dclosed & ~dclosed[meet],
@@ -75,35 +69,48 @@ def lemma61_suite(M):
 
 
 def _star_plus(M):
-    """a* and a⁺ of every element, as index arrays over M's elements.
-    a* is folded up over the upper covers of a, one cover of each element
-    per step, from a itself (a + c = c for a cover c of a; 1* = 1), and a⁺
-    dually down over the lower covers."""
-    _require_modular(M)
-    lo, hi = np.array(M._cov, dtype=np.intp).reshape(-1, 2).T
-    st = np.arange(M.n)
-    pl = np.arange(M.n)
-    for tail, head, table, out in ((lo, hi, M._join, st), (hi, lo, M._meet, pl)):
-        order = np.argsort(tail, kind="stable")
-        tail, head = tail[order], head[order]
-        # k-th cover of its tail: position minus the tail's first position
-        k = np.arange(len(tail)) - np.searchsorted(tail, tail)
-        for step in range(k.max(initial=-1) + 1):
-            at = k == step
-            out[tail[at]] = table[out[tail[at]], head[at]]
-    return st, pl
+    """a* and a⁺ of every element, as read-only index arrays over M's
+    elements: the one place they are computed.  They are kept on M, so
+    each lattice computes them once; a relabelled copy shares them and a
+    dual computes its own.  a* is folded up over the upper covers of a,
+    one cover of each element per step, from a itself (a + c = c for a
+    cover c of a; 1* = 1), and a⁺ dually down over the lower covers."""
+    cached = getattr(M, "_star_plus", None)
+    if cached is None:
+        _require_modular(M)
+        lo, hi = M._cov_array.T
+        st = np.arange(M.n)
+        pl = np.arange(M.n)
+        for tail, head, table, out in ((lo, hi, M._join, st), (hi, lo, M._meet, pl)):
+            order = np.argsort(tail, kind="stable")
+            tail, head = tail[order], head[order]
+            # k-th cover of its tail: position minus the tail's first position
+            k = np.arange(len(tail)) - np.searchsorted(tail, tail)
+            for step in range(k.max(initial=-1) + 1):
+                at = k == step
+                out[tail[at]] = table[out[tail[at]], head[at]]
+        st.flags.writeable = pl.flags.writeable = False
+        cached = M._star_plus = st, pl
+    return cached
+
+
+def _fixed_points(st, pl):
+    """The masks of S(M), the fixed points of x ↦ x*⁺, and of Sᵟ(M), those
+    of a ↦ a⁺*, from a* and a⁺ as index arrays."""
+    ix = np.arange(len(st))
+    return pl[st] == ix, st[pl] == ix
 
 
 def skeleton_set(M):
     """Fixed points of x ↦ x*⁺."""
-    st, pl = _star_plus(M)
-    return {M.elements[i] for i in np.flatnonzero(pl[st] == np.arange(M.n))}
+    in_sk, _ = _fixed_points(*_star_plus(M))
+    return {M._ids[i] for i in np.flatnonzero(in_sk)}
 
 
 def dual_skeleton(M):
     """Fixed points of a ↦ a⁺*."""
-    st, pl = _star_plus(M)
-    return {M.elements[i] for i in np.flatnonzero(st[pl] == np.arange(M.n))}
+    _, in_dsk = _fixed_points(*_star_plus(M))
+    return {M._ids[i] for i in np.flatnonzero(in_dsk)}
 
 
 def skeleton_lattice(M):
@@ -121,7 +128,7 @@ def skeleton_lattice(M):
 
 def _skeleton_lattice(M, st, pl):
     """`skeleton_lattice` from a* and a⁺ as `_star_plus` gives them."""
-    k = np.flatnonzero(pl[st] == np.arange(M.n))  # S(M), in M's order
+    k = np.flatnonzero(_fixed_points(st, pl)[0])  # S(M), in M's order
     pair = np.ix_(k, k)
     S, topo = _from_order([M._ids[i] for i in k], M._leq[pair])
     join, meet = M._join[pair], pl[st[M._meet[pair]]]
@@ -172,8 +179,7 @@ class SkeletonDecomposition:
             return False
         at = np.argsort([M._idx[a] for a in carrier])  # M's order in carrier
         R = R[np.ix_(at, at)]
-        lo, hi = np.array(M._cov, dtype=np.intp).reshape(-1, 2).T
-        return bool(R[lo, hi].all() and not (R & ~M._leq).any())
+        return bool(R[tuple(M._cov_array.T)].all() and not (R & ~M._leq).any())
 
 
 def decompose(M):
@@ -186,14 +192,15 @@ def decompose(M):
     `blocks[x]` is asked for."""
     st, pl = _star_plus(M)
     S = _skeleton_lattice(M, st, pl)
-    k = np.flatnonzero(pl[st] == np.arange(M.n))  # S(M), in M's order
+    sk, dsk = _fixed_points(st, pl)
+    k = np.flatnonzero(sk)  # S(M), in M's order
     top = st[k]
     sys = GluedSystem(S, _sliced_blocks(S.elements, M,
                                         M._leq[k] & M._leq.T[top], k, top))
     _check_decomposition(sys)
     return SkeletonDecomposition(
         M, frozenset(S.elements), S, sys.blocks, sys,
-        frozenset(M._ids[i] for i in np.flatnonzero(st[pl] == np.arange(M.n))))
+        frozenset(M._ids[i] for i in np.flatnonzero(dsk)))
 
 
 def _check_decomposition(sys):
@@ -226,9 +233,8 @@ def maximal_atomistic_intervals(M):
     products, exact while they stay below 2**24."""
     _require_modular(M)
     leq = M._leq.astype(np.float32)
-    lo, hi = np.array(M._cov, dtype=np.intp).reshape(-1, 2).T
     cov = np.zeros((M.n, M.n), dtype=np.float32)
-    cov[lo, hi] = 1
+    cov[tuple(M._cov_array.T)] = 1
     # a lower cover of c that is ≥ a puts c above a
     spoiler = (leq @ cov == 1) & (cov == 0)
     atomistic = M._leq & (spoiler.astype(np.float32) @ leq == 0)
@@ -251,9 +257,8 @@ def skeleton_duality_suite(M):
     first element whose a* and a⁺ are not the dual lattice's a⁺ and a*."""
     st, pl = _star_plus(M)
     dst, dpl = _star_plus(M.dual())
-    ix = np.arange(M.n)
-    in_sk = pl[st] == ix
-    sk, dsk = np.flatnonzero(in_sk), np.flatnonzero(st[pl] == ix)
+    in_sk, in_dsk = _fixed_points(st, pl)
+    sk, dsk = np.flatnonzero(in_sk), np.flatnonzero(in_dsk)
     up = st[sk]
     image = np.unique(up)
     keeps = M._leq[np.ix_(sk, sk)] == M._leq[np.ix_(up, up)]
@@ -265,7 +270,7 @@ def skeleton_duality_suite(M):
                                  and (st[pl[dsk]] == dsk).all()),
         "order_iso": bool(keeps.all()),
         "dual_of_dual_skeleton": np.array_equal(
-            dsk, np.flatnonzero(dpl[dst] == ix)),
+            dsk, np.flatnonzero(dpl[dst] == np.arange(M.n))),
     }
     if find_isomorphism(M, M, anti=True) is not None:
         S = _skeleton_lattice(M, st, pl)

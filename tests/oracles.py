@@ -10,8 +10,9 @@ interval, the Warshall closure, the sum-building round trip and the
 one-pair-at-a-time (A1)/(A2) loop.  Also the first-common-bound search
 behind the join/meet tables, the `from_leq` skeleton lattice and the
 per-block index arrays of the block-operation check.  Also the id-level
-star/plus calculus and duality loops, and the maximal-atomistic-interval
-scan that slices one interval per comparable pair.  Also the three
+star/plus calculus and duality loops, `star` and `plus` as the join and
+meet of the covers, and the maximal-atomistic-interval scan that slices
+one interval per comparable pair.  Also the three
 routines the individualisation–refinement search replaced: the
 invariant-class permutation key, the dict-based invariant refinement with
 the backtracking isomorphism search, and the frozenset enumerator.  Also
@@ -937,10 +938,28 @@ def oracle_skeleton_lattice(M, st, pl):
     return S
 
 
+def oracle_star(M, a):
+    """`star` as it was: the join of a's upper covers, 1 at the top."""
+    if not is_modular(M):
+        raise NotModular("skeleton operations are defined for modular lattices")
+    if a == M.top:
+        return M.top
+    return M.join_all(M.upper_covers(a))
+
+
+def oracle_plus(M, a):
+    """`plus` as it was: the meet of a's lower covers, 0 at the bottom."""
+    if not is_modular(M):
+        raise NotModular("skeleton operations are defined for modular lattices")
+    if a == M.bottom:
+        return M.bottom
+    return M.meet_all(M.lower_covers(a))
+
+
 def oracle_lemma61_suite(M):
     """`lemma61_suite` as it was: id-level loops over the elements and the
-    pairs, a* and a⁺ from `star` and `plus`."""
-    star, plus = skeleton.star, skeleton.plus
+    pairs, a* and a⁺ from `oracle_star` and `oracle_plus`."""
+    star, plus = oracle_star, oracle_plus
     st = {a: star(M, a) for a in M.elements}
     pl = {a: plus(M, a) for a in M.elements}
     bad = []
@@ -992,8 +1011,9 @@ def oracle_maximal_atomistic_intervals(M):
 
 def oracle_skeleton_duality_suite(M):
     """`skeleton_duality_suite` as it was: the skeleton sets against
-    id-level `star` and `plus`, element by element and pair by pair."""
-    star, plus = skeleton.star, skeleton.plus
+    id-level `oracle_star` and `oracle_plus`, element by element and pair
+    by pair."""
+    star, plus = oracle_star, oracle_plus
     sk = skeleton.skeleton_set(M)
     dsk = skeleton.dual_skeleton(M)
     report = {}

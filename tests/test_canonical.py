@@ -2,6 +2,7 @@
 `canonical_key` and `find_isomorphism`, and the bitset enumerator, checked
 against the routines they replaced (kept in `oracles.py`)."""
 
+import gc
 import random
 
 import numpy as np
@@ -197,3 +198,25 @@ def test_enumerator_builds_one_lattice_per_class(monkeypatch):
 
     monkeypatch.setattr(FiniteLattice, "from_leq", classmethod(counted))
     assert len(list(enumerate_lattices(7))) == len(built) == 78
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # the search and the enumerator walk explicit stacks: no function of
+    # core or constructions is left in a reference cycle
+    was_enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        canonical_key(boolean(4))
+        assert find_isomorphism(grid(3, 3), grid(3, 3).dual()) is not None
+        assert len(list(enumerate_lattices(5))) == 10
+        gc.collect()
+        left = [f for f in gc.garbage if callable(f) and getattr(
+            f, "__module__", None) in (core.__name__, constructions.__name__)]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert left == []

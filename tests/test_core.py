@@ -3,6 +3,7 @@ isomorphism search, and the JSON/DOT round trips."""
 
 import json
 
+import numpy as np
 import pytest
 
 from latglue import io as lio
@@ -12,6 +13,7 @@ from latglue.core import CycleDetected, FiniteLattice, LatticeError, \
     NoUniqueJoin, NoUniqueMeet, NotBounded, NotComparable, \
     NotTransitiveReduction, UnknownElement, find_isomorphism, product
 from oracles import maximal_chains
+from test_pruned_predicates import CORPUS8
 
 
 def test_construction_rejects_empty():
@@ -219,3 +221,16 @@ def test_to_dot():
     assert '"0" -- "a";' in text
     assert "lightblue" in text
     assert text.count("--") == len(m3().covers)
+
+
+def test_cov_array_is_the_covers_as_a_read_only_index_array():
+    for L in [*CORPUS8, *(L.dual() for L in CORPUS8), chain(0), grid(3, 4)]:
+        cov = L._cov_array
+        want = np.array(L._cov, dtype=np.intp).reshape(-1, 2)
+        assert cov.dtype == want.dtype and cov.shape == want.shape
+        np.testing.assert_array_equal(cov, want)
+        assert not cov.flags.writeable and L._cov_array is cov
+    assert chain(0)._cov_array.shape == (0, 2)
+    L = grid(1, 1)
+    cov = L._cov_array
+    assert L._relabelled(list("abcd"))._cov_array is cov

@@ -2,21 +2,25 @@
 `lemma61_suite` and `skeleton_duality_suite` against the id-level
 versions they replaced (kept in `oracles`), list for list and dict for
 dict, on the modular lattices of at most 8 elements and five named ones.
-A corrupted a* entry is caught and named by both suites.  Also the work
-the suite saves: one decomposition per lattice in a `run_suite` call, and
+A corrupted a* entry is caught and named by both suites.  `star` and
+`plus`, lookups in `_star_plus`'s arrays, against the join and meet of the
+covers.  Also the work the suite saves: one decomposition per lattice and
+one a*/a⁺ computation per lattice object in a `run_suite` call, and
 criterion 5 with no interval built."""
 
+import numpy as np
 import pytest
 
 from latglue import skeleton, suite
 from latglue.constructions import boolean, chain, fano_lattice, grid, m3, \
     n5, section4_example
-from latglue.core import FiniteLattice, product
+from latglue.core import FiniteLattice, UnknownElement, product
 from latglue.predicates import NotModular, is_modular
 from latglue.skeleton import lemma61_suite, maximal_atomistic_intervals, \
-    skeleton_duality_suite
+    plus, skeleton_duality_suite, star
 from oracles import oracle_lemma61_suite, \
-    oracle_maximal_atomistic_intervals, oracle_skeleton_duality_suite
+    oracle_maximal_atomistic_intervals, oracle_plus, \
+    oracle_skeleton_duality_suite, oracle_star
 from test_pruned_predicates import CORPUS8
 
 MODULAR8 = [L for L in CORPUS8 if is_modular(L)]
@@ -102,3 +106,58 @@ def test_criterion_5_builds_no_interval(monkeypatch):
                         lambda m: [L for L in CORPUS8 if L.n <= m])
     ok, detail = suite.criterion_05_skeleton(8)
     assert ok, detail
+
+
+@pytest.mark.parametrize("name", LATTICES)
+def test_star_and_plus_are_the_join_and_meet_of_the_covers(name):
+    M = LATTICES[name]
+    for a in M.elements:
+        assert star(M, a) == oracle_star(M, a)
+        assert plus(M, a) == oracle_plus(M, a)
+
+
+def test_star_and_plus_refuse_as_before():
+    # modularity is checked before the element is looked up
+    for f, oracle in ((star, oracle_star), (plus, oracle_plus)):
+        for M, a, err in ((n5(), "0", NotModular), (n5(), "zz", NotModular),
+                          (grid(2, 2), "zz", UnknownElement)):
+            with pytest.raises(err) as got:
+                f(M, a)
+            with pytest.raises(err) as want:
+                oracle(M, a)
+            assert str(got.value) == str(want.value)
+
+
+def test_star_plus_arrays_are_kept_read_only_and_shared_by_relabelling():
+    M = grid(3, 4)
+    st, pl = skeleton._star_plus(M)
+    assert skeleton._star_plus(M)[0] is st
+    for op in (st, pl):
+        assert not op.flags.writeable
+        with pytest.raises(ValueError):
+            op[0] = 0
+    renamed = M._relabelled([f"r{a}" for a in M.elements])
+    assert skeleton._star_plus(renamed)[1] is pl
+    # a dual computes its own: its a* is M's a⁺ and its a⁺ M's a*
+    dst, dpl = skeleton._star_plus(M.dual())
+    assert dst is not pl
+    np.testing.assert_array_equal(dst, pl)
+    np.testing.assert_array_equal(dpl, st)
+
+
+def test_run_suite_computes_star_and_plus_once_per_lattice(monkeypatch):
+    # every computation returns new arrays, so a lattice object that gets
+    # two pairs of arrays had them computed twice
+    got, held = {}, []
+    real = skeleton._star_plus
+
+    def counted(M):
+        st, pl = real(M)
+        got.setdefault(id(M), (M, set()))[1].add((id(st), id(pl)))
+        held.append((st, pl))  # so that no two results share an id
+        return st, pl
+    monkeypatch.setattr(skeleton, "_star_plus", counted)
+    ok, _ = suite.run_suite(7, emit=lambda line: None)
+    assert ok
+    assert len(got) > 100
+    assert all(len(pairs) == 1 for _, pairs in got.values())
