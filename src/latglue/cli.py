@@ -158,9 +158,10 @@ def cmd_skeleton(args):
         return _fail("skeleton", {"file": args.file, "detail": str(e)})
     sk = sorted(dec.skeleton_set, key=str)
     print(f"skeleton: {len(sk)} elements: {', '.join(map(str, sk))}")
-    for x in dec.skeleton_lattice.elements:
+    start = dec.system._members.start
+    for i, x in enumerate(dec.skeleton_lattice.elements):
         print(f"  block [{x}, {dec.system.one(x)}]: "
-              f"{len(dec.system.block_set(x))} elements")
+              f"{start[i + 1] - start[i]} elements")
     ok = dec.reglues()
     print(f"roundtrip: {'OK' if ok else 'FAILED'}")
     _write_outputs(args.out, dec.system, args.dot, L, dec.skeleton_set)

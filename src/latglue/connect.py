@@ -23,7 +23,7 @@ from .core import _BLOCK_CELLS, FiniteLattice, InvariantViolated, \
     LatticeError, UnknownElement
 from .glue import GluedSystem, _block_membership, _block_tables, \
     _by_height, _chain_failures, _check_block_keys, _compose, _fill, \
-    validate as glue_validate
+    _images, _iso_failures, validate as glue_validate
 from .predicates import is_modular
 
 
@@ -81,6 +81,13 @@ class ConnectedSystem(_System):
     @cached_property
     def _identification(self):
         return _identification(self)  # built once: the maps are read-only
+
+    @cached_property
+    def _clash(self):
+        """The first pair at which the join-side and meet-side criteria
+        disagree, or None: an N×N scan, built once, that only
+        `_unclashed` reads."""
+        return _first_clash(self._identification, self.skeleton)
 
     def phi(self, x, y):
         """The partial map φ_yx from L_x toward L_y (empty when absent)."""
@@ -207,44 +214,6 @@ def _entries(L, side, x, y, z):
                              f"element of block {z!r}") from None
 
 
-def _images(f, b):
-    """Image masks over the target block of index maps f (rows)."""
-    img = np.zeros((len(f), b + 1), dtype=bool)
-    img[np.arange(len(f))[:, None], f] = True  # -1 lands in the extra column
-    return img[:, :b]
-
-
-def _gather(mask, table):
-    """mask[k, table[k, i, j]] for a stack of masks and index tables."""
-    k = len(mask)
-    return np.take_along_axis(mask, table.reshape(k, -1), 1).reshape(table.shape)
-
-
-def _iso_failures(tables, X, Y, f):
-    """Condition (17)/(22) for the nonempty maps f[k] from block X[k] to
-    block Y[k], in chunks of pairs: returns boolean arrays (not injective,
-    domain not a filter, image not an ideal, order not matched)."""
-    leq, join, meet = tables
-    b = leq.shape[1]
-    out = np.zeros((4, len(f)), dtype=bool)
-    step = max(1, _BLOCK_CELLS // (b * b))
-    for s in range(0, len(f), step):
-        x, y, g = X[s:s + step], Y[s:s + step], f[s:s + step]
-        dom, img = g >= 0, _images(g, b)
-        both = dom[:, :, None] & dom[:, None, :]
-        ib = img[:, :, None] & img[:, None, :]
-        lx, ly = leq[x], leq[y]
-        gc = np.maximum(g, 0)
-        out[0, s:s + step] = img.sum(1) != dom.sum(1)
-        out[1, s:s + step] = (dom[:, :, None] & ~dom[:, None, :] & lx).any((1, 2)) \
-            | (both & ~_gather(dom, meet[x])).any((1, 2))
-        out[2, s:s + step] = (img[:, None, :] & ~img[:, :, None] & ly).any((1, 2)) \
-            | (ib & ~_gather(img, join[y])).any((1, 2))
-        image_leq = ly[np.arange(len(g))[:, None, None], gc[:, :, None], gc[:, None, :]]
-        out[3, s:s + step] = (both & (lx != image_leq)).any((1, 2))
-    return out
-
-
 def _iso_violations(cond, pair, flags, Lx, Ly, m):
     """The (17)/(22) violations of one map, in the order they are checked:
     a map that is not injective is reported for that alone."""
@@ -353,15 +322,12 @@ class Identification(NamedTuple):
     owner[g] is the skeleton index of g's block.  img[g, z] is the carrier
     index of g's image in block z and pre[g, z] that of its preimage there
     (the last in block order, should a map not be injective), -1 where
-    undefined; both are g itself in g's own block.  `clash` is the first
-    pair of ids, in carrier order, at which the join-side and meet-side
-    criteria disagree, or None."""
+    undefined; both are g itself in g's own block."""
     carrier: tuple
     index: dict
     owner: np.ndarray
     img: np.ndarray
     pre: np.ndarray
-    clash: object
 
     def position(self, a):
         if a not in self.index:
@@ -386,9 +352,8 @@ def _identification(cs):
     x, y, a = cell // (n * b), cell // b % n, cell % b
     pre[start[y] + phi.reshape(-1)[cell], x] = start[x] + a
     carrier = tuple(a for x in S._ids for a in cs.blocks[x].elements)
-    rec = Identification(carrier, {a: g for g, a in enumerate(carrier)},
-                         owner, img, pre, None)
-    return rec._replace(clash=_first_clash(rec, S))
+    return Identification(carrier, {a: g for g, a in enumerate(carrier)},
+                          owner, img, pre)
 
 
 def _agree(rec, side, table, g, h):
@@ -420,11 +385,10 @@ def _first_clash(rec, S):
 def _unclashed(cs):
     """The identification record of cs, or InvariantViolated with the first
     pair at which the join-side and meet-side criteria disagree."""
-    rec = cs._identification
-    if rec.clash is not None:
+    if cs._clash is not None:
         raise InvariantViolated("join-side and meet-side criteria disagree",
-                                rec.clash)
-    return rec
+                                cs._clash)
+    return cs._identification
 
 
 def equivalent(cs, a, b):

@@ -241,7 +241,7 @@ def distributive_with_skeleton(S):
         return [frozenset(c) for r in range(len(base) + 1)
                 for c in combinations(base, r)]
 
-    def block(x):
+    def block_spec(x):
         # (x] and [x) in S's order, so that covers are listed in one order
         down = [a for a in S.elements if S.leq(a, x)]
         up = [b for b in S.elements if S.leq(x, b)]
@@ -257,7 +257,7 @@ def distributive_with_skeleton(S):
         return [pid(A, B) for A, B in elems], covers
 
     return GluedSystem(S, dict(zip(S.elements,
-                                   _lattices(map(block, S.elements)))))
+                                   _lattices(map(block_spec, S.elements)))))
 
 
 def square_sublattice(S):
@@ -270,7 +270,7 @@ def square_sublattice(S):
     def pid(u, v):
         return f"{ids[u]},{ids[v]}"
 
-    def block(x):
+    def block_spec(x):
         # [x⁺, x] and [x, x*] in S's order; covers as S lists them
         us = np.flatnonzero(leq[pl[x]] & leq[:, x])
         vs = np.flatnonzero(leq[x] & leq[:, st[x]])
@@ -283,7 +283,7 @@ def square_sublattice(S):
         return [pid(u, v) for u in us for v in vs], covers
 
     return GluedSystem(S, dict(zip(S.elements,
-                                   _lattices(map(block, range(S.n))))))
+                                   _lattices(map(block_spec, range(S.n))))))
 
 
 # -- the projective-plane example ---------------------------------------

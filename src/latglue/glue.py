@@ -106,13 +106,12 @@ class Membership(NamedTuple):
     block by block in skeleton order and in block order within a block;
     `index` maps an id to its carrier index.  Row r, from start[i] to
     start[i + 1] - 1 for block i, stands for the (r - start[i])-th element
-    of that block: rows[r] is its carrier index, and up[r] (down[r]) its
-    up-set (down-set) in the block as a carrier mask.  loc[i] maps a
-    carrier index to its index in block i (-1 outside it), B = loc >= 0
-    and C = B·Bᵀ the overlap sizes.  zero and one are the carrier indices
-    of each block's 0 and 1.  join and meet are the blocks' tables in
-    their own indices, stacked and padded to the largest block (int32, 0
-    on padding): `_block_tables`' layout, which connect's kernels share."""
+    of that block: rows[r] is its carrier index.  loc[i] maps a carrier
+    index to its index in block i (-1 outside it), B = loc >= 0 and
+    C = B·Bᵀ the overlap sizes.  zero and one are the carrier indices of
+    each block's 0 and 1.  leq, join and meet are the blocks' tables in
+    their own indices, stacked and padded to the largest block:
+    `_block_tables`' layout, which connect's kernels share."""
     carrier: tuple
     index: dict
     rows: np.ndarray
@@ -120,27 +119,18 @@ class Membership(NamedTuple):
     B: np.ndarray
     C: np.ndarray
     start: np.ndarray
-    up: np.ndarray
-    down: np.ndarray
     zero: np.ndarray
     one: np.ndarray
+    leq: np.ndarray
     join: np.ndarray
     meet: np.ndarray
-
-    def block(self, i):
-        """Block i's carrier indices, and its order, join and meet tables
-        in its own indices."""
-        s, e = self.start[i], self.start[i + 1]
-        pos, k = self.rows[s:e], e - s
-        return pos, self.up[s:e][:, pos], self.join[i, :k, :k], \
-            self.meet[i, :k, :k]
 
 
 def _block_tables(blocks):
     """The blocks' order, join and meet tables stacked and padded to the
     largest block; leq is False and join/meet (int32) are 0 on padding.
-    The membership record keeps join and meet so, and connect's kernels
-    read all three."""
+    The membership record keeps all three, and connect's kernels read
+    them."""
     b = max(L.n for L in blocks)
     leq = np.zeros((len(blocks), b, b), dtype=bool)
     join = np.zeros((len(blocks), b, b), dtype=np.int32)
@@ -152,7 +142,7 @@ def _block_tables(blocks):
     return leq, join, meet
 
 
-def _members(carrier, rows, start, up, down, zero, one, join, meet):
+def _members(carrier, rows, start, zero, one, leq, join, meet):
     """The membership record; loc, B and C come from `rows`."""
     n = len(start) - 1
     owner = np.repeat(np.arange(n), np.diff(start))
@@ -161,8 +151,8 @@ def _members(carrier, rows, start, up, down, zero, one, join, meet):
     B = loc >= 0
     Bf = B.astype(np.float32)  # overlap sizes up to 2**24 are exact
     return Membership(carrier, {a: i for i, a in enumerate(carrier)}, rows,
-                      loc, B, (Bf @ Bf.T).astype(np.intp), start, up, down,
-                      zero, one, join, meet)
+                      loc, B, (Bf @ Bf.T).astype(np.intp), start, zero, one,
+                      leq, join, meet)
 
 
 def _membership(sys):
@@ -178,20 +168,11 @@ def _membership(sys):
 def _block_membership(blocks, tables, carrier, rows):
     """The membership record of `blocks`, in skeleton order, whose
     elements, block after block, are carrier[rows]; `tables` are their
-    `_block_tables`, whose join and meet the record keeps."""
-    leq, join, meet = tables
-    size = np.array([L.n for L in blocks])
-    start = np.concatenate(([0], np.cumsum(size)))
-    # the rows r ≦ c of each block: c is in r's up-set, r in c's down-set
-    i, a, b = np.nonzero(leq)
-    r, c = start[i] + a, start[i] + b
-    up = np.zeros((start[-1], len(carrier)), dtype=bool)
-    down = np.zeros_like(up)
-    up[r, rows[c]] = True
-    down[c, rows[r]] = True
+    `_block_tables`, which the record keeps."""
+    start = np.concatenate(([0], np.cumsum([L.n for L in blocks])))
     zero, one = (rows[start[:-1] + [getattr(L, end) for L in blocks]]
                  for end in ("_bot", "_top"))
-    return _members(carrier, rows, start, up, down, zero, one, join, meet)
+    return _members(carrier, rows, start, zero, one, *tables)
 
 
 class SlicedBlocks(Mapping):
@@ -242,11 +223,13 @@ def _sliced_blocks(keys, M, mask, lo, hi):
     place = np.full(mask.shape, -1, dtype=np.intp)  # index in block i
     place[owner, elem] = np.arange(len(elem)) - start[owner]
     # the tables, M's looked up for the blocks of one size at a time
-    tables = np.zeros((2, len(mask), size.max(), size.max()), dtype=np.int32)
+    leq = np.zeros((len(mask), size.max(), size.max()), dtype=bool)
+    tables = np.zeros((2, *leq.shape), dtype=np.int32)
     for s in np.unique(size):
         g = np.flatnonzero(size == s)
         e = elem[start[g][:, None] + np.arange(s)]
         pair = e[:, :, None] * n + e[:, None, :]
+        leq[g, :s, :s] = M._leq.take(pair)
         for t, T in zip(tables, (M._join, M._meet)):
             c = T.take(pair).astype(np.intp)  # take is slow on int32 indices
             c += g[:, None, None] * n
@@ -273,56 +256,73 @@ def _sliced_blocks(keys, M, mask, lo, hi):
                       kind="stable")[:held.sum()]
     where = np.full(n, -1, dtype=np.intp)
     where[perm] = np.arange(len(perm))
-    inside = np.take(mask, perm, axis=1)[owner]
-    up = np.take(M._leq, perm, axis=1)[elem] & inside
-    down = np.take(M._leq.T, perm, axis=1)[elem] & inside
-    members = _members(tuple(ids[p] for p in perm), where[elem], start, up,
-                       down, where[lo], where[hi], *tables)
+    members = _members(tuple(ids[p] for p in perm), where[elem], start,
+                       where[lo], where[hi], leq, *tables)
     return SlicedBlocks(keys, M, mask, members)
 
 
-def _is_filter(leq, meet, mask):
-    """Are the elements marked in `mask` a filter of the lattice with order
-    `leq` and meet table `meet`: nonempty, closed upward and under meets?"""
-    i = np.flatnonzero(mask)
-    return len(i) > 0 and not leq[i][:, ~mask].any() \
-        and mask[meet[i][:, i]].all()
+def _images(f, b):
+    """Image masks over the target block of index maps f (rows)."""
+    img = np.zeros((len(f), b + 1), dtype=bool)
+    img[np.arange(len(f))[:, None], f] = True  # -1 lands in the extra column
+    return img[:, :b]
 
 
-def _is_ideal(leq, join, mask):
-    """Are the elements marked in `mask` an ideal of the lattice with order
-    `leq` and join table `join`: nonempty, closed downward and under
-    joins?"""
-    i = np.flatnonzero(mask)
-    return len(i) > 0 and not leq[:, i][~mask].any() \
-        and mask[join[i][:, i]].all()
+def _gather(mask, table):
+    """mask[k, table[k, i, j]] for a stack of masks and index tables, by
+    flat index (faster than take_along_axis on these shapes)."""
+    k, b = mask.shape
+    return mask.take(table + (np.arange(k) * b)[:, None, None])
+
+
+def _iso_failures(tables, X, Y, f):
+    """Condition (17)/(22) for the nonempty maps f[k] from block X[k] to
+    block Y[k], in chunks of pairs: returns boolean arrays (not injective,
+    domain not a filter, image not an ideal, order not matched).  On the
+    identity of an overlap these are (A1) in the lower block, (A1) in the
+    upper block and (A2)."""
+    leq, join, meet = tables
+    b = leq.shape[1]
+    out = np.zeros((4, len(f)), dtype=bool)
+    step = max(1, _BLOCK_CELLS // (b * b))
+    for s in range(0, len(f), step):
+        x, y, g = X[s:s + step], Y[s:s + step], f[s:s + step]
+        dom, img = g >= 0, _images(g, b)
+        both = dom[:, :, None] & dom[:, None, :]
+        ib = img[:, :, None] & img[:, None, :]
+        lx, ly = leq[x], leq[y]
+        gc = np.maximum(g, 0)
+        out[0, s:s + step] = img.sum(1) != dom.sum(1)
+        out[1, s:s + step] = (dom[:, :, None] & ~dom[:, None, :] & lx).any((1, 2)) \
+            | (both & ~_gather(dom, meet[x])).any((1, 2))
+        out[2, s:s + step] = (img[:, None, :] & ~img[:, :, None] & ly).any((1, 2)) \
+            | (ib & ~_gather(img, join[y])).any((1, 2))
+        image_leq = ly[np.arange(len(g))[:, None, None], gc[:, :, None], gc[:, None, :]]
+        out[3, s:s + step] = (both & (lx != image_leq)).any((1, 2))
+    return out
+
+
+def _overlap_maps(m, I, J):
+    """The identity on the overlap of blocks I[k] and J[k] as index maps:
+    f[k, a] is the index in block J[k] of the a-th element of block I[k],
+    -1 outside the overlap or past block I[k]'s size."""
+    r = m.start[I][:, None] + np.arange(m.leq.shape[1])  # rows of block I
+    return np.where(r < m.start[I + 1][:, None],
+                    m.loc[J[:, None], m.rows.take(r, mode="clip")], -1)
 
 
 def _interval_overlaps(m, I, J):
     """For pairs x < y of skeleton indices I, J: is their overlap the
     principal filter ↑0_y of block x and the principal ideal ↓1_x of
-    block y, i.e. [0_y, 1_x] in either block?"""
+    block y, i.e. [0_y, 1_x] in either block?  The overlap is the domain
+    of its identity map in block x and the image in block y."""
+    f = _overlap_maps(m, I, J)
     at0, at1 = m.loc[I, m.zero[J]], m.loc[J, m.one[I]]
-    overlap = m.B[I] & m.B[J]
+    k = np.arange(m.leq.shape[1])
     return (at0 >= 0) & (at1 >= 0) \
-        & (m.up[m.start[I] + at0] == overlap).all(axis=1) \
-        & (m.down[m.start[J] + at1] == overlap).all(axis=1)
-
-
-def _orders_agree(m, I, J):
-    """For pairs x < y of skeleton indices I, J: does every element of
-    their overlap have the same up-set within the overlap in both blocks?
-    Looked at in chunks of about 2**16 cells."""
-    loc, B, start, up = m.loc, m.B, m.start, m.up
-    p, c = np.nonzero(B[I] & B[J])
-    differ = np.zeros(len(I), dtype=bool)
-    step = max(1, _BLOCK_CELLS // B.shape[1])
-    for s in range(0, len(p), step):
-        q, d = p[s:s + step], c[s:s + step]
-        rx = start[I[q]] + loc[I[q], d]
-        ry = start[J[q]] + loc[J[q], d]
-        differ[q[((up[rx] ^ up[ry]) & B[I[q]] & B[J[q]]).any(axis=1)]] = True
-    return ~differ
+        & (m.leq[I, np.maximum(at0, 0)] == (f >= 0)).all(axis=1) \
+        & (m.leq[J[:, None], k, np.maximum(at1, 0)[:, None]]
+           == _images(f, len(k))).all(axis=1)
 
 
 def validate(sys):
@@ -334,11 +334,12 @@ def validate(sys):
 
     Only pairs of blocks that overlap can break A1, A2 or A4, and only
     skeleton covers can break A3, so only those pairs are looked at, in
-    skeleton order.  A pair x < y whose overlap is [0_y, 1_x] in both
-    blocks, ordered alike in both, is a filter and an ideal on which the
-    orders agree; it is passed for all pairs at once, and only the others
-    are checked one at a time.  The A2 witnesses of one pair come in
-    carrier order."""
+    skeleton order.  (A1) and (A2) on a pair x < y say that the identity
+    on their overlap is an isomorphism of a filter of L_x onto an ideal of
+    L_y, condition (17) on that map: `_iso_failures` decides it for all
+    overlapping pairs at once.  A pair is reported for the first of its
+    filter, ideal and order failures; the A2 witnesses come in carrier
+    order."""
     S = sys.skeleton
     m = sys._members
     carrier, loc, B, C = m.carrier, m.loc, m.B, m.C
@@ -351,31 +352,28 @@ def validate(sys):
     # (A4): an incomparable pair overlaps inside its meet- and join-block
     outside = B[I] & B[J] & ~(B[S._meet[I, J]] & B[S._join[I, J]])
     a4 = incomparable & outside.any(axis=1)
-    glued = np.flatnonzero(comparable & (C[I, J] > 0))
-    passed = np.zeros(len(I), dtype=bool)
-    passed[glued] = _interval_overlaps(m, I[glued], J[glued]) \
-        & _orders_agree(m, I[glued], J[glued])
+    glued = comparable & (C[I, J] > 0)
+    g = np.flatnonzero(glued)
+    iso = np.zeros((4, len(I)), dtype=bool)
+    iso[:, g] = _iso_failures((m.leq, m.join, m.meet), I[g], J[g],
+                              _overlap_maps(m, I[g], J[g]))
     out = []
-    for p in np.flatnonzero((comparable & ~passed) | a4):
+    for p in np.flatnonzero((comparable & ~glued) | iso.any(axis=0) | a4):
         i, j = I[p], J[p]
         x, y = S.elements[i], S.elements[j]
         if a4[p]:
             bad = sorted((carrier[c] for c in np.flatnonzero(outside[p])), key=str)
             out.append(GlueViolation("A4", (x, y, tuple(bad))))
-            continue
-        if not C[i, j]:
+        elif not glued[p]:
             out.append(GlueViolation("A3", (x, y)))
-            continue
-        pos_i, leq_i, _, meet_i = m.block(i)
-        pos_j, leq_j, join_j, _ = m.block(j)
-        if not _is_filter(leq_i, meet_i, B[j, pos_i]):
+        elif iso[1, p]:
             out.append(GlueViolation("A1", (x, y, "overlap is not a filter of the lower block")))
-        elif not _is_ideal(leq_j, join_j, B[i, pos_j]):
+        elif iso[2, p]:
             out.append(GlueViolation("A1", (x, y, "overlap is not an ideal of the upper block")))
         else:
             ov = np.flatnonzero(B[i] & B[j])
             ix, iy = loc[i, ov], loc[j, ov]
-            differ = leq_i[ix][:, ix] != leq_j[iy][:, iy]
+            differ = m.leq[i][np.ix_(ix, ix)] != m.leq[j][np.ix_(iy, iy)]
             out += [GlueViolation("A2", (x, y, carrier[ov[a]], carrier[ov[b]]))
                     for a, b in np.argwhere(differ)]
     if not out:
@@ -432,9 +430,10 @@ def _assert_derived(sys, m):
 def _order_union(sys):
     """The carrier and the union of the block orders over it, reflexive."""
     m = sys._members
-    order = np.argsort(m.rows, kind="stable")
-    return m.carrier, np.logical_or.reduceat(
-        m.up[order], np.searchsorted(m.rows[order], np.arange(len(m.carrier))))
+    i, a, b = np.nonzero(m.leq)
+    R = np.zeros((len(m.carrier), len(m.carrier)), dtype=bool)
+    R[m.rows[m.start[i] + a], m.rows[m.start[i] + b]] = True
+    return m.carrier, R
 
 
 def order_closure(sys):

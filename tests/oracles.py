@@ -36,14 +36,13 @@ import numpy as np
 
 from latglue import skeleton
 from latglue.connect import ConnectViolation, ConnectedSystem, \
-    NotModularSkeleton, _check_disjoint, _images, connected_sum
+    NotModularSkeleton, _check_disjoint, connected_sum
 from latglue.core import _BLOCK_CELLS, _SOLVE_BLOCK, CycleDetected, \
     FiniteLattice, InvariantViolated, LatticeError, NoUniqueJoin, \
     NoUniqueMeet, NotBounded, NotTransitiveReduction, UnknownElement, \
     _bit_matrix, _bounds, _settle, _uncertified, find_isomorphism
 from latglue.glue import GluedSystem, GlueViolation, NotALattice, \
-    _compose as _index_compose, _is_filter, _is_ideal, \
-    validate as glue_validate
+    _compose as _index_compose, validate as glue_validate
 from latglue.glue import glued_sum
 from latglue.hom import LatticeHom, is_homomorphism, is_injective
 from latglue.predicates import NotModular, _join_irreducibles, \
@@ -233,6 +232,29 @@ def _mask(L, subset):
     m = np.zeros(L.n, dtype=bool)
     m[[L.index(a) for a in subset]] = True
     return m
+
+
+def _is_filter(leq, meet, mask):
+    """Are the elements marked in `mask` a filter of the lattice with order
+    `leq` and meet table `meet`: nonempty, closed upward and under meets?
+    One element at a time, apart from the library's (17) kernel."""
+    inside = [a for a in range(len(mask)) if mask[a]]
+    return bool(inside) \
+        and all(mask[b] for a in inside for b in range(len(mask)) if leq[a, b]) \
+        and all(mask[meet[a, b]] for a in inside for b in inside)
+
+
+def _is_ideal(leq, join, mask):
+    """Are the elements marked in `mask` an ideal of the lattice with order
+    `leq` and join table `join`: nonempty, closed downward and under
+    joins?  The dual of `_is_filter`."""
+    return _is_filter(leq.T, join, mask)
+
+
+def _images(f, b):
+    """Image masks over the target block of index maps f (rows), -1
+    undefined: each target index compared with every entry of its row."""
+    return (f[:, :, None] == np.arange(b)).any(axis=1)
 
 
 def _iso_filter_to_ideal(Lx, Ly, m, cond, pair, out):
@@ -670,9 +692,8 @@ def oracle_membership(sys):
     pos[i] lists the carrier index of each element of the i-th block (in
     block order), loc[i] maps a carrier index to its index in that block
     (-1 outside it), B is the skeleton × carrier membership matrix and
-    C = B·Bᵀ the overlap sizes.  Row start[i] + k of `up` (`down`) is the
-    up-set (down-set) of the k-th element of block i in that block, as a
-    carrier mask."""
+    C = B·Bᵀ the overlap sizes; block i's elements are rows start[i] to
+    start[i + 1] - 1 of the concatenated pos."""
     S = sys.skeleton
     blocks = [sys.blocks[x] for x in S.elements]
     seen = {}
@@ -688,13 +709,7 @@ def oracle_membership(sys):
     B = loc >= 0
     Bf = B.astype(np.float32)
     start = np.cumsum([0] + [len(p) for p in pos])
-    up = np.zeros((start[-1], len(carrier)), dtype=bool)
-    down = np.zeros_like(up)
-    for i, (p, L) in enumerate(zip(pos, blocks)):
-        up[start[i]:start[i + 1], p] = L._leq
-        down[start[i]:start[i + 1], p] = L._leq.T
-    return (carrier, pos, loc, B, (Bf @ Bf.T).astype(np.intp),
-            start, up, down)
+    return carrier, pos, loc, B, (Bf @ Bf.T).astype(np.intp), start
 
 
 def oracle_decompose(M):
@@ -1034,7 +1049,7 @@ def oracle_skeleton_duality_suite(M):
     return report
 
 
-def oracle_block_operations(sys, carrier, pos, loc, B, C, start, up, down):
+def oracle_block_operations(sys, carrier, pos, loc, B, C, start):
     """The first pair of blocks that disagree on a join or meet of two of
     their shared elements, as `_assert_derived` names it, from index arrays
     built block by block; None when all agree."""

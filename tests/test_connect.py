@@ -631,6 +631,29 @@ def test_connected_check_matches_oracle_on_corruptions(name, corrupt):
             assert e.value.witness == (carrier[g], carrier[h])
 
 
+def test_block_of_scans_no_pair_of_the_carrier(monkeypatch):
+    """block_of reads the owner of an element only: it answers with the
+    N×N clash scan patched to raise, on a system where that scan finds a
+    clash, and equivalent still raises that clash once the scan is back."""
+    cs = elevate(connected_fixtures()["projective_example"])
+    broken = _unshared_preimage(cs, random.Random("block_of"))
+    carrier = [a for x in broken.skeleton.elements
+               for a in broken.blocks[x].elements]
+
+    def refuse(rec, S):
+        raise AssertionError("block_of ran the clash scan")
+    with monkeypatch.context() as patch:
+        patch.setattr(connect, "_first_clash", refuse)
+        assert [broken.block_of(a) for a in carrier] == \
+            [x for x in broken.skeleton.elements for _ in broken.blocks[x].elements]
+    want = oracle_equiv_matrices(broken)
+    g, h = np.argwhere(want[1] != want[3])[0]
+    with pytest.raises(InvariantViolated, match="join-side and meet-side "
+                       "criteria disagree") as e:
+        equivalent(broken, carrier[0], carrier[0])
+    assert e.value.witness == (carrier[g], carrier[h])
+
+
 def test_maps_are_read_only_and_the_record_is_built_once(example, monkeypatch):
     lcs = example["local_system"]
     cs = elevate(lcs)

@@ -1,8 +1,9 @@
 """The skeleton pipeline derived from tables already validated, checked
 against the rebuilds it replaced (kept in `oracles`): sliced intervals,
 the transposed dual, modularity by the rank identity, the closure by
-squaring, the closure-only round trip and the all-pairs (A1)/(A2)
-screen in front of the per-pair loop."""
+squaring, the closure-only round trip and (A1)/(A2) decided as
+condition (17) on the overlaps, for all pairs at once, against the
+per-pair loop."""
 
 import functools
 import random
@@ -14,8 +15,8 @@ from latglue import glue, skeleton
 from latglue.constructions import boolean, chain, distributive_with_skeleton, \
     enumerate_lattices, fano_lattice, grid, m3, n5, section4_example
 from latglue.core import FiniteLattice, InvariantViolated, product
-from latglue.glue import GluedSystem, NotALattice, glued_sum, order_closure, \
-    validate
+from latglue.glue import GluedSystem, GlueViolation, NotALattice, \
+    glued_sum, order_closure, validate
 from latglue.predicates import is_modular
 from latglue.skeleton import SkeletonDecomposition, decompose
 from latglue.suite import glued_fixtures
@@ -204,24 +205,76 @@ def test_decompose_computes_star_and_plus_once(monkeypatch):
     assert len(calls) == 2
 
 
-# -- the (A1)/(A2) screen -----------------------------------------------------
+# -- (A1)/(A2) as condition (17) on the overlaps ----------------------------
 
 @pytest.mark.parametrize("name", sorted(SWEEP))
-def test_screen_gives_the_per_pair_violations(name):
+def test_kernel_gives_the_per_pair_violations(name):
     sys = SWEEP[name]
     assert validate(sys) == oracle_glue_violations(sys)
 
 
 VALID = {name: sys for name, sys in CLOSURE.items() if not validate(sys)}
+FILTER = "overlap is not a filter of the lower block"
+IDEAL = "overlap is not an ideal of the upper block"
 
 
-@pytest.mark.parametrize("name", sorted(VALID))
-def test_screen_passes_every_pair_of_a_valid_system(name, monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a valid pair reached the per-pair check")
-    monkeypatch.setattr(glue, "_is_filter", refuse)
-    monkeypatch.setattr(glue, "_is_ideal", refuse)
-    assert validate(VALID[name]) == []
+@pytest.mark.parametrize("name", sorted(CLOSURE))
+def test_validate_runs_the_kernel_once_on_the_overlapping_pairs(
+        name, monkeypatch):
+    """One call of the (17) kernel per system, on every pair x < y that
+    overlaps, in skeleton order."""
+    sys = CLOSURE[name]
+    S, C = sys.skeleton, sys._members.C
+    calls = []
+
+    def counted(tables, X, Y, f, real=glue._iso_failures):
+        calls.append(list(zip(X.tolist(), Y.tolist())))
+        return real(tables, X, Y, f)
+    monkeypatch.setattr(glue, "_iso_failures", counted)
+    validate(sys)
+    lt = S._leq & ~np.eye(S.n, dtype=bool)
+    assert calls == [list(map(tuple, np.argwhere(lt & (C > 0)).tolist()))]
+
+
+def _chain(*ids):
+    return FiniteLattice(ids, list(zip(ids, ids[1:])))
+
+
+def _two_blocks(lower, upper):
+    """A system over the skeleton x < y with L_x = lower, L_y = upper."""
+    return GluedSystem(_chain("x", "y"), {"x": lower, "y": upper})
+
+
+B2 = FiniteLattice(("0", "a", "b", "1"),
+                   [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
+# Each system breaks one condition on its overlap, but for one: an overlap
+# closed upward in L_x, an ideal of L_y and ordered alike in both is
+# closed under L_x's meets (the meet in L_y of two of its elements lies in
+# it, below their meet in L_x, which the up-closure then puts in it).  So
+# the overlap that is only not closed under meets is also not an ideal (m
+# is missing), and is reported once, as not a filter.
+TWO_BLOCKS = {
+    "not-up-closed": (_two_blocks(_chain("0", "a", "c", "1"),
+                                  _chain("a", "1", "t")),
+                      [GlueViolation("A1", ("x", "y", FILTER))]),
+    "not-meet-closed": (_two_blocks(B2, FiniteLattice(
+        ("m", "a", "b", "1", "t"),
+        [("m", "a"), ("m", "b"), ("a", "1"), ("b", "1"), ("1", "t")])),
+                        [GlueViolation("A1", ("x", "y", FILTER))]),
+    "not-an-ideal": (_two_blocks(_chain("0", "a", "1"),
+                                 _chain("a", "c", "1", "t")),
+                     [GlueViolation("A1", ("x", "y", IDEAL))]),
+    "orders-differ": (_two_blocks(_chain("0", "a", "b"),
+                                  _chain("b", "a", "t")),
+                      [GlueViolation("A2", ("x", "y", "a", "b")),
+                       GlueViolation("A2", ("x", "y", "b", "a"))]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TWO_BLOCKS))
+def test_two_block_systems_break_one_condition(name):
+    sys, want = TWO_BLOCKS[name]
+    assert validate(sys) == oracle_glue_violations(sys) == want
 
 
 def _renamed(L, old, new):
@@ -275,8 +328,6 @@ def mutate(sys, kind, x, y):
 # The axiom each kind breaks on its pair.  Taking 0_y out of L_x leaves
 # an overlap that is not an ideal of L_y, but when 0_y had two upper
 # covers in it, not a filter of L_x either, and the filter comes first.
-FILTER = "overlap is not a filter of the lower block"
-IDEAL = "overlap is not an ideal of the upper block"
 WANT = {"not-filter": ("A1", {FILTER}),
         "not-ideal": ("A1", {IDEAL}),
         "flipped-ends": ("A2", None),

@@ -3,7 +3,8 @@ checked against the first-common-bound search they replaced (kept in
 `oracles.py`): equal tables on lattices, the same error at the same pair on
 orders that are not lattices, and exact repair of the candidates the
 certificate rejects.  Also the skeleton lattice, now cut from M's tables
-instead of rebuilt, and the one-pass block-operation check."""
+instead of rebuilt, and the one-pass block-operation check, with
+`validate` on the same corrupted tables."""
 
 import itertools
 import random
@@ -21,7 +22,8 @@ from latglue.predicates import is_modular
 from latglue.skeleton import _skeleton_lattice, _star_plus, decompose
 from latglue.suite import glued_fixtures
 from oracles import kahn_order, oracle_block_operations, \
-    oracle_membership, oracle_skeleton_lattice, oracle_tables
+    oracle_glue_violations, oracle_membership, oracle_skeleton_lattice, \
+    oracle_tables
 from test_derived_skeleton import FIELDS, sweep_shapes
 from test_index_space import SYSTEMS
 from test_pruned_predicates import CORPUS8
@@ -355,3 +357,21 @@ def test_block_operation_check_names_the_pair_the_loop_named(name):
         if bad is not None:
             assert derived_outcome(bad, _assert_derived) == \
                 derived_outcome(bad, block_operations)
+
+
+@pytest.mark.parametrize("name", sorted(VALID))
+def test_validate_lists_what_the_loop_lists_on_corrupted_tables(name):
+    """A block whose join or meet on shared elements was moved: validate
+    lists the (A1) violations the per-pair loop lists, since the (17)
+    kernel reads the same tables; when it lists none, validate ends as
+    the derived checks do."""
+    rng = random.Random(name)
+    for _ in range(6):
+        bad = corrupted(VALID[name], rng)
+        if bad is not None:
+            want = oracle_glue_violations(bad)
+            if want:
+                assert validate(bad) == want
+            else:
+                assert derived_outcome(bad, lambda s, m: validate(s)) == \
+                    derived_outcome(bad, _assert_derived)

@@ -8,7 +8,7 @@ Corrupted block masks, block tops and join rows fail as the oracle's
 blocks do.  Also: a decomposition's blocks are read-only and built only
 when asked for, the id-level membership pass runs at most once per
 system, and `latglue skeleton` writes what the oracle's decomposition
-serialises to."""
+serialises to, with no id set per block."""
 
 import contextlib
 import io
@@ -42,23 +42,24 @@ def test_the_corpora_are_complete():
 def assert_same_members(got, sys):
     """The membership record `got` field for field against the id-level
     arrays the oracle rebuilds from the blocks of `sys`."""
-    carrier, pos, loc, B, C, start, up, down = oracle_membership(sys)
+    carrier, pos, loc, B, C, start = oracle_membership(sys)
     blocks = [sys.blocks[x] for x in sys.skeleton.elements]
     assert got.carrier == carrier
     assert got.index == {a: i for i, a in enumerate(carrier)}
     want = {"rows": np.concatenate(pos), "loc": loc, "B": B, "C": C,
-            "start": start, "up": up, "down": down,
+            "start": start,
             "zero": np.array([p[L._bot] for p, L in zip(pos, blocks)]),
             "one": np.array([p[L._top] for p, L in zip(pos, blocks)])}
     for field, w in want.items():
         g = getattr(got, field)
         assert g.dtype == w.dtype, field
         np.testing.assert_array_equal(g, w, err_msg=field)
-    # the tables: one stack padded to the largest block, zero on padding
+    # the tables: one stack padded to the largest block, False or zero on
+    # padding
     b = max(L.n for L in blocks)
-    for op in ("join", "meet"):
+    for op, dtype in (("leq", bool), ("join", np.int32), ("meet", np.int32)):
         g = getattr(got, op)
-        assert g.dtype == np.int32 and g.shape == (len(blocks), b, b), op
+        assert g.dtype == dtype and g.shape == (len(blocks), b, b), op
         for i, L in enumerate(blocks):
             np.testing.assert_array_equal(g[i, :L.n, :L.n],
                                           getattr(L, f"_{op}"), err_msg=op)
@@ -292,11 +293,18 @@ def relabelled(L, rng):
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("shape", ["grid(3,5)", "boolean(4)", "M3xC4",
                                    "FanoxC1", "dws(B2)", "section4"])
-def test_skeleton_writes_what_the_oracle_serialises_to(shape, seed, tmp_path):
+def test_skeleton_writes_what_the_oracle_serialises_to(shape, seed, tmp_path,
+                                                       monkeypatch):
+    """Also: the block sizes come from the membership record, not from
+    one id set per block."""
     src, out, dot = (tmp_path / f for f in ("m.json", "sys.json", "m.dot"))
     src.write_text(json.dumps(relabelled(SHAPES[shape], random.Random(seed))))
     stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
+
+    def refuse(sys, x):
+        raise AssertionError("latglue skeleton built a block's id set")
+    with monkeypatch.context() as patch, contextlib.redirect_stdout(stdout):
+        patch.setattr(GluedSystem, "block_set", refuse)
         assert cli.main(["skeleton", str(src), "--out", str(out),
                          "--dot", str(dot)]) == 0
     M = lio.load(src)
