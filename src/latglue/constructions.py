@@ -5,8 +5,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import FiniteLattice, LatticeError, LimitExceeded, _bit_matrix, \
-    _lattices, _leaves, product
+from .core import FiniteLattice, LimitExceeded, _bit_matrix, _lattices, \
+    _leaves, product
 from .connect import LocalConnectedSystem, connected_sum, elevate
 from .glue import GluedSystem, glued_sum
 
@@ -242,19 +242,16 @@ def distributive_with_skeleton(S):
                 for c in combinations(base, r)]
 
     def block_spec(x):
-        # (x] and [x) in S's order, so that covers are listed in one order
+        # (x] and [x) in S's order, so that covers are listed in one order;
+        # each element is named once and its covers read from the names
         down = [a for a in S.elements if S.leq(a, x)]
         up = [b for b in S.elements if S.leq(x, b)]
-        elems = [(A, B) for A in powerset(down) for B in powerset(up)]
+        name = {(A, B): pid(A, B) for A in powerset(down) for B in powerset(up)}
         covers = []
-        for A, B in elems:
-            for a in down:
-                if a not in A:
-                    covers.append((pid(A, B), pid(A | {a}, B)))
-            for b in up:
-                if b in B:
-                    covers.append((pid(A, B), pid(A, B - {b})))
-        return [pid(A, B) for A, B in elems], covers
+        for (A, B), here in name.items():
+            covers += [(here, name[A | {a}, B]) for a in down if a not in A]
+            covers += [(here, name[A, B - {b}]) for b in up if b in B]
+        return list(name.values()), covers
 
     return GluedSystem(S, dict(zip(S.elements,
                                    _lattices(map(block_spec, S.elements)))))
@@ -267,20 +264,20 @@ def square_sublattice(S):
     st, pl = _star_plus(S)
     ids, leq, up = S._ids, S._leq, S._up_adj
 
-    def pid(u, v):
-        return f"{ids[u]},{ids[v]}"
-
     def block_spec(x):
-        # [x⁺, x] and [x, x*] in S's order; covers as S lists them
-        us = np.flatnonzero(leq[pl[x]] & leq[:, x])
-        vs = np.flatnonzero(leq[x] & leq[:, st[x]])
+        # [x⁺, x] and [x, x*] in S's order; covers as S lists them.  The
+        # upper covers inside each interval and each pair's name are made
+        # once, and covers read from them
+        us = np.flatnonzero(leq[pl[x]] & leq[:, x]).tolist()
+        vs = np.flatnonzero(leq[x] & leq[:, st[x]]).tolist()
+        up_u = {u: [w for w in up[u] if leq[w, x]] for u in us}
+        up_v = {v: [w for w in up[v] if leq[w, st[x]]] for v in vs}
+        name = {(u, v): f"{ids[u]},{ids[v]}" for u in us for v in vs}
         covers = []
-        for u in us:
-            for v in vs:
-                covers += [(pid(u, v), pid(u2, v)) for u2 in up[u] if leq[u2, x]]
-                covers += [(pid(u, v), pid(u, v2))
-                           for v2 in up[v] if leq[v2, st[x]]]
-        return [pid(u, v) for u in us for v in vs], covers
+        for (u, v), here in name.items():
+            covers += [(here, name[w, v]) for w in up_u[u]]
+            covers += [(here, name[u, w]) for w in up_v[v]]
+        return list(name.values()), covers
 
     return GluedSystem(S, dict(zip(S.elements,
                                    _lattices(map(block_spec, range(S.n))))))
@@ -387,23 +384,38 @@ def enumerate_lattices(max_elements):
     a Python int bitset.  A new element's down-set D must meet every ↓j in
     a principal down-set, so D is down-closed, holds 0, and meets stay
     defined.  The newest element is maximal, so a state is a lattice when
-    it is the top.  Its order is keyed before anything is built, and only
-    the first lattice of each class is built (and validated by `from_leq`).
+    it is the top; any other state has two maximal elements and is no
+    lattice.  Each state that is no lattice is keyed, and only the first
+    state of each class is extended.  Lattice states are not keyed: each is
+    the first of its class, and is built (and validated by `from_leq`).
+
+    The lattices yielded are those of the unpruned search, first of each
+    class, in the same order.  The search is depth first, so a later
+    duplicate P of a state P′ is popped only after P′'s whole subtree.
+    Isomorphic states have isomorphic children: an isomorphism carries each
+    allowed D to an allowed D.  So every class in P's subtree appeared
+    before, in P′'s, and the first state of each class in the unpruned
+    order has no pruned ancestor.  A lattice state's parent is its lattice
+    with the top removed, so isomorphic lattices have isomorphic parents; a
+    parent has one top child, and only the first parent of each class is
+    extended, so each lattice class is reached once, at its first state.
     """
     if max_elements > MAX_ENUMERATED:
         raise LimitExceeded(
             f"enumeration supported up to {MAX_ENUMERATED} elements")
-    seen = set()
+    seen = set()  # keys of the states extended that are no lattices
     stack = [[1]] if max_elements >= 1 else []  # down-sets, depth first
     while stack:
         downs = stack.pop()
         n = len(downs)
         full = (1 << n) - 1
+        leq = _bit_matrix(downs).T
         if downs[-1] == full:
-            leq = _bit_matrix(downs).T
-            if (key := _order_key(leq)) not in seen:
-                seen.add(key)
-                yield FiniteLattice.from_leq([str(i) for i in range(n)], leq)
+            yield FiniteLattice.from_leq([str(i) for i in range(n)], leq)
+        elif (key := _order_key(leq)) in seen:
+            continue
+        else:
+            seen.add(key)
         if n == max_elements:
             continue
         # only a child whose new element is the top (D holds everything)
@@ -415,23 +427,36 @@ def enumerate_lattices(max_elements):
                   if principal.issuperset(map(D.__and__, downs))]
 
 
+def _lattice_mask(leq):
+    """Which orders of the stack leq (i below j at [k, i, j]) are
+    lattices, decided by counting, as `from_leq` decides it: a pair has a
+    join when some common upper bound c has as many elements above it as
+    the pair has common upper bounds (↑c is then all of them), and a meet
+    dually."""
+    lattice = np.ones(len(leq), dtype=bool)
+    for up in (leq, leq.transpose(0, 2, 1)):
+        common = up[:, :, None, :] & up[:, None, :, :]  # [k, a, b, c]
+        size = up.sum(axis=2)[:, None, None, :]  # |↑c|
+        least = common & (size == common.sum(axis=3, keepdims=True))
+        lattice &= least.any(axis=3).all(axis=(1, 2))
+    return lattice
+
+
 def naive_lattice_count(n):
     """Independent cross-check for small n: every partial order on 0..n-1
     with 0 < 1 < … < n-1 as a linear extension is a transitive
-    upper-triangular relation; count the isomorphism classes of those that
-    `from_leq` accepts as lattices."""
+    upper-triangular relation; count the isomorphism classes of the
+    lattices among them.  All 2^(n(n-1)/2) relations are decided as one
+    stack: transitivity by one float32 product, lattice-ness by
+    `_lattice_mask`.  There is no lattice of fewer than one element."""
     if n > 5:
         raise LimitExceeded("naive filter is for n <= 5")
+    if n < 1:
+        return 0
     above = np.triu_indices(n, 1)
-    keys = set()
-    for bits in range(1 << len(above[0])):
-        leq = np.eye(n, dtype=bool)
-        leq[above] = [bits >> b & 1 for b in range(len(above[0]))]
-        if not np.array_equal(leq @ leq, leq):
-            continue
-        try:
-            L = FiniteLattice.from_leq([str(i) for i in range(n)], leq)
-        except LatticeError:
-            continue
-        keys.add(canonical_key(L))
-    return len(keys)
+    bits = np.arange(1 << len(above[0]))[:, None] >> np.arange(len(above[0]))
+    leq = np.repeat(np.eye(n, dtype=bool)[None], len(bits), axis=0)
+    leq[:, above[0], above[1]] = bits & 1
+    f = leq.astype(np.float32)
+    leq = leq[((f @ f > 0) == leq).all(axis=(1, 2))]
+    return len({_order_key(r) for r in leq[_lattice_mask(leq)]})

@@ -16,6 +16,9 @@ one interval per comparable pair.  Also the three
 routines the individualisation–refinement search replaced: the
 invariant-class permutation key, the dict-based invariant refinement with
 the backtracking isomorphism search, and the frozenset enumerator.  Also
+the bitset enumerator that keyed lattice states only, the naive count that
+built one lattice per relation, and the two worked constructions that
+named both ends of every cover anew.  Also
 the maximal-chain walker behind the per-query staircase formulas, and the
 id-level all-pairs loops of `zero_one_maps`, `corollary_54_check`,
 `check_star` and the homomorphism test.  Also the one-lattice-at-a-time
@@ -35,12 +38,14 @@ from itertools import combinations, islice, permutations, product as iproduct
 import numpy as np
 
 from latglue import skeleton
+from latglue.constructions import MAX_ENUMERATED, _order_key
 from latglue.connect import ConnectViolation, ConnectedSystem, \
     NotModularSkeleton, _check_disjoint, connected_sum
 from latglue.core import _BLOCK_CELLS, _SOLVE_BLOCK, CycleDetected, \
     FiniteLattice, InvariantViolated, LatticeError, NoUniqueJoin, \
-    NoUniqueMeet, NotBounded, NotTransitiveReduction, UnknownElement, \
-    _bit_matrix, _bounds, _settle, _uncertified, find_isomorphism
+    LimitExceeded, NoUniqueMeet, NotBounded, NotTransitiveReduction, \
+    UnknownElement, _bit_matrix, _bounds, _lattices, _settle, _uncertified, \
+    find_isomorphism
 from latglue.glue import GluedSystem, GlueViolation, NotALattice, \
     _compose as _index_compose, validate as glue_validate
 from latglue.glue import glued_sum
@@ -1199,6 +1204,104 @@ def oracle_enumerate_lattices(max_elements):
         if key not in seen:
             seen.add(key)
             yield L
+
+
+def oracle_keyed_enumerate_lattices(max_elements):
+    """The bitset enumerator that keys lattice states only: every state is
+    extended, duplicates included, and the first lattice of each class is
+    built."""
+    if max_elements > MAX_ENUMERATED:
+        raise LimitExceeded(
+            f"enumeration supported up to {MAX_ENUMERATED} elements")
+    seen = set()
+    stack = [[1]] if max_elements >= 1 else []  # down-sets, depth first
+    while stack:
+        downs = stack.pop()
+        n = len(downs)
+        full = (1 << n) - 1
+        if downs[-1] == full:
+            leq = _bit_matrix(downs).T
+            if (key := _order_key(leq)) not in seen:
+                seen.add(key)
+                yield FiniteLattice.from_leq([str(i) for i in range(n)], leq)
+        if n == max_elements:
+            continue
+        choices = range(1, 1 << n, 2) if n + 1 < max_elements else (full,)
+        principal = set(downs)
+        stack += [downs + [D | 1 << n] for D in reversed(choices)
+                  if principal.issuperset(map(D.__and__, downs))]
+
+
+def oracle_naive_lattice_count(n):
+    """The naive count one relation at a time: each transitive
+    upper-triangular relation on 0..n-1 that `from_leq` accepts, keyed."""
+    if n > 5:
+        raise LimitExceeded("naive filter is for n <= 5")
+    above = np.triu_indices(n, 1)
+    keys = set()
+    for bits in range(1 << len(above[0])):
+        leq = np.eye(n, dtype=bool)
+        leq[above] = [bits >> b & 1 for b in range(len(above[0]))]
+        if not np.array_equal(leq @ leq, leq):
+            continue
+        try:
+            L = FiniteLattice.from_leq([str(i) for i in range(n)], leq)
+        except LatticeError:
+            continue
+        keys.add(_order_key(L._leq))
+    return len(keys)
+
+
+def oracle_distributive_with_skeleton(S):
+    """`distributive_with_skeleton` naming both ends of every cover anew."""
+    def pid(A, B):
+        return "{%s|%s}" % (",".join(sorted(map(str, A))),
+                            ",".join(sorted(map(str, B))))
+
+    def powerset(base):
+        base = sorted(base, key=str)
+        return [frozenset(c) for r in range(len(base) + 1)
+                for c in combinations(base, r)]
+
+    def block_spec(x):
+        down = [a for a in S.elements if S.leq(a, x)]
+        up = [b for b in S.elements if S.leq(x, b)]
+        elems = [(A, B) for A in powerset(down) for B in powerset(up)]
+        covers = []
+        for A, B in elems:
+            for a in down:
+                if a not in A:
+                    covers.append((pid(A, B), pid(A | {a}, B)))
+            for b in up:
+                if b in B:
+                    covers.append((pid(A, B), pid(A, B - {b})))
+        return [pid(A, B) for A, B in elems], covers
+
+    return GluedSystem(S, dict(zip(S.elements,
+                                   _lattices(map(block_spec, S.elements)))))
+
+
+def oracle_square_sublattice(S):
+    """`square_sublattice` naming both ends of every cover anew."""
+    st, pl = skeleton._star_plus(S)
+    ids, leq, up = S._ids, S._leq, S._up_adj
+
+    def pid(u, v):
+        return f"{ids[u]},{ids[v]}"
+
+    def block_spec(x):
+        us = np.flatnonzero(leq[pl[x]] & leq[:, x])
+        vs = np.flatnonzero(leq[x] & leq[:, st[x]])
+        covers = []
+        for u in us:
+            for v in vs:
+                covers += [(pid(u, v), pid(u2, v)) for u2 in up[u] if leq[u2, x]]
+                covers += [(pid(u, v), pid(u, v2))
+                           for v2 in up[v] if leq[v2, st[x]]]
+        return [pid(u, v) for u in us for v in vs], covers
+
+    return GluedSystem(S, dict(zip(S.elements,
+                                   _lattices(map(block_spec, range(S.n))))))
 
 
 # -- the staircase formulas by walking maximal chains --------------------------

@@ -14,7 +14,8 @@ from latglue.constructions import LimitExceeded, boolean, canonical_key, \
 from latglue.core import FiniteLattice, find_isomorphism
 
 from oracles import oracle_canonical_key, oracle_enumerate_lattices, \
-    oracle_find_isomorphism, oracle_lattice_states
+    oracle_find_isomorphism, oracle_keyed_enumerate_lattices, \
+    oracle_lattice_states
 
 CORPUS7 = list(enumerate_lattices(7))
 CORPUS8 = list(enumerate_lattices(8))
@@ -55,6 +56,56 @@ def assert_checked(L1, L2, iso, anti=False):
 def test_enumeration_matches_frozenset_oracle(n):
     got = CORPUS8 if n == 8 else list(enumerate_lattices(n))
     same_lattices(got, list(oracle_enumerate_lattices(n)))
+
+
+@pytest.mark.parametrize("m", range(-1, 9))
+def test_pruned_enumeration_yields_the_keyed_enumerators_sequence(m):
+    # keying every state and extending one per class changes no lattice
+    # yielded, nor its place
+    got = CORPUS8 if m == 8 else list(enumerate_lattices(m))
+    want = list(oracle_keyed_enumerate_lattices(m))
+    same_lattices(got, want)
+    for L, M in zip(got, want):
+        assert np.array_equal(L._join, M._join)
+        assert np.array_equal(L._meet, M._meet)
+
+
+@pytest.mark.parametrize("m, keyed", [(7, 129), (8, 617)])
+def test_enumerator_keys_each_extended_state_once(m, keyed, monkeypatch):
+    # 371 (7) and 4,008 (8) lattice states keyed, when every state was
+    # extended
+    calls = []
+    order_key = constructions._order_key
+
+    def counted(leq):
+        calls.append(len(leq))
+        return order_key(leq)
+
+    monkeypatch.setattr(constructions, "_order_key", counted)
+    assert len(list(enumerate_lattices(m))) == {7: 78, 8: 300}[m]
+    assert len(calls) == keyed
+
+
+def test_lattice_mask_is_from_leqs_verdict_on_six_elements():
+    # up to five elements every bounded order is a lattice; at six the
+    # bowtie 0 < a, b < c, d < 1 is the first that is not
+    above = np.triu_indices(6, 1)
+    leq = np.repeat(np.eye(6, dtype=bool)[None], 1 << 15, axis=0)
+    leq[:, above[0], above[1]] = \
+        np.arange(1 << 15)[:, None] >> np.arange(15) & 1
+    leq = leq[[np.array_equal(r, core._transitive_closure(r)) for r in leq]]
+    accepted = []
+    for r in leq:
+        try:
+            FiniteLattice.from_leq([str(i) for i in range(6)], r)
+        except core.LatticeError:
+            accepted.append(False)
+        else:
+            accepted.append(True)
+    mask = constructions._lattice_mask(leq)
+    assert mask.tolist() == accepted
+    bounded = leq[:, 0].all(axis=1) & leq[:, :, 5].all(axis=1)
+    assert (bounded & ~mask).any()
 
 
 @pytest.mark.parametrize("m", range(1, 8))

@@ -15,6 +15,21 @@ from latglue.predicates import breadth, generated_sublattice, is_atomistic, \
     is_distributive, is_modular, is_simple
 from latglue.skeleton import skeleton_lattice
 
+from oracles import oracle_distributive_with_skeleton, \
+    oracle_naive_lattice_count, oracle_square_sublattice
+
+SMALL = list(enumerate_lattices(5))
+MODULAR7 = [L for L in enumerate_lattices(7) if is_modular(L)]
+
+
+def same_blocks(sys, want):
+    """The two systems' blocks list the same elements and the same covers,
+    in the same order."""
+    assert list(sys.blocks) == list(want.blocks)
+    for x, B in sys.blocks.items():
+        assert B.elements == want.blocks[x].elements
+        assert B.covers == want.blocks[x].covers
+
 
 def test_named_lattice_shapes():
     assert chain(4).n == 5 and chain(4).length() == 4
@@ -115,6 +130,15 @@ def test_square_sublattice_manifest():
     assert find_isomorphism(glued_sum(sys), chain(2)) is not None
 
 
+@pytest.mark.parametrize("corpus", ["small", "modular7"])
+def test_constructions_name_their_blocks_as_the_oracle_does(corpus):
+    for S in SMALL if corpus == "small" else MODULAR7:
+        same_blocks(distributive_with_skeleton(S),
+                    oracle_distributive_with_skeleton(S))
+        if is_modular(S):
+            same_blocks(square_sublattice(S), oracle_square_sublattice(S))
+
+
 def test_projective_example_manifest():
     ex = section4_example()
     assert set(ex) == {"local_system", "connected_system", "glued_system",
@@ -171,9 +195,13 @@ def test_enumeration_yields_distinct_classes():
 
 
 def test_naive_count_cross_check():
-    assert [naive_lattice_count(n) for n in range(1, 6)] == [1, 1, 1, 2, 5]
-    with pytest.raises(LimitExceeded):
-        naive_lattice_count(6)
+    # the batched count against the one that builds a lattice per
+    # relation; no lattice has 0 elements (from_leq refuses the empty set)
+    assert [naive_lattice_count(n) for n in range(6)] == \
+        [oracle_naive_lattice_count(n) for n in range(6)] == [0, 1, 1, 1, 2, 5]
+    for count in (naive_lattice_count, oracle_naive_lattice_count):
+        with pytest.raises(LimitExceeded):
+            count(6)
 
 
 def test_five_element_lattices_are_the_known_ones():
