@@ -311,26 +311,11 @@ def _overlap_maps(m, I, J):
                     m.loc[J[:, None], m.rows.take(r, mode="clip")], -1)
 
 
-def _interval_overlaps(m, I, J):
-    """For pairs x < y of skeleton indices I, J: is their overlap the
-    principal filter ↑0_y of block x and the principal ideal ↓1_x of
-    block y, i.e. [0_y, 1_x] in either block?  The overlap is the domain
-    of its identity map in block x and the image in block y."""
-    f = _overlap_maps(m, I, J)
-    at0, at1 = m.loc[I, m.zero[J]], m.loc[J, m.one[I]]
-    k = np.arange(m.leq.shape[1])
-    return (at0 >= 0) & (at1 >= 0) \
-        & (m.leq[I, np.maximum(at0, 0)] == (f >= 0)).all(axis=1) \
-        & (m.leq[J[:, None], k, np.maximum(at1, 0)[:, None]]
-           == _images(f, len(k))).all(axis=1)
-
-
 def validate(sys):
     """Check axioms (A1)-(A4); empty list means the system is a valid
-    S-glued system.  On success the derived overlap facts (interval shape
-    of overlaps, overlap equality through skeleton meet/join, agreement of
-    block operations) are checked too, and a failure raises
-    InvariantViolated.
+    S-glued system.  On success the blocks' join and meet tables are
+    checked to agree on every overlap (`_assert_derived`), and a failure
+    raises InvariantViolated.
 
     Only pairs of blocks that overlap can break A1, A2 or A4, and only
     skeleton covers can break A3, so only those pairs are looked at, in
@@ -339,7 +324,32 @@ def validate(sys):
     L_y, condition (17) on that map: `_iso_failures` decides it for all
     overlapping pairs at once.  A pair is reported for the first of its
     filter, ideal and order failures; the A2 witnesses come in carrier
-    order."""
+    order.
+
+    Two facts about the overlaps of an accepted system follow from what is
+    checked here, and are not checked again (`tests/oracles.py` keeps the
+    check, `oracle_overlap_shape`).  The proof uses, for every x < y whose
+    overlap O is nonempty, only that O is closed upward in L_x and
+    downward in L_y (the order terms of `_iso_failures`' flags 1 and 2,
+    not their table terms) and ordered alike by both (flag 3), and (A3)
+    and (A4).
+
+    - O = [0_y, 1_x] in either block.  O is closed downward in L_y, so
+      0_y ∈ O.  Every b ∈ O has 0_y ≤_y b, so 0_y ≤_x b, since both
+      blocks order O alike.  O is closed upward in L_x, so O = ↑0_y in
+      L_x.  Dually, 1_x ∈ O and O = ↓1_x in L_y.
+    - Convexity: L_x ∩ L_z ⊆ L_y for x ≤ y ≤ z.  First take x ≤ c ≤ z
+      with L_x ∩ L_c ≠ ∅ and a ∈ L_x ∩ L_z.  Both overlaps are closed
+      upward in L_x, so both hold 1_x.  So 1_x ∈ L_c ∩ L_z, which is
+      closed downward in L_z.  a ≤_x 1_x, and the orders agree on
+      L_x ∩ L_z, so a ≤_z 1_x, and a ∈ L_c.  Now walk a maximal chain
+      x = c₀ ≺ c₁ ≺ … ≺ c_k = y: (A3) gives every L_cᵢ ∩ L_cᵢ₊₁ ≠ ∅, and
+      the step above with cᵢ ≤ cᵢ₊₁ ≤ z carries a ∈ L_cᵢ ∩ L_z to
+      a ∈ L_cᵢ₊₁.
+    - Incomparable x, y overlap in L_{x∧y} ∩ L_{x∨y}.  (A4) gives ⊆, and
+      convexity, on x∧y ≤ x ≤ x∨y and x∧y ≤ y ≤ x∨y, gives ⊇; this holds
+      for the pairs whose overlap is empty too.
+    """
     S = sys.skeleton
     m = sys._members
     carrier, loc, B, C = m.carrier, m.loc, m.B, m.C
@@ -382,35 +392,19 @@ def validate(sys):
 
 
 def _assert_derived(sys, m):
-    """The facts (A1)-(A4) imply, each checked for all pairs of blocks at
-    once from the membership record `m`; a failure raises
-    InvariantViolated with an offending pair."""
-    S = sys.skeleton
-    C, start, rows = m.C, m.start, m.rows
+    """The blocks' join and meet tables agree on overlaps, checked for all
+    pairs of blocks at once from the membership record `m`; a failure
+    raises InvariantViolated with an offending pair.  (A1)-(A4) imply it
+    when each block's tables are its order's: comparable blocks overlap
+    in an interval of both, and an incomparable pair's overlap lies in
+    each block's overlap with their meet-block.  The tables are read, not rebuilt, so this is
+    what catches a table written after construction."""
+    ids, start, rows = sys.skeleton.elements, m.start, m.rows
     n = len(m.carrier)
-
-    def fail(what, i, j):
-        raise InvariantViolated(what, (S.elements[i], S.elements[j]))
-
-    # an incomparable pair overlaps in its meet-block ∩ join-block: (A4)
-    # gives ⊆, so the sizes must agree
-    inc = ~(S._leq | S._leq.T)
-    bad = np.argwhere(inc)[C[inc] != C[S._meet[inc], S._join[inc]]]
-    if len(bad):
-        fail("overlap is not meet-block ∩ join-block", *bad[0])
-
-    # a pair x < y overlaps in [0_y, 1_x], computed in either block
-    I, J = np.nonzero((C > 0) & S._leq & ~np.eye(S.n, dtype=bool))
-    ok = _interval_overlaps(m, I, J)
-    if not ok.all():
-        p = np.argmin(ok)
-        fail("overlap is not [0_y, 1_x]", I[p], J[p])
-
-    # block operations agree on overlaps: every block holding a and b
-    # gives a + b (a·b) the same carrier index; only elements of two or
-    # more blocks can be in an overlap.  The pairs of shared elements of
-    # each block are listed for all blocks at once, block by block and
-    # a-major, in block indices
+    # every block holding a and b gives a + b (a·b) the same carrier index;
+    # only elements of two or more blocks can be in an overlap.  The pairs
+    # of shared elements of each block are listed for all blocks at once,
+    # block by block and a-major, in block indices
     shared = np.zeros(m.join.shape[:2], dtype=bool)
     shared[np.arange(shared.shape[1]) < np.diff(start)[:, None]] = \
         m.B.sum(axis=0)[rows] > 1
@@ -423,8 +417,9 @@ def _assert_derived(sys, m):
         got = rows[start[owner] + getattr(m, op)[owner, qa, qb]]
         bad = np.flatnonzero(got != got[other])
         if len(bad):
-            fail(f"blocks disagree on {op}", owner[bad[0]],
-                 owner[other[bad[0]]])
+            raise InvariantViolated(f"blocks disagree on {op}",
+                                    (ids[owner[bad[0]]],
+                                     ids[owner[other[bad[0]]]]))
 
 
 def _order_union(sys):

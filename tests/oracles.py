@@ -30,7 +30,8 @@ that `is_simple` is checked against.  Also the per-height cover
 recurrence behind `elevate` and the formula tables, with its per-element
 search for first covers.  Also the full-grid kernels of (19) and of
 (20)/(20δ), the 3-axis split behind the identification record, and the
-separate rank pass after Kahn's order."""
+separate rank pass after Kahn's order.  Also the two overlap-shape checks
+`validate` ran on every system it accepted, before it proved them."""
 
 from dataclasses import dataclass
 from itertools import combinations, islice, permutations, product as iproduct
@@ -789,6 +790,34 @@ def oracle_glue_violations(sys):
             out += [GlueViolation("A2", (x, y, carrier[ov[a]], carrier[ov[b]]))
                     for a, b in np.argwhere(differ)]
     return out
+
+
+def oracle_overlap_shape(sys):
+    """The overlap shapes that (A1)-(A4) imply and `validate` proves (see
+    its docstring), decided one pair at a time over id sets: every incomparable pair x, y overlaps
+    in L_{x∧y} ∩ L_{x∨y}, and every x < y that overlaps does so in
+    [0_y, 1_x] of either block.  Returns None, or the text and the first
+    failing pair in row-major skeleton-index order, incomparable pairs
+    first."""
+    S = sys.skeleton
+    xs = S.elements
+    sets = {x: set(sys.blocks[x].elements) for x in xs}
+    for x in xs:
+        for y in xs:
+            if not S.leq(x, y) and not S.leq(y, x) and sets[x] & sets[y] \
+                    != sets[S.meet(x, y)] & sets[S.join(x, y)]:
+                return "overlap is not meet-block ∩ join-block", (x, y)
+    for x in xs:
+        for y in xs:
+            inter = sets[x] & sets[y]
+            if x == y or not S.leq(x, y) or not inter:
+                continue
+            Lx, Ly = sys.blocks[x], sys.blocks[y]
+            lo, hi = Ly.bottom, Lx.top
+            if lo not in sets[x] or hi not in sets[y] \
+                    or inter != Lx.up_set(lo) or inter != Ly.down_set(hi):
+                return "overlap is not [0_y, 1_x]", (x, y)
+    return None
 
 
 # -- the join/meet tables, the skeleton lattice, block operations -------------

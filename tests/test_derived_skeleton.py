@@ -21,7 +21,8 @@ from latglue.predicates import is_modular
 from latglue.skeleton import SkeletonDecomposition, decompose
 from latglue.suite import glued_fixtures
 from oracles import oracle_closure, oracle_glue_violations, \
-    oracle_glued_sum, oracle_interval, oracle_is_modular, oracle_reglues
+    oracle_glued_sum, oracle_interval, oracle_is_modular, \
+    oracle_overlap_shape, oracle_reglues
 from test_index_space import SYSTEMS
 
 CORPUS = list(enumerate_lattices(7))
@@ -214,6 +215,14 @@ def test_kernel_gives_the_per_pair_violations(name):
 
 
 VALID = {name: sys for name, sys in CLOSURE.items() if not validate(sys)}
+
+
+@pytest.mark.parametrize("name", sorted(VALID))
+def test_accepted_systems_have_the_overlap_shapes(name):
+    """What `validate` proves instead of checking (see its docstring)."""
+    assert oracle_overlap_shape(VALID[name]) is None
+
+
 FILTER = "overlap is not a filter of the lower block"
 IDEAL = "overlap is not an ideal of the upper block"
 

@@ -22,7 +22,7 @@ from latglue.glue import GluedSystem, GlueViolation, _assert_derived, \
 from latglue.predicates import is_modular
 from latglue.skeleton import decompose, dual_skeleton, plus, skeleton_set, star
 from latglue.suite import glued_fixtures
-from oracles import oracle_glue_violations
+from oracles import oracle_glue_violations, oracle_overlap_shape
 
 CORPUS = list(enumerate_lattices(7))
 MODULAR = [L for L in CORPUS if is_modular(L)]
@@ -276,11 +276,9 @@ def test_invalid_systems_are_in_the_differential_corpus():
     assert axioms == {"A1", "A2", "A3", "A4"}
 
 
-# Systems that break (A1)-(A4) in ways the derived checks see, one per check
+# A system whose blocks disagree on a join, which the block-operation
+# check sees
 DERIVED = {
-    "meet-join-overlap": (section1_nonexample_a4(), "meet-block ∩ join-block",
-                          ("sx", "sy")),
-    "interval": (SYSTEMS["a2"], "[0_y, 1_x]", ("0", "1")),
     "join": (GluedSystem(chain(1), {
         "0": FiniteLattice(["z", "a", "b", "c", "d"], [
             ("z", "a"), ("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]),
@@ -296,6 +294,29 @@ def test_derived_checks_raise_with_a_witness(name):
     with pytest.raises(InvariantViolated, match=re.escape(what)) as e:
         _assert_derived(sys, sys._members)
     assert e.value.witness == witness
+
+
+# Systems whose overlaps have the wrong shape: validate refuses them, and
+# the oracle names the pair the removed checks of `_assert_derived` named
+WRONG_SHAPE = {
+    "meet-join-overlap": (
+        section1_nonexample_a4(),
+        [GlueViolation("A4", ("sx", "sy", ("a",))),
+         GlueViolation("A4", ("sy", "sx", ("a",)))],
+        ("overlap is not meet-block ∩ join-block", ("sx", "sy"))),
+    "interval": (
+        SYSTEMS["a2"],
+        [GlueViolation("A2", ("0", "1", "a", "b")),
+         GlueViolation("A2", ("0", "1", "b", "a"))],
+        ("overlap is not [0_y, 1_x]", ("0", "1"))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_SHAPE))
+def test_validate_refuses_a_wrong_overlap_shape(name):
+    sys, violations, shape = WRONG_SHAPE[name]
+    assert validate(sys) == violations
+    assert oracle_overlap_shape(sys) == shape
 
 
 WRONG_PLUS = """
