@@ -1,6 +1,8 @@
 """S-connected systems: disjoint blocks linked by partial isomorphisms,
-their quotient into an S-glued system, and locally S-connected systems
-over modular skeletons with maps given only on skeleton covers.
+their quotient into an S-glued system, locally S-connected systems over
+modular skeletons with maps given only on skeleton covers, and the bridge
+back (`local_system`): a glued system as the local system whose cover
+maps are the identities on the overlaps.
 
 Maps are dicts of element ids at the API edge.  Inside, the blocks are
 taken in skeleton index order and the maps become one padded n×n×bmax int
@@ -613,3 +615,50 @@ def elevate(lcs):
         _block_list=lcs._block_list, _tables=lcs._tables,
         _disjoint=lcs._disjoint)
     return cs
+
+
+# -- from glued to connected --------------------------------------------------
+
+def _prefix(x):
+    """The prefix of block x's carrier ids: its key, with backslashes and
+    colons escaped by a backslash, then a colon.  The first unescaped
+    colon ends it, so no block's prefix begins another's."""
+    return str(x).replace("\\", "\\\\").replace(":", "\\:") + ":"
+
+
+def _not_a_string(a):
+    return LatticeError(f"element id {a!r} is not a string")
+
+
+def local_system(sys):
+    """The locally connected system of a glued system: an S-glued system
+    is an S-connected one whose maps are identities on the overlaps.
+
+    Returns (lcs, names).  Block L_x is copied under the ids
+    `_prefix(x) + a`, the rule by which `io` namespaces a file's blocks,
+    so two distinct (block, id) pairs never share a copy; names[x] maps
+    each id of L_x to its copy.  Each copy is L_x relabelled, its tables
+    shared.  On each skeleton cover x ≺ y, in `S.covers` order, the map
+    sends the copy in L_x of each a ∈ L_x ∩ L_y, in carrier order, to its
+    copy in L_y.  So connected_sum(elevate(lcs)), renamed back by names,
+    is glued_sum(sys) for a valid sys over a modular skeleton (the tests
+    check this)."""
+    S, m = sys.skeleton, sys._members
+    names, blocks = {}, {}
+    for x in S.elements:
+        L = sys.blocks[x]
+        for a in L.elements:
+            if not isinstance(a, str):
+                raise _not_a_string(a)
+        p = _prefix(x)
+        copies = [p + a for a in L.elements]
+        names[x] = dict(zip(L.elements, copies))
+        blocks[x] = L._relabelled(copies)
+    maps = {}
+    for x, y in S.covers:
+        i, j = S._idx[x], S._idx[y]
+        shared = [m.carrier[c] for c in np.flatnonzero(m.B[i] & m.B[j])]
+        maps[(x, y)] = {names[x][a]: names[y][a] for a in shared}
+    lcs = LocalConnectedSystem(S, blocks, maps)
+    lcs.__dict__["_tables"] = m.leq, m.join, m.meet  # relabelling keeps them
+    return lcs, names

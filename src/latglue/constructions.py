@@ -7,7 +7,8 @@ import numpy as np
 
 from .core import FiniteLattice, LimitExceeded, _bit_matrix, _lattices, \
     _leaves, product
-from .connect import LocalConnectedSystem, connected_sum, elevate
+from .connect import LocalConnectedSystem, connected_sum, elevate, \
+    local_system
 from .glue import GluedSystem, glued_sum
 
 MAX_ENUMERATED = 8  # elements
@@ -180,16 +181,11 @@ def m3_chain_edges():
 def copies_local_system(S, block=None):
     """Locally connected system over S: one disjoint copy of `block` per
     skeleton element, with total name-matching cover maps (so every chain
-    composition agrees and the quotient identifies all copies)."""
+    composition agrees and the quotient identifies all copies).  It is
+    the bridge `local_system` of the system with `block` at every x."""
     if block is None:
         block = chain(1)
-    blocks = dict(zip(S.elements, _lattices(
-        ([f"{x}:{a}" for a in block.elements],
-         [(f"{x}:{a}", f"{x}:{b}") for a, b in block.covers])
-        for x in S.elements)))
-    maps = {(x, y): {f"{x}:{a}": f"{y}:{a}" for a in block.elements}
-            for x, y in S.covers}
-    return LocalConnectedSystem(S, blocks, maps)
+    return local_system(GluedSystem(S, dict.fromkeys(S.elements, block)))[0]
 
 
 def m3_chain_of_three():

@@ -26,7 +26,8 @@ the map.
 import json
 
 from .core import FiniteLattice, LatticeError, _lattices
-from .connect import ConnectedSystem, LocalConnectedSystem
+from .connect import ConnectedSystem, LocalConnectedSystem, _not_a_string, \
+    _prefix
 from .glue import GluedSystem
 
 
@@ -150,13 +151,6 @@ def connected_to_dict(cs, local=False):
     return out
 
 
-def _prefix(x):
-    """The prefix of block x's carrier ids: its key, with backslashes and
-    colons escaped by a backslash, then a colon.  The first unescaped
-    colon ends it, so no block's prefix begins another's."""
-    return str(x).replace("\\", "\\\\").replace(":", "\\:") + ":"
-
-
 class _Names(dict):
     """{id: carrier id} for the ids of one block: each id prefixed with
     the block's prefix, or, when every id already begins with it (as in a
@@ -183,10 +177,6 @@ class _Names(dict):
             return self[a]
         except TypeError:  # unhashable, so not a string either
             raise _not_a_string(a) from None
-
-
-def _not_a_string(a):
-    return LatticeError(f"element id {a!r} is not a string")
 
 
 def connected_from_dict(d):

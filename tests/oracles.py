@@ -41,7 +41,7 @@ import numpy as np
 from latglue import skeleton
 from latglue.constructions import MAX_ENUMERATED, _order_key
 from latglue.connect import ConnectViolation, ConnectedSystem, \
-    NotModularSkeleton, _check_disjoint, connected_sum
+    LocalConnectedSystem, NotModularSkeleton, _check_disjoint, connected_sum
 from latglue.core import _BLOCK_CELLS, _SOLVE_BLOCK, CycleDetected, \
     FiniteLattice, InvariantViolated, LatticeError, NoUniqueJoin, \
     LimitExceeded, NoUniqueMeet, NotBounded, NotTransitiveReduction, \
@@ -628,6 +628,19 @@ def oracle_connected_sum(cs):
     if bad:
         raise LatticeError(f"quotient is not a glued system: {bad}")
     return sys, pis
+
+
+def oracle_copies_local_system(S, block):
+    """The copies of `block` over S named `f"{x}:{a}"`, each built from its
+    covers, as `copies_local_system` named them before it called the
+    bridge; distinct (x, a) pairs share a name when x holds a colon."""
+    blocks = dict(zip(S.elements, _lattices(
+        ([f"{x}:{a}" for a in block.elements],
+         [(f"{x}:{a}", f"{x}:{b}") for a, b in block.covers])
+        for x in S.elements)))
+    maps = {(x, y): {f"{x}:{a}": f"{y}:{a}" for a in block.elements}
+            for x, y in S.covers}
+    return LocalConnectedSystem(S, blocks, maps)
 
 
 # -- the skeleton pipeline, rebuilt instead of derived -------------------------

@@ -6,13 +6,13 @@ first failing spec in input order; and one stacked Möbius product per
 block size when a local system file is loaded."""
 
 import collections
-import json
 import random
 
 import numpy as np
 import pytest
 
 from latglue import core, io as lio
+from latglue.connect import local_system
 from latglue.constructions import chain, distributive_with_skeleton, grid, \
     m3, square_sublattice
 from latglue.core import CycleDetected, FiniteLattice, LatticeError, \
@@ -209,20 +209,12 @@ def test_generator_error_comes_after_earlier_missing_bounds():
 # -- one stacked product per block size ------------------------------------
 
 def local_system_file(M, path):
-    """decompose(M) as a locally connected system file: one disjoint copy
-    of every block, cover maps identifying each overlap with itself."""
+    """decompose(M) as a locally connected system file, written from the
+    bridge: one disjoint copy of every block, cover maps identifying each
+    overlap with itself."""
     dec = decompose(M)
+    lio.save(local_system(dec.system)[0], path)
     S = dec.skeleton_lattice
-    blocks = {str(x): {"elements": list(dec.blocks[x].elements),
-                       "covers": [list(c) for c in dec.blocks[x].covers]}
-              for x in S.elements}
-    maps = [{"from": x, "to": y, "pairs": [[a, a] for a in sorted(
-        set(dec.blocks[x].elements) & set(dec.blocks[y].elements))]}
-            for x, y in S.covers]
-    path.write_text(json.dumps({
-        "skeleton": {"elements": list(S.elements),
-                     "covers": [list(c) for c in S.covers]},
-        "blocks": blocks, "maps": maps, "local": True}))
     return S, collections.Counter(dec.blocks[x].n for x in S.elements)
 
 

@@ -14,12 +14,11 @@ from oracles import maximal_chains, oracle_connected_check, \
 from latglue import connect
 from latglue.connect import ConnectedSystem, LocalConnectedSystem, \
     NotModularSkeleton, _map_tensor, connected_sum, elevate, equivalent, \
-    validate_connected, validate_local
+    local_system, validate_connected, validate_local
 from latglue.constructions import boolean, chain, copies_local_system, \
     grid, m3, n5, section4_example
 from latglue.core import FiniteLattice, InvariantViolated, LatticeError, \
     UnknownElement, product
-from latglue.io import connected_from_dict
 from latglue.skeleton import decompose
 from latglue.glue import glued_sum, validate as glue_validate
 from latglue.hom import LatticeHom, is_homomorphism, is_injective
@@ -103,22 +102,9 @@ def _all_chains_elevation(lcs):
 
 
 def _decomposition_local_system(M):
-    """decompose(M) cut into disjoint block copies: a locally connected
-    system whose cover maps identify each overlap with itself."""
-    dec = decompose(M)
-    S = dec.skeleton_lattice
-    maps = []
-    for x, y in S.covers:
-        overlap = set(dec.blocks[x].elements) & set(dec.blocks[y].elements)
-        maps.append({"from": x, "to": y,
-                     "pairs": [[a, a] for a in sorted(overlap)]})
-    return connected_from_dict({
-        "skeleton": {"elements": list(S.elements),
-                     "covers": [list(c) for c in S.covers]},
-        "blocks": {x: {"elements": list(B.elements),
-                       "covers": [list(c) for c in B.covers]}
-                   for x, B in dec.blocks.items()},
-        "maps": maps, "local": True})
+    """decompose(M) cut into disjoint block copies by the bridge: a locally
+    connected system whose cover maps identify each overlap with itself."""
+    return local_system(decompose(M).system)[0]
 
 
 ORACLE_SYSTEMS = {
@@ -536,6 +522,25 @@ def test_quotient_collapse_matches_oracle():
     assert got == (LatticeError, "quotient collapses block '1' internally")
     assert [(v.condition, v.pair) for v in _checked_validate(cs)] \
         == [("17", ("1", "1"))]
+
+
+def test_blocks_of_one_rank_name_their_shared_class_by_its_least_id():
+    """The atoms 1 and "1" of the skeleton tie in (height, str), so the
+    class {r1, q1, s0} they share is named by its least id, q1, though
+    block 1 comes first.  Without the bottom block it breaks (A4) in the
+    quotient, whose error names it as the oracle's does."""
+    S = FiniteLattice(["0", 1, "1", "t"],
+                      [("0", 1), ("0", "1"), (1, "t"), ("1", "t")])
+    blocks = {"0": _copy(chain(1), "p"), 1: _copy(chain(1), "r"),
+              "1": _copy(chain(1), "q"), "t": _copy(chain(1), "s")}
+    cs = ConnectedSystem(S, blocks, {
+        ("0", 1): {"p:1": "r:0"}, ("0", "1"): {"p:1": "q:0"},
+        (1, "t"): {"r:1": "s:0"}, ("1", "t"): {"q:1": "s:0"}})
+    witness = ("p:1", "q:1")
+    assert _checked_sum(cs) == (LatticeError, (
+        "quotient is not a glued system: ["
+        f"GlueViolation(axiom='A4', witness=(1, '1', {witness})), "
+        f"GlueViolation(axiom='A4', witness=('1', 1, {witness}))]"))
 
 
 def test_map_entries_must_lie_in_their_blocks():

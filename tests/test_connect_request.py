@@ -16,7 +16,7 @@ from oracles import oracle_connected_sum, oracle_elevate, oracle_fill
 from latglue import cli, connect, glue
 from latglue import io as lio
 from latglue.connect import ConnectedSystem, LocalConnectedSystem, \
-    connected_sum, elevate
+    connected_sum, elevate, local_system
 from latglue.constructions import chain, enumerate_lattices, grid, m3
 from latglue.core import FiniteLattice, LatticeError, product
 from latglue.skeleton import decompose
@@ -34,27 +34,17 @@ def _relabelled(M, rng):
 
 
 def _local_doc(M, rng):
-    """decompose(M) cut into disjoint block copies, as a local-system file
-    whose cover maps identify each overlap with itself; elements, covers,
-    maps and pairs in seeded order."""
-    dec = decompose(M)
-    S, B = dec.skeleton_lattice, dec.blocks
-
-    def lattice(L):
-        elements, covers = list(L.elements), [list(c) for c in L.covers]
-        rng.shuffle(elements)
-        rng.shuffle(covers)
-        return {"elements": elements, "covers": covers}
-
-    maps = []
-    for x, y in S.covers:
-        pairs = [[a, a] for a in set(B[x].elements) & set(B[y].elements)]
-        rng.shuffle(pairs)
-        maps.append({"from": x, "to": y, "pairs": pairs})
-    rng.shuffle(maps)
-    return {"skeleton": lattice(S),
-            "blocks": {str(x): lattice(B[x]) for x in S.elements},
-            "maps": maps, "local": True}
+    """decompose(M) cut into disjoint block copies by the bridge, as a
+    local-system document whose cover maps identify each overlap with
+    itself; elements, covers, maps and pairs in seeded order."""
+    doc = lio.to_dict(local_system(decompose(M).system)[0])
+    for m in doc["maps"]:
+        rng.shuffle(m["pairs"])
+    rng.shuffle(doc["maps"])
+    for L in (doc["skeleton"], *doc["blocks"].values()):
+        rng.shuffle(L["elements"])
+        rng.shuffle(L["covers"])
+    return doc
 
 
 SHAPES = {"grid(2,3)": lambda: grid(2, 3), "grid(3,3)": lambda: grid(3, 3),

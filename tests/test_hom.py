@@ -10,15 +10,16 @@ import pytest
 
 import latglue
 from latglue import hom
-from latglue.constructions import boolean, chain, fig_3by3_system, grid, \
-    hd_two_m3, hd_two_m3_edge, m3, m3_chain_edges, section4_example, \
+from latglue.constructions import boolean, chain, \
+    distributive_with_skeleton, fig_3by3_system, grid, hd_two_m3, \
+    hd_two_m3_edge, m3, m3_chain_edges, n5, section4_example, \
     square_sublattice
 from latglue.core import FiniteLattice, InvariantViolated, LatticeError, \
     product
-from latglue.glue import glued_sum
-from latglue.hom import LatticeHom, OverlapDisagreement, check_star, \
-    corollary_54_check, glue_homs, is_homomorphism, is_injective, \
-    simplicity_transfer_check
+from latglue.glue import GluedSystem, glued_sum
+from latglue.hom import LatticeHom, OverlapDisagreement, \
+    StarConditionFailed, check_star, corollary_54_check, glue_homs, \
+    is_homomorphism, is_injective, simplicity_transfer_check
 from latglue.predicates import is_simple
 from latglue.skeleton import decompose
 
@@ -57,6 +58,38 @@ def test_glue_rejects_overlap_disagreement():
     fam[x] = LatticeHom(sys.blocks[x], M, skew)
     with pytest.raises(OverlapDisagreement):
         glue_homs(sys, fam)
+
+
+def test_glue_refuses_a_family_breaking_star_over_a_non_modular_skeleton():
+    """One map of the carrier into 2 sends the least element of the
+    distributive lattice over N5 up and the rest down, so the blocks agree
+    on every overlap, but φ_0(0_0) + φ_a(0_a) = 1 while φ_a(0_a) = 0."""
+    sys = distributive_with_skeleton(n5())
+    bottom = glued_sum(sys).bottom
+    host = chain(1)
+    fam = {x: LatticeHom(sys.blocks[x], host,
+                         {a: "1" if a == bottom else "0"
+                          for a in sys.blocks[x].elements})
+           for x in sys.skeleton.elements}
+    assert not check_star(sys, fam)
+    with pytest.raises(StarConditionFailed,
+                       match=r"^skeleton not modular and \(\*\) fails$"):
+        glue_homs(sys, fam)
+
+
+def test_glue_refuses_maps_disagreeing_off_the_covers():
+    """L_0 ∩ L_2 = {a} over the chain 0 < 1 < 2, with L_1 disjoint from
+    both: no cover overlap sees a, which φ_0 and φ_2 send apart."""
+    sys = GluedSystem(chain(2), {
+        "0": FiniteLattice(["p", "a"], [("p", "a")]),
+        "1": FiniteLattice(["q", "r"], [("q", "r")]),
+        "2": FiniteLattice(["a", "s"], [("a", "s")])})
+    maps = {"0": {"p": "0", "a": "0"}, "1": {"q": "0", "r": "1"},
+            "2": {"a": "1", "s": "1"}}
+    fam = {x: LatticeHom(sys.blocks[x], chain(1), m) for x, m in maps.items()}
+    with pytest.raises(OverlapDisagreement) as e:
+        glue_homs(sys, fam)
+    assert e.value.args == (("non-cover overlap", "a"),)
 
 
 SKEWED_OVERLAP = """

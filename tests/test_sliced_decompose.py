@@ -20,7 +20,7 @@ import pytest
 
 from latglue import cli, core, glue, skeleton
 from latglue import io as lio
-from latglue.constructions import boolean, grid
+from latglue.constructions import boolean, chain, grid
 from latglue.core import InvariantViolated
 from latglue.glue import GluedSystem, glued_sum, order_closure, validate
 from latglue.predicates import is_modular
@@ -219,6 +219,18 @@ def test_corruptions_fail_as_the_oracle_blocks_do(name, M, S, mask, lo, hi,
     # round trip sees)
     assert index_outcome(M, S, mask, lo, hi, record) == \
         oracle_outcome(M, S, mask, blocks)
+
+
+def test_a_block_whose_ends_do_not_bound_it_is_refused_with_its_ends():
+    """Both blocks of the chain 0 < 1 < 2 < 3 are closed under join and
+    meet; the second, {1, 2, 3}, is handed 2 as its top."""
+    M = chain(3)
+    mask = np.array([[True, True, False, False], [False, True, True, True]])
+    lo, hi = np.array([0, 1]), np.array([1, 2])
+    with pytest.raises(InvariantViolated) as e:
+        glue._sliced_blocks(["x", "y"], M, mask, lo, hi)
+    assert str(e.value) == "block is not bounded by its ends: ('1', '2')"
+    assert e.value.witness == ("1", "2")
 
 
 # -- read-only, lazy, once ------------------------------------------------------
