@@ -1,12 +1,12 @@
 """Named lattices, glued/connected fixtures, the projective-plane example,
 and the small-lattice enumerator used as the verification corpus."""
 
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
-from .core import FiniteLattice, LimitExceeded, _bit_matrix, _lattices, \
-    _leaves, product
+from .core import FiniteLattice, LimitExceeded, _bit_matrix, _from_orders, \
+    _lattices, _leaves, product
 from .connect import LocalConnectedSystem, connected_sum, elevate, \
     local_system
 from .glue import GluedSystem, glued_sum
@@ -221,62 +221,99 @@ def section1_nonexample_a4():
 
 # -- worked constructions ------------------------------------------------
 
+def _escaped(a):
+    """str(a) with backslashes, commas and bars escaped by a backslash."""
+    return str(a).replace("\\", "\\\\").replace(",", "\\,") \
+        .replace("|", "\\|")
+
+
+def _subsets(base):
+    """The subsets of the list `base` as bitmasks over its positions, by
+    size, each size in the lexicographic order of the members' str, and
+    the name of each: its members' escaped str (`_escaped`) in that order,
+    joined by commas."""
+    order = sorted(range(len(base)), key=lambda i: str(base[i]))
+    names = [_escaped(a) for a in base]
+    masks, named = [], []
+    for r in range(len(base) + 1):
+        for c in combinations(order, r):
+            masks.append(sum(1 << i for i in c))
+            named.append(",".join(names[i] for i in c))
+    return masks, named
+
+
 def distributive_with_skeleton(S):
     """A distributive lattice whose skeleton is (isomorphic to) S.
 
     Block at x is the interval [(∅,[x)), ((x],∅)] of P(S) × P(S)ᵟ, i.e.
     pairs (A, B) with A ⊆ (x], B ⊆ [x); join is (∪,∩), meet is (∩,∪).
     Returns the glued system; its sum is the lattice M.
+
+    (A, B) is named "{A|B}", A and B listed as their members' str sorted
+    and joined by commas, with backslashes, commas and bars in each str
+    escaped by a backslash, so that ids holding them name distinct
+    elements.  Ids with one str, such as 1 and "1", still name one.
     """
-    def pid(A, B):
-        return "{%s|%s}" % (",".join(sorted(map(str, A))),
-                            ",".join(sorted(map(str, B))))
-
-    def powerset(base):
-        base = sorted(base, key=str)
-        return [frozenset(c) for r in range(len(base) + 1)
-                for c in combinations(base, r)]
-
     def block_spec(x):
         # (x] and [x) in S's order, so that covers are listed in one order;
-        # each element is named once and its covers read from the names
+        # each subset is named once and covers read from the bitmasks
         down = [a for a in S.elements if S.leq(a, x)]
         up = [b for b in S.elements if S.leq(x, b)]
-        name = {(A, B): pid(A, B) for A in powerset(down) for B in powerset(up)}
+        downs, down_names = _subsets(down)
+        ups, up_names = _subsets(up)
+        ids = ["{%s|%s}" % (a, b) for a in down_names for b in up_names]
+        name = dict(zip([(A, B) for A in downs for B in ups], ids))
         covers = []
         for (A, B), here in name.items():
-            covers += [(here, name[A | {a}, B]) for a in down if a not in A]
-            covers += [(here, name[A, B - {b}]) for b in up if b in B]
-        return list(name.values()), covers
+            covers += [(here, name[A | 1 << i, B])
+                       for i in range(len(down)) if not A >> i & 1]
+            covers += [(here, name[A, B & ~(1 << j)])
+                       for j in range(len(up)) if B >> j & 1]
+        return ids, covers
 
     return GluedSystem(S, dict(zip(S.elements,
                                    _lattices(map(block_spec, S.elements)))))
 
 
+def square_sublattices(Ss):
+    """The glued systems of the intervals [(x⁺,x), (x,x*)] of S × S, for
+    each modular S of `Ss`, in order; each sum is a sublattice of S×S with
+    skeleton S.  The blocks of all the systems are built as one batch.
+    Each S is planned when its blocks are made, so a non-modular S raises
+    NotModular after the systems before it are built, as
+    `square_sublattice` one S at a time would."""
+    from .skeleton import _star_plus
+    Ss = list(Ss)
+
+    def block_specs():
+        for S in Ss:
+            st, pl = _star_plus(S)
+            ids, leq, up = S._ids, S._leq, S._up_adj
+            for x in range(S.n):
+                # [x⁺, x] and [x, x*] in S's order; covers as S lists them.
+                # The upper covers inside each interval and each pair's
+                # name are made once, and covers read from them
+                us = np.flatnonzero(leq[pl[x]] & leq[:, x]).tolist()
+                vs = np.flatnonzero(leq[x] & leq[:, st[x]]).tolist()
+                up_u = {u: [w for w in up[u] if leq[w, x]] for u in us}
+                up_v = {v: [w for w in up[v] if leq[w, st[x]]] for v in vs}
+                name = {(u, v): f"{ids[u]},{ids[v]}" for u in us for v in vs}
+                covers = []
+                for (u, v), here in name.items():
+                    covers += [(here, name[w, v]) for w in up_u[u]]
+                    covers += [(here, name[u, w]) for w in up_v[v]]
+                yield list(name.values()), covers
+
+    blocks = iter(_lattices(block_specs()))
+    return [GluedSystem(S, dict(zip(S.elements, islice(blocks, S.n))))
+            for S in Ss]
+
+
 def square_sublattice(S):
     """Glued system of the intervals [(x⁺,x), (x,x*)] of S × S, for
-    modular S; the sum is a sublattice of S×S with skeleton S."""
-    from .skeleton import _star_plus
-    st, pl = _star_plus(S)
-    ids, leq, up = S._ids, S._leq, S._up_adj
-
-    def block_spec(x):
-        # [x⁺, x] and [x, x*] in S's order; covers as S lists them.  The
-        # upper covers inside each interval and each pair's name are made
-        # once, and covers read from them
-        us = np.flatnonzero(leq[pl[x]] & leq[:, x]).tolist()
-        vs = np.flatnonzero(leq[x] & leq[:, st[x]]).tolist()
-        up_u = {u: [w for w in up[u] if leq[w, x]] for u in us}
-        up_v = {v: [w for w in up[v] if leq[w, st[x]]] for v in vs}
-        name = {(u, v): f"{ids[u]},{ids[v]}" for u in us for v in vs}
-        covers = []
-        for (u, v), here in name.items():
-            covers += [(here, name[w, v]) for w in up_u[u]]
-            covers += [(here, name[u, w]) for w in up_v[v]]
-        return list(name.values()), covers
-
-    return GluedSystem(S, dict(zip(S.elements,
-                                   _lattices(map(block_spec, range(S.n))))))
+    modular S; the sum is a sublattice of S×S with skeleton S.  The batch
+    of one of `square_sublattices`."""
+    return square_sublattices([S])[0]
 
 
 # -- the projective-plane example ---------------------------------------
@@ -383,7 +420,10 @@ def enumerate_lattices(max_elements):
     it is the top; any other state has two maximal elements and is no
     lattice.  Each state that is no lattice is keyed, and only the first
     state of each class is extended.  Lattice states are not keyed: each is
-    the first of its class, and is built (and validated by `from_leq`).
+    the first of its class.  They are collected during the search and built
+    after it, as one `_from_orders` batch that checks each as `from_leq`
+    does, so the enumerator is not lazy: the first lattice comes once all
+    are built.
 
     The lattices yielded are those of the unpruned search, first of each
     class, in the same order.  The search is depth first, so a later
@@ -400,6 +440,7 @@ def enumerate_lattices(max_elements):
         raise LimitExceeded(
             f"enumeration supported up to {MAX_ENUMERATED} elements")
     seen = set()  # keys of the states extended that are no lattices
+    lattices = []  # the lattice states' orders, in the search's order
     stack = [[1]] if max_elements >= 1 else []  # down-sets, depth first
     while stack:
         downs = stack.pop()
@@ -407,7 +448,7 @@ def enumerate_lattices(max_elements):
         full = (1 << n) - 1
         leq = _bit_matrix(downs).T
         if downs[-1] == full:
-            yield FiniteLattice.from_leq([str(i) for i in range(n)], leq)
+            lattices.append(([str(i) for i in range(n)], leq))
         elif (key := _order_key(leq)) in seen:
             continue
         else:
@@ -421,6 +462,7 @@ def enumerate_lattices(max_elements):
         # pushed last to first, so that the least D is searched first
         stack += [downs + [D | 1 << n] for D in reversed(choices)
                   if principal.issuperset(map(D.__and__, downs))]
+    yield from _from_orders(lattices)
 
 
 def _lattice_mask(leq):

@@ -6,12 +6,15 @@ join/meet tables and validates everything: the cover digraph must be acyclic,
 must be its own transitive reduction, the order must be bounded, and every
 pair of elements must have a unique least upper bound and greatest lower
 bound.  Instances are immutable after construction.  Many lattices are
-built as one batch (`_lattices`), which shares the table arithmetic among
-lattices of one size; the constructor is the batch of one.
+built as one batch, from covers (`_lattices`) or from orders
+(`_from_orders`); both share one table step (`_batch`) among the lattices
+of one size.  The constructor is the batch of one of covers, `from_leq`
+that of orders.
 
 An order matrix takes one route, `_from_order`, to a lattice without tables:
-`from_leq` builds them as a batch of one does, and a sublattice cut out of
-a parent (`_slice`, the skeleton S(M)) takes the parent's.
+`from_leq` and `_from_orders` build them in the table step, and a
+sublattice cut out of a parent (`_slice`, the skeleton S(M)) takes the
+parent's.
 """
 
 from dataclasses import dataclass
@@ -375,29 +378,59 @@ def _from_order(elements, leq):
 
 def _lattices(specs):
     """The lattices of the (elements, covers) pairs in `specs`, in order,
-    built as one batch.  Each is checked in Python (`_ordered`); the
-    lattices of one size then get their order matrices from one bit
-    unpacking and their join/meet tables from one `_least_bounds`, and
-    the pairs left open are settled per lattice (`_settle`).
+    built as one batch (`_batch`).  Each is checked in Python (`_ordered`);
+    the lattices of one size get their order matrices from one bit
+    unpacking.
 
     The error raised is the one that building the specs one at a time
     raises first: a failed check, or a pair without a least bound
     (NoUniqueJoin, NoUniqueMeet) in an earlier spec's tables.  `specs` may
     be a generator, whose own errors count as the spec's it was making.
     The error carries `spec`, the index of the spec it was raised for."""
+    def stacked(ups, n):
+        return _bit_matrix([r for up in ups for r in up], n) \
+            .reshape(len(ups), n, n)
+
+    return _batch(specs, _ordered, stacked)
+
+
+def _from_orders(items):
+    """The lattices of the (elements, leq) pairs in `items`, in order, each
+    built as `from_leq` builds it, as one batch (`_batch`): the order is
+    checked and reduced to its covers (`_from_order`).  Errors as in
+    `_lattices`."""
+    def checked(elements, leq):
+        L, topo = _from_order(elements, np.array(leq, dtype=bool, order="C"))
+        return L, topo, L._leq
+
+    def stacked(leqs, n):
+        # a lattice alone keeps its own copy of the order
+        return leqs[0][None] if len(leqs) == 1 else np.stack(leqs)
+
+    return _batch(items, checked, stacked)
+
+
+def _batch(items, check, stacked):
+    """The lattices of `items`, in order, built with one table step per
+    size.  check(*item) returns a lattice without tables, its linear
+    extension and its order in any form; stacked(orders, n) stacks the
+    orders of the lattices of size n as an (m, n, n) boolean array.  The
+    lattices of one size get their join/meet tables from one
+    `_least_bounds`, then the pairs left open are settled per lattice
+    (`_settle`), in order.  The first error, a settled one before one that
+    `check` or `items` raised, gets `spec`, the index of its item."""
     built, error = [], None
     try:
-        for elements, covers in specs:
-            built.append(_ordered(elements, covers))
-    except Exception as e:  # raised after the specs before it are settled
+        for item in items:
+            built.append(check(*item))
+    except Exception as e:  # raised after the items before it are settled
         error = e
     sizes = {}
     for k, (L, _, _) in enumerate(built):
         sizes.setdefault(L.n, []).append(k)
     to_settle = [None] * len(built)  # (linear extension, flagged pairs)
     for n, ks in sizes.items():
-        leq = _bit_matrix([r for k in ks for r in built[k][2]], n) \
-            .reshape(len(ks), n, n)
+        leq = stacked([built[k][2] for k in ks], n)
         topo = np.array([built[k][1] for k in ks])
         tables, flagged = _least_bounds(leq, topo)
         for i, k in enumerate(ks):
@@ -424,12 +457,8 @@ class FiniteLattice:
     def from_leq(cls, elements, leq):
         """Lattice of the reflexive partial order `leq`, a boolean matrix
         over `elements` that the lattice keeps a copy of (`_from_order`),
-        with its join/meet tables built as a batch of one builds them."""
-        L, topo = _from_order(elements, np.array(leq, dtype=bool, order="C"))
-        tables, flagged = _least_bounds(L._leq[None], topo[None])
-        L._join, L._meet = tables
-        _settle(L._leq, topo, L._ids, L._join, L._meet, flagged)
-        return L
+        with its join/meet tables: the batch of one of `_from_orders`."""
+        return _from_orders([(elements, leq)])[0]
 
     # -- basic accessors -------------------------------------------------
 

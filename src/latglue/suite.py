@@ -91,10 +91,12 @@ def _glued():
 
 def _squares(corpus_max):
     """(S, square_sublattice(S)) for the modular S of at most
-    min(corpus_max, 7) elements."""
-    return _shared(("squares", min(corpus_max, 7)), lambda: [
-        (S, fix.square_sublattice(S))
-        for S in _modular_corpus(min(corpus_max, 7))])
+    min(corpus_max, 7) elements, their blocks built in one batch."""
+    def build():
+        Ss = _modular_corpus(min(corpus_max, 7))
+        return list(zip(Ss, fix.square_sublattices(Ss)))
+
+    return _shared(("squares", min(corpus_max, 7)), build)
 
 
 def _formulas_match(sys, L=None):

@@ -58,9 +58,16 @@ def test_run_suite_builds_each_fixture_once_per_call(monkeypatch):
             return fn(*args, **kwargs)
         monkeypatch.setattr(suite.fix, name, build)
 
-    for name in ("section4_example", "square_sublattice", "fig_3by3_system",
-                 "hd_two_m3_edge", "note3_system"):
+    for name in ("section4_example", "fig_3by3_system", "hd_two_m3_edge",
+                 "note3_system"):
         counted(name, getattr(suite.fix, name))
+
+    def squares(Ss, real=suite.fix.square_sublattices):
+        # one entry per S: square_sublattice is the batch of one
+        Ss = list(Ss)
+        built.extend(("square", (id(S),), ()) for S in Ss)
+        return real(Ss)
+    monkeypatch.setattr(suite.fix, "square_sublattices", squares)
     for _ in range(2):  # each call builds its own, once per fixture
         built.clear()
         ok, _ = suite.run_suite(CORPUS_MAX, emit=lambda line: None)
@@ -70,8 +77,8 @@ def test_run_suite_builds_each_fixture_once_per_call(monkeypatch):
         assert [b for b in built if b[0] == "section4_example"] \
             == [("section4_example", (), ()),
                 ("section4_example", (), (("all_m3", True),))]
-        assert sum(b[0] == "square_sublattice" for b in built) \
-            == 1 + len(suite._modular_corpus(CORPUS_MAX))
+        assert sum(b[0] == "square" for b in built) \
+            == 1 + len(suite._modular_corpus(CORPUS_MAX)) == 1 + 33
 
 
 def test_suite_passes_under_python_O():

@@ -3,7 +3,9 @@ one-lattice-at-a-time constructor kept in `oracles.py`, on the corpus up to
 8 elements, the benchmarked sweep shapes, the blocks of every decomposition
 of a modular corpus lattice and batches mixing sizes; the error of the
 first failing spec in input order; and one stacked Möbius product per
-block size when a local system file is loaded."""
+block size when a local system file is loaded.  The batch of orders
+(`core._from_orders`) and the batch of square systems
+(`square_sublattices`) equal their batches of one, errors included."""
 
 import collections
 import random
@@ -14,14 +16,15 @@ import pytest
 from latglue import core, io as lio
 from latglue.connect import local_system
 from latglue.constructions import chain, distributive_with_skeleton, grid, \
-    m3, square_sublattice
+    m3, n5, square_sublattice, square_sublattices
 from latglue.core import CycleDetected, FiniteLattice, LatticeError, \
     NoUniqueJoin, NoUniqueMeet, NotBounded, NotTransitiveReduction, \
     UnknownElement, product
-from latglue.predicates import is_modular
+from latglue.predicates import NotModular, is_modular
 from latglue.skeleton import decompose
 from oracles import oracle_lattice
 from test_derived_skeleton import sweep_shapes
+from test_least_bounds import random_orders
 from test_pruned_predicates import CORPUS8
 
 FIELDS = ("n", "_ids", "_idx", "_cov", "_up_adj", "_down_adj", "_height",
@@ -204,6 +207,75 @@ def test_generator_error_comes_after_earlier_missing_bounds():
     with pytest.raises(LatticeError, match="^malformed spec$") as got:
         core._lattices(clean_then_fail())
     assert got.value.spec == 1
+
+
+# -- batches of orders and of square systems ---------------------------------
+
+def order_item(L, reverse=False):
+    """L's elements and order matrix, the elements reversed if asked."""
+    p = np.arange(L.n)[::-1] if reverse else np.arange(L.n)
+    return [L.elements[i] for i in p], L._leq[np.ix_(p, p)]
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["given", "reversed"])
+def test_order_batch_equals_from_leq_one_at_a_time(reverse):
+    items = [order_item(L, reverse) for L in CORPUS8]
+    for got, item in zip(core._from_orders(items), items, strict=True):
+        assert_same_fields(got, FiniteLattice.from_leq(*item))
+
+
+def first_order_error(items):
+    """(index, error) of the first item from_leq refuses, or None."""
+    for k, item in enumerate(items):
+        try:
+            FiniteLattice.from_leq(*item)
+        except LatticeError as e:
+            return k, e
+    return None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_order_batch_raises_the_first_error_from_leq_raises(seed):
+    rng = random.Random(seed)
+    orders = list(random_orders(12, seed=20 + seed))
+    errors = 0
+    for _ in range(8):
+        items = [order_item(L, rng.random() < 0.5)
+                 for L in rng.sample(CORPUS8, 10)]
+        for order in rng.sample(orders, 3):
+            items.insert(rng.randrange(len(items) + 1), order)
+        first = first_order_error(items)
+        if first is None:
+            for got, item in zip(core._from_orders(items), items, strict=True):
+                assert_same_fields(got, FiniteLattice.from_leq(*item))
+            continue
+        k, want = first
+        with pytest.raises(LatticeError) as got:
+            core._from_orders(items)
+        assert type(got.value) is type(want) and str(got.value) == str(want)
+        assert got.value.spec == k
+        errors += 1
+    assert errors > 0
+
+
+def test_square_batch_equals_the_systems_one_at_a_time():
+    Ss = [L for L in CORPUS8 if is_modular(L)]
+    assert len(Ss) == 67
+    for sys, S in zip(square_sublattices(Ss), Ss, strict=True):
+        want = square_sublattice(S)
+        assert sys.skeleton is S and list(sys.blocks) == list(want.blocks)
+        for x, B in sys.blocks.items():
+            assert_same_fields(B, want.blocks[x])
+
+
+def test_square_batch_raises_the_not_modular_the_singles_raise():
+    with pytest.raises(NotModular) as want:
+        for S in (m3(), n5(), m3()):
+            square_sublattice(S)
+    with pytest.raises(NotModular) as got:
+        square_sublattices([m3(), n5(), m3()])
+    assert str(got.value) == str(want.value)
+    assert got.value.spec == m3().n  # raised while planning n5, after m3
 
 
 # -- one stacked product per block size ------------------------------------

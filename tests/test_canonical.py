@@ -240,15 +240,21 @@ def test_leaf_bound_raises_limit_exceeded(monkeypatch):
 
 
 def test_enumerator_builds_one_lattice_per_class(monkeypatch):
-    built = []
-    from_leq = FiniteLattice.from_leq.__func__
+    # one order per class goes to one batch, one table step per size
+    built, tabled = [], []
 
-    def counted(cls, elements, leq):
-        built.append(len(elements))
-        return from_leq(cls, elements, leq)
+    def counted(items, real=constructions._from_orders):
+        built.extend(len(elements) for elements, _ in items)
+        return real(items)
 
-    monkeypatch.setattr(FiniteLattice, "from_leq", classmethod(counted))
+    def counted_bounds(leq, topo, real=core._least_bounds):
+        tabled.append(leq.shape)
+        return real(leq, topo)
+
+    monkeypatch.setattr(constructions, "_from_orders", counted)
+    monkeypatch.setattr(core, "_least_bounds", counted_bounds)
     assert len(list(enumerate_lattices(7))) == len(built) == 78
+    assert sorted(n for _, n, _ in tabled) == list(range(1, 8))
 
 
 def test_searches_leave_no_cyclic_garbage():

@@ -117,6 +117,20 @@ def test_distributive_with_skeleton_manifest():
         assert find_isomorphism(skeleton_lattice(M), S) is not None
 
 
+def test_distributive_with_skeleton_escapes_separators_in_ids():
+    # unescaped, (∅, {'a,b'}) and (∅, {'a', 'b'}) were both '{|a,b}'
+    S = FiniteLattice(["a", "b", "a,b"], [("a", "b"), ("b", "a,b")])
+    sys = distributive_with_skeleton(S)
+    assert validate(sys) == []
+    M = glued_sum(sys)
+    assert is_distributive(M)
+    assert find_isomorphism(skeleton_lattice(M), S) is not None
+    assert "{a,a\\,b|a\\,b}" in sys.blocks["a,b"].elements
+    assert "{a,b|a\\,b}" in sys.blocks["a,b"].elements
+    S = FiniteLattice(["|", "\\"], [("|", "\\")])
+    assert "{\\||\\\\}" in distributive_with_skeleton(S).blocks["|"].elements
+
+
 def test_square_sublattice_manifest():
     for S in [m3(), boolean(2), chain(2)]:
         sys = square_sublattice(S)
