@@ -2,18 +2,21 @@
 run the acceptance suite, and emit DOT diagrams and JSON reports.
 
 Exit codes: 0 when every requested check passes, 1 when a check is violated
-(with a machine-readable violation object on stderr), 2 on malformed input.
+(with a machine-readable violation object on stderr), 2 on malformed input,
+141 when the reader of stdout closes it before the output is written (the
+code a shell reports for SIGPIPE), with nothing on stderr.
 """
 
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import constructions as fix
 from . import io as lio
 from .connect import ConnectedSystem, LocalConnectedSystem, connected_sum, \
-    elevate, validate_connected
+    elevate
 from .core import FiniteLattice, InvariantViolated, LatticeError, product
 from .glue import GluedSystem, NotALattice, glued_sum, validate
 from .predicates import NotModular, breadth, is_atomistic, is_distributive, \
@@ -130,15 +133,13 @@ def cmd_connect(args):
     try:
         if isinstance(cs, LocalConnectedSystem):
             cs = elevate(cs)
-        else:
-            bad = validate_connected(cs)
-            if bad:
-                return _fail("connect-conditions",
-                             {"file": args.file,
-                              "conditions": [{"condition": v.condition,
-                                              "pair": v.pair,
-                                              "witness": v.witness}
-                                             for v in bad]})
+        elif cs._violations:  # the verdict connected_sum reads too
+            return _fail("connect-conditions",
+                         {"file": args.file,
+                          "conditions": [{"condition": v.condition,
+                                          "pair": v.pair,
+                                          "witness": v.witness}
+                                         for v in cs._violations]})
         gsys, _ = connected_sum(cs)
     except LatticeError as e:
         return _fail("connect-conditions",
@@ -307,9 +308,18 @@ def _build_parser():
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except SystemExit as e:
-        return e.code
+        try:
+            return args.fn(args)
+        except SystemExit as e:
+            return e.code
+        finally:
+            sys.stdout.flush()  # a closed pipe shows here, not at exit
+    except BrokenPipeError:
+        # the reader is gone: send what is left, and the flush at exit, to
+        # the null device
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -9,9 +9,12 @@ taken in skeleton index order and the maps become one padded n×n×bmax int
 tensor: phi[x, y, a] is the index in block y of the image of the a-th
 element of block x, -1 where undefined, and phi[x, x] is the identity.
 A system's blocks and maps are read-only, so its tensor, block tables,
-disjointness check and identification record (`Identification`) are
-built once per system; `elevate` hands the local system's to the system
-it returns, whose maps (`TensorMaps`) are read from the filled tensor."""
+disjointness check, verdict (`_violations`, the list its check returns)
+and identification record (`Identification`) are built once per system;
+`elevate` hands the local system's to the system it returns, whose maps
+(`TensorMaps`) are read from the filled tensor.  elevate, connected_sum
+and equivalent run only on a system whose verdict is empty, and prove
+what they need from it instead of checking their results."""
 
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -21,11 +24,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _BLOCK_CELLS, FiniteLattice, InvariantViolated, \
-    LatticeError, UnknownElement
+from .core import _BLOCK_CELLS, FiniteLattice, LatticeError, UnknownElement
 from .glue import GluedSystem, _block_membership, _block_tables, \
     _by_height, _chain_failures, _check_block_keys, _compose, _fill, \
-    _images, _iso_failures, validate as glue_validate
+    _images, _iso_failures
 from .predicates import is_modular
 
 
@@ -78,18 +80,20 @@ class _System:
 
 
 class ConnectedSystem(_System):
-    """Maps on pairs x ≦ y."""
+    """Maps on pairs x < y."""
+
+    _kind = "connected"
+
+    @cached_property
+    def _violations(self):
+        """The system's one verdict, validate_connected's list: the maps
+        are read-only, so it is computed once, and connected_sum and
+        equivalent refuse the system unless it is empty."""
+        return validate_connected(self)
 
     @cached_property
     def _identification(self):
         return _identification(self)  # built once: the maps are read-only
-
-    @cached_property
-    def _clash(self):
-        """The first pair at which the join-side and meet-side criteria
-        disagree, or None: an N×N scan, built once, that only
-        `_unclashed` reads."""
-        return _first_clash(self._identification, self.skeleton)
 
     def phi(self, x, y):
         """The partial map φ_yx from L_x toward L_y (empty when absent)."""
@@ -105,8 +109,23 @@ class ConnectedSystem(_System):
 class LocalConnectedSystem(_System):
     """Maps on skeleton covers x ≺ y only; the skeleton must be modular."""
 
+    _kind = "local"
+
+    @cached_property
+    def _violations(self):
+        """validate_local's list, computed once; elevate refuses the system
+        unless it is empty."""
+        return validate_local(self)
+
     def phi(self, x, y):
         return self.maps.get((x, y), {})
+
+
+def _valid(cs):
+    """Refuse a system its check does not accept: LatticeError naming the
+    kind of system and listing the violations."""
+    if cs._violations:
+        raise LatticeError(f"invalid {cs._kind} system: {cs._violations}")
 
 
 class TensorMaps(Mapping):
@@ -243,6 +262,16 @@ def _cover_matrix(S):
     return cov
 
 
+def _inclusion_failures(xj, yj, wj, wx, wy, b):
+    """The two three-set inclusions of (20)/(20δ), for rows of index maps
+    of pairs x, y with w = x∧y and j = x∨y (xj is φ(x, j), and so on):
+    True where im xj ∩ im yj ⊄ im wj, and where dom wx ∩ dom wy ⊄ dom wj.
+    (24)/(24δ) are the same with wj the composition xj ∘ wx."""
+    img = _images(np.concatenate([xj, yj, wj]), b).reshape(3, len(xj), b)
+    return ((img[0] & img[1] & ~img[2]).any(1),
+            ((wx >= 0) & (wy >= 0) & (wj < 0)).any(1))
+
+
 def _glue_failures(S, phi):
     """(20) and (20δ) for every pair (x, y): with j = x∨y and w = x∧y,
     im φ(x, j) ∩ im φ(y, j) ⊆ im φ(w, j) and dom φ(w, x) ∩ dom φ(w, y) ⊆
@@ -263,10 +292,7 @@ def _glue_failures(S, phi):
         f = rows.take(np.concatenate([x, y, w, w, w]) * n
                       + np.concatenate([j, j, j, x, y]), axis=0) \
             .reshape(5, len(x), b)
-        img = _images(f[:3].reshape(-1, b), b).reshape(3, len(x), b)
-        dom = f[2:] >= 0
-        f20[x, y] = (img[0] & img[1] & ~img[2]).any(1)
-        f20d[x, y] = (dom[1] & dom[2] & ~dom[0]).any(1)
+        f20[x, y], f20d[x, y] = _inclusion_failures(*f, b)
     return f20 | f20.T, f20d | f20d.T
 
 
@@ -358,60 +384,37 @@ def _identification(cs):
                           owner, img, pre)
 
 
-def _agree(rec, side, table, g, h):
-    """For carrier indices g and h (broadcast): side[g, z] is defined and
-    equals side[h, z] at z = table[block of g, block of h].  Criterion (ii)
-    is img at the skeleton's join, criterion (iv) pre at its meet (within
-    one block, g = h)."""
-    z = table[rec.owner[g], rec.owner[h]]
-    mine = side[g, z]
-    return (mine >= 0) & (mine == side[h, z])
-
-
-def _first_clash(rec, S):
-    """The first pair of ids, in carrier order, at which (ii) and (iv)
-    disagree, rows at a time; None when they agree everywhere."""
-    N = len(rec.carrier)
-    every = np.arange(N)[None, :]
-    step = max(1, _BLOCK_CELLS // max(N, 1))
-    for s in range(0, N, step):
-        rows = np.arange(s, min(N, s + step))[:, None]
-        bad = np.flatnonzero(_agree(rec, rec.img, S._join, rows, every)
-                             != _agree(rec, rec.pre, S._meet, rows, every))
-        if len(bad):
-            g, h = divmod(int(bad[0]), N)
-            return rec.carrier[s + g], rec.carrier[h]
-    return None
-
-
-def _unclashed(cs):
-    """The identification record of cs, or InvariantViolated with the first
-    pair at which the join-side and meet-side criteria disagree."""
-    if cs._clash is not None:
-        raise InvariantViolated("join-side and meet-side criteria disagree",
-                                cs._clash)
-    return cs._identification
+def _joined(rec, join, g, h):
+    """Criterion (ii) for carrier indices g and h (broadcast): the image
+    of g at z, the skeleton join of the blocks of g and h, is defined and
+    is h's image there."""
+    z = join[rec.owner[g], rec.owner[h]]
+    mine = rec.img[g, z]
+    return (mine >= 0) & (mine == rec.img[h, z])
 
 
 def equivalent(cs, a, b):
     """a ~ b: the images of a and b at the join of their blocks coincide,
     a lookup in the system's identification record.
 
-    Agreement with the meet-side criterion (preimages at the block meet),
-    as the two are provably equivalent, is checked on every pair once per
-    system: if they disagree anywhere, every query raises
-    InvariantViolated with the first disagreeing pair in carrier order."""
+    Only a system its check accepts is asked (LatticeError "invalid
+    connected system: [...]" otherwise).  On such a system this join-side
+    criterion and the meet-side one, a common preimage at the meet of the
+    blocks, agree on every pair: `connected_sum`'s docstring proves it
+    from (17)–(20δ), so they are not compared here."""
+    _valid(cs)
     rec = cs._identification
-    g, h = rec.position(a), rec.position(b)
-    return bool(_agree(_unclashed(cs), rec.img, cs.skeleton._join, g, h))
+    return bool(_joined(rec, cs.skeleton._join, rec.position(a),
+                        rec.position(b)))
 
 
 def _relation(cs):
     """`equivalent` on every pair of the carrier, as an N×N matrix in
-    carrier order."""
-    rec = _unclashed(cs)
+    carrier order, on any system: criterion 9 reads it on the systems it
+    is checking, next to the criteria it computes apart."""
+    rec = cs._identification
     g = np.arange(len(rec.carrier))
-    return _agree(rec, rec.img, cs.skeleton._join, g[:, None], g[None, :])
+    return _joined(rec, cs.skeleton._join, g[:, None], g[None, :])
 
 
 def _components(n, u, v):
@@ -436,50 +439,69 @@ def connected_sum(cs):
     """Quotient the disjoint union by the identifications the maps induce.
 
     Returns (GluedSystem over the same skeleton, {x: π_x}) where each π_x
-    relabels L_x by class representatives.  Representatives come from the
-    ≦-least block under a fixed linear extension of the skeleton order
-    (height, then the block's name; ties between blocks go to the least id).
-    Elements are numbered globally, block after block in skeleton order.
-    """
-    cs._disjoint  # LatticeError unless the blocks are disjoint
+    relabels L_x by class representatives: each class is named by its
+    element in the least block it meets, which is the block of least
+    height it meets.  Elements are numbered globally, block after block in
+    skeleton order.
+
+    Only a system its check accepts is quotiented (LatticeError "invalid
+    connected system: [...]" otherwise).  The quotient of such a system is
+    an S-glued system and no π_x collapses its block; both follow from
+    (17)–(20δ) and are not checked here (`oracle_connected_sum` in the
+    tests checks both).  For a ∈ L_x and b ∈ L_y, with j = x∨y and
+    w = x∧y, let (ii) say φ(x, j)(a) = φ(y, j)(b), and (iv) that some
+    p ∈ L_w has φ(w, x)(p) = a and φ(w, y)(p) = b.  (19) reads
+    φ(u, v) = φ(t, v) ∘ φ(u, t) for u ≦ t ≦ v, as partial maps.
+    - (ii) ⇔ (iv).  For x ≦ y both say φ(x, y)(a) = b.  For incomparable
+      x and y: given (iv), (20δ) puts p in dom φ(w, j), and (19) gives
+      φ(x, j)(a) = φ(w, j)(p) = φ(y, j)(b).  Given (ii), (20) puts
+      c = φ(x, j)(a) in im φ(w, j), say c = φ(w, j)(p).  By (19)
+      φ(x, j)(φ(w, x)(p)) = c, and φ(x, j) is injective (17), so
+      φ(w, x)(p) = a; likewise φ(w, y)(p) = b.
+    - The classes are the (ii)-classes.  (17) refuses maps on diagonal
+      and incomparable pairs, so the edges are a — φ(x, y)(a) for x < y,
+      the tensor's cells off its diagonal, and each is a (ii) pair.  (ii)
+      is reflexive and symmetric, and a step along an edge keeps it, so a
+      path does.  Up: let a (ii) b, b ∈ L_y, y < y′, b′ = φ(y, y′)(b),
+      j′ = x∨y′ and m = j∧y′, so y ≦ m and j∨y′ = j′.  b lies in
+      dom φ(y, j) ∩ dom φ(y, y′), so by (19) φ(y, m)(b) lies in
+      dom φ(m, j) ∩ dom φ(m, y′), and so in dom φ(m, j′) by (20δ) on the
+      pair (j, y′).  By (19) again φ(x, j′)(a) = φ(y, j′)(b) =
+      φ(y′, j′)(b′).  Down is the dual, through (iv), (20) and
+      injectivity.
+    - A class meets a block once: a (ii) a′ in one L_x says a = a′.  And
+      the blocks a class meets are closed under meets by (iv), so it has
+      a least one, below every other and so lower than each.
+    - The quotient's axioms.  For x < y the overlap is the classes of
+      dom φ(x, y), and the identity on it, in block indices, is φ(x, y):
+      (A1)/(A2) are (17) on that map, the kernel glue.validate runs, and
+      (A3) is (18).  For incomparable x and y a shared class holds some
+      a (ii) b, a ∈ L_x and b ∈ L_y, so by (iv) and (ii) it meets L_w and
+      L_j: (A4).  The blocks keep the connected system's tables, each its
+      order's, so their joins and meets agree on the overlaps (see
+      glue._assert_derived)."""
+    _valid(cs)
     S = cs.skeleton
     ids, n = S._ids, S.n
     blocks = cs._block_list
     size = [L.n for L in blocks]
     offset = np.concatenate(([0], np.cumsum(size))).astype(np.intp)
     N = offset[-1]
-    # the edges: the maps off the diagonal from the tensor, and those on
-    # diagonal pairs, which it does not store, from their dicts
-    phi, given = cs._tensor
+    phi = cs._tensor[0]
     b = phi.shape[2]
     cell = np.flatnonzero(phi >= 0)  # far faster than a nonzero on 3 axes
     xs, ys = cell // (n * b), cell // b % n
     off = xs != ys
     cell, xs, ys = cell[off], xs[off], ys[off]
-    u, v = [offset[xs] + cell % b], [offset[ys] + phi.reshape(-1)[cell]]
-    for i in np.flatnonzero(given.diagonal()):
-        L, m = blocks[i], cs.maps[(ids[i], ids[i])]
-        u.append(offset[i] + np.array([L._idx[a] for a in m], dtype=np.intp))
-        v.append(offset[i] + np.array([L._idx[c] for c in m.values()],
-                                      dtype=np.intp))
-    root = _components(N, np.concatenate(u), np.concatenate(v))
-    block = np.repeat(np.arange(n), size)
-    dup = np.sort(block * N + root)
-    dup = dup[1:][dup[1:] == dup[:-1]]
-    if len(dup):
-        raise LatticeError(f"quotient collapses block {ids[dup[0] // N]!r} internally")
-
-    key = [(S._height[i], str(x)) for i, x in enumerate(ids)]
-    dense = {k: r for r, k in enumerate(sorted(set(key)))}
-    rank = np.array([dense[k] for k in key])[block]
+    root = _components(N, offset[xs] + cell % b,
+                       offset[ys] + phi.reshape(-1)[cell])
+    height = np.repeat(S._height, size)
     least = np.full(N, n)
-    np.minimum.at(least, root, rank)
-    first = rank == least[root]
+    np.minimum.at(least, root, height)
+    first = height == least[root]  # one element of each class
     rep = np.zeros(N, dtype=np.intp)
     rep[root[first]] = np.flatnonzero(first)
     elements = [a for L in blocks for a in L.elements]
-    for c in np.flatnonzero(np.bincount(root[first], minlength=N) > 1):
-        rep[c] = min(np.flatnonzero(first & (root == c)), key=elements.__getitem__)
     name = [elements[g] for g in rep[root]]
 
     # π_x is injective, so each quotient block is L_x renamed
@@ -496,11 +518,6 @@ def connected_sum(cs):
     sys.__dict__["_members"] = _block_membership(
         [quotient[x] for x in ids], cs._tables, tuple(name[r] for r in roots),
         rows)
-    # connected_sum is public and may be handed a system nobody validated,
-    # so this is its only check of the quotient
-    bad = glue_validate(sys)
-    if bad:
-        raise LatticeError(f"quotient is not a glued system: {bad}")
     return sys, pis
 
 
@@ -548,9 +565,8 @@ def validate_local(lcs):
     via_x = _compose(lambda a: phi[x[:, None], j[:, None], a], phi[w, x])
     via_y = _compose(lambda a: phi[y[:, None], j[:, None], a], phi[w, y])
     f23 = (via_x != via_y).any(1)
-    f24 = (_images(phi[x, j], b) & _images(phi[y, j], b)
-           & ~_images(via_x, b)).any(1)
-    f24d = ((phi[w, x] >= 0) & (phi[w, y] >= 0) & (via_x < 0)).any(1)
+    f24, f24d = _inclusion_failures(phi[x, j], phi[y, j], via_x, phi[w, x],
+                                    phi[w, y], b)
     for k in np.flatnonzero(f23 | f24 | f24d):
         quad = (ids[w[k]], ids[x[k]], ids[y[k]], ids[j[k]])
         if f23[k]:
@@ -568,9 +584,10 @@ def elevate(lcs):
     one height at a time: φ(x, y) = φ(c, y) ∘ φ(x, c) for the first upper
     cover c of x below y.
 
-    Only validate_local is run.  The system returned satisfies (17)–(20δ)
-    without a second check, since each follows from a modular skeleton
-    and (22)–(24δ):
+    Only validate_local is run (the system's `_violations`).  The system
+    returned satisfies (17)–(20δ) without a second check, so its verdict
+    is preset to empty, since each follows from a modular skeleton and
+    (22)–(24δ):
     - (17)/(18): the fill leaves the cover maps as they are, so on covers
       both are (22).  If f is an isomorphism of a filter of L_x onto ↓i
       in L_c, and g one of ↑e in L_c onto an ideal of L_y, then g ∘ f is
@@ -597,9 +614,7 @@ def elevate(lcs):
       It is in that of φ(w, w₁), so of φ(w, k) by the pair (w₁, y).
       Then φ(w, w₁)(e) is in the domains of φ(w₁, x) and φ(w₁, k), so of
       φ(w₁, j) by the pair (x, k), and e is in that of φ(w, j)."""
-    bad = validate_local(lcs)
-    if bad:
-        raise LatticeError(f"invalid local system: {bad}")
+    _valid(lcs)
     S = lcs.skeleton
     phi = lcs._tensor[0].copy()
     _fill(S, phi)
@@ -607,13 +622,14 @@ def elevate(lcs):
     np.fill_diagonal(given, False)
     phi.flags.writeable = False
     # the local system's blocks, tables and disjointness check are handed
-    # over with the filled tensor; a map's dict is built when asked for
+    # over with the filled tensor, and its verdict is the proof's; a map's
+    # dict is built when asked for
     cs = object.__new__(ConnectedSystem)
     cs.__dict__.update(
         skeleton=S, blocks=lcs.blocks, _tensor=(phi, given),
         maps=TensorMaps(S, lcs._block_list, phi, given),
         _block_list=lcs._block_list, _tables=lcs._tables,
-        _disjoint=lcs._disjoint)
+        _disjoint=lcs._disjoint, _violations=[])
     return cs
 
 

@@ -20,7 +20,8 @@ is dropped or read as something else.
 The blocks of a system are built in one batch; an error in reading or
 building a block keeps its text behind the block's key ("block '3,4':
 cover digraph contains a cycle"), and an error in a map's pairs names
-the map.
+the map.  A connected system's blocks are built under the file's ids,
+so that such an error names them, and then namespaced.
 """
 
 import json
@@ -187,10 +188,15 @@ def connected_from_dict(d):
     def spec(x, b):
         elements, covers = _spec(b)
         names[x] = ns = _Names(x, elements)
-        return ([ns[a] for a in elements],
-                [(ns.carrier_id(a), ns.carrier_id(c)) for a, c in covers])
+        for c in covers:
+            for a in c:
+                ns.carrier_id(a)  # refuses an id that is not a string
+        return elements, covers
 
-    blocks = _blocks(S, _field(d, "blocks"), spec)
+    # each block is built under the file's ids, so that an error names
+    # them, then renamed to its carrier ids with its tables shared
+    blocks = {x: L._relabelled([names[x][a] for a in L.elements])
+              for x, L in _blocks(S, _field(d, "blocks"), spec).items()}
     maps = {}
     for m in _array(d, "maps") if "maps" in d else []:
         m = _object(m, _MAP_KEYS)

@@ -109,7 +109,6 @@ def test_connect_local_validates_once_and_walks_no_chains(
         return lambda *args: calls.append(name) or real(*args)
     for module, name in ((connect, "validate_local"),
                          (connect, "validate_connected"),
-                         (cli, "validate_connected"),
                          (connect, "_chain_failures"),
                          (connect, "_glue_failures")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
@@ -123,6 +122,28 @@ def test_connect_local_validates_once_and_walks_no_chains(
     assert calls == ["validate_local"]
     S = lio.load(src).skeleton
     assert iso_pairs and set(iso_pairs) <= set(map(tuple, S._cov))
+
+
+def test_connect_checks_a_non_local_file_once(tmp_path, capsys, monkeypatch):
+    """A non-local request runs validate_connected once, and connected_sum
+    reads the verdict it cached; a refused file reports that verdict."""
+    src = tmp_path / "proj.json"
+    run(["construct", "projective_local", "--out", str(src)])
+    lio.save(connect.elevate(lio.load(src)), src)
+    calls = []
+    check = connect.validate_connected
+    monkeypatch.setattr(connect, "validate_connected",
+                        lambda cs: calls.append(cs) or check(cs))
+    assert run(["connect", str(src)]) == 0
+    assert "36 elements" in capsys.readouterr().out
+    assert len(calls) == 1
+    doc = json.loads(src.read_text())
+    doc["maps"] = doc["maps"][1:]
+    src.write_text(json.dumps(doc))
+    assert run(["connect", str(src)]) == 1
+    assert len(calls) == 2
+    last = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert last["violation"] == "connect-conditions" and last["conditions"]
 
 
 def test_skeleton_reports_roundtrip(tmp_path, capsys):
@@ -507,6 +528,32 @@ def cli_under_hash_seed(argv, seed):
                           env=env, capture_output=True, text=True)
 
 
+@pytest.mark.parametrize("unbuffered", [True, False],
+                         ids=["unbuffered-after-one-line", "buffered"])
+def test_a_reader_that_closes_stdout_early_gets_141_and_no_traceback(
+        unbuffered):
+    """`latglue suite --corpus-max 7 | head -1`: the write that meets the
+    closed pipe ends the run with 141, not 1, and stderr stays empty.
+    Unbuffered, the reader takes one line first and the next print meets
+    the closed pipe; buffered, it closes at once and main's flush meets
+    it, as the flush at exit would have."""
+    src = os.path.dirname(os.path.dirname(latglue.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    p = subprocess.Popen([sys.executable, "-m", "latglue.cli", "suite",
+                          "--corpus-max", "7"], env=env,
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    if unbuffered:
+        assert p.stdout.readline().startswith(b"[ 1/12] PASS roundtrip")
+    p.stdout.close()
+    err = p.stderr.read()
+    p.stderr.close()
+    assert (p.wait(), err) == (141, b"")
+
+
 @pytest.mark.parametrize("argv", [["m3xc1"], ["square_over_m3"],
                                   ["distributive_over_b2"],
                                   ["grid", "11", "12"]],
@@ -670,7 +717,13 @@ BLOCK_ERRORS = {
               "NotBounded: block 'y': empty element list"),
     "duplicate": ({"elements": ["a", "b", "a"], "covers": [["a", "b"]]},
                   "LatticeError: block 'y': duplicate element ids: "
-                  "{a!r} is repeated"),
+                  "'a' is repeated"),
+    # one id without the block's prefix: the connect reader prefixes them
+    # all, but builds the block, and so names its ids, as the file does
+    "two-tops": ({"elements": ["y:0", "y:1", "extra"],
+                  "covers": [["y:0", "y:1"], ["y:0", "extra"]]},
+                 "NotBounded: block 'y': minimal elements ['y:0'], "
+                 "maximal elements ['y:1', 'extra']"),
 }
 
 
@@ -678,7 +731,8 @@ BLOCK_ERRORS = {
 @pytest.mark.parametrize("kind", sorted(BLOCK_ERRORS))
 def test_block_errors_name_their_block(command, kind, tmp_path, capsys):
     # both readers build every block in one batch; the error still names
-    # the block it was raised for, after a valid one, and keeps its text
+    # the block it was raised for, after a valid one, and keeps its text,
+    # in the file's ids
     block, message = BLOCK_ERRORS[kind]
     doc = {"skeleton": {"elements": ["x", "y"], "covers": [["x", "y"]]},
            "blocks": {"x": {"elements": ["p", "q"], "covers": [["p", "q"]]},
@@ -688,9 +742,8 @@ def test_block_errors_name_their_block(command, kind, tmp_path, capsys):
     src = tmp_path / f"{kind}.json"
     src.write_text(json.dumps(doc))
     assert run([command, str(src)]) == 2
-    a = "y:a" if command == "connect" else "a"
     assert json.loads(capsys.readouterr().err.strip()) \
-        == {"error": message.format(a=a), "file": str(src)}
+        == {"error": message, "file": str(src)}
 
 
 def test_map_errors_name_their_map(tmp_path, capsys):

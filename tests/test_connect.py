@@ -17,8 +17,8 @@ from latglue.connect import ConnectedSystem, LocalConnectedSystem, \
     local_system, validate_connected, validate_local
 from latglue.constructions import boolean, chain, copies_local_system, \
     grid, m3, n5, section4_example
-from latglue.core import FiniteLattice, InvariantViolated, LatticeError, \
-    UnknownElement, product
+from latglue.core import FiniteLattice, LatticeError, UnknownElement, \
+    product
 from latglue.skeleton import decompose
 from latglue.glue import glued_sum, validate as glue_validate
 from latglue.hom import LatticeHom, is_homomorphism, is_injective
@@ -72,9 +72,21 @@ def _same_quotient(got, want):
         assert gsys.blocks[x].covers == gsys0.blocks[x].covers
 
 
+def _refusal(bad):
+    """What connected_sum and equivalent raise on a system whose check
+    lists `bad`, as `_outcome` gives it."""
+    return LatticeError, f"invalid connected system: {bad}"
+
+
 def _checked_sum(cs):
+    """connected_sum: refused with the check's list when validate_connected
+    refuses cs, and otherwise the id-level oracle's quotient."""
     got = _outcome(connected_sum, cs)
-    _same_quotient(got, _outcome(oracle_connected_sum, cs))
+    bad = validate_connected(cs)
+    if bad:
+        assert got == _refusal(bad)
+    else:
+        _same_quotient(got, _outcome(oracle_connected_sum, cs))
     return got
 
 
@@ -297,15 +309,21 @@ def test_quotient_rejects_internal_collapse():
 
 
 def test_equivalent_raises_when_join_and_meet_criteria_disagree():
+    """a:p and b:p meet at the join block but have no common preimage, the
+    clash (20) excludes: the check refuses the system for (20) at (a, b),
+    and equivalent raises the check's list."""
     S = boolean(2)
     blocks = {x: FiniteLattice([f"{x}:p"], []) for x in S.elements}
-    # a and b meet at the join block but have no common preimage
     maps = {("a", "ab"): {"a:p": "ab:p"}, ("b", "ab"): {"b:p": "ab:p"}}
     cs = ConnectedSystem(S, blocks, maps)
-    _checked_validate(cs)
-    with pytest.raises(InvariantViolated, match="criteria disagree") as e:
-        equivalent(cs, "a:p", "b:p")
-    assert e.value.witness == ("a:p", "b:p")
+    bad = _checked_validate(cs)
+    assert [v.pair for v in bad if v.condition == "20"] == [("a", "b"),
+                                                            ("b", "a")]
+    carrier = cs._identification.carrier
+    want = oracle_equiv_matrices(cs)
+    g, h = np.argwhere(want[1] != want[3])[0]
+    assert (carrier[g], carrier[h]) == ("a:p", "b:p")
+    assert _outcome(equivalent, cs, "a:p", "b:p") == _refusal(bad)
 
 
 
@@ -514,21 +532,36 @@ def test_conditions_24_and_24d_on_a_diamond():
 
 
 def test_quotient_collapse_matches_oracle():
+    """A map on a diagonal pair that would collapse block 1: (17) refuses
+    it, so connected_sum raises the check's list, where the oracle, which
+    checks no condition first, finds the collapse."""
     S = chain(1)
     blocks = {"0": _copy(chain(1), "u"), "1": _copy(chain(1), "v")}
     cs = ConnectedSystem(S, blocks, {("0", "1"): {"u:1": "v:0"},
                                      ("1", "1"): {"v:0": "v:1"}})
-    got = _checked_sum(cs)
-    assert got == (LatticeError, "quotient collapses block '1' internally")
-    assert [(v.condition, v.pair) for v in _checked_validate(cs)] \
-        == [("17", ("1", "1"))]
+    bad = _checked_validate(cs)
+    assert [(v.condition, v.pair) for v in bad] == [("17", ("1", "1"))]
+    assert _checked_sum(cs) == _refusal(bad)
+    assert _outcome(oracle_connected_sum, cs) \
+        == (LatticeError, "quotient collapses block '1' internally")
 
 
-def test_blocks_of_one_rank_name_their_shared_class_by_its_least_id():
-    """The atoms 1 and "1" of the skeleton tie in (height, str), so the
-    class {r1, q1, s0} they share is named by its least id, q1, though
-    block 1 comes first.  Without the bottom block it breaks (A4) in the
-    quotient, whose error names it as the oracle's does."""
+def _square(prefix, i, j):
+    """The square [ij, (i+1)(j+1)] of the 3×3 grid, its ids prefixed."""
+    ids = [f"{prefix}:{a}{b}" for a, b in ((i, j), (i + 1, j), (i, j + 1),
+                                          (i + 1, j + 1))]
+    return FiniteLattice(ids, [(ids[0], ids[1]), (ids[0], ids[2]),
+                               (ids[1], ids[3]), (ids[2], ids[3])])
+
+
+def test_a_class_shared_by_blocks_of_one_rank_is_named_from_their_meet():
+    """The skeleton atoms 1 and "1" tie in (height, str).  A class shared
+    by their blocks alone, {r:1, q:1, s:0}, breaks (20) and (20δ): the
+    check refuses the system, so connected_sum raises its list, where the
+    oracle finds (A4) broken in the quotient.  On an accepted system a
+    class shared by the two meets their meet block too, the least block it
+    meets, and is named from there, as the oracle names it: the 3×3 grid
+    glued from four squares, whose centre is in all four."""
     S = FiniteLattice(["0", 1, "1", "t"],
                       [("0", 1), ("0", "1"), (1, "t"), ("1", "t")])
     blocks = {"0": _copy(chain(1), "p"), 1: _copy(chain(1), "r"),
@@ -536,11 +569,27 @@ def test_blocks_of_one_rank_name_their_shared_class_by_its_least_id():
     cs = ConnectedSystem(S, blocks, {
         ("0", 1): {"p:1": "r:0"}, ("0", "1"): {"p:1": "q:0"},
         (1, "t"): {"r:1": "s:0"}, ("1", "t"): {"q:1": "s:0"}})
+    bad = _checked_validate(cs)
+    assert [(v.condition, v.pair) for v in bad] == [
+        (c, p) for p in ((1, "1"), ("1", 1)) for c in ("20", "20d")]
+    assert _checked_sum(cs) == _refusal(bad)
     witness = ("p:1", "q:1")
-    assert _checked_sum(cs) == (LatticeError, (
+    assert _outcome(oracle_connected_sum, cs) == (LatticeError, (
         "quotient is not a glued system: ["
         f"GlueViolation(axiom='A4', witness=(1, '1', {witness})), "
         f"GlueViolation(axiom='A4', witness=('1', 1, {witness}))]"))
+    blocks = {"0": _square("p", 0, 0), 1: _square("r", 1, 0),
+              "1": _square("q", 0, 1), "t": _square("s", 1, 1)}
+    cs = ConnectedSystem(S, blocks, {
+        ("0", 1): {"p:10": "r:10", "p:11": "r:11"},
+        ("0", "1"): {"p:01": "q:01", "p:11": "q:11"},
+        (1, "t"): {"r:11": "s:11", "r:21": "s:21"},
+        ("1", "t"): {"q:11": "s:11", "q:12": "s:12"},
+        ("0", "t"): {"p:11": "s:11"}})
+    assert _checked_validate(cs) == []
+    gsys, pis = _checked_sum(cs)
+    assert pis[1]["r:11"] == pis["1"]["q:11"] == pis["t"]["s:11"] == "p:11"
+    assert glued_sum(gsys).n == 9
 
 
 def test_map_entries_must_lie_in_their_blocks():
@@ -627,36 +676,37 @@ def test_connected_check_matches_oracle_on_corruptions(name, corrupt):
         assert got is not None
         if corrupt is _unshared_preimage:
             assert got.startswith("criteria disagree at ")
-            # the first pair, in carrier order, where (ii) and (iv) differ
-            carrier = broken._identification.carrier
-            want = oracle_equiv_matrices(broken)
-            g, h = np.argwhere(want[1] != want[3])[0]
-            with pytest.raises(InvariantViolated, match="criteria disagree") as e:
-                equivalent(broken, carrier[0], carrier[0])
-            assert e.value.witness == (carrier[g], carrier[h])
+        # what criterion 9 refuses, the check refuses too, and equivalent
+        # raises its list
+        bad = validate_connected(broken)
+        assert bad
+        a = broken._identification.carrier[0]
+        assert _outcome(equivalent, broken, a, a) == _refusal(bad)
 
 
 def test_block_of_scans_no_pair_of_the_carrier(monkeypatch):
-    """block_of reads the owner of an element only: it answers with the
-    N×N clash scan patched to raise, on a system where that scan finds a
-    clash, and equivalent still raises that clash once the scan is back."""
+    """block_of reads the owner of an element only: it answers, with the
+    check patched to raise, on a system the check refuses, and leaves the
+    verdict uncomputed; equivalent raises the check's list once the check
+    is back.  equivalent scans no pair either: on the elevated system,
+    whose verdict elevate presets, it answers with the check patched."""
     cs = elevate(connected_fixtures()["projective_example"])
     broken = _unshared_preimage(cs, random.Random("block_of"))
     carrier = [a for x in broken.skeleton.elements
                for a in broken.blocks[x].elements]
 
-    def refuse(rec, S):
-        raise AssertionError("block_of ran the clash scan")
+    def refuse(cs):
+        raise AssertionError("the check ran")
     with monkeypatch.context() as patch:
-        patch.setattr(connect, "_first_clash", refuse)
+        patch.setattr(connect, "validate_connected", refuse)
         assert [broken.block_of(a) for a in carrier] == \
             [x for x in broken.skeleton.elements for _ in broken.blocks[x].elements]
-    want = oracle_equiv_matrices(broken)
-    g, h = np.argwhere(want[1] != want[3])[0]
-    with pytest.raises(InvariantViolated, match="join-side and meet-side "
-                       "criteria disagree") as e:
-        equivalent(broken, carrier[0], carrier[0])
-    assert e.value.witness == (carrier[g], carrier[h])
+        assert "_violations" not in vars(broken)
+        assert equivalent(cs, "lo:1", "c1:a")
+    bad = validate_connected(broken)
+    assert bad
+    assert _outcome(equivalent, broken, carrier[0], carrier[0]) \
+        == _refusal(bad)
 
 
 def test_maps_are_read_only_and_the_record_is_built_once(example, monkeypatch):

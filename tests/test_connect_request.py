@@ -138,15 +138,20 @@ def test_elevated_maps_are_read_from_the_tensor_pair_by_pair():
     assert repr(cs.maps) == f"TensorMaps({len(ref.maps)} maps)"
 
 
-def test_a_map_on_a_diagonal_pair_still_collapses_the_quotient():
+def test_a_map_on_a_diagonal_pair_is_refused_before_it_collapses_the_quotient():
+    """(17) refuses a map on a diagonal pair, so connected_sum raises the
+    check's list; the oracle, which checks no condition first, finds the
+    collapse such a map makes."""
     cs = elevate(_grid_local(2, 3))
     x = next(x for x in cs.skeleton.elements if cs.blocks[x].n > 1)
     L = cs.blocks[x]
     bad = ConnectedSystem(cs.skeleton, cs.blocks,
                           {**cs.maps, (x, x): {L.bottom: L.top}})
-    with pytest.raises(LatticeError,
-                       match=f"quotient collapses block {x!r} internally"):
+    assert [(v.condition, v.pair, v.witness) for v in bad._violations] \
+        == [("17", (x, x), "map on a diagonal pair")]
+    with pytest.raises(LatticeError) as e:
         connected_sum(bad)
+    assert str(e.value) == f"invalid connected system: {bad._violations}"
     with pytest.raises(LatticeError,
                        match=f"quotient collapses block {x!r} internally"):
         oracle_connected_sum(bad)
@@ -181,22 +186,29 @@ def test_a_local_system_is_read_only_and_keeps_its_own_copies():
 def test_the_quotient_gets_the_id_level_membership_record(p, q):
     """The record connected_sum hands over from the component labels is the
     one `_membership` builds from the quotient's ids, with the connected
-    system's block tables; on hand-made systems with maps on diagonal and
-    non-comparable pairs too."""
+    system's block tables; on the same maps given whole too, a system the
+    check accepts.  Maps on a non-comparable and on a diagonal pair, even
+    within classes the maps already identify, are refused by (17) before
+    any record is built."""
     cs = elevate(_grid_local(p, q))
     S = cs.skeleton
-    systems = [cs]
+    systems = [cs, ConnectedSystem(S, cs.blocks, cs.maps)]
     for x, y in itertools.product(S.elements, repeat=2):
         w = S.meet(x, y)
         common = set(cs.phi(w, x)) & set(cs.phi(w, y))
         if not S.leq(x, y) and common:
-            # a map on a non-comparable pair and one on a diagonal pair,
-            # both within classes the maps already identify
             a = min(common)
             b = cs.phi(w, x)[a]
-            systems.append(ConnectedSystem(S, cs.blocks, {
-                **cs.maps, (x, y): {b: cs.phi(w, y)[a]}, (x, x): {b: b}}))
+            for maps in ({(x, y): {b: cs.phi(w, y)[a]}}, {(x, x): {b: b}}):
+                refused = ConnectedSystem(S, cs.blocks, {**cs.maps, **maps})
+                (pair,) = maps
+                assert [(v.condition, v.pair) for v in refused._violations] \
+                    == [("17", pair)]
+                with pytest.raises(LatticeError,
+                                   match="^invalid connected system: "):
+                    connected_sum(refused)
             break
+    assert systems[1]._violations == []
     for sys_ in systems:
         gsys, _ = connected_sum(sys_)
         assert "_members" in vars(gsys)
