@@ -478,8 +478,8 @@ def connected_sum(cs):
       (A3) is (18).  For incomparable x and y a shared class holds some
       a (ii) b, a ∈ L_x and b ∈ L_y, so by (iv) and (ii) it meets L_w and
       L_j: (A4).  The blocks keep the connected system's tables, each its
-      order's, so their joins and meets agree on the overlaps (see
-      glue._assert_derived)."""
+      order's, so their joins and meets agree on the overlaps (the last
+      fact proved in glue.validate's docstring)."""
     _valid(cs)
     S = cs.skeleton
     ids, n = S._ids, S.n

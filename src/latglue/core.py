@@ -5,11 +5,13 @@ A lattice is built from a list of element ids and a list of cover pairs
 join/meet tables and validates everything: the cover digraph must be acyclic,
 must be its own transitive reduction, the order must be bounded, and every
 pair of elements must have a unique least upper bound and greatest lower
-bound.  Instances are immutable after construction.  Many lattices are
-built as one batch, from covers (`_lattices`) or from orders
-(`_from_orders`); both share one table step (`_batch`) among the lattices
-of one size.  The constructor is the batch of one of covers, `from_leq`
-that of orders.
+bound.  Instances are immutable after construction: the order matrix and
+the join/meet tables are made read-only where they are finished
+(`_freeze`), so a write into them raises ValueError, and the covers,
+adjacency, heights and depths are tuples.  Many lattices are built as one
+batch, from covers (`_lattices`) or from orders (`_from_orders`); both
+share one table step (`_batch`) among the lattices of one size.  The
+constructor is the batch of one of covers, `from_leq` that of orders.
 
 An order matrix takes one route, `_from_order`, to a lattice without tables:
 `from_leq` and `_from_orders` build them in the table step, and a
@@ -228,6 +230,13 @@ def _raise_no_bound(ids, a, b, c, up, err, kind):
               f"bounds {ids[c]!r} and {ids[other]!r}")
 
 
+def _freeze(L):
+    """Make L's order and join/meet tables read-only, once they are
+    final: a write into them raises ValueError."""
+    for a in (L._leq, L._join, L._meet):
+        a.flags.writeable = False
+
+
 def _bounds(ids, up_adj, down_adj):
     """The indices of the bottom and the top; NotBounded unless each is
     the only element without lower (upper) covers."""
@@ -443,6 +452,7 @@ def _batch(items, check, stacked):
         except LatticeError as e:
             e.spec = k
             raise
+        _freeze(L)
     if error is not None:
         error.spec = len(built)
         raise error
@@ -450,6 +460,19 @@ def _batch(items, check, stacked):
 
 
 class FiniteLattice:
+    """A finite bounded lattice over hashable element ids, kept in index
+    space: `_leq` is the order matrix, `_join` and `_meet` the index
+    tables, `_cov` and the adjacency, heights and depths tuples.
+
+    A built lattice is read-only: every route that finishes an order or
+    a table (the batch step, `dual`, `_slice`, the skeleton lattice)
+    makes it read-only, and the other routes share or copy those arrays,
+    so a write into `_leq`, `_join` or `_meet` raises ValueError.  The
+    attributes themselves are not guarded, since a guard would tax every
+    attribute set during construction and the caches kept on the
+    lattice.  Replacing one of them forges another lattice, which only
+    tests do, to show what a check refuses."""
+
     def __init__(self, elements, covers):
         self.__dict__ = _lattices([(elements, covers)])[0].__dict__
 
@@ -572,6 +595,7 @@ class FiniteLattice:
         L._bot, L._top = self._top, self._bot
         L._leq = np.ascontiguousarray(self._leq.T)
         L._join, L._meet = self._meet, self._join
+        _freeze(L)
         return L
 
     def _relabelled(self, ids):
@@ -616,6 +640,7 @@ class FiniteLattice:
                         (self._ids[a], self._ids[b]))
         L, _ = _from_order([self._ids[k] for k in idxs], self._leq[pair])
         L._join, L._meet = join, meet
+        _freeze(L)
         return L
 
 

@@ -313,9 +313,7 @@ def _overlap_maps(m, I, J):
 
 def validate(sys):
     """Check axioms (A1)-(A4); empty list means the system is a valid
-    S-glued system.  On success the blocks' join and meet tables are
-    checked to agree on every overlap (`_assert_derived`), and a failure
-    raises InvariantViolated.
+    S-glued system.
 
     Only pairs of blocks that overlap can break A1, A2 or A4, and only
     skeleton covers can break A3, so only those pairs are looked at, in
@@ -326,13 +324,16 @@ def validate(sys):
     filter, ideal and order failures; the A2 witnesses come in carrier
     order.
 
-    Two facts about the overlaps of an accepted system follow from what is
-    checked here, and are not checked again (`tests/oracles.py` keeps the
-    check, `oracle_overlap_shape`).  The proof uses, for every x < y whose
-    overlap O is nonempty, only that O is closed upward in L_x and
-    downward in L_y (the order terms of `_iso_failures`' flags 1 and 2,
-    not their table terms) and ordered alike by both (flag 3), and (A3)
-    and (A4).
+    Three facts about the overlaps of an accepted system follow from what
+    is checked here, and are not checked again (`tests/oracles.py` keeps
+    the checks, `oracle_overlap_shape` and `oracle_block_operations`).
+    The proof uses, for every x < y whose overlap O is nonempty, only
+    that O is closed upward in L_x and downward in L_y (the order terms
+    of `_iso_failures`' flags 1 and 2, not their table terms) and ordered
+    alike by both (flag 3), and (A3) and (A4); the last fact also uses
+    that each block's join and meet tables are its order's.  Every
+    constructor computes them from the order and makes them read-only
+    (`core._freeze`), so only a forged lattice breaks that.
 
     - O = [0_y, 1_x] in either block.  O is closed downward in L_y, so
       0_y ∈ O.  Every b ∈ O has 0_y ≤_y b, so 0_y ≤_x b, since both
@@ -349,6 +350,13 @@ def validate(sys):
     - Incomparable x, y overlap in L_{x∧y} ∩ L_{x∨y}.  (A4) gives ⊆, and
       convexity, on x∧y ≤ x ≤ x∨y and x∧y ≤ y ≤ x∨y, gives ⊇; this holds
       for the pairs whose overlap is empty too.
+    - The blocks' joins and meets agree on every overlap.  For x < y,
+      O = [0_y, 1_x] is an interval, so a sublattice, of both blocks,
+      and both order it alike: the join (meet) of two elements of O in
+      either block is their join (meet) in O.  For incomparable x, y and
+      w = x∧y, O lies in L_w by the fact above, so O ⊆ L_w ∩ L_x and
+      O ⊆ L_w ∩ L_y; by the comparable case on w < x and w < y, a join
+      (meet) of two elements of O in L_x, and in L_y, is theirs in L_w.
     """
     S = sys.skeleton
     m = sys._members
@@ -386,40 +394,7 @@ def validate(sys):
             differ = m.leq[i][np.ix_(ix, ix)] != m.leq[j][np.ix_(iy, iy)]
             out += [GlueViolation("A2", (x, y, carrier[ov[a]], carrier[ov[b]]))
                     for a, b in np.argwhere(differ)]
-    if not out:
-        _assert_derived(sys, m)
     return out
-
-
-def _assert_derived(sys, m):
-    """The blocks' join and meet tables agree on overlaps, checked for all
-    pairs of blocks at once from the membership record `m`; a failure
-    raises InvariantViolated with an offending pair.  (A1)-(A4) imply it
-    when each block's tables are its order's: comparable blocks overlap
-    in an interval of both, and an incomparable pair's overlap lies in
-    each block's overlap with their meet-block.  The tables are read, not rebuilt, so this is
-    what catches a table written after construction."""
-    ids, start, rows = sys.skeleton.elements, m.start, m.rows
-    n = len(m.carrier)
-    # every block holding a and b gives a + b (a·b) the same carrier index;
-    # only elements of two or more blocks can be in an overlap.  The pairs
-    # of shared elements of each block are listed for all blocks at once,
-    # block by block and a-major, in block indices
-    shared = np.zeros(m.join.shape[:2], dtype=bool)
-    shared[np.arange(shared.shape[1]) < np.diff(start)[:, None]] = \
-        m.B.sum(axis=0)[rows] > 1
-    owner, qa, qb = np.nonzero(shared[:, :, None] & shared[:, None, :])
-    a, b = rows[start[owner] + qa], rows[start[owner] + qb]
-    held = np.empty((n, n), dtype=np.intp)
-    held[a, b] = np.arange(len(a))  # one block's entry for each pair
-    other = held[a, b]
-    for op in ("join", "meet"):
-        got = rows[start[owner] + getattr(m, op)[owner, qa, qb]]
-        bad = np.flatnonzero(got != got[other])
-        if len(bad):
-            raise InvariantViolated(f"blocks disagree on {op}",
-                                    (ids[owner[bad[0]]],
-                                     ids[owner[other[bad[0]]]]))
 
 
 def _order_union(sys):

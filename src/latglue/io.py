@@ -20,16 +20,17 @@ is dropped or read as something else.
 The blocks of a system are built in one batch; an error in reading or
 building a block keeps its text behind the block's key ("block '3,4':
 cover digraph contains a cycle"), and an error in a map's pairs names
-the map.  A connected system's blocks are built under the file's ids,
-so that such an error names them, and then namespaced.
+the map.  A connected system's blocks are built, and its maps read,
+under the file's ids, so that such an error names them, and then
+namespaced.
 """
 
 import json
 
 from .core import FiniteLattice, LatticeError, _lattices
-from .connect import ConnectedSystem, LocalConnectedSystem, _not_a_string, \
-    _prefix
-from .glue import GluedSystem
+from .connect import ConnectedSystem, LocalConnectedSystem, _entries, \
+    _not_a_string, _prefix
+from .glue import GluedSystem, _check_block_keys
 
 
 def lattice_to_dict(L):
@@ -152,32 +153,24 @@ def connected_to_dict(cs, local=False):
     return out
 
 
+def _string(a):
+    """`a`, which must be a string: LatticeError otherwise."""
+    if not isinstance(a, str):
+        raise _not_a_string(a)
+    return a
+
+
 class _Names(dict):
     """{id: carrier id} for the ids of one block: each id prefixed with
     the block's prefix, or, when every id already begins with it (as in a
     file that `save` wrote), the ids themselves.  Two distinct (block, id)
-    pairs thus never share a carrier id.  An id the block does not list
-    is named the same way (`__missing__`), for the error that refuses
-    it."""
+    pairs thus never share a carrier id."""
 
     def __init__(self, x, ids):
-        for a in ids:
-            if not isinstance(a, str):
-                raise _not_a_string(a)
         p = _prefix(x)
-        self.prefix = "" if ids and all(a.startswith(p) for a in ids) else p
-        super().__init__((a, self.prefix + a) for a in ids)
-
-    def __missing__(self, a):
-        if not isinstance(a, str):
-            raise _not_a_string(a)
-        return self.prefix + a
-
-    def carrier_id(self, a):
-        try:
-            return self[a]
-        except TypeError:  # unhashable, so not a string either
-            raise _not_a_string(a) from None
+        ids = list(map(_string, ids))
+        prefix = "" if ids and all(a.startswith(p) for a in ids) else p
+        super().__init__((a, prefix + a) for a in ids)
 
 
 def connected_from_dict(d):
@@ -187,16 +180,18 @@ def connected_from_dict(d):
 
     def spec(x, b):
         elements, covers = _spec(b)
-        names[x] = ns = _Names(x, elements)
+        names[x] = _Names(x, elements)
         for c in covers:
             for a in c:
-                ns.carrier_id(a)  # refuses an id that is not a string
+                _string(a)
         return elements, covers
 
-    # each block is built under the file's ids, so that an error names
-    # them, then renamed to its carrier ids with its tables shared
+    # each block is built under the file's ids, and so are the maps, so
+    # that an error names them; then both are renamed to carrier ids, the
+    # blocks with their tables shared
+    built = _blocks(S, _field(d, "blocks"), spec)
     blocks = {x: L._relabelled([names[x][a] for a in L.elements])
-              for x, L in _blocks(S, _field(d, "blocks"), spec).items()}
+              for x, L in built.items()}
     maps = {}
     for m in _array(d, "maps") if "maps" in d else []:
         m = _object(m, _MAP_KEYS)
@@ -208,21 +203,26 @@ def connected_from_dict(d):
         if (x, y) in maps:
             raise LatticeError(f"map {x!r} -> {y!r} is listed twice")
         maps[(x, y)] = pairs = {}
-        # a skeleton element without a block is refused after the maps
-        nx, ny = (names.get(z) or _Names(z, ()) for z in (x, y))
         try:
             for a, b in _pairs(m, "pairs"):
-                a = nx.carrier_id(a)
-                if a in pairs:
+                if _string(a) in pairs:
                     raise LatticeError(f"source {a!r} is listed twice")
-                pairs[a] = ny.carrier_id(b)
+                pairs[a] = _string(b)
         except LatticeError as e:
             raise LatticeError(f"map {x!r} -> {y!r}: {e}") from None
     local = d.get("local", False)
     if not isinstance(local, bool):
         raise LatticeError(f"'local' must be true or false, got {local!r}")
+    # then, as the system would: a skeleton element without a block, and
+    # the first map with an id its block lacks, sources before targets
+    _check_block_keys(S, blocks)
+    for (x, y), pairs in maps.items():
+        _entries(built[x], pairs, x, y, x)
+        _entries(built[y], pairs.values(), x, y, y)
     cls = LocalConnectedSystem if local else ConnectedSystem
-    return cls(S, blocks, maps)
+    return cls(S, blocks, {(x, y): {names[x][a]: names[y][b]
+                                    for a, b in pairs.items()}
+                           for (x, y), pairs in maps.items()})
 
 
 def load(path):

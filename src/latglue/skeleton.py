@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteLattice, InvariantViolated, _from_order, _settle, \
-    _uncertified, find_isomorphism
+from .core import FiniteLattice, InvariantViolated, _freeze, _from_order, \
+    _settle, _uncertified, find_isomorphism
 from .glue import GluedSystem, _order_union, _sliced_blocks, nested_cover, \
     validate as glue_validate
 from .predicates import NotModular, breadth, is_modular, is_n_distributive
@@ -142,6 +142,7 @@ def _skeleton_lattice(M, st, pl):
     flagged = outside | _uncertified(S._leq.T[None].astype(np.float32),
                                      S._meet[None])
     _settle(S._leq, topo, S.elements, S._join, S._meet, flagged)
+    _freeze(S)
     for what, got, want in (
             ("skeleton join is not the join of M", k[S._join], join),
             ("skeleton meet is not (x·y)*⁺", k[S._meet], meet)):

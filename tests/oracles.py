@@ -1098,8 +1098,9 @@ def oracle_skeleton_duality_suite(M):
 
 def oracle_block_operations(sys, carrier, pos, loc, B, C, start):
     """The first pair of blocks that disagree on a join or meet of two of
-    their shared elements, as `_assert_derived` names it, from index arrays
-    built block by block; None when all agree."""
+    their shared elements, from index arrays built block by block; None
+    when all agree.  `validate` proves that no system it accepts has
+    one."""
     S = sys.skeleton
     blocks = [sys.blocks[x] for x in S.elements]
     n = len(carrier)

@@ -501,9 +501,8 @@ def test_map_entry_outside_its_blocks_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(_two_blocks(("0", "1", [["zzz", "c"]]))))
     assert run(["connect", str(bad)]) == 2
-    error = json.loads(capsys.readouterr().err.strip())["error"]
-    assert error.startswith("UnknownElement")
-    assert "'0' -> '1'" in error and "'0:zzz'" in error
+    assert json.loads(capsys.readouterr().err.strip())["error"] \
+        == "UnknownElement: map '0' -> '1': 'zzz' is not an element of block '0'"
 
 
 @pytest.mark.parametrize("pairs", [[["c", "c"]], [["c", "d"]]],
@@ -755,12 +754,20 @@ def test_map_errors_name_their_map(tmp_path, capsys):
     src.write_text(json.dumps(doc))
     assert run(["connect", str(src)]) == 2
     assert json.loads(capsys.readouterr().err.strip())["error"] \
-        == "LatticeError: map 'x' -> 'y': source 'x:q' is listed twice"
+        == "LatticeError: map 'x' -> 'y': source 'q' is listed twice"
     doc["maps"][0]["pairs"] = [["q", 5]]
     src.write_text(json.dumps(doc))
     assert run(["connect", str(src)]) == 2
     assert json.loads(capsys.readouterr().err.strip())["error"] \
         == "LatticeError: map 'x' -> 'y': element id 5 is not a string"
+    # an id its block lacks is named as the file names it, source or target
+    for pair, block in ((["zz", "r"], "x"), (["q", "zz"], "y")):
+        doc["maps"][0]["pairs"] = [pair]
+        src.write_text(json.dumps(doc))
+        assert run(["connect", str(src)]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] \
+            == "UnknownElement: map 'x' -> 'y': 'zz' is not an element " \
+               f"of block {block!r}"
 
 
 TWO_BLOCKS = {"x": {"elements": ["p"], "covers": []},

@@ -15,14 +15,13 @@ import pytest
 import latglue
 from latglue.constructions import boolean, chain, enumerate_lattices, grid, \
     section1_nonexample_a1, section1_nonexample_a4
-from latglue.core import FiniteLattice, InvariantViolated, NoUniqueJoin, \
-    NoUniqueMeet
-from latglue.glue import GluedSystem, GlueViolation, _assert_derived, \
-    glued_sum, validate
+from latglue.core import FiniteLattice, NoUniqueJoin, NoUniqueMeet
+from latglue.glue import GluedSystem, GlueViolation, glued_sum, validate
 from latglue.predicates import is_modular
 from latglue.skeleton import decompose, dual_skeleton, plus, skeleton_set, star
 from latglue.suite import glued_fixtures
-from oracles import oracle_glue_violations, oracle_overlap_shape
+from oracles import oracle_block_operations, oracle_glue_violations, \
+    oracle_membership, oracle_overlap_shape
 
 CORPUS = list(enumerate_lattices(7))
 MODULAR = [L for L in CORPUS if is_modular(L)]
@@ -276,24 +275,26 @@ def test_invalid_systems_are_in_the_differential_corpus():
     assert axioms == {"A1", "A2", "A3", "A4"}
 
 
-# A system whose blocks disagree on a join, which the block-operation
-# check sees
+# A system whose blocks disagree on a join: validate refuses it for the
+# order (A2) that makes them disagree, and the block-operation oracle names
+# the pair of blocks
 DERIVED = {
     "join": (GluedSystem(chain(1), {
         "0": FiniteLattice(["z", "a", "b", "c", "d"], [
             ("z", "a"), ("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]),
         "1": FiniteLattice(["a", "b", "c", "d", "t"], [
             ("a", "b"), ("b", "c"), ("c", "d"), ("d", "t")])}),
-        "disagree on join", ("0", "1")),
+        [GlueViolation("A2", ("0", "1", "b", "c"))],
+        ("blocks disagree on join", ("0", "1"))),
 }
 
 
 @pytest.mark.parametrize("name", sorted(DERIVED))
 def test_derived_checks_raise_with_a_witness(name):
-    sys, what, witness = DERIVED[name]
-    with pytest.raises(InvariantViolated, match=re.escape(what)) as e:
-        _assert_derived(sys, sys._members)
-    assert e.value.witness == witness
+    sys, violations, disagreement = DERIVED[name]
+    assert validate(sys) == violations
+    assert oracle_block_operations(sys, *oracle_membership(sys)) \
+        == disagreement
 
 
 # Systems whose overlaps have the wrong shape: validate refuses them, and

@@ -1,8 +1,9 @@
-"""The overlap shapes that `validate` proves from (A1)-(A4) instead of
-checking them (see its docstring), checked by the id-level oracle
-`oracle_overlap_shape` on every system `validate` accepts: a seeded family
-of small systems, most of which it refuses, the modular decompositions of
-the 8-element corpus and the quotients of the connected fixtures."""
+"""The facts about overlaps that `validate` proves from (A1)-(A4) instead
+of checking them (see its docstring), checked by the id-level oracles
+`oracle_overlap_shape` and `oracle_block_operations` on every system
+`validate` accepts: a seeded family of small systems, most of which it
+refuses, the modular decompositions of the 8-element corpus and the
+quotients of the connected fixtures."""
 
 import random
 
@@ -15,7 +16,8 @@ from latglue.glue import GluedSystem, validate
 from latglue.predicates import is_modular
 from latglue.skeleton import decompose
 from latglue.suite import connected_fixtures
-from oracles import oracle_overlap_shape
+from oracles import oracle_block_operations, oracle_membership, \
+    oracle_overlap_shape
 
 SKELETONS = (chain(1), chain(2), boolean(2), m3(), n5(), grid(1, 2))
 BLOCKS = list(enumerate_lattices(5))
@@ -41,17 +43,18 @@ def seeded_systems(count, seed):
 
 
 def family_outcome(count, seed):
-    """The accepted systems of `seeded_systems` that the oracle refuses,
-    with the number `validate` accepts and the number the oracle
-    refuses."""
+    """The accepted systems of `seeded_systems` that an oracle refuses,
+    each with what the two oracles found, the number `validate` accepts
+    and the number the overlap-shape oracle refuses."""
     failed, accepted, refused = [], 0, 0
     for sys in seeded_systems(count, seed):
         shape = oracle_overlap_shape(sys)
         refused += shape is not None
         if not validate(sys):
             accepted += 1
-            if shape is not None:
-                failed.append((sys, shape))
+            ops = oracle_block_operations(sys, *oracle_membership(sys))
+            if shape is not None or ops is not None:
+                failed.append((sys, shape, ops))
     return failed, accepted, refused
 
 
@@ -72,3 +75,4 @@ def test_decompositions_and_quotients_have_the_overlap_shapes(name):
     sys = OTHERS[name]
     assert validate(sys) == []
     assert oracle_overlap_shape(sys) is None
+    assert oracle_block_operations(sys, *oracle_membership(sys)) is None
