@@ -1,15 +1,20 @@
 """Size→time curves of the corpus families, printed as one JSON line.
 
-For n = 5..8 it times `enumerate_lattices(n)` and the square systems
+For n = 5..8 it times `enumerate_lattices(n)`, the square systems
 (`square_sublattices`) over the modular lattices of at most n elements,
-each point the median of k in-process runs, with the number of
-`core._least_bounds` calls (table steps) one run makes.  The line also
-records the Python and numpy versions, the core count and
-OPENBLAS_NUM_THREADS, which sets how many threads the products use.
+and the decompositions (`decompositions`) of those lattices and of the
+sums of their square systems, each point the median of k in-process runs,
+with the number of `core._least_bounds` calls (table steps) one run makes.
+Each run decomposes fresh copies of the lattices, which keep neither a*
+and a⁺ nor S(M) from an earlier run.  The line also records the Python
+and numpy versions, the core count and OPENBLAS_NUM_THREADS, which sets
+how many threads the products use.
 
 The package is imported from the `src` directory of this checkout.  On a
-checkout without `square_sublattices`, the square systems are built one
-S at a time by `square_sublattice`, so that two revisions can be compared.
+checkout without `square_sublattices` or `decompositions`, the square
+systems are built one S at a time by `square_sublattice` and the lattices
+decomposed one at a time by `decompose`, so that two revisions can be
+compared.
 
 Usage: python bench/corpus_curve.py [-k RUNS]   (default k = 5)
 """
@@ -27,7 +32,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from latglue import constructions, core  # noqa: E402
+from latglue import constructions, core, skeleton  # noqa: E402
+from latglue.glue import glued_sum  # noqa: E402
 from latglue.predicates import is_modular  # noqa: E402
 
 SIZES = range(5, 9)
@@ -40,8 +46,28 @@ def _squares(Ss):
     return batch(Ss)
 
 
-def _point(run, k):
-    """{"ms": median of k runs of run(), "least_bounds": its calls in one}"""
+def _decompositions(Ms):
+    batch = getattr(skeleton, "decompositions", None)
+    if batch is None:
+        return [skeleton.decompose(M) for M in Ms]
+    return batch(Ms)
+
+
+def _fresh(Ms):
+    """Copies of Ms that keep nothing an earlier decomposition kept on
+    them: they share the order and tables, not a*, a⁺ or S(M)."""
+    out = []
+    for M in Ms:
+        L = M._relabelled(M.elements)
+        for kept in ("_star_plus", "_skeleton"):
+            vars(L).pop(kept, None)
+        out.append(L)
+    return out
+
+
+def _point(run, k, setup=tuple):
+    """{"ms": median of k runs of run(*setup()), set-up untimed,
+    "least_bounds": its calls in one}"""
     real, calls = core._least_bounds, []
 
     def counted(leq, topo):
@@ -52,9 +78,10 @@ def _point(run, k):
     core._least_bounds = counted
     try:
         for _ in range(k):
+            args = setup()
             calls.clear()
             start = time.perf_counter()
-            run()
+            run(*args)
             times.append(time.perf_counter() - start)
     finally:
         core._least_bounds = real
@@ -66,16 +93,21 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("-k", type=int, default=5, help="runs per point")
     k = parser.parse_args(argv).k
-    enumerate_curve, square_curve = {}, {}
+    enumerate_curve, square_curve, decompose_curve = {}, {}, {}
     for n in SIZES:
         enumerate_curve[n] = _point(
             lambda: list(constructions.enumerate_lattices(n)), k)
         Ss = [L for L in constructions.enumerate_lattices(n) if is_modular(L)]
         square_curve[n] = dict(_point(lambda: _squares(Ss), k), systems=len(Ss))
+        Ms = Ss + [glued_sum(sys) for sys in _squares(Ss)]
+        decompose_curve[n] = dict(_point(_decompositions, k,
+                                         lambda: (_fresh(Ms),)),
+                                  lattices=len(Ms))
     print(json.dumps({
         "runs_per_point": k,
         "enumerate_lattices": enumerate_curve,
         "square_sublattices": square_curve,
+        "decompositions": decompose_curve,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "cores": os.cpu_count(),

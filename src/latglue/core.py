@@ -22,6 +22,7 @@ parent's.
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -230,11 +231,63 @@ def _raise_no_bound(ids, a, b, c, up, err, kind):
               f"bounds {ids[c]!r} and {ids[other]!r}")
 
 
+def _with_spec(e, k):
+    """The error e, carrying `spec`: the index of the item of a batch it
+    was raised for."""
+    e.spec = int(k)
+    return e
+
+
 def _freeze(L):
     """Make L's order and join/meet tables read-only, once they are
     final: a write into them raises ValueError."""
     for a in (L._leq, L._join, L._meet):
         a.flags.writeable = False
+
+
+class _Family(NamedTuple):
+    """Lattices side by side in one index space, so that a stage can run
+    once over all of them: element i of lattices[k] is start[k] + i, and
+    lat maps an element to its lattice.  leq, join and meet are the
+    lattices' tables flattened one after another, joins and meets in
+    family indices; the entry of a and b (one lattice's) is at
+    row[a] + b."""
+    lattices: list
+    start: np.ndarray
+    lat: np.ndarray
+    row: np.ndarray
+    leq: np.ndarray
+    join: np.ndarray
+    meet: np.ndarray
+
+
+def _offsets(sizes):
+    """Where each of consecutive runs of `sizes` items starts, and the
+    total: [0, s0, s0 + s1, …]."""
+    out = np.zeros(len(sizes) + 1, dtype=np.intp)
+    np.add.accumulate(sizes, out=out[1:])
+    return out
+
+
+def _family(Ms):
+    """The lattices `Ms` as one `_Family`; a family of one reads its
+    lattice's own tables."""
+    n = [M.n for M in Ms]
+    start = _offsets(n)
+    lat = np.repeat(np.arange(len(Ms)), n)
+    if len(Ms) == 1:
+        M, = Ms
+        return _Family(Ms, start, lat, np.arange(0, M.n * M.n, M.n),
+                       M._leq.ravel(), M._join.ravel(), M._meet.ravel())
+    size = np.array(n)
+    # row[a] = the cell of (a, first element of a's lattice) - that element
+    row = np.arange(start[-1]) * size[lat] \
+        + (_offsets(size * size)[:-1] - start[:-1] * (size + 1))[lat]
+    offset = np.repeat(start[:-1], size * size)
+    return _Family(Ms, start, lat, row,
+                   np.concatenate([M._leq.ravel() for M in Ms]),
+                   np.concatenate([M._join.ravel() for M in Ms]) + offset,
+                   np.concatenate([M._meet.ravel() for M in Ms]) + offset)
 
 
 def _bounds(ids, up_adj, down_adj):
@@ -600,9 +653,12 @@ class FiniteLattice:
 
     def _relabelled(self, ids):
         """This lattice with element i renamed ids[i]; the ids must be
-        distinct.  The order and tables are shared, not rebuilt."""
+        distinct.  The order, the tables and what is kept in index space
+        are shared, not rebuilt; the skeleton lattice, which holds ids, is
+        not."""
         L = object.__new__(FiniteLattice)
         L.__dict__.update(self.__dict__)
+        L.__dict__.pop("_skeleton", None)
         L._ids = tuple(ids)
         L._idx = {a: i for i, a in enumerate(L._ids)}
         return L

@@ -17,7 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import _BLOCK_CELLS, FiniteLattice, InvariantViolated, \
-    LatticeError, UnknownElement, _transitive_closure
+    LatticeError, UnknownElement, _from_orders, _offsets, \
+    _transitive_closure, _with_spec
 
 
 class NotALattice(LatticeError):
@@ -60,18 +61,8 @@ class GluedSystem:
     @cached_property
     def _sum(self):
         """The sum lattice, built once (the blocks are read-only): the
-        transitive closure of the union of block orders, re-validated from
-        scratch (unique joins/meets are checked, not assumed)."""
-        carrier, leq = order_closure(self)
-        cyclic = np.argwhere(leq & leq.T & ~np.eye(len(carrier), dtype=bool))
-        if len(cyclic):
-            a, b = (carrier[i] for i in cyclic[0])
-            raise NotALattice(
-                f"closure order not antisymmetric at ({a!r}, {b!r})")
-        try:
-            return FiniteLattice.from_leq(carrier, leq)
-        except LatticeError as e:
-            raise NotALattice(str(e)) from e
+        family of one of `glued_sums`."""
+        return glued_sums([self])[0]
 
     def carrier(self):
         return self._members.carrier
@@ -145,7 +136,7 @@ def _block_tables(blocks):
 def _members(carrier, rows, start, zero, one, leq, join, meet):
     """The membership record; loc, B and C come from `rows`."""
     n = len(start) - 1
-    owner = np.repeat(np.arange(n), np.diff(start))
+    owner = np.repeat(np.arange(n), start[1:] - start[:-1])
     loc = np.full((n, len(carrier)), -1, dtype=np.intp)
     loc[owner, rows] = np.arange(len(rows)) - start[owner]
     B = loc >= 0
@@ -207,58 +198,97 @@ class SlicedBlocks(Mapping):
         return f"SlicedBlocks({len(self)} blocks of {self._M!r})"
 
 
-def _sliced_blocks(keys, M, mask, lo, hi):
-    """The blocks mask[i] of M, keyed by keys[i], each to be a sublattice
-    with 0 = lo[i] and 1 = hi[i] (index arrays), with their membership
-    record cut in one pass from M's order and tables.
+def _sliced_blocks(fam, keys, mask, lo, hi):
+    """The blocks of the lattices of `fam` (a `core._Family`), each to be
+    a sublattice, cut in one pass over the family's tables.  keys[k] keys
+    the blocks of lattices[k]; `mask` holds one row over its lattice's
+    elements per block, the rows of one lattice after another, flattened;
+    lo and hi are the family indices of each block's 0 and 1.  Returns one
+    `SlicedBlocks`, with its membership record, per lattice.
 
-    A block's join and meet tables are M's, looked up for all blocks at
-    once; the first block, in key order, with a join (then a meet) that
-    leaves it raises InvariantViolated as `FiniteLattice._slice` does, and
-    so does the first block that lo and hi do not bound."""
-    ids, n = M._ids, M.n
-    owner, elem = np.nonzero(mask)  # block by block, in M's order
-    size = mask.sum(axis=1)
-    start = np.concatenate(([0], np.cumsum(size)))
-    place = np.full(mask.shape, -1, dtype=np.intp)  # index in block i
-    place[owner, elem] = np.arange(len(elem)) - start[owner]
-    # the tables, M's looked up for the blocks of one size at a time
-    leq = np.zeros((len(mask), size.max(), size.max()), dtype=bool)
-    tables = np.zeros((2, *leq.shape), dtype=np.int32)
-    for s in np.unique(size):
-        g = np.flatnonzero(size == s)
-        e = elem[start[g][:, None] + np.arange(s)]
-        pair = e[:, :, None] * n + e[:, None, :]
-        leq[g, :s, :s] = M._leq.take(pair)
-        for t, T in zip(tables, (M._join, M._meet)):
-            c = T.take(pair).astype(np.intp)  # take is slow on int32 indices
-            c += g[:, None, None] * n
-            t[g, :s, :s] = place.take(c)
-    out = [np.argwhere(t < 0)[:1] for t in tables]
-    if any(len(o) for o in out):
-        i = min(o[0, 0] for o in out if len(o))
-        for what, o in zip(("join", "meet"), out):
-            if len(o) and o[0, 0] == i:
-                a, b = o[0, 1:]
-                raise InvariantViolated(
-                    f"subset is not closed under {what}",
-                    (ids[elem[start[i] + a]], ids[elem[start[i] + b]]))
-    every = np.arange(len(mask))
-    bounded = mask[every, lo] & mask[every, hi] \
-        & ~(mask & ~(M._leq[lo] & M._leq.T[hi])).any(axis=1)
-    if not bounded.all():
+    A block's join and meet tables are its lattice's, looked up for all
+    blocks of one size at once; the first block, lattice by lattice and in
+    key order, with a join (then a meet) that leaves it raises
+    InvariantViolated as `FiniteLattice._slice` does, and so does the
+    first block that lo and hi do not bound.  The error carries `spec`,
+    the index of the block's lattice."""
+    Ms, start = fam.lattices, fam.start
+    nb = [len(x) for x in keys]
+    first = _offsets(nb)  # each lattice's first block
+    blat = np.repeat(np.arange(len(Ms)), nb)  # the lattice of each block
+    cell0 = _offsets((start[1:] - start[:-1])[blat])
+    cells = np.nonzero(mask)[0]
+    owner = np.searchsorted(cell0, cells, side="right") - 1
+    base = start[blat] - cell0[:-1]  # cell c of block i is element c + base[i]
+    elem = cells + base[owner]  # block by block, in each lattice's order
+    size = np.bincount(owner, minlength=len(blat))
+    bstart = _offsets(size)
+    place = np.full(len(mask), -1, dtype=np.intp)  # a cell's index in its block
+    place[cells] = np.arange(len(cells)) - bstart[owner]
+    # the tables of the lattices whose largest block has w elements, their
+    # blocks stacked and padded to w; at[i] is block i's place in its stack
+    widest = np.maximum.reduceat(size, first[:-1]).tolist()
+    sizes, by_width = size.tolist(), {}
+    for m, w in enumerate(widest):
+        by_width.setdefault(w, []).extend(range(first[m], first[m + 1]))
+    stacks, at = {}, np.empty(len(blat), dtype=np.intp)
+    out = np.zeros((2, len(blat)), dtype=bool)  # a join, a meet leaves block i
+    for w, g in by_width.items():
+        at[g] = np.arange(len(g))
+        by_size = {}
+        for r, i in enumerate(g):
+            by_size.setdefault(sizes[i], []).append(r)
+        g = np.array(g)
+        leq = np.zeros((len(g), w, w), dtype=bool)
+        ops = np.zeros((2, len(g), w, w), dtype=np.int32)
+        for s, r in by_size.items():
+            i = g[r]
+            e = elem[bstart[i][:, None] + np.arange(s)]
+            cell = fam.row[e][:, :, None] + e[:, None, :]
+            leq[r, :s, :s] = fam.leq[cell]
+            for t, T in zip(ops, (fam.join, fam.meet)):
+                t[r, :s, :s] = place[T[cell] - base[i][:, None, None]]
+        out[:, g] = (ops < 0).any(axis=(2, 3))
+        stacks[w] = leq, *ops
+    if out.any():
+        i = np.argmax(out.any(axis=0))
+        t = 0 if out[0, i] else 1
+        a, b = np.argwhere(stacks[widest[blat[i]]][1 + t][at[i]] < 0)[0]
+        ids, s = Ms[blat[i]]._ids, start[blat[i]]
+        raise _with_spec(InvariantViolated(
+            f"subset is not closed under {('join', 'meet')[t]}",
+            (ids[elem[bstart[i] + a] - s], ids[elem[bstart[i] + b] - s])),
+            blat[i])
+    inside = fam.leq[fam.row[lo[owner]] + elem] & fam.leq[fam.row[elem] + hi[owner]]
+    bounded = mask[lo - base] & mask[hi - base]
+    if not (bounded.all() and inside.all()):
+        bounded &= np.bincount(owner[~inside], minlength=len(blat)) == 0
         i = np.argmin(bounded)
-        raise InvariantViolated("block is not bounded by its ends",
-                                (ids[lo[i]], ids[hi[i]]))
-    # the carrier: elements by the first block they are in, then M's order
-    held = mask.any(axis=0)
-    perm = np.argsort(np.where(held, mask.argmax(axis=0), len(mask)),
-                      kind="stable")[:held.sum()]
-    where = np.full(n, -1, dtype=np.intp)
-    where[perm] = np.arange(len(perm))
-    members = _members(tuple(ids[p] for p in perm), where[elem], start,
-                       where[lo], where[hi], leq, *tables)
-    return SlicedBlocks(keys, M, mask, members)
+        ids, s = Ms[blat[i]]._ids, start[blat[i]]
+        raise _with_spec(InvariantViolated("block is not bounded by its ends",
+                                           (ids[lo[i] - s], ids[hi[i] - s])),
+                         blat[i])
+    # each carrier: its lattice's elements by the first block they are in,
+    # then in the lattice's order; an element in no block comes last
+    firstblock = np.full(start[-1], len(blat))
+    np.minimum.at(firstblock, elem, owner)
+    perm = np.argsort(firstblock, kind="stable")[:np.count_nonzero(firstblock < len(blat))]
+    lat = fam.lat[perm]
+    cfirst = _offsets(np.bincount(lat, minlength=len(Ms)))
+    where = np.full(start[-1], -1, dtype=np.intp)
+    where[perm] = np.arange(len(perm)) - cfirst[lat]
+    rows, zero, one = where[elem], where[lo], where[hi]
+    perm = (perm - start[lat]).tolist()
+    blocks = []
+    for k, M in enumerate(Ms):
+        i, j = first[k], first[k + 1]
+        ids, r, a = M._ids, bstart[i], at[i]
+        members = _members(tuple(ids[p] for p in perm[cfirst[k]:cfirst[k + 1]]),
+                           rows[r:bstart[j]], bstart[i:j + 1] - r, zero[i:j],
+                           one[i:j], *(t[a:a + j - i] for t in stacks[widest[k]]))
+        blocks.append(SlicedBlocks(keys[k], M, mask[cell0[i]:cell0[j]]
+                                   .reshape(j - i, M.n), members))
+    return blocks
 
 
 def _images(f, b):
@@ -266,13 +296,6 @@ def _images(f, b):
     img = np.zeros((len(f), b + 1), dtype=bool)
     img[np.arange(len(f))[:, None], f] = True  # -1 lands in the extra column
     return img[:, :b]
-
-
-def _gather(mask, table):
-    """mask[k, table[k, i, j]] for a stack of masks and index tables, by
-    flat index (faster than take_along_axis on these shapes)."""
-    k, b = mask.shape
-    return mask.take(table + (np.arange(k) * b)[:, None, None])
 
 
 def _iso_failures(tables, X, Y, f):
@@ -288,27 +311,20 @@ def _iso_failures(tables, X, Y, f):
     for s in range(0, len(f), step):
         x, y, g = X[s:s + step], Y[s:s + step], f[s:s + step]
         dom, img = g >= 0, _images(g, b)
-        both = dom[:, :, None] & dom[:, None, :]
-        ib = img[:, :, None] & img[:, None, :]
+        di, dj, ii, ij = dom[:, :, None], dom[:, None, :], img[:, :, None], img[:, None, :]
+        both = di & dj
         lx, ly = leq[x], leq[y]
         gc = np.maximum(g, 0)
+        # a flat index into a stack of masks or tables: row k starts at k·b
+        row = (np.arange(len(g)) * b)[:, None, None]
         out[0, s:s + step] = img.sum(1) != dom.sum(1)
-        out[1, s:s + step] = (dom[:, :, None] & ~dom[:, None, :] & lx).any((1, 2)) \
-            | (both & ~_gather(dom, meet[x])).any((1, 2))
-        out[2, s:s + step] = (img[:, None, :] & ~img[:, :, None] & ly).any((1, 2)) \
-            | (ib & ~_gather(img, join[y])).any((1, 2))
-        image_leq = ly[np.arange(len(g))[:, None, None], gc[:, :, None], gc[:, None, :]]
+        out[1, s:s + step] = ((di & ~dj & lx)
+                              | (both & ~dom.take(meet[x] + row))).any((1, 2))
+        out[2, s:s + step] = ((ij & ~ii & ly)
+                              | (ii & ij & ~img.take(join[y] + row))).any((1, 2))
+        image_leq = ly.take(gc[:, :, None] * b + gc[:, None, :] + row * b)
         out[3, s:s + step] = (both & (lx != image_leq)).any((1, 2))
     return out
-
-
-def _overlap_maps(m, I, J):
-    """The identity on the overlap of blocks I[k] and J[k] as index maps:
-    f[k, a] is the index in block J[k] of the a-th element of block I[k],
-    -1 outside the overlap or past block I[k]'s size."""
-    r = m.start[I][:, None] + np.arange(m.leq.shape[1])  # rows of block I
-    return np.where(r < m.start[I + 1][:, None],
-                    m.loc[J[:, None], m.rows.take(r, mode="clip")], -1)
 
 
 def validate(sys):
@@ -358,42 +374,107 @@ def validate(sys):
       O ⊆ L_w ∩ L_y; by the comparable case on w < x and w < y, a join
       (meet) of two elements of O in L_x, and in L_y, is theirs in L_w.
     """
-    S = sys.skeleton
-    m = sys._members
-    carrier, loc, B, C = m.carrier, m.loc, m.B, m.C
+    return validations([sys])[0]
+
+
+def validations(systems):
+    """`validate` of each of `systems`, in order, in one pass over all of
+    them: their skeleton orders and overlap sizes side by side, every
+    block's membership in one padded array, and one (17) kernel call per
+    table width."""
+    if not systems:
+        return []
+    Ss = [sys.skeleton for sys in systems]
+    ms = [sys._members for sys in systems]
+    out = [[] for _ in systems]
+    nb = np.array([S.n for S in Ss])
+    # skeleton pair (i, j) of system k is cell sq[k] + i·nb[k] + j of the
+    # skeleton orders and overlap sizes, flattened one after another
+    sq = _offsets(nb * nb)
+    C = np.concatenate([m.C.ravel() for m in ms])
+    leq = np.concatenate([S._leq.ravel() for S in Ss])
     visit = C > 0
-    visit[tuple(S._cov_array.T)] = True
-    np.fill_diagonal(visit, False)
-    I, J = np.nonzero(visit)
-    comparable = S._leq[I, J]
-    incomparable = ~(comparable | S._leq[J, I])
-    # (A4): an incomparable pair overlaps inside its meet- and join-block
-    outside = B[I] & B[J] & ~(B[S._meet[I, J]] & B[S._join[I, J]])
-    a4 = incomparable & outside.any(axis=1)
-    glued = comparable & (C[I, J] > 0)
-    g = np.flatnonzero(glued)
-    iso = np.zeros((4, len(I)), dtype=bool)
-    iso[:, g] = _iso_failures((m.leq, m.join, m.meet), I[g], J[g],
-                              _overlap_maps(m, I[g], J[g]))
-    out = []
-    for p in np.flatnonzero((comparable & ~glued) | iso.any(axis=0) | a4):
-        i, j = I[p], J[p]
-        x, y = S.elements[i], S.elements[j]
+    k = np.repeat(np.arange(len(Ss)), [len(S._cov) for S in Ss])
+    lo, hi = np.concatenate([S._cov_array for S in Ss]).T
+    visit[sq[k] + lo * nb[k] + hi] = True
+    P = np.nonzero(visit)[0]
+    k = np.searchsorted(sq, P, side="right") - 1
+    n = nb[k]
+    i, j = np.divmod(P - sq[k], n)
+    pairs = i != j
+    if not pairs.any():
+        return out
+    P, k, n, i, j = P[pairs], k[pairs], n[pairs], i[pairs], j[pairs]
+    fb = _offsets(nb)  # each system's first block
+    I, J = fb[k] + i, fb[k] + j
+    comparable = leq[P]
+    overlap = C[P] > 0
+    glued = comparable & overlap
+    q = np.nonzero(overlap & ~(comparable | leq[P - (i - j) * (n - 1)]))[0]
+    g = np.nonzero(glued)[0]
+    a4 = np.zeros(len(P), dtype=bool)
+    iso = np.zeros((4, len(P)), dtype=bool)
+    if len(ms) == 1:  # a system alone: its own arrays
+        rows, r0, loc = ms[0].rows, ms[0].start, ms[0].loc
+    elif len(q) or len(g):
+        # every block's rows, one after another from r0[b], and loc[b, c],
+        # the index in block b of element c of its system's carrier (-1
+        # outside it), padded to the largest carrier
+        rows = np.concatenate([m.rows for m in ms])
+        r0 = np.concatenate([m.start[:-1] + s for m, s in
+                             zip(ms, _offsets([len(m.rows) for m in ms]))] + [[len(rows)]])
+        owner = np.repeat(np.arange(fb[-1]), r0[1:] - r0[:-1])
+        loc = np.full((fb[-1], max(len(m.carrier) for m in ms)), -1, dtype=np.intp)
+        loc[owner, rows] = np.arange(len(rows)) - r0[owner]
+    if len(q):
+        # (A4): an incomparable pair overlaps inside its meet- and join-block
+        B = loc >= 0
+        x = fb[k[q]]
+        meet = np.concatenate([S._meet.ravel() for S in Ss])[P[q]] + x
+        join = np.concatenate([S._join.ravel() for S in Ss])[P[q]] + x
+        a4[q] = (B[I[q]] & B[J[q]] & ~(B[meet] & B[join])).any(axis=1)
+    if len(g):
+        # (A1), (A2): the kernel on the identity of each overlap, once per
+        # table width, on the stacked tables of the systems of that width
+        width = [m.leq.shape[1] for m in ms]
+        by_width, fb = {}, fb.tolist()
+        for m, w in enumerate(width):
+            by_width.setdefault(w, []).append(m)
+        at = np.empty(fb[-1], dtype=np.intp)  # a block's place in its stack
+        wide = np.array(width)[k[g]]
+        for w, group in by_width.items():
+            blocks = [b for m in group for b in range(fb[m], fb[m + 1])]
+            at[blocks] = np.arange(len(blocks))
+            p = g[wide == w]
+            if not len(p):
+                continue
+            tables = [t[0] if len(group) == 1 else np.concatenate(t) for t in
+                      zip(*((ms[m].leq, ms[m].join, ms[m].meet) for m in group))]
+            # f[p, a]: the index in block J of the a-th element of block I,
+            # -1 outside the overlap or past block I's size
+            r = r0[I[p]][:, None] + np.arange(w)
+            f = np.where(r < r0[I[p] + 1][:, None],
+                         loc[J[p][:, None], rows.take(r, mode="clip")], -1)
+            iso[:, p] = _iso_failures(tables, at[I[p]], at[J[p]], f)
+    for p in np.nonzero((comparable & ~glued) | iso.any(axis=0) | a4)[0]:
+        S, m, i_, j_ = Ss[k[p]], ms[k[p]], i[p], j[p]
+        x, y = S.elements[i_], S.elements[j_]
         if a4[p]:
-            bad = sorted((carrier[c] for c in np.flatnonzero(outside[p])), key=str)
-            out.append(GlueViolation("A4", (x, y, tuple(bad))))
+            inside = m.B[i_] & m.B[j_] & ~(m.B[S._meet[i_, j_]] & m.B[S._join[i_, j_]])
+            bad = sorted((m.carrier[c] for c in np.flatnonzero(inside)), key=str)
+            out[k[p]].append(GlueViolation("A4", (x, y, tuple(bad))))
         elif not glued[p]:
-            out.append(GlueViolation("A3", (x, y)))
+            out[k[p]].append(GlueViolation("A3", (x, y)))
         elif iso[1, p]:
-            out.append(GlueViolation("A1", (x, y, "overlap is not a filter of the lower block")))
+            out[k[p]].append(GlueViolation("A1", (x, y, "overlap is not a filter of the lower block")))
         elif iso[2, p]:
-            out.append(GlueViolation("A1", (x, y, "overlap is not an ideal of the upper block")))
+            out[k[p]].append(GlueViolation("A1", (x, y, "overlap is not an ideal of the upper block")))
         else:
-            ov = np.flatnonzero(B[i] & B[j])
-            ix, iy = loc[i, ov], loc[j, ov]
-            differ = m.leq[i][np.ix_(ix, ix)] != m.leq[j][np.ix_(iy, iy)]
-            out += [GlueViolation("A2", (x, y, carrier[ov[a]], carrier[ov[b]]))
-                    for a, b in np.argwhere(differ)]
+            ov = np.flatnonzero(m.B[i_] & m.B[j_])
+            ix, iy = m.loc[i_, ov], m.loc[j_, ov]
+            differ = m.leq[i_][np.ix_(ix, ix)] != m.leq[j_][np.ix_(iy, iy)]
+            out[k[p]] += [GlueViolation("A2", (x, y, m.carrier[ov[a]], m.carrier[ov[b]]))
+                          for a, b in np.argwhere(differ)]
     return out
 
 
@@ -415,6 +496,37 @@ def order_closure(sys):
 def glued_sum(sys):
     """The sum lattice of a system, kept on it (`GluedSystem._sum`)."""
     return sys._sum
+
+
+def glued_sums(systems):
+    """The sum lattice of each of `systems`, in order, each kept on its
+    system: the transitive closure of the union of its block orders,
+    re-validated from scratch (unique joins/meets are checked, not
+    assumed).  The sums not yet built are built as one `_from_orders`
+    batch.  The error raised is the NotALattice that building the sums one
+    at a time raises first, with `spec`, the index of its system."""
+    todo = [k for k, sys in enumerate(systems) if "_sum" not in vars(sys)]
+
+    def orders():
+        for k in todo:
+            carrier, leq = order_closure(systems[k])
+            cyclic = np.argwhere(leq & leq.T & ~np.eye(len(carrier), dtype=bool))
+            if len(cyclic):
+                a, b = (carrier[i] for i in cyclic[0])
+                raise NotALattice(
+                    f"closure order not antisymmetric at ({a!r}, {b!r})")
+            yield carrier, leq
+
+    try:
+        sums = _from_orders(orders())
+    except LatticeError as e:
+        k = todo[e.spec]
+        if isinstance(e, NotALattice):
+            raise _with_spec(e, k)
+        raise _with_spec(NotALattice(str(e)), k) from e
+    for k, L in zip(todo, sums):
+        vars(systems[k])["_sum"] = L
+    return [sys._sum for sys in systems]
 
 
 # -- maps along the skeleton: padded n×n×bmax index tensors (see connect) ---

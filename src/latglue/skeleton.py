@@ -6,10 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteLattice, InvariantViolated, _freeze, _from_order, \
-    _settle, _uncertified, find_isomorphism
+from .core import FiniteLattice, InvariantViolated, LatticeError, _family, \
+    _freeze, _from_order, _offsets, _settle, _uncertified, _with_spec, \
+    find_isomorphism
 from .glue import GluedSystem, _order_union, _sliced_blocks, nested_cover, \
-    validate as glue_validate
+    validations
 from .predicates import NotModular, breadth, is_modular, is_n_distributive
 
 
@@ -70,28 +71,59 @@ def lemma61_suite(M):
 
 def _star_plus(M):
     """a* and a⁺ of every element, as read-only index arrays over M's
-    elements: the one place they are computed.  They are kept on M, so
-    each lattice computes them once; a relabelled copy shares them and a
-    dual computes its own.  a* is folded up over the upper covers of a,
-    one cover of each element per step, from a itself (a + c = c for a
-    cover c of a; 1* = 1), and a⁺ dually down over the lower covers."""
+    elements, kept on M: the family of one of `_star_pluses`, computed
+    once per lattice."""
     cached = getattr(M, "_star_plus", None)
     if cached is None:
-        _require_modular(M)
-        lo, hi = M._cov_array.T
-        st = np.arange(M.n)
-        pl = np.arange(M.n)
-        for tail, head, table, out in ((lo, hi, M._join, st), (hi, lo, M._meet, pl)):
-            order = np.argsort(tail, kind="stable")
-            tail, head = tail[order], head[order]
-            # k-th cover of its tail: position minus the tail's first position
-            k = np.arange(len(tail)) - np.searchsorted(tail, tail)
-            for step in range(k.max(initial=-1) + 1):
-                at = k == step
-                out[tail[at]] = table[out[tail[at]], head[at]]
-        st.flags.writeable = pl.flags.writeable = False
-        cached = M._star_plus = st, pl
+        _star_pluses(_family([M]))
+        cached = M._star_plus
     return cached
+
+
+def _star_pluses(fam):
+    """a* and a⁺ of every element of the lattices of `fam` (a
+    `core._Family`), in family indices: the one place they are computed.
+    Each lattice keeps its own, as read-only index arrays over its
+    elements (`_star_plus`), and is folded only once; a relabelled copy
+    shares them and a dual computes its own.  a* is folded up over the
+    upper covers of a, one cover of each element of every lattice per
+    step, from a itself (a + c = c for a cover c of a; 1* = 1), and a⁺
+    dually down over the lower covers.  NotModular, with `spec`, for the
+    first lattice that is not modular."""
+    Ms, start = fam.lattices, fam.start
+    st = np.arange(start[-1])
+    pl = np.arange(start[-1])
+    new = []
+    for k, M in enumerate(Ms):
+        if "_star_plus" in vars(M):
+            st[start[k]:start[k + 1]] = M._star_plus[0] + start[k]
+            pl[start[k]:start[k + 1]] = M._star_plus[1] + start[k]
+            continue
+        try:
+            _require_modular(M)
+        except NotModular as e:
+            raise _with_spec(e, k)
+        new.append(k)
+    if not new:
+        return st, pl
+    lo, hi = (np.concatenate([Ms[k]._cov_array for k in new])
+              + np.repeat(start[new], [len(Ms[k]._cov) for k in new])[:, None]).T
+    for tail, head, table, out in ((lo, hi, fam.join, st), (hi, lo, fam.meet, pl)):
+        order = np.argsort(tail, kind="stable")
+        tail, head = tail[order], head[order]
+        # k-th cover of its tail: position minus the tail's first position
+        k = np.arange(len(tail)) - np.searchsorted(tail, tail)
+        for step in range(k.max(initial=-1) + 1):
+            at = k == step
+            out[tail[at]] = table[fam.row[out[tail[at]]] + head[at]]
+    first = start[fam.lat]
+    local = st - first, pl - first
+    for a in local:
+        a.flags.writeable = False
+    for k in new:
+        vars(Ms[k]).setdefault("_star_plus", tuple(a[start[k]:start[k + 1]]
+                                                   for a in local))
+    return st, pl
 
 
 def _fixed_points(st, pl):
@@ -114,7 +146,8 @@ def dual_skeleton(M):
 
 
 def skeleton_lattice(M):
-    """S(M) as a lattice under the induced order.
+    """S(M) as a lattice under the induced order, kept on M: the family of
+    one of `_skeleton_lattices`, built once per lattice.
 
     Its joins are M's and its meets (x·y)*⁺, each checked to stay in
     S(M); the meets are certified by counting common lower bounds in the
@@ -123,38 +156,92 @@ def skeleton_lattice(M):
     x + y and x ∧ y must be (x·y)*⁺, with top 1⁺ and bottom 0.  A failure
     raises InvariantViolated with the first offending pair or element.
     """
-    return _skeleton_lattice(M, *_star_plus(M))
+    cached = getattr(M, "_skeleton", None)
+    if cached is None:
+        fam = _family([M])
+        cached, = _skeleton_lattices(fam, *_star_pluses(fam))
+    return cached
 
 
-def _skeleton_lattice(M, st, pl):
-    """`skeleton_lattice` from a* and a⁺ as `_star_plus` gives them."""
-    k = np.flatnonzero(_fixed_points(st, pl)[0])  # S(M), in M's order
-    pair = np.ix_(k, k)
-    S, topo = _from_order([M._ids[i] for i in k], M._leq[pair])
-    join, meet = M._join[pair], pl[st[M._meet[pair]]]
-    pos = np.full(M.n, -1, dtype=np.int32)
-    pos[k] = np.arange(len(k), dtype=np.int32)
-    # M's join of two elements of S(M) that lies in S(M) is their join
-    # there; the meet is certified, and a pair leaving S(M) is flagged
-    S._join, S._meet = pos[join], pos[meet]
-    outside = (S._join < 0) | (S._meet < 0)
-    np.maximum(S._meet, 0, out=S._meet)
-    flagged = outside | _uncertified(S._leq.T[None].astype(np.float32),
-                                     S._meet[None])
-    _settle(S._leq, topo, S.elements, S._join, S._meet, flagged)
-    _freeze(S)
+def _skeleton_lattices(fam, st, pl):
+    """`skeleton_lattice` of every lattice of `fam`, from a* and a⁺ as
+    `_star_pluses` gives them.  A lattice that keeps its S(M) is not built
+    again; the others are built and keep theirs.  The skeletons of one
+    size share one meet certificate (`_uncertified`), and only the pairs
+    it flags are settled.  The error raised is the one that building each
+    S(M) alone, in order, raises first; it carries `spec`."""
+    Ms, start = fam.lattices, fam.start
+    K = np.nonzero(_fixed_points(st, pl)[0])[0]  # each S(M), in M's order
+    cut = np.searchsorted(K, start)
+    pos = np.full(len(st), -1, dtype=np.int32)
+    pos[K] = np.arange(len(K)) - np.repeat(cut[:-1], cut[1:] - cut[:-1])
+    cut, first = cut.tolist(), start.tolist()
+    todo, by_size = [], {}
+    for m, M in enumerate(Ms):
+        if "_skeleton" not in vars(M):
+            todo.append(m)
+            by_size.setdefault(cut[m + 1] - cut[m], []).append(m)
+    built = {}
+    for s, g in by_size.items():
+        k = K[np.array([cut[m] for m in g])[:, None] + np.arange(s)]
+        cell = fam.row[k][:, :, None] + k[:, None, :]
+        leq = fam.leq[cell]
+        # M's join of two elements of S(M) that lies in S(M) is their join
+        # there; the meet is certified, and a pair leaving S(M) is flagged.
+        # So a pair left unflagged has k[J] = M's join and k[Mt] = (x·y)*⁺,
+        # and only the settled pairs can fail the table checks below
+        J, Mt = pos[fam.join[cell]], pos[pl[st[fam.meet[cell]]]]
+        flagged = (J < 0) | (Mt < 0)
+        np.maximum(Mt, 0, out=Mt)
+        if s:  # an empty S(M) is refused by `_from_order` below
+            flagged |= _uncertified(leq.transpose(0, 2, 1).astype(np.float32), Mt)
+        built.update((m, (leq[i], J[i], Mt[i], flagged[i])) for i, m in enumerate(g))
+    Ss = {}
+    for m in todo:
+        ids, a = Ms[m]._ids, first[m]
+        try:
+            Ss[m] = _from_order([ids[i - a] for i in K[cut[m]:cut[m + 1]].tolist()],
+                                built[m][0])
+        except LatticeError as e:
+            raise _with_spec(e, m)
+    for m in todo:
+        (S, topo), (_, J, Mt, flagged) = Ss[m], built[m]
+        S._join, S._meet = J, Mt
+        try:
+            _settle(S._leq, topo, S.elements, J, Mt, flagged)
+        except LatticeError as e:
+            raise _with_spec(e, m)
+        _freeze(S)
+    for m in todo:
+        M, S, a = Ms[m], Ss[m][0], first[m]
+        if built[m][3].any() or K[cut[m] + S._bot] != a + M._bot \
+                or K[cut[m] + S._top] != pl[a + M._top]:
+            failure = _skeleton_failure(S, K[cut[m]:cut[m + 1]], fam, st, pl, a)
+            if failure is not None:
+                raise _with_spec(failure, m)
+        vars(M).setdefault("_skeleton", S)
+    return [M._skeleton for M in Ms]
+
+
+def _skeleton_failure(S, k, fam, st, pl, first):
+    """The first check S(M) fails, of the lattice of `fam` starting at
+    `first`, on its elements k (family indices), as InvariantViolated: a
+    join not M's, a meet not (x·y)*⁺, a bottom not 0, a top not 1⁺; or
+    None."""
+    M = fam.lattices[fam.lat[first]]
+    cell = fam.row[k][:, None] + k
     for what, got, want in (
-            ("skeleton join is not the join of M", k[S._join], join),
-            ("skeleton meet is not (x·y)*⁺", k[S._meet], meet)):
+            ("skeleton join is not the join of M", k[S._join], fam.join[cell]),
+            ("skeleton meet is not (x·y)*⁺", k[S._meet], pl[st[fam.meet[cell]]])):
         bad = np.argwhere(got != want)
         if len(bad):
             i, j = bad[0]
-            raise InvariantViolated(what, (S.elements[i], S.elements[j]))
-    if k[S._bot] != M._bot:
-        raise InvariantViolated("skeleton bottom is not 0", S.bottom)
-    if k[S._top] != pl[M._top]:
-        raise InvariantViolated("skeleton top is not 1⁺", S.top)
-    return S
+            return InvariantViolated(what, (S.elements[i], S.elements[j]))
+    if k[S._bot] != first + M._bot:
+        return InvariantViolated("skeleton bottom is not 0", S.bottom)
+    if k[S._top] != pl[first + M._top]:
+        return InvariantViolated("skeleton top is not 1⁺", S.top)
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,34 +272,74 @@ class SkeletonDecomposition:
 
 def decompose(M):
     """Split M into its maximal atomistic intervals [x, x*], x ∈ S(M),
-    glued over the skeleton lattice.  The resulting system is validated
-    and must be strictly monotone; a failure raises InvariantViolated.
+    glued over the skeleton lattice: the family of one of
+    `decompositions`."""
+    return decompositions([M])[0]
 
-    The blocks are cut from M's tables all at once, in M's index space
-    (`glue._sliced_blocks`); a block's FiniteLattice is built only when
-    `blocks[x]` is asked for."""
-    st, pl = _star_plus(M)
-    S = _skeleton_lattice(M, st, pl)
+
+def decompositions(Ms):
+    """The decomposition of each lattice of `Ms`, in order, each stage run
+    once over the whole family (`core._family`): one cover fold for a*
+    and a⁺ (`_star_pluses`), one meet certificate per skeleton size
+    (`_skeleton_lattices`), one cut of every block (`glue._sliced_blocks`)
+    and one `glue.validations` pass.  Each system is validated and must be
+    strictly monotone; a failure raises InvariantViolated.  A block's
+    FiniteLattice is built only when `blocks[x]` is asked for.
+
+    The error raised is the one that decomposing the lattices one at a
+    time raises first, with `spec`, the index of its lattice: a stage
+    raises for the first lattice it refuses, and since an earlier lattice
+    may fail a later stage, the lattices before it are decomposed again
+    and their error, if any, is raised instead."""
+    Ms = list(Ms)
+    if not Ms:
+        return []
+    try:
+        return _decompositions(Ms)
+    except LatticeError as e:
+        first = e
+    decompositions(Ms[:first.spec])
+    raise first
+
+
+def _decompositions(Ms):
+    fam = _family(Ms)
+    st, pl = _star_pluses(fam)
+    Ss = _skeleton_lattices(fam, st, pl)
     sk, dsk = _fixed_points(st, pl)
-    k = np.flatnonzero(sk)  # S(M), in M's order
-    top = st[k]
-    sys = GluedSystem(S, _sliced_blocks(S.elements, M,
-                                        M._leq[k] & M._leq.T[top], k, top))
-    _check_decomposition(sys)
-    return SkeletonDecomposition(
-        M, frozenset(S.elements), S, sys.blocks, sys,
-        frozenset(M._ids[i] for i in np.flatnonzero(dsk)))
+    K = np.nonzero(sk)[0]  # S(M) of each M, in M's order
+    # block [x, x*] of each x ∈ S(M), a row over its lattice's elements
+    lat = fam.lat[K]
+    n = (fam.start[1:] - fam.start[:-1])[lat]
+    c0 = _offsets(n)
+    x = np.repeat(K, n)
+    e = np.arange(c0[-1]) + np.repeat(fam.start[lat] - c0[:-1], n)
+    mask = fam.leq[fam.row[x] + e] & fam.leq[fam.row[e] + st[x]]
+    blocks = _sliced_blocks(fam, [S.elements for S in Ss], mask, K, st[K])
+    systems = [GluedSystem(S, b) for S, b in zip(Ss, blocks)]
+    _check_decompositions(systems)
+    D = np.nonzero(dsk)[0]
+    cut = np.searchsorted(D, fam.start)
+    return [SkeletonDecomposition(M, frozenset(S.elements), S, sys.blocks, sys,
+                                  frozenset(M._ids[i] for i in (D[a:b] - first).tolist()))
+            for M, S, sys, a, b, first in zip(Ms, Ss, systems, cut, cut[1:], fam.start)]
 
 
-def _check_decomposition(sys):
+def _check_decompositions(systems):
     """A decomposition's system must satisfy the glue axioms and be
-    strictly monotone; InvariantViolated names the first failure."""
-    bad = glue_validate(sys)
-    if bad:
-        raise InvariantViolated("decomposition violates the glue axioms", bad[0])
-    nested = nested_cover(sys)
-    if nested is not None:
-        raise InvariantViolated("decomposition is not strictly monotone", nested)
+    strictly monotone.  InvariantViolated names the first violation of
+    the first system that breaks the axioms, else the first nested cover
+    of the first system that is not strictly monotone, with `spec`, the
+    system's index."""
+    for k, bad in enumerate(validations(systems)):
+        if bad:
+            raise _with_spec(InvariantViolated(
+                "decomposition violates the glue axioms", bad[0]), k)
+    for k, sys in enumerate(systems):
+        nested = nested_cover(sys)
+        if nested is not None:
+            raise _with_spec(InvariantViolated(
+                "decomposition is not strictly monotone", nested), k)
 
 
 def roundtrip(M):
@@ -274,7 +401,7 @@ def skeleton_duality_suite(M):
             dsk, np.flatnonzero(dpl[dst] == np.arange(M.n))),
     }
     if find_isomorphism(M, M, anti=True) is not None:
-        S = _skeleton_lattice(M, st, pl)
+        S = skeleton_lattice(M)
         report["skeleton_self_dual"] = find_isomorphism(S, S, anti=True) is not None
     report["ok"] = all(report.values())
     if not report["order_iso"]:

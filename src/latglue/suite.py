@@ -12,14 +12,15 @@ import numpy as np
 from . import constructions as fix
 from .connect import _relation, connected_sum, elevate
 from .core import _BLOCK_CELLS, LatticeError, find_isomorphism, product
-from .glue import glued_sum, is_monotone_strict, length_bound_check, \
-    validate, zero_one_maps
+from .glue import glued_sum, glued_sums, is_monotone_strict, \
+    length_bound_check, validate, validations, zero_one_maps
 from .hom import LatticeHom, check_star, corollary_54_check, glue_homs, \
     is_homomorphism, is_injective, simplicity_transfer_check
 from .predicates import breadth, is_distributive, is_modular, \
     is_n_distributive, is_simple, generated_sublattice
-from .skeleton import decompose, lemma61_suite, maximal_atomistic_intervals, \
-    skeleton_duality_suite, skeleton_lattice, skeleton_set
+from .skeleton import decompose, decompositions, lemma61_suite, \
+    maximal_atomistic_intervals, skeleton_duality_suite, skeleton_lattice, \
+    skeleton_set
 
 
 # The corpora enumerated during one run_suite call, by size, and the
@@ -54,10 +55,23 @@ def _shared(key, build):
 
 
 def _decomposition(M):
-    """decompose(M), once per run_suite call.  Keyed by id(M): the
+    """decompose(M), once per run_suite call."""
+    return _decompositions([M])[0]
+
+
+def _decompositions(Ms):
+    """decompose(M) of each M of Ms, once per run_suite call; those not
+    yet made are made by one `decompositions` call.  Keyed by id(M): the
     decomposition holds M as its source, so no other lattice takes that id
     while the call keeps it."""
-    return _shared(("decompose", id(M)), lambda: decompose(M))
+    if _fixtures is None:
+        return decompositions(Ms)
+    missing = list({id(M): M for M in Ms
+                    if ("decompose", id(M)) not in _fixtures}.values())
+    if missing:
+        for M, dec in zip(missing, decompositions(missing)):
+            _fixtures["decompose", id(M)] = dec
+    return [_fixtures["decompose", id(M)] for M in Ms]
 
 
 def _section4():
@@ -117,10 +131,10 @@ def criterion_01_roundtrip(corpus_max):
     named = [fix.grid(p, q) for p in range(1, 5) for q in range(p, 5)]
     named += [fix.boolean(n) for n in range(1, 5)]
     named.append(product(fix.m3(), fix.chain(1)))
-    named += [glued_sum(sys) for _, sys in _squares(corpus_max)]
+    named += glued_sums([sys for _, sys in _squares(corpus_max)])
     named.append(_section4()["sum"])
     lattices += [M for M in named if is_modular(M)]
-    bad = sum(not _decomposition(M).reglues() for M in lattices)
+    bad = sum(not dec.reglues() for dec in _decompositions(lattices))
     return bad == 0, f"{len(lattices)} modular lattices, {bad} round-trip failures"
 
 
@@ -177,9 +191,8 @@ def criterion_05_skeleton(corpus_max):
 def criterion_06_distributive_construction(corpus_max):
     """Every small lattice S is the skeleton of a distributive lattice."""
     small = _corpus(min(corpus_max, 5))
-    for S in small:
-        sys = fix.distributive_with_skeleton(S)
-        bad = validate(sys)
+    systems = [fix.distributive_with_skeleton(S) for S in small]
+    for S, sys, bad in zip(small, systems, validations(systems)):
         if bad:
             return False, (f"distributive_with_skeleton of a {S.n}-element S "
                            f"violates {bad[0].axiom}")
@@ -194,8 +207,7 @@ def criterion_06_distributive_construction(corpus_max):
 def criterion_07_square_construction(corpus_max):
     """Every small modular S yields a sublattice of S×S with skeleton S."""
     squares = _squares(corpus_max)
-    for S, sys in squares:
-        bad = validate(sys)
+    for (S, sys), bad in zip(squares, validations([sys for _, sys in squares])):
         if bad:
             return False, (f"square_sublattice of a {S.n}-element S "
                            f"violates {bad[0].axiom}")

@@ -45,10 +45,11 @@ from latglue.connect import ConnectViolation, ConnectedSystem, \
 from latglue.core import _BLOCK_CELLS, _SOLVE_BLOCK, CycleDetected, \
     FiniteLattice, InvariantViolated, LatticeError, NoUniqueJoin, \
     LimitExceeded, NoUniqueMeet, NotBounded, NotTransitiveReduction, \
-    UnknownElement, _bit_matrix, _bounds, _lattices, _settle, _uncertified, \
-    find_isomorphism
+    UnknownElement, _bit_matrix, _bounds, _freeze, _from_order, _lattices, \
+    _settle, _uncertified, find_isomorphism
 from latglue.glue import GluedSystem, GlueViolation, NotALattice, \
-    _compose as _index_compose, validate as glue_validate
+    SlicedBlocks, _compose as _index_compose, _iso_failures, _members, \
+    nested_cover, validate as glue_validate
 from latglue.glue import glued_sum
 from latglue.hom import LatticeHom, is_homomorphism, is_injective
 from latglue.predicates import NotModular, _join_irreducibles, \
@@ -731,13 +732,180 @@ def oracle_membership(sys):
     return carrier, pos, loc, B, (Bf @ Bf.T).astype(np.intp), start
 
 
+def oracle_star_plus(M):
+    """a* and a⁺ of every element of M alone, as `_star_plus` computed
+    them before the family fold: a* folded up over the upper covers of a,
+    one cover of each element per step, a⁺ dually."""
+    if not is_modular(M):
+        raise NotModular("skeleton operations are defined for modular lattices")
+    lo, hi = M._cov_array.T
+    st = np.arange(M.n)
+    pl = np.arange(M.n)
+    for tail, head, table, out in ((lo, hi, M._join, st), (hi, lo, M._meet, pl)):
+        order = np.argsort(tail, kind="stable")
+        tail, head = tail[order], head[order]
+        k = np.arange(len(tail)) - np.searchsorted(tail, tail)
+        for step in range(k.max(initial=-1) + 1):
+            at = k == step
+            out[tail[at]] = table[out[tail[at]], head[at]]
+    return st, pl
+
+
+def oracle_skeleton_lattice_one(M, st, pl):
+    """S(M) of M alone, as `skeleton_lattice` built it before the family
+    pass: its own meet certificate, settled and checked."""
+    k = np.flatnonzero(pl[st] == np.arange(M.n))
+    pair = np.ix_(k, k)
+    S, topo = _from_order([M._ids[i] for i in k], M._leq[pair])
+    join, meet = M._join[pair], pl[st[M._meet[pair]]]
+    pos = np.full(M.n, -1, dtype=np.int32)
+    pos[k] = np.arange(len(k), dtype=np.int32)
+    S._join, S._meet = pos[join], pos[meet]
+    outside = (S._join < 0) | (S._meet < 0)
+    np.maximum(S._meet, 0, out=S._meet)
+    flagged = outside | _uncertified(S._leq.T[None].astype(np.float32),
+                                     S._meet[None])
+    _settle(S._leq, topo, S.elements, S._join, S._meet, flagged)
+    _freeze(S)
+    for what, got, want in (
+            ("skeleton join is not the join of M", k[S._join], join),
+            ("skeleton meet is not (x·y)*⁺", k[S._meet], meet)):
+        bad = np.argwhere(got != want)
+        if len(bad):
+            i, j = bad[0]
+            raise InvariantViolated(what, (S.elements[i], S.elements[j]))
+    if k[S._bot] != M._bot:
+        raise InvariantViolated("skeleton bottom is not 0", S.bottom)
+    if k[S._top] != pl[M._top]:
+        raise InvariantViolated("skeleton top is not 1⁺", S.top)
+    return S
+
+
+def oracle_sliced_blocks(keys, M, mask, lo, hi):
+    """The blocks mask[i] of M alone, cut as `glue._sliced_blocks` cut
+    them before the family pass: M's tables looked up for the blocks of
+    one size at a time, the closure and bound checks, then the carrier."""
+    ids, n = M._ids, M.n
+    owner, elem = np.nonzero(mask)
+    size = mask.sum(axis=1)
+    start = np.concatenate(([0], np.cumsum(size)))
+    place = np.full(mask.shape, -1, dtype=np.intp)
+    place[owner, elem] = np.arange(len(elem)) - start[owner]
+    leq = np.zeros((len(mask), size.max(), size.max()), dtype=bool)
+    tables = np.zeros((2, *leq.shape), dtype=np.int32)
+    for s in np.unique(size):
+        g = np.flatnonzero(size == s)
+        e = elem[start[g][:, None] + np.arange(s)]
+        pair = e[:, :, None] * n + e[:, None, :]
+        leq[g, :s, :s] = M._leq.take(pair)
+        for t, T in zip(tables, (M._join, M._meet)):
+            c = T.take(pair).astype(np.intp)
+            c += g[:, None, None] * n
+            t[g, :s, :s] = place.take(c)
+    out = [np.argwhere(t < 0)[:1] for t in tables]
+    if any(len(o) for o in out):
+        i = min(o[0, 0] for o in out if len(o))
+        for what, o in zip(("join", "meet"), out):
+            if len(o) and o[0, 0] == i:
+                a, b = o[0, 1:]
+                raise InvariantViolated(
+                    f"subset is not closed under {what}",
+                    (ids[elem[start[i] + a]], ids[elem[start[i] + b]]))
+    every = np.arange(len(mask))
+    bounded = mask[every, lo] & mask[every, hi] \
+        & ~(mask & ~(M._leq[lo] & M._leq.T[hi])).any(axis=1)
+    if not bounded.all():
+        i = np.argmin(bounded)
+        raise InvariantViolated("block is not bounded by its ends",
+                                (ids[lo[i]], ids[hi[i]]))
+    held = mask.any(axis=0)
+    perm = np.argsort(np.where(held, mask.argmax(axis=0), len(mask)),
+                      kind="stable")[:held.sum()]
+    where = np.full(n, -1, dtype=np.intp)
+    where[perm] = np.arange(len(perm))
+    members = _members(tuple(ids[p] for p in perm), where[elem], start,
+                       where[lo], where[hi], leq, *tables)
+    return SlicedBlocks(keys, M, mask, members)
+
+
+def _overlap_maps(m, I, J):
+    """The identity on the overlap of blocks I[k] and J[k] as index maps:
+    f[k, a] is the index in block J[k] of the a-th element of block I[k],
+    -1 outside the overlap or past block I[k]'s size."""
+    r = m.start[I][:, None] + np.arange(m.leq.shape[1])  # rows of block I
+    return np.where(r < m.start[I + 1][:, None],
+                    m.loc[J[:, None], m.rows.take(r, mode="clip")], -1)
+
+
+def oracle_validate_one(sys):
+    """`glue.validate` on one system, as it ran before the family pass:
+    the pairs, (A4) and the (17) kernel over this system's arrays alone."""
+    S = sys.skeleton
+    m = sys._members
+    carrier, loc, B, C = m.carrier, m.loc, m.B, m.C
+    visit = C > 0
+    visit[tuple(S._cov_array.T)] = True
+    np.fill_diagonal(visit, False)
+    I, J = np.nonzero(visit)
+    comparable = S._leq[I, J]
+    incomparable = ~(comparable | S._leq[J, I])
+    outside = B[I] & B[J] & ~(B[S._meet[I, J]] & B[S._join[I, J]])
+    a4 = incomparable & outside.any(axis=1)
+    glued = comparable & (C[I, J] > 0)
+    g = np.flatnonzero(glued)
+    iso = np.zeros((4, len(I)), dtype=bool)
+    iso[:, g] = _iso_failures((m.leq, m.join, m.meet), I[g], J[g],
+                              _overlap_maps(m, I[g], J[g]))
+    out = []
+    for p in np.flatnonzero((comparable & ~glued) | iso.any(axis=0) | a4):
+        i, j = I[p], J[p]
+        x, y = S.elements[i], S.elements[j]
+        if a4[p]:
+            bad = sorted((carrier[c] for c in np.flatnonzero(outside[p])), key=str)
+            out.append(GlueViolation("A4", (x, y, tuple(bad))))
+        elif not glued[p]:
+            out.append(GlueViolation("A3", (x, y)))
+        elif iso[1, p]:
+            out.append(GlueViolation("A1", (x, y, "overlap is not a filter of the lower block")))
+        elif iso[2, p]:
+            out.append(GlueViolation("A1", (x, y, "overlap is not an ideal of the upper block")))
+        else:
+            ov = np.flatnonzero(B[i] & B[j])
+            ix, iy = loc[i, ov], loc[j, ov]
+            differ = m.leq[i][np.ix_(ix, ix)] != m.leq[j][np.ix_(iy, iy)]
+            out += [GlueViolation("A2", (x, y, carrier[ov[a]], carrier[ov[b]]))
+                    for a, b in np.argwhere(differ)]
+    return out
+
+
+def oracle_decompose_one(M):
+    """`decompose` as it ran before `decompositions`, on M alone: its own
+    star/plus fold, skeleton lattice, block cut and validation, each of
+    the above, and the same errors."""
+    st, pl = oracle_star_plus(M)
+    S = oracle_skeleton_lattice_one(M, st, pl)
+    k = np.flatnonzero(pl[st] == np.arange(M.n))
+    top = st[k]
+    sys = GluedSystem(S, oracle_sliced_blocks(
+        S.elements, M, M._leq[k] & M._leq.T[top], k, top))
+    bad = oracle_validate_one(sys)
+    if bad:
+        raise InvariantViolated("decomposition violates the glue axioms", bad[0])
+    nested = nested_cover(sys)
+    if nested is not None:
+        raise InvariantViolated("decomposition is not strictly monotone", nested)
+    return skeleton.SkeletonDecomposition(
+        M, frozenset(S.elements), S, sys.blocks, sys,
+        frozenset(M._ids[i] for i in np.flatnonzero(st[pl] == np.arange(M.n))))
+
+
 def oracle_decompose(M):
     """`decompose` as it was: S(M), then one `interval` slice per skeleton
     element, glued as a hand-made system (whose membership comes from the
     blocks' ids), validated and checked strictly monotone.  Returns the
     skeleton lattice, the blocks and the system."""
-    st, pl = skeleton._star_plus(M)
-    S = skeleton._skeleton_lattice(M, st, pl)
+    st, pl = oracle_star_plus(M)
+    S = oracle_skeleton_lattice_one(M, st, pl)
     ids = M.elements
     blocks = {x: M.interval(x, ids[st[M.index(x)]]).lattice
               for x in S.elements}

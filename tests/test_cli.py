@@ -160,14 +160,13 @@ def test_skeleton_decomposes_once(tmp_path, capsys, monkeypatch):
     run(["construct", "grid", "2", "2", "--out", str(src)])
     calls = []
 
-    def counted(M, real=skeleton.decompose):
-        calls.append(M)
-        return real(M)
-    monkeypatch.setattr(skeleton, "decompose", counted)
-    monkeypatch.setattr(cli, "decompose", counted)
+    def counted(Ms, real=skeleton.decompositions):
+        calls.append(list(Ms))
+        return real(calls[-1])
+    monkeypatch.setattr(skeleton, "decompositions", counted)
     assert run(["skeleton", str(src)]) == 0
     assert "roundtrip: OK" in capsys.readouterr().out
-    assert len(calls) == 1
+    assert [len(Ms) for Ms in calls] == [1]
 
 
 def test_skeleton_rejects_nonmodular(tmp_path, capsys):

@@ -327,11 +327,11 @@ from latglue import skeleton
 from latglue.constructions import grid
 from latglue.core import InvariantViolated
 
-right = skeleton._star_plus
-def wrong(M):
-    st, pl = right(M)
-    return st, np.arange(M.n)  # every element its own plus
-skeleton._star_plus = wrong
+right = skeleton._star_pluses
+def wrong(fam):
+    st, pl = right(fam)
+    return st, np.arange(len(pl))  # every element its own plus
+skeleton._star_pluses = wrong
 try:
     skeleton.decompose(grid(2, 2))
 except InvariantViolated as e:

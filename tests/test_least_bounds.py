@@ -16,10 +16,10 @@ import pytest
 from latglue import core, skeleton
 from latglue.constructions import boolean, grid, m_k
 from latglue.core import FiniteLattice, LatticeError, NoUniqueJoin, \
-    NoUniqueMeet, product
+    NoUniqueMeet, _family, product
 from latglue.glue import GluedSystem, glued_sum, validate
 from latglue.predicates import is_modular
-from latglue.skeleton import _skeleton_lattice, _star_plus, decompose
+from latglue.skeleton import _skeleton_lattices, _star_plus, decompose
 from latglue.suite import glued_fixtures
 from oracles import kahn_order, oracle_block_operations, \
     oracle_glue_violations, oracle_membership, oracle_skeleton_lattice, \
@@ -241,6 +241,12 @@ def assert_same_lattice(S, T):
         got, want = getattr(S, f), getattr(T, f)
         assert got.dtype == want.dtype, f
         np.testing.assert_array_equal(got, want)
+
+
+def _skeleton_lattice(M, st, pl):
+    """S(M) cut from the given a* and a⁺, on a copy of M that keeps no
+    S(M), as the family of one."""
+    return _skeleton_lattices(_family([M._relabelled(M.elements)]), st, pl)[0]
 
 
 @pytest.mark.parametrize("name", sorted(MODULAR))

@@ -82,13 +82,15 @@ def test_a_corrupted_star_is_named_by_both_suites(wrong, check, monkeypatch):
 
 
 def test_run_suite_decomposes_each_lattice_once(monkeypatch):
-    seen = []
+    seen, calls = [], []
 
-    def counted(M, real=skeleton.decompose):
-        seen.append(M)  # held, so that no two lattices seen share an id
-        return real(M)
-    monkeypatch.setattr(skeleton, "decompose", counted)
-    monkeypatch.setattr(suite, "decompose", counted)
+    def counted(Ms, real=skeleton.decompositions):
+        Ms = list(Ms)
+        seen.extend(Ms)  # held, so that no two lattices seen share an id
+        calls.append(len(Ms))
+        return real(Ms)
+    monkeypatch.setattr(skeleton, "decompositions", counted)
+    monkeypatch.setattr(suite, "decompositions", counted)
     ok, results = suite.run_suite(7, emit=lambda line: None)
     assert ok
     assert len({id(M) for M in seen}) == len(seen)
@@ -96,6 +98,8 @@ def test_run_suite_decomposes_each_lattice_once(monkeypatch):
     # among them, which criteria 2, 5 and 7 reuse) and criterion 10's 3
     assert results[0][2].startswith("82 modular lattices")
     assert len(seen) == 82 + 3
+    # criterion 1's in one call, criterion 10's one at a time
+    assert calls == [82, 1, 1, 1]
 
 
 def test_criterion_5_builds_no_interval(monkeypatch):
@@ -146,18 +150,17 @@ def test_star_plus_arrays_are_kept_read_only_and_shared_by_relabelling():
 
 
 def test_run_suite_computes_star_and_plus_once_per_lattice(monkeypatch):
-    # every computation returns new arrays, so a lattice object that gets
-    # two pairs of arrays had them computed twice
-    got, held = {}, []
-    real = skeleton._star_plus
+    # the lattices each family fold computes a* and a⁺ of: a lattice
+    # folded twice is listed twice
+    folded, held = [], []
+    real = skeleton._star_pluses
 
-    def counted(M):
-        st, pl = real(M)
-        got.setdefault(id(M), (M, set()))[1].add((id(st), id(pl)))
-        held.append((st, pl))  # so that no two results share an id
-        return st, pl
-    monkeypatch.setattr(skeleton, "_star_plus", counted)
+    def counted(fam):
+        folded.extend(M for M in fam.lattices if "_star_plus" not in vars(M))
+        held.append(fam)  # so that no two lattices listed share an id
+        return real(fam)
+    monkeypatch.setattr(skeleton, "_star_pluses", counted)
     ok, _ = suite.run_suite(7, emit=lambda line: None)
     assert ok
-    assert len(got) > 100
-    assert all(len(pairs) == 1 for _, pairs in got.values())
+    assert len(folded) > 100
+    assert len({id(M) for M in folded}) == len(folded)

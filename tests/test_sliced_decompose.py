@@ -76,7 +76,7 @@ def assert_same_formulas(sys, other):
 @pytest.mark.parametrize("name", sorted(LATTICES))
 def test_decompose_matches_the_block_by_block_oracle(name):
     M = LATTICES[name]
-    dec = decompose(M)
+    dec = decompose(M._relabelled(M.elements))  # S(M) built afresh
     S, blocks, want = oracle_decompose(M)
     assert_same_lattice(dec.skeleton_lattice, S)
     assert list(dec.blocks) == list(blocks) == list(S.elements)
@@ -121,10 +121,12 @@ def index_outcome(M, S, mask, lo, hi, corrupt=None):
     """What the one-pass cut and decompose's checks make of the blocks
     `mask`, with `corrupt` applied to the membership record."""
     def check():
-        sys = GluedSystem(S, glue._sliced_blocks(S.elements, M, mask, lo, hi))
+        blocks, = glue._sliced_blocks(core._family([M]), [S.elements],
+                                      mask.ravel(), lo, hi)
+        sys = GluedSystem(S, blocks)
         if corrupt is not None:
             corrupt(sys, sys._members)
-        skeleton._check_decomposition(sys)
+        skeleton._check_decompositions([sys])
     return outcome(check)
 
 
@@ -228,7 +230,8 @@ def test_a_block_whose_ends_do_not_bound_it_is_refused_with_its_ends():
     mask = np.array([[True, True, False, False], [False, True, True, True]])
     lo, hi = np.array([0, 1]), np.array([1, 2])
     with pytest.raises(InvariantViolated) as e:
-        glue._sliced_blocks(["x", "y"], M, mask, lo, hi)
+        glue._sliced_blocks(core._family([M]), [["x", "y"]], mask.ravel(),
+                            lo, hi)
     assert str(e.value) == "block is not bounded by its ends: ('1', '2')"
     assert e.value.witness == ("1", "2")
 
