@@ -5,8 +5,10 @@ block-local staircase formulas, by the cover recurrence `connect` uses.
 
 Inside, a system is read through one membership record in carrier
 indices (`Membership`), built once per system: from the blocks' ids for a
-hand-made system, or in one pass over a lattice's tables when every
-block is a sublattice of it (`_sliced_blocks`), as in a decomposition."""
+hand-made system, or in one pass over a family of lattices' tables when
+every block is a sublattice of one of them (`_sliced_blocks`), as in a
+decomposition.  A family of systems is validated (`validations`) and
+summed (`glued_sums`) in one pass; one system is a family of one."""
 
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -394,9 +396,9 @@ def validations(systems):
     C = np.concatenate([m.C.ravel() for m in ms])
     leq = np.concatenate([S._leq.ravel() for S in Ss])
     visit = C > 0
-    k = np.repeat(np.arange(len(Ss)), [len(S._cov) for S in Ss])
+    s = np.repeat(np.arange(len(Ss)), [len(S._cov) for S in Ss])  # each cover's system
     lo, hi = np.concatenate([S._cov_array for S in Ss]).T
-    visit[sq[k] + lo * nb[k] + hi] = True
+    visit[sq[s] + lo * nb[s] + hi] = True
     P = np.nonzero(visit)[0]
     k = np.searchsorted(sq, P, side="right") - 1
     n = nb[k]

@@ -1,6 +1,8 @@
 """Skeleton theory for finite modular lattices: the a*/a⁺ operators, the
 skeleton S(M) as the fixed points of x ↦ x*⁺, decomposition into maximal
-atomistic intervals, and the regluing round-trip."""
+atomistic intervals, and the regluing round-trip.  A family of lattices
+is decomposed in one pass (`decompositions`); one lattice is a family of
+one."""
 
 from dataclasses import dataclass
 

@@ -192,7 +192,8 @@ def criterion_06_distributive_construction(corpus_max):
     """Every small lattice S is the skeleton of a distributive lattice."""
     small = _corpus(min(corpus_max, 5))
     systems = [fix.distributive_with_skeleton(S) for S in small]
-    for S, sys, bad in zip(small, systems, validations(systems)):
+    for S, bad in zip(small, validations(systems)):
+        sys = systems.pop(0)  # dropped after its turn, with the sum it keeps
         if bad:
             return False, (f"distributive_with_skeleton of a {S.n}-element S "
                            f"violates {bad[0].axiom}")
