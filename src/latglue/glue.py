@@ -417,7 +417,8 @@ def validations(systems):
     a4 = np.zeros(len(P), dtype=bool)
     iso = np.zeros((4, len(P)), dtype=bool)
     if len(ms) == 1:  # a system alone: its own arrays
-        rows, r0, loc = ms[0].rows, ms[0].start, ms[0].loc
+        m, = ms
+        rows, r0, loc, B = m.rows, m.start, m.loc, m.B
     elif len(q) or len(g):
         # every block's rows, one after another from r0[b], and loc[b, c],
         # the index in block b of element c of its system's carrier (-1
@@ -428,9 +429,9 @@ def validations(systems):
         owner = np.repeat(np.arange(fb[-1]), r0[1:] - r0[:-1])
         loc = np.full((fb[-1], max(len(m.carrier) for m in ms)), -1, dtype=np.intp)
         loc[owner, rows] = np.arange(len(rows)) - r0[owner]
+        B = loc >= 0
     if len(q):
         # (A4): an incomparable pair overlaps inside its meet- and join-block
-        B = loc >= 0
         x = fb[k[q]]
         meet = np.concatenate([S._meet.ravel() for S in Ss])[P[q]] + x
         join = np.concatenate([S._join.ravel() for S in Ss])[P[q]] + x
