@@ -31,7 +31,9 @@ recurrence behind `elevate` and the formula tables, with its per-element
 search for first covers.  Also the full-grid kernels of (19) and of
 (20)/(20δ), the 3-axis split behind the identification record, and the
 separate rank pass after Kahn's order.  Also the two overlap-shape checks
-`validate` ran on every system it accepted, before it proved them."""
+`validate` ran on every system it accepted, before it proved them.  Also
+the decomposition one lattice at a time that the family pass replaced:
+its star/plus fold, skeleton lattice, block cut and `validate`."""
 
 from dataclasses import dataclass
 from itertools import combinations, islice, permutations, product as iproduct
