@@ -12,7 +12,7 @@ import random
 import numpy as np
 import pytest
 
-from latglue import skeleton
+from latglue import core, skeleton
 from latglue.constructions import m3, n5, square_sublattices
 from latglue.core import LatticeError
 from latglue.glue import GluedSystem, glued_sums, validations
@@ -200,9 +200,10 @@ def test_family_validate_lists_what_the_per_pair_oracle_lists():
 
 def test_glued_sums_build_and_refuse_as_the_oracle_one_at_a_time():
     """Seeded families of the systems whose closure the derived-skeleton
-    tests check, many not lattices: the sums equal the oracle's, and a
-    family raises the NotALattice the oracle raises first, with its
-    index.  Each system is copied, so that no sum is kept from before."""
+    tests check, six of whose sums are refused, drawn more often: the sums
+    equal the oracle's, and a family raises the NotALattice the oracle
+    raises first, with its index.  Each system is copied, so that no sum
+    is kept from before."""
     names = sorted(CLOSURE)
     refusing = [name for name in names
                 if outcome(lambda: oracle_glued_sum(CLOSURE[name])) is not None]
@@ -231,7 +232,6 @@ def test_glued_sums_build_and_refuse_as_the_oracle_one_at_a_time():
 
 
 def test_square_sums_are_built_in_one_batch(monkeypatch):
-    from latglue import core
     calls = []
     real = core._least_bounds
 
