@@ -381,84 +381,54 @@ def validate(sys):
 
 def validations(systems):
     """`validate` of each of `systems`, in order, in one pass over all of
-    them: their skeleton orders and overlap sizes side by side, every
-    block's membership in one padded array, and one (17) kernel call per
-    table width."""
+    them: their visited pairs found together (`_visited`), every block's
+    membership in one padded array (`_memberships`), and one (17) kernel
+    call per table width."""
     if not systems:
         return []
     Ss = [sys.skeleton for sys in systems]
     ms = [sys._members for sys in systems]
     out = [[] for _ in systems]
-    nb = np.array([S.n for S in Ss])
-    # skeleton pair (i, j) of system k is cell sq[k] + i·nb[k] + j of the
-    # skeleton orders and overlap sizes, flattened one after another
-    sq = _offsets(nb * nb)
-    C = np.concatenate([m.C.ravel() for m in ms])
-    leq = np.concatenate([S._leq.ravel() for S in Ss])
-    visit = C > 0
-    s = np.repeat(np.arange(len(Ss)), [len(S._cov) for S in Ss])  # each cover's system
-    lo, hi = np.concatenate([S._cov_array for S in Ss]).T
-    visit[sq[s] + lo * nb[s] + hi] = True
-    P = np.nonzero(visit)[0]
-    k = np.searchsorted(sq, P, side="right") - 1
-    n = nb[k]
-    i, j = np.divmod(P - sq[k], n)
-    pairs = i != j
-    if not pairs.any():
-        return out
-    P, k, n, i, j = P[pairs], k[pairs], n[pairs], i[pairs], j[pairs]
-    fb = _offsets(nb)  # each system's first block
+    k, i, j, comparable, converse, overlap, meet, join = _visited(Ss, ms)
+    fb = _offsets([S.n for S in Ss])  # each system's first block
     I, J = fb[k] + i, fb[k] + j
-    comparable = leq[P]
-    overlap = C[P] > 0
     glued = comparable & overlap
-    q = np.nonzero(overlap & ~(comparable | leq[P - (i - j) * (n - 1)]))[0]
+    q = np.nonzero(overlap & ~(comparable | converse))[0]
     g = np.nonzero(glued)[0]
-    a4 = np.zeros(len(P), dtype=bool)
-    iso = np.zeros((4, len(P)), dtype=bool)
-    if len(ms) == 1:  # a system alone: its own arrays
-        m, = ms
-        rows, r0, loc, B = m.rows, m.start, m.loc, m.B
-    elif len(q) or len(g):
-        # every block's rows, one after another from r0[b], and loc[b, c],
-        # the index in block b of element c of its system's carrier (-1
-        # outside it), padded to the largest carrier
-        rows = np.concatenate([m.rows for m in ms])
-        r0 = np.concatenate([m.start[:-1] + s for m, s in
-                             zip(ms, _offsets([len(m.rows) for m in ms]))] + [[len(rows)]])
-        owner = np.repeat(np.arange(fb[-1]), r0[1:] - r0[:-1])
-        loc = np.full((fb[-1], max(len(m.carrier) for m in ms)), -1, dtype=np.intp)
-        loc[owner, rows] = np.arange(len(rows)) - r0[owner]
-        B = loc >= 0
+    a4 = np.zeros(len(k), dtype=bool)
+    iso = np.zeros((4, len(k)), dtype=bool)
+    if len(q) or len(g):
+        rows, r0, loc, B = _memberships(ms)
     if len(q):
         # (A4): an incomparable pair overlaps inside its meet- and join-block
         x = fb[k[q]]
-        meet = np.concatenate([S._meet.ravel() for S in Ss])[P[q]] + x
-        join = np.concatenate([S._join.ravel() for S in Ss])[P[q]] + x
-        a4[q] = (B[I[q]] & B[J[q]] & ~(B[meet] & B[join])).any(axis=1)
+        a4[q] = (B[I[q]] & B[J[q]] & ~(B[meet[q] + x] & B[join[q] + x])).any(axis=1)
     if len(g):
         # (A1), (A2): the kernel on the identity of each overlap, once per
         # table width, on the stacked tables of the systems of that width
         width = [m.leq.shape[1] for m in ms]
-        by_width, fb = {}, fb.tolist()
+        by_width = {}
         for m, w in enumerate(width):
             by_width.setdefault(w, []).append(m)
-        at = np.empty(fb[-1], dtype=np.intp)  # a block's place in its stack
-        wide = np.array(width)[k[g]]
+        one = len(by_width) == 1  # then the stack is every block, in order
+        wide = None if one else np.array(width)[k[g]]
         for w, group in by_width.items():
-            blocks = [b for m in group for b in range(fb[m], fb[m + 1])]
-            at[blocks] = np.arange(len(blocks))
-            p = g[wide == w]
+            p = g if one else g[wide == w]
             if not len(p):
                 continue
-            tables = [t[0] if len(group) == 1 else np.concatenate(t) for t in
+            tables = [_joined(t) for t in
                       zip(*((ms[m].leq, ms[m].join, ms[m].meet) for m in group))]
+            X, Y = I[p], J[p]
+            if not one:  # a system's blocks start at its first row
+                shift = np.zeros(len(ms), dtype=np.intp)
+                shift[group] = fb[group] - _offsets([Ss[m].n for m in group])[:-1]
+                X, Y = X - shift[k[p]], Y - shift[k[p]]
             # f[p, a]: the index in block J of the a-th element of block I,
             # -1 outside the overlap or past block I's size
             r = r0[I[p]][:, None] + np.arange(w)
             f = np.where(r < r0[I[p] + 1][:, None],
                          loc[J[p][:, None], rows.take(r, mode="clip")], -1)
-            iso[:, p] = _iso_failures(tables, at[I[p]], at[J[p]], f)
+            iso[:, p] = _iso_failures(tables, X, Y, f)
     for p in np.nonzero((comparable & ~glued) | iso.any(axis=0) | a4)[0]:
         S, m, i_, j_ = Ss[k[p]], ms[k[p]], i[p], j[p]
         x, y = S.elements[i_], S.elements[j_]
@@ -479,6 +449,64 @@ def validations(systems):
             out[k[p]] += [GlueViolation("A2", (x, y, m.carrier[ov[a]], m.carrier[ov[b]]))
                           for a, b in np.argwhere(differ)]
     return out
+
+
+def _visited(Ss, ms):
+    """The pairs x ≠ y of the skeletons Ss whose blocks overlap or that
+    are a cover, system by system and row by row: the system k, the
+    elements i and j, whether i ≤ j, whether j ≤ i, whether the blocks
+    overlap, and i·j and i + j.  A system alone is read from its own n×n
+    arrays, a family from its arrays flattened one after another."""
+    if len(Ss) == 1:
+        (S,), (m,) = Ss, ms
+        visit = m.C > 0
+        visit[tuple(S._cov_array.T)] = True
+        np.fill_diagonal(visit, False)
+        i, j = np.nonzero(visit)
+        return (np.zeros(len(i), dtype=np.intp), i, j, S._leq[i, j],
+                S._leq[j, i], m.C[i, j] > 0, S._meet[i, j], S._join[i, j])
+    nb = np.array([S.n for S in Ss])
+    # pair (i, j) of system k is cell sq[k] + i·nb[k] + j
+    sq = _offsets(nb * nb)
+    C = np.concatenate([m.C.ravel() for m in ms])
+    leq = np.concatenate([S._leq.ravel() for S in Ss])
+    visit = C > 0
+    s = np.repeat(np.arange(len(Ss)), [len(S._cov) for S in Ss])  # each cover's system
+    lo, hi = np.concatenate([S._cov_array for S in Ss]).T
+    visit[sq[s] + lo * nb[s] + hi] = True
+    P = np.nonzero(visit)[0]
+    k = np.searchsorted(sq, P, side="right") - 1
+    n = nb[k]
+    i, j = np.divmod(P - sq[k], n)
+    pairs = i != j
+    P, k, n, i, j = P[pairs], k[pairs], n[pairs], i[pairs], j[pairs]
+    return (k, i, j, leq[P], leq[P - (i - j) * (n - 1)], C[P] > 0,
+            np.concatenate([S._meet.ravel() for S in Ss])[P],
+            np.concatenate([S._join.ravel() for S in Ss])[P])
+
+
+def _memberships(ms):
+    """The membership records `ms` side by side, their blocks one after
+    another: every block's rows, from r0[b] to r0[b + 1], and loc[b, c],
+    the index in block b of element c of its system's carrier (-1 outside
+    it), padded to the largest carrier, with B = loc ≥ 0.  A record alone
+    is read as it is."""
+    if len(ms) == 1:
+        m, = ms
+        return m.rows, m.start, m.loc, m.B
+    rows = np.concatenate([m.rows for m in ms])
+    r0 = np.concatenate([m.start[:-1] + s for m, s in
+                         zip(ms, _offsets([len(m.rows) for m in ms]))] + [[len(rows)]])
+    owner = np.repeat(np.arange(len(r0) - 1), r0[1:] - r0[:-1])
+    loc = np.full((len(r0) - 1, max(len(m.carrier) for m in ms)), -1, dtype=np.intp)
+    loc[owner, rows] = np.arange(len(rows)) - r0[owner]
+    return rows, r0, loc, loc >= 0
+
+
+def _joined(arrays):
+    """Arrays one after another along the first axis; one alone is
+    itself, not a copy."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def _order_union(sys):

@@ -150,16 +150,25 @@ def test_star_plus_arrays_are_kept_read_only_and_shared_by_relabelling():
 
 
 def test_run_suite_computes_star_and_plus_once_per_lattice(monkeypatch):
-    # the lattices each family fold computes a* and a⁺ of: a lattice
-    # folded twice is listed twice
-    folded, held = [], []
-    real = skeleton._star_pluses
+    # a family fold checks each lattice it folds for modularity first, so
+    # a lattice folded twice is listed twice; a lattice that keeps its
+    # arrays is not folded, nor checked, again
+    folded, depth = [], []
+    fold, check = skeleton._star_pluses, skeleton._require_modular
 
-    def counted(fam):
-        folded.extend(M for M in fam.lattices if "_star_plus" not in vars(M))
-        held.append(fam)  # so that no two lattices listed share an id
-        return real(fam)
-    monkeypatch.setattr(skeleton, "_star_pluses", counted)
+    def counted_fold(fam):
+        depth.append(fam)
+        try:
+            return fold(fam)
+        finally:
+            depth.pop()
+
+    def counted_check(M):
+        if depth:
+            folded.append(M)  # held, so that no two listed share an id
+        return check(M)
+    monkeypatch.setattr(skeleton, "_star_pluses", counted_fold)
+    monkeypatch.setattr(skeleton, "_require_modular", counted_check)
     ok, _ = suite.run_suite(7, emit=lambda line: None)
     assert ok
     assert len(folded) > 100
