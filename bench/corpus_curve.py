@@ -6,9 +6,11 @@ and the decompositions (`decompositions`) of those lattices and of the
 sums of their square systems, each point the median of k in-process runs,
 with the number of `core._least_bounds` calls (table steps) one run makes.
 Each run decomposes fresh copies of the lattices, which keep neither a*
-and a⁺ nor S(M) from an earlier run.  The line also records the Python
-and numpy versions, the core count and OPENBLAS_NUM_THREADS, which sets
-how many threads the products use.
+and a⁺ nor S(M) from an earlier run.  A build line times, the same way,
+`grid(p, p)` for p = 4, 8, 16, 24, 32, 40, `boolean(n)` for n = 4..8 and
+`distributive_with_skeleton` over each lattice of at most 5 elements.
+The line also records the Python and numpy versions, the core count and
+OPENBLAS_NUM_THREADS, which sets how many threads the products use.
 
 The package is imported from the `src` directory of this checkout.  On a
 checkout without `square_sublattices` or `decompositions`, the square
@@ -37,6 +39,8 @@ from latglue.glue import glued_sum  # noqa: E402
 from latglue.predicates import is_modular  # noqa: E402
 
 SIZES = range(5, 9)
+GRID_SIDES = (4, 8, 16, 24, 32, 40)
+BOOLEAN_RANKS = range(4, 9)
 
 
 def _squares(Ss):
@@ -103,8 +107,19 @@ def main(argv=None):
         decompose_curve[n] = dict(_point(_decompositions, k,
                                          lambda: (_fresh(Ms),)),
                                   lattices=len(Ms))
+    small = list(constructions.enumerate_lattices(5))
+    build_curve = {
+        "grid": {p: _point(lambda: constructions.grid(p, p), k)
+                 for p in GRID_SIDES},
+        "boolean": {n: _point(lambda: constructions.boolean(n), k)
+                    for n in BOOLEAN_RANKS},
+        "distributive_with_skeleton": dict(
+            _point(lambda: [constructions.distributive_with_skeleton(S)
+                            for S in small], k), skeletons=len(small)),
+    }
     print(json.dumps({
         "runs_per_point": k,
+        "build": build_curve,
         "enumerate_lattices": enumerate_curve,
         "square_sublattices": square_curve,
         "decompositions": decompose_curve,

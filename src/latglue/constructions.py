@@ -5,8 +5,8 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .core import FiniteLattice, LimitExceeded, _bit_matrix, _from_orders, \
-    _lattices, _leaves, product
+from .core import FiniteLattice, LimitExceeded, _assembled, _bit_matrix, \
+    _from_orders, _lattices, _leaves, product
 from .connect import LocalConnectedSystem, connected_sum, elevate, \
     local_system
 from .glue import GluedSystem, glued_sum
@@ -23,17 +23,42 @@ def chain(n):
 
 
 def boolean(n):
-    """Boolean lattice 2^n; element ids are sorted letter subsets."""
+    """Boolean lattice 2^n; element ids are sorted letter subsets ("0"
+    for the empty one), listed by size, each size in lexicographic order.
+    Letter i is bit i of a subset's mask (`_subset_lattice`)."""
     if not 0 <= n <= 8:
         raise ValueError(f"boolean(n) needs 0 <= n <= 8, got {n}")
     letters = "abcdefgh"[:n]
-    def name(s):
-        return "".join(sorted(s)) or "0"
-    ids = [name(s) for r in range(n + 1) for s in combinations(letters, r)]
-    covers = [(name(s), name(set(s) | {x}))
-              for r in range(n) for s in combinations(letters, r)
-              for x in letters if x not in s]
-    return FiniteLattice(ids, covers)
+    subsets = [c for r in range(n + 1) for c in combinations(range(n), r)]
+    return _subset_lattice(
+        ["".join(letters[i] for i in c) or "0" for c in subsets],
+        [sum(1 << i for i in c) for c in subsets], n)
+
+
+def _subset_lattice(ids, masks, m):
+    """The lattice of the subsets of m bits under inclusion, element i
+    the subset masks[i] (each of the 2**m subsets once) named ids[i].
+    Each element lists its upper covers, the subsets with one more bit,
+    by that bit in increasing order.
+
+    Assembled from the masks (`core._assembled`), which is the lattice the
+    cover build derives from those covers: the subsets one bit larger are
+    the covers of inclusion and generate it; the join and meet of two
+    subsets are their union and intersection, the masks' OR and AND; a
+    chain of covers up from the empty set adds one bit per cover, so a
+    subset's height is its number of bits and its depth the number it
+    lacks.  The ids are checked as the cover build checks them, with its
+    error."""
+    mask = np.array(masks)
+    pos = np.empty(1 << m, dtype=np.int32)
+    pos[mask] = np.arange(len(mask), dtype=np.int32)
+    lo, bit = np.nonzero(~mask[:, None] >> np.arange(m) & 1)
+    hi = pos[mask[lo] | 1 << bit]
+    height = [c.bit_count() for c in masks]
+    col = mask[:, None]
+    return _assembled(ids, zip(lo.tolist(), hi.tolist()), height,
+                      [m - h for h in height], (col & ~mask) == 0,
+                      pos[col | mask], pos[col & mask])
 
 
 def m_k(k, ids=None):
@@ -253,26 +278,29 @@ def distributive_with_skeleton(S):
     and joined by commas, with backslashes, commas and bars in each str
     escaped by a backslash, so that ids holding them name distinct
     elements.  Ids with one str, such as 1 and "1", still name one.
+    The elements are listed by A, then B, each as `_subsets` lists them,
+    and each lists its upper covers (A ∪ {a}, B) by a in S's order, then
+    (A, B ∖ {b}) by b in S's order.
+
+    A block is a Boolean lattice: with (x] and [x) as bit positions in
+    S's order, (A, B) ↦ A | (B̄ << |(x]|), B̄ = [x) ∖ B, maps it onto
+    the subsets of |(x]| + |[x)| bits, since A grows and B shrinks going
+    up, and (∪, ∩) becomes the union, (∩, ∪) the intersection.  Its
+    covers in the order above add a bit of A, then one of B̄, each in
+    increasing order, as `_subset_lattice` lists them, which assembles
+    the block.
     """
-    def block_spec(x):
-        # (x] and [x) in S's order, so that covers are listed in one order;
-        # each subset is named once and covers read from the bitmasks
+    def block(x):
         down = [a for a in S.elements if S.leq(a, x)]
         up = [b for b in S.elements if S.leq(x, b)]
         downs, down_names = _subsets(down)
         ups, up_names = _subsets(up)
-        ids = ["{%s|%s}" % (a, b) for a in down_names for b in up_names]
-        name = dict(zip([(A, B) for A in downs for B in ups], ids))
-        covers = []
-        for (A, B), here in name.items():
-            covers += [(here, name[A | 1 << i, B])
-                       for i in range(len(down)) if not A >> i & 1]
-            covers += [(here, name[A, B & ~(1 << j)])
-                       for j in range(len(up)) if B >> j & 1]
-        return ids, covers
+        d, full = len(down), (1 << len(up)) - 1
+        return _subset_lattice(
+            ["{%s|%s}" % (a, b) for a in down_names for b in up_names],
+            [A | (full ^ B) << d for A in downs for B in ups], d + len(up))
 
-    return GluedSystem(S, dict(zip(S.elements,
-                                   _lattices(map(block_spec, S.elements)))))
+    return GluedSystem(S, {x: block(x) for x in S.elements})
 
 
 def square_sublattices(Ss):

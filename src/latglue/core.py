@@ -16,7 +16,10 @@ constructor is the batch of one of covers, `from_leq` that of orders.
 An order matrix takes one route, `_from_order`, to a lattice without tables:
 `from_leq` and `_from_orders` build them in the table step, and a
 sublattice cut out of a parent (`_slice`, the skeleton S(M)) takes the
-parent's.
+parent's.  The dual transposes a lattice's.  A lattice whose covers,
+order, tables, heights and depths a construction knows by proof takes
+none of these: `_assembled` checks its ids and stores them as given
+(`product`, `boolean` and the blocks of `distributive_with_skeleton`).
 """
 
 from dataclasses import dataclass
@@ -320,15 +323,22 @@ def _named(elements):
         raise NotBounded("empty element list")
     L = object.__new__(FiniteLattice)
     L._ids = ids
-    L._idx = idx = {a: i for i, a in enumerate(ids)}
+    L._idx = _indexed(ids)
+    L.n = len(ids)
+    return L
+
+
+def _indexed(ids):
+    """The index of each of the ids, a dict; LatticeError naming the
+    first repeated id."""
+    idx = {a: i for i, a in enumerate(ids)}
     if len(idx) != len(ids):
         seen = set()
         for a in ids:
             if a in seen:
                 raise LatticeError(f"duplicate element ids: {a!r} is repeated")
             seen.add(a)
-    L.n = len(ids)
-    return L
+    return idx
 
 
 def _linked(L, cov):
@@ -342,12 +352,7 @@ def _linked(L, cov):
     is higher, and its height is that cover's plus one, final when it is
     appended.  Depths come from one pass back along Kahn's order."""
     n = L.n
-    L._cov = tuple(cov)
-    up_adj = [[] for _ in range(n)]
-    down_adj = [[] for _ in range(n)]
-    for i, j in L._cov:
-        up_adj[i].append(j)
-        down_adj[j].append(i)
+    up_adj, down_adj = _adjacency(L, cov)
     indeg = list(map(len, down_adj))
     height = [0] * n
     topo = [i for i in range(n) if indeg[i] == 0]
@@ -367,10 +372,41 @@ def _linked(L, cov):
             if depth[j] >= d:
                 d = depth[j] + 1
         depth[i] = d
-    L._up_adj = tuple(map(tuple, up_adj))
-    L._down_adj = tuple(map(tuple, down_adj))
     L._height, L._depth = tuple(height), tuple(depth)
     return topo
+
+
+def _adjacency(L, cov):
+    """Give L the covers `cov`, index pairs, and the upper and lower
+    covers of each element in the order of `cov`; returns them as lists."""
+    L._cov = tuple(cov)
+    up_adj = [[] for _ in range(L.n)]
+    down_adj = [[] for _ in range(L.n)]
+    for i, j in L._cov:
+        up_adj[i].append(j)
+        down_adj[j].append(i)
+    L._up_adj = tuple(map(tuple, up_adj))
+    L._down_adj = tuple(map(tuple, down_adj))
+    return up_adj, down_adj
+
+
+def _assembled(ids, cov, height, depth, leq, join, meet):
+    """The lattice a construction knows by proof: its ids, its covers
+    `cov` (index pairs, in the order the lattice lists them), every
+    element's height and depth, the order leq[i, j] (i below j) and the
+    join/meet tables, all given, so that nothing is derived from the
+    covers or checked but the ids (`_named`).  The adjacency is read off
+    `cov` as `_linked` reads it; the bottom is the element of height 0
+    and the top the one of depth 0."""
+    L = _named(ids)
+    _adjacency(L, cov)
+    L._height, L._depth = tuple(height), tuple(depth)
+    L._bot, L._top = L._height.index(0), L._depth.index(0)
+    L._leq = leq
+    L._join = join.astype(np.int32, copy=False)
+    L._meet = meet.astype(np.int32, copy=False)
+    _freeze(L)
+    return L
 
 
 def _ordered(elements, covers):
@@ -518,9 +554,10 @@ class FiniteLattice:
     tables, `_cov` and the adjacency, heights and depths tuples.
 
     A built lattice is read-only: every route that finishes an order or
-    a table (the batch step, `dual`, `_slice`, the skeleton lattice)
-    makes it read-only, and the other routes share or copy those arrays,
-    so a write into `_leq`, `_join` or `_meet` raises ValueError.  The
+    a table (the batch step, `dual`, `_slice`, `_assembled`, the
+    skeleton lattice) makes it read-only, and the other routes share or
+    copy those arrays, so a write into `_leq`, `_join` or `_meet` raises
+    ValueError.  The
     attributes themselves are not guarded, since a guard would tax every
     attribute set during construction and the caches kept on the
     lattice.  Replacing one of them forges another lattice, which only
@@ -652,15 +689,15 @@ class FiniteLattice:
         return L
 
     def _relabelled(self, ids):
-        """This lattice with element i renamed ids[i]; the ids must be
-        distinct.  The order, the tables and what is kept in index space
-        are shared, not rebuilt; the skeleton lattice, which holds ids, is
-        not."""
+        """This lattice with element i renamed ids[i]; LatticeError naming
+        the first repeated id unless they are distinct.  The order, the
+        tables and what is kept in index space are shared, not rebuilt;
+        the skeleton lattice, which holds ids, is not."""
         L = object.__new__(FiniteLattice)
         L.__dict__.update(self.__dict__)
         L.__dict__.pop("_skeleton", None)
         L._ids = tuple(ids)
-        L._idx = {a: i for i, a in enumerate(L._ids)}
+        L._idx = _indexed(L._ids)
         return L
 
     def restrict(self, subset):
@@ -710,14 +747,45 @@ class Interval:
 
 
 def product(L1, L2):
-    """Direct product with componentwise order; the pair (a, b) is 'a,b'."""
-    ids = [[f"{a},{b}" for b in L2.elements] for a in L1.elements]
-    covers = []
+    """Direct product with componentwise order; the pair (a, b) is 'a,b',
+    at index i·n2 + j for a and b at i and j (row-major).  The covers are
+    listed per lower element in that order, L1's covers of a first, then
+    L2's of b, each in its factor's order.
+
+    Assembled from the factors (`_assembled`), which is the lattice the
+    cover build derives from those covers:
+    - (a, b) ≤ (c, d) when a ≤ c and b ≤ d, and the covers are exactly
+      the pairs listed: a cover changes one coordinate by a cover, since
+      (c, b) lies strictly between (a, b) and (c, d) when both change,
+      and an element strictly between a and c gives one between (a, b)
+      and (c, b).  So the listed covers generate the product order.
+    - (a, b) ∨ (c, d) = (a ∨ c, b ∨ d): it is a common upper bound, and
+      every common upper bound lies above both coordinates; meets
+      dually.  In indices, J1[i, k]·n2 + J2[j, l].
+    - A chain from 0 up to (a, b) by covers steps up one coordinate per
+      cover, so its length is that of its two projections, at most
+      h(a) + h(b); a longest chain up to a in L1, then one up to b in
+      L2, reaches it.  So heights add, and depths dually.
+    The ids are checked as the cover build checks them, with its error."""
+    n2 = L2.n
+    n = L1.n * n2
+    cov = []
     for i, ups1 in enumerate(L1._up_adj):
         for j, ups2 in enumerate(L2._up_adj):
-            covers += [(ids[i][j], ids[i2][j]) for i2 in ups1]
-            covers += [(ids[i][j], ids[i][j2]) for j2 in ups2]
-    return FiniteLattice([a for row in ids for a in row], covers)
+            p = i * n2 + j
+            cov += [(p, k * n2 + j) for k in ups1]
+            cov += [(p, p - j + l) for l in ups2]
+
+    def paired(t1, t2):
+        return (t1[:, None, :, None] * n2 + t2[None, :, None, :]) \
+            .reshape(n, n)
+
+    return _assembled(
+        [f"{a},{b}" for a in L1._ids for b in L2._ids], cov,
+        [h + g for h in L1._height for g in L2._height],
+        [d + e for d in L1._depth for e in L2._depth],
+        (L1._leq[:, None, :, None] & L2._leq[None, :, None, :]).reshape(n, n),
+        paired(L1._join, L2._join), paired(L1._meet, L2._meet))
 
 
 # Leaves the individualisation–refinement search may visit.

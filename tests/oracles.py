@@ -33,7 +33,10 @@ search for first covers.  Also the full-grid kernels of (19) and of
 separate rank pass after Kahn's order.  Also the two overlap-shape checks
 `validate` ran on every system it accepted, before it proved them.  Also
 the decomposition one lattice at a time that the family pass replaced:
-its star/plus fold, skeleton lattice, block cut and `validate`."""
+its star/plus fold, skeleton lattice, block cut and `validate`.  Also
+the cover builds that `product`, `boolean` and the blocks of
+`distributive_with_skeleton` went through before they were assembled
+from their tables."""
 
 from dataclasses import dataclass
 from itertools import combinations, islice, permutations, product as iproduct
@@ -41,7 +44,7 @@ from itertools import combinations, islice, permutations, product as iproduct
 import numpy as np
 
 from latglue import skeleton
-from latglue.constructions import MAX_ENUMERATED, _order_key
+from latglue.constructions import MAX_ENUMERATED, _order_key, _subsets
 from latglue.connect import ConnectViolation, ConnectedSystem, \
     LocalConnectedSystem, NotModularSkeleton, _check_disjoint, connected_sum
 from latglue.core import _BLOCK_CELLS, _SOLVE_BLOCK, CycleDetected, \
@@ -1515,6 +1518,54 @@ def oracle_square_sublattice(S):
 
     return GluedSystem(S, dict(zip(S.elements,
                                    _lattices(map(block_spec, range(S.n))))))
+
+
+def oracle_product(L1, L2):
+    """`product` by the cover build: the product's covers, listed per lower
+    element in row-major order, L1's first, handed to the constructor."""
+    ids = [[f"{a},{b}" for b in L2.elements] for a in L1.elements]
+    covers = []
+    for i, ups1 in enumerate(L1._up_adj):
+        for j, ups2 in enumerate(L2._up_adj):
+            covers += [(ids[i][j], ids[i2][j]) for i2 in ups1]
+            covers += [(ids[i][j], ids[i][j2]) for j2 in ups2]
+    return FiniteLattice([a for row in ids for a in row], covers)
+
+
+def oracle_boolean(n):
+    """`boolean` by the cover build: one cover per letter added."""
+    letters = "abcdefgh"[:n]
+
+    def name(s):
+        return "".join(sorted(s)) or "0"
+
+    ids = [name(s) for r in range(n + 1) for s in combinations(letters, r)]
+    covers = [(name(s), name(set(s) | {x}))
+              for r in range(n) for s in combinations(letters, r)
+              for x in letters if x not in s]
+    return FiniteLattice(ids, covers)
+
+
+def oracle_distributive_cover_build(S):
+    """`distributive_with_skeleton` by the cover build, its blocks built as
+    one batch, covers read from the bitmasks of `_subsets`."""
+    def block_spec(x):
+        down = [a for a in S.elements if S.leq(a, x)]
+        up = [b for b in S.elements if S.leq(x, b)]
+        downs, down_names = _subsets(down)
+        ups, up_names = _subsets(up)
+        ids = ["{%s|%s}" % (a, b) for a in down_names for b in up_names]
+        name = dict(zip([(A, B) for A in downs for B in ups], ids))
+        covers = []
+        for (A, B), here in name.items():
+            covers += [(here, name[A | 1 << i, B])
+                       for i in range(len(down)) if not A >> i & 1]
+            covers += [(here, name[A, B & ~(1 << j)])
+                       for j in range(len(up)) if B >> j & 1]
+        return ids, covers
+
+    return GluedSystem(S, dict(zip(S.elements,
+                                   _lattices(map(block_spec, S.elements)))))
 
 
 # -- the staircase formulas by walking maximal chains --------------------------

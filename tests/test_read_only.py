@@ -7,8 +7,8 @@ import pytest
 
 from latglue import io as lio
 from latglue.connect import connected_sum, elevate
-from latglue.constructions import boolean, chain, enumerate_lattices, grid, \
-    m3, n5
+from latglue.constructions import boolean, chain, \
+    distributive_with_skeleton, enumerate_lattices, grid, m3, n5
 from latglue.core import FiniteLattice, product
 from latglue.glue import glued_sum
 from latglue.skeleton import decompose, skeleton_lattice
@@ -39,7 +39,9 @@ ROUTES = {
                                       [("0", "a"), ("a", "1")]),
     "from_leq": lambda _: FiniteLattice.from_leq(B3.elements, B3._leq),
     "enumerate_lattices": lambda _: list(enumerate_lattices(5)),
-    "product": lambda _: product(m3(), chain(1)),
+    "product": lambda _: [product(m3(), chain(1)), grid(3, 4)],
+    "boolean": lambda _: [boolean(0), boolean(4)],
+    "distributive-block": lambda _: _blocks(distributive_with_skeleton(n5())),
     "restrict": lambda _: B3.restrict(["0", "a", "b", "ab"]),
     "dual": lambda _: [n5().dual(), chain(0).dual()],
     "interval": lambda _: B3.interval("a", "abc").lattice,
