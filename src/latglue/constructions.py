@@ -17,9 +17,21 @@ MAX_ENUMERATED = 8  # elements
 # -- named lattices ----------------------------------------------------
 
 def chain(n):
-    """Chain of length n (n+1 elements '0'..'n')."""
-    ids = [str(i) for i in range(n + 1)]
-    return FiniteLattice(ids, list(zip(ids, ids[1:])))
+    """Chain of length n (n+1 elements '0'..'n'), element i covered by
+    i + 1.
+
+    Assembled (`core._assembled`), which is the lattice the cover build
+    derives from those covers: j is reached from i by covers exactly when
+    i ≤ j as integers, so that is the order; of two elements of a chain
+    the larger is their join and the smaller their meet; the one chain of
+    covers from 0 up to i has i of them, and the one from i up to n has
+    n − i.  With no element (n < 0) it raises the cover build's
+    NotBounded."""
+    i = np.arange(n + 1)
+    return _assembled([str(k) for k in range(n + 1)],
+                      zip(range(n), range(1, n + 1)), range(n + 1),
+                      range(n, -1, -1), i[:, None] <= i,
+                      np.maximum.outer(i, i), np.minimum.outer(i, i))
 
 
 def boolean(n):

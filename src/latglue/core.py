@@ -14,8 +14,8 @@ share one table step (`_batch`) among the lattices of one size.  The
 constructor is the batch of one of covers, `from_leq` that of orders.
 
 An order matrix takes one route, `_from_order`, to a lattice without tables:
-`from_leq` and `_from_orders` build them in the table step, and a
-sublattice cut out of a parent (`_slice`, the skeleton S(M)) takes the
+`from_leq` and `_from_orders` build them in the table step, and an
+interval cut out of a parent (`_slice`) and the skeleton S(M) take the
 parent's.  The dual transposes a lattice's.  A lattice whose covers,
 order, tables, heights and depths a construction knows by proof takes
 none of these: `_assembled` checks its ids and stores them as given
@@ -711,28 +711,22 @@ class FiniteLattice:
         i, j = self.index(lo), self.index(hi)
         if not self._leq[i, j]:
             raise NotComparable(f"{lo!r} is not below {hi!r}")
-        L = self._slice(np.flatnonzero(self._leq[i] & self._leq[:, j]))
+        L = self._slice(i, j)
         return Interval(self, lo, hi, L.elements, L)
 
-    def _slice(self, idxs):
-        """The sublattice on the sorted indices `idxs`, cut out of this
-        lattice's tables instead of rebuilt: the joins and meets of a
-        sublattice are the parent's, so they are only checked to stay in
-        it."""
+    def _slice(self, lo, hi):
+        """The interval [lo, hi] of this lattice, lo ≤ hi given as indices,
+        cut out of its tables instead of rebuilt.  An interval is a
+        sublattice: the join of two of its elements lies above lo, which
+        is below both, and, being their least upper bound, below hi, which
+        is above both; meets dually.  So its joins and meets are the
+        parent's, renumbered, with nothing to check."""
+        idxs = np.flatnonzero(self._leq[lo] & self._leq[:, hi])
         pos = np.full(self.n, -1, dtype=np.int32)
         pos[idxs] = np.arange(len(idxs), dtype=np.int32)
         pair = (idxs[:, None], idxs)
-        join, meet = pos[self._join[pair]], pos[self._meet[pair]]
-        if min(join.min(), meet.min()) < 0:
-            for what, table in (("join", join), ("meet", meet)):
-                bad = np.argwhere(table < 0)
-                if len(bad):
-                    a, b = idxs[bad[0]]
-                    raise InvariantViolated(
-                        f"subset is not closed under {what}",
-                        (self._ids[a], self._ids[b]))
         L, _ = _from_order([self._ids[k] for k in idxs], self._leq[pair])
-        L._join, L._meet = join, meet
+        L._join, L._meet = pos[self._join[pair]], pos[self._meet[pair]]
         _freeze(L)
         return L
 

@@ -6,7 +6,7 @@ block-local staircase formulas, by the cover recurrence `connect` uses.
 Inside, a system is read through one membership record in carrier
 indices (`Membership`), built once per system: from the blocks' ids for a
 hand-made system, or in one pass over a family of lattices' tables when
-every block is a sublattice of one of them (`_sliced_blocks`), as in a
+every block is an interval of one of them (`_sliced_blocks`), as in a
 decomposition.  A family of systems is validated (`validations`) and
 summed (`glued_sums`) in one pass; one system is a family of one."""
 
@@ -169,22 +169,22 @@ def _block_membership(blocks, tables, carrier, rows):
 
 
 class SlicedBlocks(Mapping):
-    """Blocks that are sublattices of one lattice M, given as masks over
-    its elements and keyed by skeleton element: a read-only mapping that
-    slices a block's FiniteLattice out of M (`FiniteLattice._slice`, with
-    its closure check) only when it is asked for, once.  `members` is the
-    system's membership record."""
+    """Blocks that are intervals [lo[i], hi[i]] of one lattice M, their
+    ends given as M's indices, keyed by skeleton element: a read-only
+    mapping that cuts a block's FiniteLattice out of M only when it is
+    asked for, once, by the cut `interval` makes (`FiniteLattice._slice`).
+    `members` is the system's membership record."""
 
-    def __init__(self, keys, M, mask, members):
+    def __init__(self, keys, M, lo, hi, members):
         self.keys_in_order = tuple(keys)
         self._key = {x: i for i, x in enumerate(self.keys_in_order)}
-        self._M, self._mask, self.members = M, mask, members
+        self._M, self._lo, self._hi, self.members = M, lo, hi, members
         self._built = {}
 
     def __getitem__(self, x):
         if x not in self._built:
-            self._built[x] = self._M._slice(
-                np.flatnonzero(self._mask[self._key[x]]))
+            i = self._key[x]
+            self._built[x] = self._M._slice(self._lo[i], self._hi[i])
         return self._built[x]
 
     def __contains__(self, x):
@@ -200,32 +200,34 @@ class SlicedBlocks(Mapping):
         return f"SlicedBlocks({len(self)} blocks of {self._M!r})"
 
 
-def _sliced_blocks(fam, keys, mask, lo, hi):
-    """The blocks of the lattices of `fam` (a `core._Family`), each to be
-    a sublattice, cut in one pass over the family's tables.  keys[k] keys
-    the blocks of lattices[k]; `mask` holds one row over its lattice's
-    elements per block, the rows of one lattice after another, flattened;
-    lo and hi are the family indices of each block's 0 and 1.  Returns one
-    `SlicedBlocks`, with its membership record, per lattice.
+def _sliced_blocks(fam, keys, lo, hi):
+    """The blocks of the lattices of `fam` (a `core._Family`), each the
+    interval between its ends, cut in one pass over the family's tables.
+    keys[k] keys the blocks of lattices[k]; lo and hi are the family
+    indices of each block's 0 and 1, the blocks of one lattice after
+    another, lo ≤ hi.  Returns one `SlicedBlocks`, with its membership
+    record, per lattice.
 
-    A block's join and meet tables are its lattice's, looked up for all
-    blocks of one size at once; the first block, lattice by lattice and in
-    key order, with a join (then a meet) that leaves it raises
-    InvariantViolated as `FiniteLattice._slice` does, and so does the
-    first block that lo and hi do not bound.  The error carries `spec`,
-    the index of the block's lattice."""
+    A block's join and meet tables are its lattice's, renumbered and
+    looked up for all blocks of one size at once: an interval is a
+    sublattice (`FiniteLattice._slice`), so they stay in it."""
     Ms, start = fam.lattices, fam.start
     nb = [len(x) for x in keys]
     first = _offsets(nb)  # each lattice's first block
     blat = np.repeat(np.arange(len(Ms)), nb)  # the lattice of each block
-    cell0 = _offsets((start[1:] - start[:-1])[blat])
-    cells = np.nonzero(mask)[0]
-    owner = np.searchsorted(cell0, cells, side="right") - 1
+    n = (start[1:] - start[:-1])[blat]
+    cell0 = _offsets(n)
     base = start[blat] - cell0[:-1]  # cell c of block i is element c + base[i]
-    elem = cells + base[owner]  # block by block, in each lattice's order
+    # one cell per element e of a block's lattice, kept where lo ≤ e ≤ hi
+    cell_block = np.repeat(np.arange(len(blat)), n)
+    cell_elem = np.arange(cell0[-1]) + base[cell_block]
+    cells = np.flatnonzero(fam.leq[fam.row[lo[cell_block]] + cell_elem]
+                           & fam.leq[fam.row[cell_elem] + hi[cell_block]])
+    # block by block, in each lattice's order
+    owner, elem = cell_block[cells], cell_elem[cells]
     size = np.bincount(owner, minlength=len(blat))
     bstart = _offsets(size)
-    place = np.full(len(mask), -1, dtype=np.intp)  # a cell's index in its block
+    place = np.full(cell0[-1], -1, dtype=np.intp)  # a cell's index in its block
     place[cells] = np.arange(len(cells)) - bstart[owner]
     # the tables of the lattices whose largest block has w elements, their
     # blocks stacked and padded to w; at[i] is block i's place in its stack
@@ -234,7 +236,6 @@ def _sliced_blocks(fam, keys, mask, lo, hi):
     for m, w in enumerate(widest):
         by_width.setdefault(w, []).extend(range(first[m], first[m + 1]))
     stacks, at = {}, np.empty(len(blat), dtype=np.intp)
-    out = np.zeros((2, len(blat)), dtype=bool)  # a join, a meet leaves block i
     for w, g in by_width.items():
         at[g] = np.arange(len(g))
         by_size = {}
@@ -250,26 +251,7 @@ def _sliced_blocks(fam, keys, mask, lo, hi):
             leq[r, :s, :s] = fam.leq[cell]
             for t, T in zip(ops, (fam.join, fam.meet)):
                 t[r, :s, :s] = place[T[cell] - base[i][:, None, None]]
-        out[:, g] = (ops < 0).any(axis=(2, 3))
         stacks[w] = leq, *ops
-    if out.any():
-        i = np.argmax(out.any(axis=0))
-        t = 0 if out[0, i] else 1
-        a, b = np.argwhere(stacks[widest[blat[i]]][1 + t][at[i]] < 0)[0]
-        ids, s = Ms[blat[i]]._ids, start[blat[i]]
-        raise _with_spec(InvariantViolated(
-            f"subset is not closed under {('join', 'meet')[t]}",
-            (ids[elem[bstart[i] + a] - s], ids[elem[bstart[i] + b] - s])),
-            blat[i])
-    inside = fam.leq[fam.row[lo[owner]] + elem] & fam.leq[fam.row[elem] + hi[owner]]
-    bounded = mask[lo - base] & mask[hi - base]
-    if not (bounded.all() and inside.all()):
-        bounded &= np.bincount(owner[~inside], minlength=len(blat)) == 0
-        i = np.argmin(bounded)
-        ids, s = Ms[blat[i]]._ids, start[blat[i]]
-        raise _with_spec(InvariantViolated("block is not bounded by its ends",
-                                           (ids[lo[i] - s], ids[hi[i] - s])),
-                         blat[i])
     # each carrier: its lattice's elements by the first block they are in,
     # then in the lattice's order; an element in no block comes last
     firstblock = np.full(start[-1], len(blat))
@@ -284,12 +266,12 @@ def _sliced_blocks(fam, keys, mask, lo, hi):
     blocks = []
     for k, M in enumerate(Ms):
         i, j = first[k], first[k + 1]
-        ids, r, a = M._ids, bstart[i], at[i]
+        ids, r, a, s = M._ids, bstart[i], at[i], start[k]
         members = _members(tuple(ids[p] for p in perm[cfirst[k]:cfirst[k + 1]]),
                            rows[r:bstart[j]], bstart[i:j + 1] - r, zero[i:j],
                            one[i:j], *(t[a:a + j - i] for t in stacks[widest[k]]))
-        blocks.append(SlicedBlocks(keys[k], M, mask[cell0[i]:cell0[j]]
-                                   .reshape(j - i, M.n), members))
+        blocks.append(SlicedBlocks(keys[k], M, lo[i:j] - s, hi[i:j] - s,
+                                   members))
     return blocks
 
 

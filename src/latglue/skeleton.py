@@ -9,8 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FiniteLattice, InvariantViolated, LatticeError, _family, \
-    _freeze, _from_order, _offsets, _settle, _uncertified, _with_spec, \
-    find_isomorphism
+    _freeze, _from_order, _settle, _uncertified, _with_spec, find_isomorphism
 from .glue import GluedSystem, _order_union, _sliced_blocks, nested_cover, \
     validations
 from .predicates import NotModular, breadth, is_modular, is_n_distributive
@@ -310,14 +309,8 @@ def _decompositions(Ms):
     Ss = _skeleton_lattices(fam, st, pl)
     sk, dsk = _fixed_points(st, pl)
     K = np.nonzero(sk)[0]  # S(M) of each M, in M's order
-    # block [x, x*] of each x ∈ S(M), a row over its lattice's elements
-    lat = fam.lat[K]
-    n = (fam.start[1:] - fam.start[:-1])[lat]
-    c0 = _offsets(n)
-    x = np.repeat(K, n)
-    e = np.arange(c0[-1]) + np.repeat(fam.start[lat] - c0[:-1], n)
-    mask = fam.leq[fam.row[x] + e] & fam.leq[fam.row[e] + st[x]]
-    blocks = _sliced_blocks(fam, [S.elements for S in Ss], mask, K, st[K])
+    # block [x, x*] of each x ∈ S(M)
+    blocks = _sliced_blocks(fam, [S.elements for S in Ss], K, st[K])
     systems = [GluedSystem(S, b) for S, b in zip(Ss, blocks)]
     _check_decompositions(systems)
     D = np.nonzero(dsk)[0]

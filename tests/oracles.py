@@ -786,11 +786,14 @@ def oracle_skeleton_lattice_one(M, st, pl):
     return S
 
 
-def oracle_sliced_blocks(keys, M, mask, lo, hi):
-    """The blocks mask[i] of M alone, cut as `glue._sliced_blocks` cut
-    them before the family pass: M's tables looked up for the blocks of
-    one size at a time, the closure and bound checks, then the carrier."""
+def oracle_sliced_blocks(keys, M, lo, hi):
+    """The blocks [lo[i], hi[i]] of M alone, cut as `glue._sliced_blocks`
+    cut them before the family pass: M's tables looked up for the blocks
+    of one size at a time, the closure and bound checks that the cut in
+    `glue` leaves to the proof in `FiniteLattice._slice` (only a forged
+    table fails them), then the carrier."""
     ids, n = M._ids, M.n
+    mask = M._leq[lo] & M._leq.T[hi]
     owner, elem = np.nonzero(mask)
     size = mask.sum(axis=1)
     start = np.concatenate(([0], np.cumsum(size)))
@@ -830,7 +833,7 @@ def oracle_sliced_blocks(keys, M, mask, lo, hi):
     where[perm] = np.arange(len(perm))
     members = _members(tuple(ids[p] for p in perm), where[elem], start,
                        where[lo], where[hi], leq, *tables)
-    return SlicedBlocks(keys, M, mask, members)
+    return SlicedBlocks(keys, M, lo, hi, members)
 
 
 def _overlap_maps(m, I, J):
@@ -891,8 +894,7 @@ def oracle_decompose_one(M):
     S = oracle_skeleton_lattice_one(M, st, pl)
     k = np.flatnonzero(pl[st] == np.arange(M.n))
     top = st[k]
-    sys = GluedSystem(S, oracle_sliced_blocks(
-        S.elements, M, M._leq[k] & M._leq.T[top], k, top))
+    sys = GluedSystem(S, oracle_sliced_blocks(S.elements, M, k, top))
     bad = oracle_validate_one(sys)
     if bad:
         raise InvariantViolated("decomposition violates the glue axioms", bad[0])

@@ -1,7 +1,9 @@
-"""Products, Boolean lattices and the blocks of `distributive_with_skeleton`
-are assembled from their tables (`core._assembled`): every field equal to
-the cover build they replaced, kept in `oracles.py`, on the corpus, the
-named lattices and factors whose covers or ids are out of the ordinary;
+"""Chains, products, Boolean lattices and the blocks of
+`distributive_with_skeleton` are assembled from their tables
+(`core._assembled`): every field equal to the cover build they replaced,
+kept in `oracles.py` (a chain's is the constructor on its covers), on the
+corpus, the named lattices and factors whose covers or ids are out of the
+ordinary;
 an id collision raises the cover build's error; and a relabelled lattice
 refuses repeated ids."""
 
@@ -11,7 +13,7 @@ import pytest
 
 from latglue.constructions import boolean, chain, distributive_with_skeleton, \
     enumerate_lattices, fano_lattice, m3, n5
-from latglue.core import FiniteLattice, LatticeError, product
+from latglue.core import FiniteLattice, LatticeError, NotBounded, product
 from oracles import oracle_boolean, oracle_distributive_cover_build, \
     oracle_distributive_with_skeleton, oracle_product
 from test_batch_build import assert_same_fields, shuffled
@@ -19,6 +21,14 @@ from test_batch_build import assert_same_fields, shuffled
 SMALL = list(enumerate_lattices(5))
 NAMED = {"m3": m3(), "n5": n5(), "fano": fano_lattice(), "chain0": chain(0),
          "chain40": chain(40)}
+
+
+def test_chains_match_the_cover_build():
+    for n in range(41):
+        ids = [str(i) for i in range(n + 1)]
+        assert_same_fields(chain(n), FiniteLattice(ids, zip(ids, ids[1:])))
+    with pytest.raises(NotBounded, match="^empty element list$"):
+        chain(-1)
 
 
 def test_products_of_the_corpus_match_the_cover_build():

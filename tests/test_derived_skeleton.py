@@ -22,7 +22,7 @@ from latglue.skeleton import SkeletonDecomposition, decompose
 from latglue.suite import glued_fixtures
 from oracles import oracle_closure, oracle_glue_violations, \
     oracle_glued_sum, oracle_interval, oracle_is_modular, \
-    oracle_overlap_shape, oracle_reglues
+    oracle_overlap_shape, oracle_reglues, oracle_sliced_blocks
 from test_index_space import SYSTEMS
 
 CORPUS = list(enumerate_lattices(7))
@@ -381,12 +381,33 @@ def test_mutants_give_the_per_pair_violations(name, kind, x, y, sys):
                and (text is None or v.witness[2] in text) for v in got)
 
 
-def test_a_slice_that_leaves_its_subset_raises_with_a_witness():
-    L = boolean(2)   # 0, the atoms a and b, and a + b = ab
-    idx = np.array([L.index(a) for a in L.elements if a != L.top])
-    with pytest.raises(InvariantViolated, match="not closed under join") as e:
-        L._slice(idx)
-    assert e.value.witness == tuple(sorted(L.atoms()))
-    idx = np.array([L.index(a) for a in L.elements if a != L.bottom])
-    with pytest.raises(InvariantViolated, match="not closed under meet"):
-        L._slice(idx)
+def forged_order(L, *pairs):
+    """A copy of L whose order matrix flips the entries at `pairs`, id
+    pairs: a forgery, the only lattice an interval of which can fail to be
+    closed or bounded."""
+    F = L._relabelled(L.elements)
+    F._leq = L._leq.copy()
+    for a, b in pairs:
+        F._leq[L.index(a), L.index(b)] ^= True
+    return F
+
+
+def test_the_oracle_cut_of_a_forged_block_raises_with_a_witness():
+    """The closure and bound checks the cut no longer needs, kept on the
+    oracle: in boolean(2) with b forged below a, the block [0, a] holds
+    both atoms and not their join ab; with a forged below b, [a, ab]
+    holds both and not their meet 0; in the chain 0 < 1 < 2 < 3 with 2
+    forged not below itself, [1, 2] lacks its own top."""
+    L = boolean(2)
+    for (lo, hi), forged, what in ((("0", "a"), ("b", "a"), "join"),
+                                   (("a", "ab"), ("a", "b"), "meet")):
+        F = forged_order(L, forged)
+        with pytest.raises(InvariantViolated,
+                           match=f"not closed under {what}") as e:
+            oracle_sliced_blocks(["x"], F, [F.index(lo)], [F.index(hi)])
+        assert e.value.witness == ("a", "b")
+    F = forged_order(chain(3), ("2", "2"))
+    with pytest.raises(InvariantViolated) as e:
+        oracle_sliced_blocks(["x"], F, [1], [2])
+    assert str(e.value) == "block is not bounded by its ends: ('1', '2')"
+    assert e.value.witness == ("1", "2")

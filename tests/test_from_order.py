@@ -1,20 +1,23 @@
 """`core._from_order`, the one route from an order matrix to a lattice,
 against the two routes it replaced, kept in `oracles`: `oracle_from_leq`
 (the covers as id pairs through the constructor, then compared with the
-input) and `oracle_suborder` (the order induced on a parent's indices).
-Every field is compared with its type and dtype, and a refused relation
-with its exception class and text."""
+input) and `oracle_suborder` (the order induced on a parent's indices),
+the latter also for every interval `_slice` cuts, with the parent's
+tables renumbered.  Every field is compared with its type and dtype, and
+a refused relation with its exception class and text."""
 
 import numpy as np
 import pytest
 
 from latglue import skeleton
+from latglue.constructions import boolean, chain, enumerate_lattices, \
+    fano_lattice, grid, m3, n5
 from latglue.core import CycleDetected, FiniteLattice, LatticeError, \
-    NotBounded, NotTransitiveReduction
+    NotBounded, NotTransitiveReduction, product
 from latglue.glue import order_closure
 from latglue.predicates import is_modular
 from latglue.suite import glued_fixtures
-from oracles import oracle_from_leq, oracle_suborder
+from oracles import oracle_from_leq, oracle_sliced_blocks, oracle_suborder
 from test_derived_skeleton import sweep_shapes
 from test_pruned_predicates import CORPUS8
 
@@ -83,7 +86,33 @@ def assert_slices_match(M):
         want = oracle_suborder(M, idxs)
         want._join, want._meet = B._join, B._meet
         assert_identical(B, want)
-        assert_identical(M._slice(idxs), want)
+        assert_identical(M._slice(M.index(B.bottom), M.index(B.top)), want)
+
+
+INTERVAL_LATTICES = [*enumerate_lattices(6), grid(4, 4), boolean(4),
+                     product(m3(), chain(2)), n5(), fano_lattice()]
+
+
+def test_every_interval_cut_is_the_parents_tables_renumbered():
+    """The proof in `_slice`, checked on every interval [lo, hi] of the 25
+    lattices of at most 6 elements, grid(4,4), boolean(4), M3×C2, N5 and
+    the Fano lattice: the cut is the order the old `_suborder` induced,
+    with the parent's join and meet renumbered one entry at a time, and
+    the oracle's closure and bound checks pass on every interval."""
+    count = 0
+    for M in INTERVAL_LATTICES:
+        lo, hi = np.nonzero(M._leq)
+        oracle_sliced_blocks(range(len(lo)), M, lo, hi)
+        for a, b in zip(lo, hi):
+            idxs = np.flatnonzero(M._leq[a] & M._leq[:, b])
+            pos = {int(k): i for i, k in enumerate(idxs)}
+            want = oracle_suborder(M, idxs)
+            want._join, want._meet = (
+                np.array([[pos[T[i, j]] for j in idxs] for i in idxs],
+                         dtype=np.int32) for T in (M._join, M._meet))
+            assert_identical(M._slice(a, b), want)
+        count += len(lo)
+    assert len(INTERVAL_LATTICES) == 30 and count == 827
 
 
 def test_skeleton_and_block_slices_match_the_old_route_on_the_corpus():

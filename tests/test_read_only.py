@@ -39,6 +39,7 @@ ROUTES = {
                                       [("0", "a"), ("a", "1")]),
     "from_leq": lambda _: FiniteLattice.from_leq(B3.elements, B3._leq),
     "enumerate_lattices": lambda _: list(enumerate_lattices(5)),
+    "chain": lambda _: [chain(0), chain(5)],
     "product": lambda _: [product(m3(), chain(1)), grid(3, 4)],
     "boolean": lambda _: [boolean(0), boolean(4)],
     "distributive-block": lambda _: _blocks(distributive_with_skeleton(n5())),

@@ -4,8 +4,7 @@ as `oracle_decompose`: S(M), the carrier order, every block, the
 membership record, `validate`, the round trip and the formula tables, on
 the modular lattices of at most 8 elements, the shapes `latglue skeleton`
 is benchmarked on and the valid systems of the derived-skeleton tests.
-Corrupted block masks, block tops and join rows fail as the oracle's
-blocks do.  Also: a decomposition's blocks are read-only and built only
+Corrupted block tops and join rows fail as the oracle's blocks do.  Also: a decomposition's blocks are read-only and built only
 when asked for, the id-level membership pass runs at most once per
 system, and `latglue skeleton` writes what the oracle's decomposition
 serialises to, with no id set per block."""
@@ -20,7 +19,7 @@ import pytest
 
 from latglue import cli, core, glue, skeleton
 from latglue import io as lio
-from latglue.constructions import boolean, chain, grid
+from latglue.constructions import boolean, grid
 from latglue.core import InvariantViolated
 from latglue.glue import GluedSystem, glued_sum, order_closure, validate
 from latglue.predicates import is_modular
@@ -117,12 +116,11 @@ def outcome(check):
     return None
 
 
-def index_outcome(M, S, mask, lo, hi, corrupt=None):
+def index_outcome(M, S, lo, hi, corrupt=None):
     """What the one-pass cut and decompose's checks make of the blocks
-    `mask`, with `corrupt` applied to the membership record."""
+    [lo[i], hi[i]], with `corrupt` applied to the membership record."""
     def check():
-        blocks, = glue._sliced_blocks(core._family([M]), [S.elements],
-                                      mask.ravel(), lo, hi)
+        blocks, = glue._sliced_blocks(core._family([M]), [S.elements], lo, hi)
         sys = GluedSystem(S, blocks)
         if corrupt is not None:
             corrupt(sys, sys._members)
@@ -130,12 +128,11 @@ def index_outcome(M, S, mask, lo, hi, corrupt=None):
     return outcome(check)
 
 
-def oracle_outcome(M, S, mask, corrupt=None):
+def oracle_outcome(M, S, lo, hi, corrupt=None):
     """What slicing each block on its own and the old checks make of the
-    blocks `mask`, with `corrupt` applied to the blocks."""
+    blocks [lo[i], hi[i]], with `corrupt` applied to the blocks."""
     def check():
-        blocks = {x: M._slice(np.flatnonzero(mask[i]))
-                  for i, x in enumerate(S.elements)}
+        blocks = {x: M._slice(lo[i], hi[i]) for i, x in enumerate(S.elements)}
         if corrupt is not None:
             corrupt(blocks)
         oracle_decompose_checks(GluedSystem(S, blocks))
@@ -157,10 +154,10 @@ def _join_row(i, x, a, b):
 
 
 def corruptions():
-    """(name, M, S, mask, lo, hi, record corruption, block corruption),
-    three of each kind per lattice where it applies: one element dropped
-    from a block (never its ends), a block's top moved to another element
-    above its bottom, and the join row of a shared element replaced."""
+    """(name, M, S, lo, hi, record corruption, block corruption), three of
+    each kind per lattice where it applies: a block's top moved to another
+    element above its bottom, and the join row of a shared element
+    replaced."""
     names = ["grid(3,3)", "grid(4,5)", "boolean(4)", "M3xC4", "FanoxC1",
              "dws(C2)", "dws(B2)", "dws(M3)", "section4"]
     lattices = [(name, SHAPES[name]) for name in names]
@@ -175,19 +172,12 @@ def corruptions():
         hi = st[lo]
         mask = M._leq[lo] & M._leq.T[hi]
         for _ in range(3):
-            i = rng.choice([i for i in range(S.n) if mask[i].sum() > 2] or [0])
-            inner = [c for c in np.flatnonzero(mask[i]) if c not in (lo[i], hi[i])]
-            if inner:
-                m = mask.copy()
-                m[i, rng.choice(inner)] = False
-                out.append((f"{name}-dropped", M, S, m, lo, hi, None, None))
             i = rng.randrange(S.n)
             tops = [c for c in np.flatnonzero(M._leq[lo[i]]) if c != hi[i]]
             if tops:
                 h = hi.copy()
                 h[i] = rng.choice(tops)
-                out.append((f"{name}-moved-top", M, S,
-                            M._leq[lo] & M._leq.T[h], lo, h, None, None))
+                out.append((f"{name}-moved-top", M, S, lo, h, None, None))
             shared = mask.sum(axis=0) > 1
             able = [i for i in range(S.n) if shared[mask[i]].sum() > 1]
             if able:
@@ -195,8 +185,7 @@ def corruptions():
                 local = np.flatnonzero(shared[mask[i]])
                 a, b = rng.sample(list(local), 2)
                 record, blocks = _join_row(i, S.elements[i], a, b)
-                out.append((f"{name}-join-row", M, S, mask, lo, hi,
-                            record, blocks))
+                out.append((f"{name}-join-row", M, S, lo, hi, record, blocks))
     return out
 
 
@@ -204,36 +193,23 @@ CORRUPTED = corruptions()
 
 
 def test_every_kind_of_corruption_is_seeded_and_most_are_caught():
-    for kind in ("dropped", "moved-top", "join-row"):
-        caught = [oracle_outcome(M, S, mask, blocks) is not None
-                  for name, M, S, mask, lo, hi, record, blocks in CORRUPTED
+    for kind in ("moved-top", "join-row"):
+        caught = [oracle_outcome(M, S, lo, hi, blocks) is not None
+                  for name, M, S, lo, hi, record, blocks in CORRUPTED
                   if name.endswith(kind)]
         assert len(caught) >= 20 and sum(caught) >= 10, kind
 
 
-@pytest.mark.parametrize("name, M, S, mask, lo, hi, record, blocks",
+@pytest.mark.parametrize("name, M, S, lo, hi, record, blocks",
                          CORRUPTED, ids=[f"{c[0]}-{k}" for k, c
                                          in enumerate(CORRUPTED)])
-def test_corruptions_fail_as_the_oracle_blocks_do(name, M, S, mask, lo, hi,
-                                                  record, blocks):
+def test_corruptions_fail_as_the_oracle_blocks_do(name, M, S, lo, hi, record,
+                                                  blocks):
     # the same message and witness, or none on either side when the
     # corrupted blocks still glue (the sum is then not M, which only the
     # round trip sees)
-    assert index_outcome(M, S, mask, lo, hi, record) == \
-        oracle_outcome(M, S, mask, blocks)
-
-
-def test_a_block_whose_ends_do_not_bound_it_is_refused_with_its_ends():
-    """Both blocks of the chain 0 < 1 < 2 < 3 are closed under join and
-    meet; the second, {1, 2, 3}, is handed 2 as its top."""
-    M = chain(3)
-    mask = np.array([[True, True, False, False], [False, True, True, True]])
-    lo, hi = np.array([0, 1]), np.array([1, 2])
-    with pytest.raises(InvariantViolated) as e:
-        glue._sliced_blocks(core._family([M]), [["x", "y"]], mask.ravel(),
-                            lo, hi)
-    assert str(e.value) == "block is not bounded by its ends: ('1', '2')"
-    assert e.value.witness == ("1", "2")
+    assert index_outcome(M, S, lo, hi, record) == \
+        oracle_outcome(M, S, lo, hi, blocks)
 
 
 # -- read-only, lazy, once ------------------------------------------------------
