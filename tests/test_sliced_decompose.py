@@ -4,8 +4,9 @@ as `oracle_decompose`: S(M), the carrier order, every block, the
 membership record, `validate`, the round trip and the formula tables, on
 the modular lattices of at most 8 elements, the shapes `latglue skeleton`
 is benchmarked on and the valid systems of the derived-skeleton tests.
-Corrupted block tops and join rows fail as the oracle's blocks do.  Also: a decomposition's blocks are read-only and built only
-when asked for, the id-level membership pass runs at most once per
+Blocks with dropped elements, moved block tops and corrupted join rows
+fail as the oracle's blocks do.  Also: a decomposition's blocks are
+read-only and built only when asked for, the id-level membership pass runs at most once per
 system, and `latglue skeleton` writes what the oracle's decomposition
 serialises to, with no id set per block."""
 
@@ -155,7 +156,9 @@ def _join_row(i, x, a, b):
 
 def corruptions():
     """(name, M, S, lo, hi, record corruption, block corruption), three of
-    each kind per lattice where it applies: a block's top moved to another
+    each kind per lattice where it applies: elements dropped from a block by
+    raising its bottom to one of its inner elements (a block is cut by its
+    ends, so this is how it loses elements), a block's top moved to another
     element above its bottom, and the join row of a shared element
     replaced."""
     names = ["grid(3,3)", "grid(4,5)", "boolean(4)", "M3xC4", "FanoxC1",
@@ -172,6 +175,12 @@ def corruptions():
         hi = st[lo]
         mask = M._leq[lo] & M._leq.T[hi]
         for _ in range(3):
+            i = rng.choice([i for i in range(S.n) if mask[i].sum() > 2] or [0])
+            inner = [c for c in np.flatnonzero(mask[i]) if c not in (lo[i], hi[i])]
+            if inner:
+                b = lo.copy()
+                b[i] = rng.choice(inner)
+                out.append((f"{name}-dropped", M, S, b, hi, None, None))
             i = rng.randrange(S.n)
             tops = [c for c in np.flatnonzero(M._leq[lo[i]]) if c != hi[i]]
             if tops:
@@ -193,7 +202,7 @@ CORRUPTED = corruptions()
 
 
 def test_every_kind_of_corruption_is_seeded_and_most_are_caught():
-    for kind in ("moved-top", "join-row"):
+    for kind in ("dropped", "moved-top", "join-row"):
         caught = [oracle_outcome(M, S, lo, hi, blocks) is not None
                   for name, M, S, lo, hi, record, blocks in CORRUPTED
                   if name.endswith(kind)]
