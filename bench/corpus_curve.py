@@ -9,6 +9,11 @@ Each run decomposes fresh copies of the lattices, which keep neither a*
 and a⁺ nor S(M) from an earlier run.  A build line times, the same way,
 `grid(p, p)` for p = 4, 8, 16, 24, 32, 40, `boolean(n)` for n = 4..8 and
 `distributive_with_skeleton` over each lattice of at most 5 elements.
+A query line gives the ns per call of `sup_via_formulas`,
+`inf_via_formulas` and `blocks_of` on the system of
+`decompose(grid(p, p))`, and of `join` and `leq` on its sum, for
+p = 3..8: each the median of k runs over the same seeded pairs of
+carrier elements, once the system's tables and the sum are built.
 The line also records the Python and numpy versions, the core count and
 OPENBLAS_NUM_THREADS, which sets how many threads the products use.
 
@@ -25,9 +30,11 @@ import argparse
 import json
 import os
 import platform
+import random
 import statistics
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -35,12 +42,15 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from latglue import constructions, core, skeleton  # noqa: E402
-from latglue.glue import glued_sum  # noqa: E402
+from latglue.glue import (glued_sum, inf_via_formulas,  # noqa: E402
+                          sup_via_formulas)
 from latglue.predicates import is_modular  # noqa: E402
 
 SIZES = range(5, 9)
 GRID_SIDES = (4, 8, 16, 24, 32, 40)
 BOOLEAN_RANKS = range(4, 9)
+QUERY_SIDES = range(3, 9)
+QUERY_PAIRS = 2000
 
 
 def _squares(Ss):
@@ -93,6 +103,35 @@ def _point(run, k, setup=tuple):
             "least_bounds": len(calls)}
 
 
+def _ns_per_call(query, args, k):
+    """Median over k runs of the ns per call of query(*a) for a in args."""
+    times = []
+    for _ in range(k):
+        start = time.perf_counter()
+        for a in args:
+            query(*a)
+        times.append(time.perf_counter() - start)
+    return round(statistics.median(times) / len(args) * 1e9, 1)
+
+
+def _query_point(p, k):
+    """ns per call of the element queries on decompose(grid(p, p))'s
+    system and its sum, over QUERY_PAIRS seeded carrier pairs."""
+    sys = skeleton.decompose(constructions.grid(p, p)).system
+    L = glued_sum(sys)
+    rng = random.Random(p)
+    pairs = [tuple(rng.choices(sys.carrier(), k=2)) for _ in range(QUERY_PAIRS)]
+    sup_via_formulas(sys, *pairs[0])  # builds the staircase tables
+    return {
+        "sup": _ns_per_call(partial(sup_via_formulas, sys), pairs, k),
+        "inf": _ns_per_call(partial(inf_via_formulas, sys), pairs, k),
+        "join": _ns_per_call(L.join, pairs, k),
+        "leq": _ns_per_call(L.leq, pairs, k),
+        "blocks_of": _ns_per_call(sys.blocks_of, [(a,) for a, _ in pairs], k),
+        "elements": L.n,
+    }
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("-k", type=int, default=5, help="runs per point")
@@ -117,9 +156,11 @@ def main(argv=None):
             _point(lambda: [constructions.distributive_with_skeleton(S)
                             for S in small], k), skeletons=len(small)),
     }
+    query_curve = {p: _query_point(p, k) for p in QUERY_SIDES}
     print(json.dumps({
         "runs_per_point": k,
         "build": build_curve,
+        "queries_ns": query_curve,
         "enumerate_lattices": enumerate_curve,
         "square_sublattices": square_curve,
         "decompositions": decompose_curve,

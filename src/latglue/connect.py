@@ -103,7 +103,7 @@ class ConnectedSystem(_System):
 
     def block_of(self, a):
         rec = self._identification
-        return self.skeleton._ids[rec.owner[rec.position(a)]]
+        return self.skeleton._ids[rec.owner.item(rec.position(a))]
 
 
 class LocalConnectedSystem(_System):

@@ -615,28 +615,55 @@ class FiniteLattice:
     def __repr__(self):
         return f"FiniteLattice({self.n} elements, {len(self._cov)} covers)"
 
+    # The element queries read the frozen tables in place as Python ints
+    # (`ndarray.item`), in one `try` over the index lookups: an id outside
+    # the lattice is UnknownElement naming it, the first argument first.
+
     def leq(self, a, b):
-        return bool(self._leq[self.index(a), self.index(b)])
+        idx = self._idx
+        try:
+            return self._leq.item(idx[a], idx[b])
+        except KeyError as e:
+            raise UnknownElement(repr(e.args[0])) from None
 
     def lt(self, a, b):
-        return a != b and self.leq(a, b)
+        idx = self._idx
+        try:
+            i, j = idx[a], idx[b]
+        except KeyError as e:
+            raise UnknownElement(repr(e.args[0])) from None
+        return i != j and self._leq.item(i, j)
 
     def join(self, a, b):
-        return self._ids[self._join[self.index(a), self.index(b)]]
+        idx = self._idx
+        try:
+            return self._ids[self._join.item(idx[a], idx[b])]
+        except KeyError as e:
+            raise UnknownElement(repr(e.args[0])) from None
 
     def meet(self, a, b):
-        return self._ids[self._meet[self.index(a), self.index(b)]]
+        idx = self._idx
+        try:
+            return self._ids[self._meet.item(idx[a], idx[b])]
+        except KeyError as e:
+            raise UnknownElement(repr(e.args[0])) from None
 
     def join_all(self, items):
-        c = self._bot
-        for a in items:
-            c = self._join[c, self.index(a)]
+        c, join, idx = self._bot, self._join, self._idx
+        try:
+            for a in items:
+                c = join.item(c, idx[a])
+        except KeyError as e:
+            raise UnknownElement(repr(e.args[0])) from None
         return self._ids[c]
 
     def meet_all(self, items):
-        c = self._top
-        for a in items:
-            c = self._meet[c, self.index(a)]
+        c, meet, idx = self._top, self._meet, self._idx
+        try:
+            for a in items:
+                c = meet.item(c, idx[a])
+        except KeyError as e:
+            raise UnknownElement(repr(e.args[0])) from None
         return self._ids[c]
 
     def height(self, a):
@@ -661,10 +688,12 @@ class FiniteLattice:
         return {self._ids[j] for j in self._down_adj[self.index(a)]}
 
     def up_set(self, a):
-        return {self._ids[j] for j in np.flatnonzero(self._leq[self.index(a)])}
+        up = np.flatnonzero(self._leq[self.index(a)]).tolist()
+        return {self._ids[j] for j in up}
 
     def down_set(self, a):
-        return {self._ids[j] for j in np.flatnonzero(self._leq[:, self.index(a)])}
+        down = np.flatnonzero(self._leq[:, self.index(a)]).tolist()
+        return {self._ids[j] for j in down}
 
     def order_pairs(self):
         """All pairs (a, b) with a ≦ b, as a set of id pairs."""

@@ -66,25 +66,36 @@ class GluedSystem:
         family of one of `glued_sums`."""
         return glued_sums([self])[0]
 
+    @cached_property
+    def _blocks_of(self):
+        """The skeleton ids of each carrier element's blocks, in skeleton
+        order, built once: the blocks are read-only."""
+        out = [[] for _ in self._members.carrier]
+        ids = self.skeleton._ids
+        for g, x in zip(*(k.tolist() for k in np.nonzero(self._members.B.T))):
+            out[g].append(ids[x])
+        return tuple(map(tuple, out))
+
     def carrier(self):
         return self._members.carrier
 
     def block_set(self, x):
         m = self._members
-        i = self.skeleton._idx[x]
-        return {m.carrier[c] for c in m.rows[m.start[i]:m.start[i + 1]]}
+        i = self.skeleton.index(x)
+        rows = m.rows[m.start.item(i):m.start.item(i + 1)].tolist()
+        return {m.carrier[c] for c in rows}
 
     def blocks_of(self, a):
-        m = self._members
-        if a not in m.index:
-            return []
-        return [self.skeleton._ids[i] for i in np.flatnonzero(m.B[:, m.index[a]])]
+        g = self._members.index.get(a)
+        return [] if g is None else list(self._blocks_of[g])
 
     def zero(self, x):
-        return self._members.carrier[self._members.zero[self.skeleton._idx[x]]]
+        m = self._members
+        return m.carrier[m.zero.item(self.skeleton.index(x))]
 
     def one(self, x):
-        return self._members.carrier[self._members.one[self.skeleton._idx[x]]]
+        m = self._members
+        return m.carrier[m.one.item(self.skeleton.index(x))]
 
 
 def _check_block_keys(skeleton, blocks):
@@ -661,22 +672,24 @@ def _formula_tables(sys):
     return (carrier, m.index, *tables)
 
 
-def _lookup(sys, table, a, b):
-    carrier, index = sys._formulas[:2]
-    for c in (a, b):
-        if c not in index:
-            raise UnknownElement(f"{c!r} is in no block")
-    return carrier[sys._formulas[table][index[a], index[b]]]
-
-
 def sup_via_formulas(sys, a, b):
-    """sup in the sum from block joins only (see _formula_tables)."""
-    return _lookup(sys, 2, a, b)
+    """sup in the sum from block joins only (see _formula_tables), read
+    in place as a Python int; UnknownElement names the first of a, b in
+    no block."""
+    carrier, index, sup, _ = sys._formulas
+    try:
+        return carrier[sup.item(index[a], index[b])]
+    except KeyError as e:
+        raise UnknownElement(f"{e.args[0]!r} is in no block") from None
 
 
 def inf_via_formulas(sys, a, b):
     """inf in the sum from block meets only, the dual of sup_via_formulas."""
-    return _lookup(sys, 3, a, b)
+    carrier, index, _, inf = sys._formulas
+    try:
+        return carrier[inf.item(index[a], index[b])]
+    except KeyError as e:
+        raise UnknownElement(f"{e.args[0]!r} is in no block") from None
 
 
 def nested_cover(sys):

@@ -22,12 +22,12 @@ def _require_modular(M):
 
 def star(M, a):
     """Join of the upper covers of a (1 when a is the top)."""
-    return M._ids[_star_plus(M)[0][M.index(a)]]
+    return M._ids[_star_plus(M)[0].item(M.index(a))]
 
 
 def plus(M, a):
     """Meet of the lower covers of a (0 when a is the bottom)."""
-    return M._ids[_star_plus(M)[1][M.index(a)]]
+    return M._ids[_star_plus(M)[1].item(M.index(a))]
 
 
 # The element-wise identities of `lemma61_suite` and the pair-wise ones, in
