@@ -9,6 +9,9 @@ Each run decomposes fresh copies of the lattices, which keep neither a*
 and a⁺ nor S(M) from an earlier run.  A build line times, the same way,
 `grid(p, p)` for p = 4, 8, 16, 24, 32, 40, `boolean(n)` for n = 4..8 and
 `distributive_with_skeleton` over each lattice of at most 5 elements.
+A blocks line gives, for the same p, the ms to decompose a fresh
+`grid(p, p)` and the ms to then ask its decomposition for every block,
+each the median of k runs.
 A query line gives the ns per call of `sup_via_formulas`,
 `inf_via_formulas` and `blocks_of` on the system of
 `decompose(grid(p, p))`, and of `join` and `leq` on its sum, for
@@ -156,10 +159,17 @@ def main(argv=None):
             _point(lambda: [constructions.distributive_with_skeleton(S)
                             for S in small], k), skeletons=len(small)),
     }
+    blocks_curve = {p: {
+        "decompose": _point(skeleton.decompose, k,
+                            lambda: (constructions.grid(p, p),)),
+        "blocks": _point(lambda B: [B[x] for x in B], k, lambda: (
+            skeleton.decompose(constructions.grid(p, p)).blocks,)),
+    } for p in GRID_SIDES}
     query_curve = {p: _query_point(p, k) for p in QUERY_SIDES}
     print(json.dumps({
         "runs_per_point": k,
         "build": build_curve,
+        "blocks": blocks_curve,
         "queries_ns": query_curve,
         "enumerate_lattices": enumerate_curve,
         "square_sublattices": square_curve,

@@ -359,7 +359,7 @@ class Identification(NamedTuple):
 
     def position(self, a):
         if a not in self.index:
-            raise LatticeError(f"{a!r} is in no block")
+            raise UnknownElement(f"{a!r} is in no block")
         return self.index[a]
 
 

@@ -13,13 +13,15 @@ batch, from covers (`_lattices`) or from orders (`_from_orders`); both
 share one table step (`_batch`) among the lattices of one size.  The
 constructor is the batch of one of covers, `from_leq` that of orders.
 
-An order matrix takes one route, `_from_order`, to a lattice without tables:
-`from_leq` and `_from_orders` build them in the table step, and an
-interval cut out of a parent (`_slice`) and the skeleton S(M) take the
-parent's.  The dual transposes a lattice's.  A lattice whose covers,
-order, tables, heights and depths a construction knows by proof takes
-none of these: `_assembled` checks its ids and stores them as given
-(`product`, `boolean` and the blocks of `distributive_with_skeleton`).
+A lattice whose covers, order, tables, heights and depths are known by
+proof is `_assembled`: its ids are checked and the rest is stored as given
+(`product`, `boolean`, `chain`, the blocks of `distributive_with_skeleton`
+and the blocks of a decomposition).  Any other goes through the batch:
+from covers (`_lattices`), or from an order matrix (`_from_orders`, so
+`from_leq`, `restrict` and `interval`), which takes one route,
+`_from_order`, to a lattice without tables.  The skeleton S(M) takes that
+route too, with the parent's tables; the dual transposes a lattice's, and
+a relabelled copy shares them.
 """
 
 from dataclasses import dataclass
@@ -554,10 +556,9 @@ class FiniteLattice:
     tables, `_cov` and the adjacency, heights and depths tuples.
 
     A built lattice is read-only: every route that finishes an order or
-    a table (the batch step, `dual`, `_slice`, `_assembled`, the
-    skeleton lattice) makes it read-only, and the other routes share or
-    copy those arrays, so a write into `_leq`, `_join` or `_meet` raises
-    ValueError.  The
+    a table (the batch step, `dual`, `_assembled`, the skeleton lattice)
+    makes it read-only, and the other routes share or copy those arrays,
+    so a write into `_leq`, `_join` or `_meet` raises ValueError.  The
     attributes themselves are not guarded, since a guard would tax every
     attribute set during construction and the caches kept on the
     lattice.  Replacing one of them forges another lattice, which only
@@ -737,27 +738,12 @@ class FiniteLattice:
                                       self._leq[idxs][:, idxs])
 
     def interval(self, lo, hi):
+        """The interval [lo, hi], induced on its elements (`restrict`)."""
         i, j = self.index(lo), self.index(hi)
         if not self._leq[i, j]:
             raise NotComparable(f"{lo!r} is not below {hi!r}")
-        L = self._slice(i, j)
+        L = self.restrict(compress(self._ids, self._leq[i] & self._leq[:, j]))
         return Interval(self, lo, hi, L.elements, L)
-
-    def _slice(self, lo, hi):
-        """The interval [lo, hi] of this lattice, lo ≤ hi given as indices,
-        cut out of its tables instead of rebuilt.  An interval is a
-        sublattice: the join of two of its elements lies above lo, which
-        is below both, and, being their least upper bound, below hi, which
-        is above both; meets dually.  So its joins and meets are the
-        parent's, renumbered, with nothing to check."""
-        idxs = np.flatnonzero(self._leq[lo] & self._leq[:, hi])
-        pos = np.full(self.n, -1, dtype=np.int32)
-        pos[idxs] = np.arange(len(idxs), dtype=np.int32)
-        pair = (idxs[:, None], idxs)
-        L, _ = _from_order([self._ids[k] for k in idxs], self._leq[pair])
-        L._join, L._meet = pos[self._join[pair]], pos[self._meet[pair]]
-        _freeze(L)
-        return L
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import _BLOCK_CELLS, FiniteLattice, InvariantViolated, \
-    LatticeError, UnknownElement, _from_orders, _offsets, \
+    LatticeError, UnknownElement, _assembled, _from_orders, _offsets, \
     _transitive_closure, _with_spec
 
 
@@ -182,9 +182,10 @@ def _block_membership(blocks, tables, carrier, rows):
 class SlicedBlocks(Mapping):
     """Blocks that are intervals [lo[i], hi[i]] of one lattice M, their
     ends given as M's indices, keyed by skeleton element: a read-only
-    mapping that cuts a block's FiniteLattice out of M only when it is
-    asked for, once, by the cut `interval` makes (`FiniteLattice._slice`).
-    `members` is the system's membership record."""
+    mapping that assembles a block's FiniteLattice (`core._assembled`)
+    only when it is asked for, once, from M's covers and heights and the
+    block's tables in `members`, the system's membership record (proof in
+    `_sliced_blocks`)."""
 
     def __init__(self, keys, M, lo, hi, members):
         self.keys_in_order = tuple(keys)
@@ -194,9 +195,21 @@ class SlicedBlocks(Mapping):
 
     def __getitem__(self, x):
         if x not in self._built:
-            i = self._key[x]
-            self._built[x] = self._M._slice(self._lo[i], self._hi[i])
+            self._built[x] = self._block(self._key[x])
         return self._built[x]
+
+    def _block(self, i):
+        """Block i: its elements in M's order, M's covers between them in
+        row-major order, heights and depths from M's heights, and its
+        tables copied out of the record's stacks."""
+        M, m, h = self._M, self.members, self._M._height
+        ids = [m.carrier[c] for c in m.rows[m.start[i]:m.start[i + 1]].tolist()]
+        pos = {M._idx[a]: p for p, a in enumerate(ids)}
+        cov = [(p, q) for k, p in pos.items()
+               for q in sorted(pos[j] for j in M._up_adj[k] if j in pos)]
+        lo, hi, s = h[self._lo[i]], h[self._hi[i]], len(ids)
+        return _assembled(ids, cov, [h[k] - lo for k in pos], [hi - h[k] for k in pos],
+                          *(t[i, :s, :s].copy() for t in (m.leq, m.join, m.meet)))
 
     def __contains__(self, x):
         return x in self._key
@@ -220,8 +233,17 @@ def _sliced_blocks(fam, keys, lo, hi):
     record, per lattice.
 
     A block's join and meet tables are its lattice's, renumbered and
-    looked up for all blocks of one size at once: an interval is a
-    sublattice (`FiniteLattice._slice`), so they stay in it."""
+    looked up for all blocks of one size at once.  An interval [lo, hi] is
+    a sublattice: the join of two of its elements lies above lo, which is
+    below both, and, being their least upper bound, below hi, which is
+    above both; meets dually.  So its joins and meets are the lattice's,
+    with nothing to check.  An interval is convex, so nothing outside it
+    lies between two of its elements: its covers are the lattice's covers
+    with both ends in it.  Every lattice whose blocks are cut is modular
+    (`skeleton.decompositions` refuses any other) and so graded, so an
+    element e has height h(e) - h(lo) and depth h(hi) - h(e) in [lo, hi],
+    h its height in the lattice.  `SlicedBlocks` assembles each block
+    from these."""
     Ms, start = fam.lattices, fam.start
     nb = [len(x) for x in keys]
     first = _offsets(nb)  # each lattice's first block

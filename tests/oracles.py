@@ -36,7 +36,8 @@ the decomposition one lattice at a time that the family pass replaced:
 its star/plus fold, skeleton lattice, block cut and `validate`.  Also
 the cover builds that `product`, `boolean` and the blocks of
 `distributive_with_skeleton` went through before they were assembled
-from their tables."""
+from their tables, and the cut of one interval through `_from_order`
+that a decomposition's blocks took before they were assembled."""
 
 from dataclasses import dataclass
 from itertools import combinations, islice, permutations, product as iproduct
@@ -786,12 +787,35 @@ def oracle_skeleton_lattice_one(M, st, pl):
     return S
 
 
+def oracle_slice(M, lo, hi):
+    """The interval [lo, hi] of M, lo ≤ hi given as indices, as
+    `FiniteLattice._slice` cut it before a decomposition's blocks were
+    assembled: the induced order through `_from_order`, M's join and meet
+    tables renumbered (-1 outside the interval, which only a forged table
+    has)."""
+    idxs = np.flatnonzero(M._leq[lo] & M._leq[:, hi])
+    pos = np.full(M.n, -1, dtype=np.int32)
+    pos[idxs] = np.arange(len(idxs), dtype=np.int32)
+    pair = (idxs[:, None], idxs)
+    L, _ = _from_order([M._ids[k] for k in idxs], M._leq[pair])
+    L._join, L._meet = pos[M._join[pair]], pos[M._meet[pair]]
+    _freeze(L)
+    return L
+
+
+class OracleSlicedBlocks(SlicedBlocks):
+    """`SlicedBlocks` whose blocks are cut by `oracle_slice`."""
+
+    def _block(self, i):
+        return oracle_slice(self._M, self._lo[i], self._hi[i])
+
+
 def oracle_sliced_blocks(keys, M, lo, hi):
     """The blocks [lo[i], hi[i]] of M alone, cut as `glue._sliced_blocks`
     cut them before the family pass: M's tables looked up for the blocks
     of one size at a time, the closure and bound checks that the cut in
-    `glue` leaves to the proof in `FiniteLattice._slice` (only a forged
-    table fails them), then the carrier."""
+    `glue` leaves to the proof in `glue._sliced_blocks` (only a forged
+    table fails them), then the carrier; each block is `oracle_slice`d."""
     ids, n = M._ids, M.n
     mask = M._leq[lo] & M._leq.T[hi]
     owner, elem = np.nonzero(mask)
@@ -833,7 +857,7 @@ def oracle_sliced_blocks(keys, M, lo, hi):
     where[perm] = np.arange(len(perm))
     members = _members(tuple(ids[p] for p in perm), where[elem], start,
                        where[lo], where[hi], leq, *tables)
-    return SlicedBlocks(keys, M, lo, hi, members)
+    return OracleSlicedBlocks(keys, M, lo, hi, members)
 
 
 def _overlap_maps(m, I, J):
@@ -907,14 +931,13 @@ def oracle_decompose_one(M):
 
 
 def oracle_decompose(M):
-    """`decompose` as it was: S(M), then one `interval` slice per skeleton
+    """`decompose` as it was: S(M), then one `oracle_slice` per skeleton
     element, glued as a hand-made system (whose membership comes from the
     blocks' ids), validated and checked strictly monotone.  Returns the
     skeleton lattice, the blocks and the system."""
     st, pl = oracle_star_plus(M)
     S = oracle_skeleton_lattice_one(M, st, pl)
-    ids = M.elements
-    blocks = {x: M.interval(x, ids[st[M.index(x)]]).lattice
+    blocks = {x: oracle_slice(M, M.index(x), st[M.index(x)])
               for x in S.elements}
     sys = GluedSystem(S, blocks)
     oracle_decompose_checks(sys)

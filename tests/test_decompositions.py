@@ -120,7 +120,7 @@ def forged(M, rng):
 
 
 # the oracle's cut still checks closure and bounds, which `decompose`'s cut
-# has by proof (`FiniteLattice._slice`): only a forged table fails them, and
+# has by proof (`glue._sliced_blocks`): only a forged table fails them, and
 # `decompose` then raises at a later stage or not at all
 CUT_CHECKS = ("subset is not closed under", "block is not bounded by its ends")
 

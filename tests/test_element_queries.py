@@ -16,7 +16,7 @@ import itertools
 import numpy as np
 import pytest
 
-from latglue.connect import ConnectedSystem, elevate, local_system
+from latglue.connect import ConnectedSystem, elevate, equivalent, local_system
 from latglue.constructions import boolean, chain, enumerate_lattices, \
     fano_lattice, grid, m3, n5, section4_example
 from latglue.core import FiniteLattice, LatticeError, UnknownElement, product
@@ -231,6 +231,9 @@ def test_block_of_reads_the_owner_array(name):
     for g, a in enumerate(rec.carrier):
         assert cs.block_of(a) is ids[rec.owner[g]]
         assert a in cs.blocks[cs.block_of(a)]
-    with pytest.raises(LatticeError) as e:
-        cs.block_of(MISSING)
-    assert str(e.value) == f"{MISSING!r} is in no block"
+    for query in (cs.block_of, lambda a: equivalent(cs, a, rec.carrier[0]),
+                  lambda a: equivalent(cs, rec.carrier[0], a)):
+        with pytest.raises(LatticeError) as e:
+            query(MISSING)
+        assert type(e.value) is UnknownElement
+        assert str(e.value) == f"{MISSING!r} is in no block"

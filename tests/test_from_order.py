@@ -2,9 +2,11 @@
 against the two routes it replaced, kept in `oracles`: `oracle_from_leq`
 (the covers as id pairs through the constructor, then compared with the
 input) and `oracle_suborder` (the order induced on a parent's indices),
-the latter also for every interval `_slice` cuts, with the parent's
-tables renumbered.  Every field is compared with its type and dtype, and
-a refused relation with its exception class and text."""
+the latter also for every interval `oracle_slice` cuts, with the parent's
+tables renumbered.  The blocks a decomposition assembles and the lattice
+of every `interval` are checked against `oracle_slice`.  Every field is
+compared with its type, dtype and layout, and a refused relation with its
+exception class and text."""
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ from latglue.core import CycleDetected, FiniteLattice, LatticeError, \
 from latglue.glue import order_closure
 from latglue.predicates import is_modular
 from latglue.suite import glued_fixtures
-from oracles import oracle_from_leq, oracle_sliced_blocks, oracle_suborder
+from oracles import oracle_from_leq, oracle_slice, oracle_sliced_blocks, \
+    oracle_suborder
+from test_decompositions import SQUARE_SUMS
 from test_derived_skeleton import sweep_shapes
 from test_pruned_predicates import CORPUS8
 
@@ -71,8 +75,10 @@ def test_from_leq_matches_the_old_route_on_the_glued_sums(name):
 
 
 def assert_slices_match(M):
-    """S(M), and every block [x, x*] of decompose(M) cut out of M, against
-    the order the old `_suborder` induced on the same indices."""
+    """S(M), and every block [x, x*] of decompose(M) and its `interval`,
+    against the order the old `_suborder` induced on the same indices and
+    against `oracle_slice`.  A block owns its tables: it shares no memory
+    with the membership record's stacks."""
     st, pl = skeleton._star_plus(M)
     k = np.flatnonzero(pl[st] == np.arange(M.n))
     # on a copy, which keeps M's a* and a⁺ but not its S(M), so that S is
@@ -81,12 +87,18 @@ def assert_slices_match(M):
     want = oracle_suborder(M, k)
     want._join, want._meet = S._join, S._meet
     assert_identical(S, want)
-    for x, B in skeleton.decompose(M).blocks.items():
+    blocks = skeleton.decompose(M).blocks
+    stacks = (blocks.members.leq, blocks.members.join, blocks.members.meet)
+    for x, B in blocks.items():
         idxs = np.array(sorted(M.index(a) for a in B.elements))
         want = oracle_suborder(M, idxs)
         want._join, want._meet = B._join, B._meet
         assert_identical(B, want)
-        assert_identical(M._slice(M.index(B.bottom), M.index(B.top)), want)
+        cut = oracle_slice(M, M.index(x), M.index(B.top))
+        assert_identical(B, cut)
+        assert_identical(M.interval(x, B.top).lattice, cut)
+        assert not any(np.shares_memory(a, t) for t in stacks
+                       for a in (B._leq, B._join, B._meet))
 
 
 INTERVAL_LATTICES = [*enumerate_lattices(6), grid(4, 4), boolean(4),
@@ -94,10 +106,11 @@ INTERVAL_LATTICES = [*enumerate_lattices(6), grid(4, 4), boolean(4),
 
 
 def test_every_interval_cut_is_the_parents_tables_renumbered():
-    """The proof in `_slice`, checked on every interval [lo, hi] of the 25
-    lattices of at most 6 elements, grid(4,4), boolean(4), M3×C2, N5 and
-    the Fano lattice: the cut is the order the old `_suborder` induced,
-    with the parent's join and meet renumbered one entry at a time, and
+    """The proof in `glue._sliced_blocks`, checked on every interval
+    [lo, hi] of the 25 lattices of at most 6 elements, grid(4,4),
+    boolean(4), M3×C2, N5 and the Fano lattice: `oracle_slice`'s cut is
+    the order the old `_suborder` induced, with the parent's join and meet
+    renumbered one entry at a time, `interval` gives the same lattice, and
     the oracle's closure and bound checks pass on every interval."""
     count = 0
     for M in INTERVAL_LATTICES:
@@ -110,14 +123,18 @@ def test_every_interval_cut_is_the_parents_tables_renumbered():
             want._join, want._meet = (
                 np.array([[pos[T[i, j]] for j in idxs] for i in idxs],
                          dtype=np.int32) for T in (M._join, M._meet))
-            assert_identical(M._slice(a, b), want)
+            cut = oracle_slice(M, a, b)
+            assert_identical(cut, want)
+            assert_identical(M.interval(M._ids[a], M._ids[b]).lattice, cut)
         count += len(lo)
     assert len(INTERVAL_LATTICES) == 30 and count == 827
 
 
 def test_skeleton_and_block_slices_match_the_old_route_on_the_corpus():
-    assert len(MODULAR8) > 60
-    for M in MODULAR8:
+    """The modular lattices of at most 8 elements and their 67 square
+    sums."""
+    assert len(MODULAR8) > 60 and len(SQUARE_SUMS) == 67
+    for M in MODULAR8 + SQUARE_SUMS:
         assert_slices_match(M)
 
 
@@ -125,6 +142,10 @@ def test_skeleton_and_block_slices_match_the_old_route_on_the_corpus():
 def test_skeleton_and_block_slices_match_the_old_route_on_the_sweep_shapes(
         name):
     assert_slices_match(sweep_shapes()[name])
+
+
+def test_skeleton_and_block_slices_match_the_old_route_on_grid_40x40():
+    assert_slices_match(grid(40, 40))
 
 
 def relation(rows):

@@ -26,7 +26,7 @@ from latglue.glue import GluedSystem, glued_sum, order_closure, validate
 from latglue.predicates import is_modular
 from latglue.skeleton import decompose
 from oracles import oracle_closure, oracle_decompose, \
-    oracle_decompose_checks, oracle_membership
+    oracle_decompose_checks, oracle_membership, oracle_slice
 from test_derived_skeleton import VALID, assert_same_lattice, sweep_shapes
 from test_pruned_predicates import CORPUS8
 
@@ -133,7 +133,8 @@ def oracle_outcome(M, S, lo, hi, corrupt=None):
     """What slicing each block on its own and the old checks make of the
     blocks [lo[i], hi[i]], with `corrupt` applied to the blocks."""
     def check():
-        blocks = {x: M._slice(lo[i], hi[i]) for i, x in enumerate(S.elements)}
+        blocks = {x: oracle_slice(M, lo[i], hi[i])
+                  for i, x in enumerate(S.elements)}
         if corrupt is not None:
             corrupt(blocks)
         oracle_decompose_checks(GluedSystem(S, blocks))
