@@ -5,6 +5,11 @@ Exit codes: 0 when every requested check passes, 1 when a check is violated
 (with a machine-readable violation object on stderr), 2 on malformed input,
 141 when the reader of stdout closes it before the output is written (the
 code a shell reports for SIGPIPE), with nothing on stderr.
+
+Each command loads the modules it runs: `check`, `glue`, `skeleton` and
+`dot` run on what importing this module loads (`core`, `io`, `glue`,
+`predicates`, `skeleton`); `connect` adds `connect`, and `suite` and
+`construct` add `suite`, `constructions`, `hom` and `connect`.
 """
 
 import argparse
@@ -13,17 +18,13 @@ import json
 import os
 import sys
 
-from . import constructions as fix
 from . import io as lio
-from .connect import ConnectedSystem, LocalConnectedSystem, connected_sum, \
-    elevate
 from .core import FiniteLattice, InvariantViolated, LatticeError, product
 from .glue import GluedSystem, NotALattice, glued_sum, validate
 from .predicates import NotModular, breadth, is_atomistic, is_distributive, \
     is_dual_semimodular, is_modular, is_n_distributive, is_semimodular, \
     is_simple
 from .skeleton import decompose
-from .suite import run_suite
 
 PROPERTIES = {
     "modular": is_modular,
@@ -129,6 +130,8 @@ def cmd_glue(args):
 
 
 def cmd_connect(args):
+    from .connect import ConnectedSystem, LocalConnectedSystem, \
+        connected_sum, elevate
     cs = _load(args.file, (ConnectedSystem, LocalConnectedSystem))
     try:
         if isinstance(cs, LocalConnectedSystem):
@@ -171,25 +174,28 @@ def cmd_skeleton(args):
     return 0
 
 
-FIXTURES = {
+# The fixtures `construct` emits: each a builder of `constructions`, by
+# its name there, or a lambda over `fix`, the module, which `_fixtures`
+# imports on first use so that only `construct` loads it.
+_FIXTURES = {
     "chain": lambda n=3: fix.chain(int(n)),
     "boolean": lambda n=3: fix.boolean(int(n)),
-    "m3": fix.m3,
-    "n5": fix.n5,
+    "m3": "m3",
+    "n5": "n5",
     "m_k": lambda k=3: fix.m_k(int(k)),
     "grid": lambda p=2, q=2: fix.grid(int(p), int(q)),
-    "fano": fix.fano_lattice,
-    "fig_3by3": fix.fig_3by3_system,
-    "note2_overlap": fix.note2_overlap_system,
-    "note3": fix.note3_system,
+    "fano": "fano_lattice",
+    "fig_3by3": "fig_3by3_system",
+    "note2_overlap": "note2_overlap_system",
+    "note3": "note3_system",
     "unbounded": lambda n=3: fix.unbounded_family(int(n)),
-    "hd_two_chains": fix.hd_two_chains,
-    "hd_two_m3": fix.hd_two_m3,
-    "hd_two_m3_edge": fix.hd_two_m3_edge,
-    "m3_chain_of_three": fix.m3_chain_of_three,
-    "m3_chain_edges": fix.m3_chain_edges,
-    "nonexample_a1": fix.section1_nonexample_a1,
-    "nonexample_a4": fix.section1_nonexample_a4,
+    "hd_two_chains": "hd_two_chains",
+    "hd_two_m3": "hd_two_m3",
+    "hd_two_m3_edge": "hd_two_m3_edge",
+    "m3_chain_of_three": "m3_chain_of_three",
+    "m3_chain_edges": "m3_chain_edges",
+    "nonexample_a1": "section1_nonexample_a1",
+    "nonexample_a4": "section1_nonexample_a4",
     "distributive_over_b2": lambda: fix.distributive_with_skeleton(fix.boolean(2)),
     "square_over_m3": lambda: fix.square_sublattice(fix.m3()),
     "projective_local": lambda: fix.section4_example()["local_system"],
@@ -199,11 +205,27 @@ FIXTURES = {
 }
 
 
+@functools.cache
+def _fixtures():
+    """{name: builder} of the fixtures `construct` emits."""
+    global fix
+    from . import constructions as fix
+    return {name: getattr(fix, b) if isinstance(b, str) else b
+            for name, b in _FIXTURES.items()}
+
+
+def __getattr__(name):
+    if name == "FIXTURES":
+        return _fixtures()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def cmd_construct(args):
-    if args.name not in FIXTURES:
-        return _error(f"unknown fixture {args.name!r}", known=sorted(FIXTURES))
+    fixtures = _fixtures()
+    if args.name not in fixtures:
+        return _error(f"unknown fixture {args.name!r}", known=sorted(fixtures))
     try:
-        obj = FIXTURES[args.name](*args.params)
+        obj = fixtures[args.name](*args.params)
     except (TypeError, ValueError, LatticeError) as e:
         return _error(f"{type(e).__name__}: {e}")
     L = None
@@ -216,6 +238,8 @@ def cmd_construct(args):
 
 
 def cmd_suite(args):
+    from . import constructions as fix
+    from .suite import run_suite
     if not 1 <= args.corpus_max <= fix.MAX_ENUMERATED:
         return _error(f"--corpus-max must be between 1 and "
                       f"{fix.MAX_ENUMERATED}", corpus_max=args.corpus_max,

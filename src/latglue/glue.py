@@ -524,12 +524,15 @@ def _joined(arrays):
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def _order_union(sys):
-    """The carrier and the union of the block orders over it, reflexive."""
+def _order_union(sys, at=None):
+    """The carrier and the union of the block orders over it, reflexive.
+    Given `at`, an array that puts carrier element k at position at[k],
+    the union is laid out in that order instead."""
     m = sys._members
+    rows = m.rows if at is None else at[m.rows]
     i, a, b = np.nonzero(m.leq)
     R = np.zeros((len(m.carrier), len(m.carrier)), dtype=bool)
-    R[m.rows[m.start[i] + a], m.rows[m.start[i] + b]] = True
+    R[rows[m.start[i] + a], rows[m.start[i] + b]] = True
     return m.carrier, R
 
 

@@ -23,13 +23,12 @@ cover digraph contains a cycle"), and an error in a map's pairs names
 the map.  A connected system's blocks are built, and its maps read,
 under the file's ids, so that such an error names them, and then
 namespaced.
+`connect` is imported only to read or write a connected system.
 """
 
 import json
 
 from .core import FiniteLattice, LatticeError, _lattices
-from .connect import ConnectedSystem, LocalConnectedSystem, _entries, \
-    _not_a_string, _prefix
 from .glue import GluedSystem, _check_block_keys
 
 
@@ -156,6 +155,7 @@ def connected_to_dict(cs, local=False):
 def _string(a):
     """`a`, which must be a string: LatticeError otherwise."""
     if not isinstance(a, str):
+        from .connect import _not_a_string
         raise _not_a_string(a)
     return a
 
@@ -167,6 +167,7 @@ class _Names(dict):
     pairs thus never share a carrier id."""
 
     def __init__(self, x, ids):
+        from .connect import _prefix
         p = _prefix(x)
         ids = list(map(_string, ids))
         prefix = "" if ids and all(a.startswith(p) for a in ids) else p
@@ -174,6 +175,7 @@ class _Names(dict):
 
 
 def connected_from_dict(d):
+    from .connect import ConnectedSystem, LocalConnectedSystem, _entries
     d = _object(d, _CONNECTED_KEYS)
     S = lattice_from_dict(_field(d, "skeleton"))
     names = {}
@@ -250,6 +252,7 @@ def to_dict(obj):
         return lattice_to_dict(obj)
     if isinstance(obj, GluedSystem):
         return glued_to_dict(obj)
+    from .connect import ConnectedSystem, LocalConnectedSystem
     if isinstance(obj, LocalConnectedSystem):
         return connected_to_dict(obj, local=True)
     if isinstance(obj, ConnectedSystem):

@@ -24,7 +24,7 @@ def is_modular(L):
     cached = getattr(L, "_modular", None)
     if cached is not None:
         return cached
-    h = np.array(L._height)
+    h = np.array(L._height, dtype=np.int32)
     ok = bool((h[:, None] + h == h[L._join] + h[L._meet]).all())
     L._modular = ok
     return ok

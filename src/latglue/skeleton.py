@@ -262,12 +262,11 @@ class SkeletonDecomposition:
         R⁺ ⊆ ≤_M (≤_M is transitive) and ≤_M, the closure of its covers, is
         in R⁺.  Conversely, if R⁺ = ≤_M, a path in R from a to b with a ≺ b
         stays in [a, b] = {a, b}, so (a, b) is in R."""
-        carrier, R = _order_union(self.system)
         M = self.source
+        carrier = self.system._members.carrier
         if set(carrier) != set(M.elements):
             return False
-        at = np.argsort([M._idx[a] for a in carrier])  # M's order in carrier
-        R = R[np.ix_(at, at)]
+        _, R = _order_union(self.system, np.array([M._idx[a] for a in carrier]))
         return bool(R[tuple(M._cov_array.T)].all() and not (R & ~M._leq).any())
 
 

@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -189,6 +191,18 @@ def test_construct_out_of_range_parameters_exit_2(argv, capsys):
     assert "error" in json.loads(capsys.readouterr().err.strip())
 
 
+@pytest.mark.parametrize("argv, error", [
+    (["m3", "x"], "TypeError: m3() takes 0 positional arguments but 1 was "
+     "given"),
+    (["chain", "1", "2"], "TypeError: <lambda>() takes from 0 to 1 "
+     "positional arguments but 2 were given"),
+], ids=["m3", "chain"])
+def test_construct_with_too_many_parameters_names_the_builder(argv, error,
+                                                              capsys):
+    assert run(["construct", *argv]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": error}
+
+
 def test_construct_stdout_json(capsys):
     assert run(["construct", "m3"]) == 0
     d = json.loads(capsys.readouterr().out)
@@ -260,7 +274,7 @@ def test_suite_command(capsys):
 def test_suite_corpus_max_out_of_range_exits_2_before_any_criterion(
         bound, capsys, monkeypatch):
     ran = []
-    monkeypatch.setattr(cli, "run_suite",
+    monkeypatch.setattr(suite, "run_suite",
                         lambda corpus_max, as_json: ran.append(corpus_max)
                         or (True, []))
     assert run(["suite", "--corpus-max", bound]) == 2
@@ -274,7 +288,7 @@ def test_suite_corpus_max_out_of_range_exits_2_before_any_criterion(
 @pytest.mark.parametrize("bound", [1, 8])
 def test_suite_corpus_max_in_range_runs(bound, monkeypatch):
     ran = []
-    monkeypatch.setattr(cli, "run_suite",
+    monkeypatch.setattr(suite, "run_suite",
                         lambda corpus_max, as_json: ran.append(corpus_max)
                         or (True, []))
     assert run(["suite", "--corpus-max", str(bound)]) == 0
@@ -853,3 +867,162 @@ def test_undecodable_and_over_deep_files_exit_2(command, raw, tmp_path,
     assert run(argv) == 2
     err = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert err["file"] == str(path)
+
+
+# -- fresh interpreters under python -O ------------------------------------------
+#
+# In this process every module is loaded already, so only a fresh
+# interpreter shows what a command loads, and that a module it imports on
+# first use is imported where it is needed.  `import latglue.cli` loads
+# what `skeleton` runs, which covers `check`, `glue` and `dot`; `connect`
+# adds `connect`, `construct` adds `constructions` (which imports
+# `connect`) and `suite` loads every module.
+
+LOADED = {"latglue", "latglue.cli", "latglue.core", "latglue.glue",
+          "latglue.io", "latglue.predicates", "latglue.skeleton"}
+WITH_CONNECT = LOADED | {"latglue.connect"}
+WITH_CONSTRUCTIONS = WITH_CONNECT | {"latglue.constructions"}
+EVERY = WITH_CONSTRUCTIONS | {"latglue.hom", "latglue.suite"}
+
+# argv: the file to record the loaded modules in, then the command, if any
+FRESH = """
+import json, sys
+try:
+    from latglue.cli import main
+    code = main(sys.argv[2:]) if sys.argv[2:] else 0
+finally:
+    with open(sys.argv[1], "w") as f:
+        json.dump([m for m in sys.modules if m.split(".")[0] == "latglue"], f)
+sys.exit(code)
+"""
+
+
+def _env():
+    """The environment with this checkout's library first on the path."""
+    src = os.path.dirname(os.path.dirname(latglue.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def fresh(cwd, *argv, want=0, loaded=LOADED):
+    """`latglue argv` run by `main` in a fresh `python -O` interpreter in
+    the directory `cwd`; asserts its exit code is `want` and the set of
+    library modules it had loaded at exit is `loaded`, and returns it."""
+    fd, record = tempfile.mkstemp(suffix=".json", dir=cwd)
+    os.close(fd)
+    done = subprocess.run([sys.executable, "-O", "-c", FRESH, record, *argv],
+                          cwd=cwd, env=_env(), capture_output=True, text=True)
+    assert done.returncode == want, (argv, done.stdout, done.stderr)
+    with open(record) as f:
+        assert set(json.load(f)) == loaded, argv
+    os.remove(record)
+    return done
+
+
+def test_a_fresh_import_loads_what_skeleton_runs(tmp_path):
+    fresh(tmp_path)
+
+
+def test_skeleton_request_and_its_system_glued_back(tmp_path):
+    """The interval and (A1)/(A2) checks, the lazily built blocks and the
+    hand-made system's `validate` do not rest on assert."""
+    fresh(tmp_path, "construct", "grid", "11", "12", "--out", "g.json",
+          loaded=WITH_CONSTRUCTIONS)
+    fresh(tmp_path, "skeleton", "g.json", "--out", "gs.json")
+    fresh(tmp_path, "glue", "gs.json")
+    fresh(tmp_path, "dot", "g.json")
+
+
+def test_boolean8_skeleton_request(tmp_path):
+    """The Möbius join/meet tables and their certificate do not rest on
+    assert."""
+    fresh(tmp_path, "construct", "boolean", "8", "--out", "b8.json",
+          loaded=WITH_CONSTRUCTIONS)
+    done = fresh(tmp_path, "skeleton", "b8.json")
+    assert done.stdout.splitlines()[-1] == "roundtrip: OK"
+
+
+def test_skeleton_out_on_the_chain_1_str1_2_is_refused_before_writing(
+        tmp_path):
+    """The chain 1 < "1" < 2: its skeleton's two block keys are both "1"."""
+    (tmp_path / "one-key.json").write_text(json.dumps(
+        {"elements": [1, "1", 2], "covers": [[1, "1"], ["1", 2]]}))
+    fresh(tmp_path, "skeleton", "one-key.json", "--out", "one-key-sys.json",
+          want=2)
+    assert not (tmp_path / "one-key-sys.json").exists()
+
+
+def test_a_bowtie_is_refused_as_malformed(tmp_path):
+    """0 < a, b < c, d < 1: a and b have no least upper bound."""
+    (tmp_path / "bowtie.json").write_text(json.dumps(
+        {"elements": ["0", "a", "b", "c", "d", "1"],
+         "covers": [["0", "a"], ["0", "b"], ["a", "c"], ["a", "d"],
+                    ["b", "c"], ["b", "d"], ["c", "1"], ["d", "1"]]}))
+    fresh(tmp_path, "check", "bowtie.json", "--property", "modular", want=2)
+
+
+def test_suite_corpus_max_9_is_refused_as_malformed(tmp_path):
+    fresh(tmp_path, "suite", "--corpus-max", "9", want=2, loaded=EVERY)
+
+
+def test_check_decides_every_property_on_a_lattice_mixing_int_and_str_ids(
+        tmp_path):
+    """Exit 0 for each verdict that holds, 1 for simple: the square is not
+    simple."""
+    (tmp_path / "mixed.json").write_text(json.dumps(MIXED_IDS))
+    want = {"modular": 0, "semimodular": 0, "dual-semimodular": 0,
+            "distributive": 0, "atomistic": 0, "breadth": 0,
+            "n-distributive:2": 0, "simple": 1}
+    with ThreadPoolExecutor(2) as pool:  # two interpreters at a time
+        list(pool.map(lambda p: fresh(tmp_path, "check", "mixed.json",
+                                      "--property", p, want=want[p]), want))
+
+
+def test_connect_loads_connect(tmp_path):
+    (tmp_path / "cs.json").write_text(json.dumps(
+        _two_blocks(("0", "1", [["b", "c"]]))))
+    fresh(tmp_path, "connect", "cs.json", loaded=WITH_CONNECT)
+
+
+def test_suite_loads_every_module(tmp_path):
+    done = fresh(tmp_path, "suite", "--corpus-max", "3", loaded=EVERY)
+    assert done.stdout.count("PASS") == 12
+
+
+PACKAGE = """
+import json, sys
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "latglue")
+import latglue
+out = {"import": loaded()}
+out["connect"] = latglue.connect.__name__
+from latglue import LatticeHom
+out["hom"] = loaded()
+ns = {}
+exec("from latglue import *", ns)
+out["star"] = sorted(k for k in ns if k != "__builtins__")
+try:
+    latglue.nothing
+except AttributeError as e:
+    out["missing"] = str(e)
+print(json.dumps(out))
+"""
+
+
+def test_the_package_resolves_connect_and_hom_on_first_use():
+    done = subprocess.run([sys.executable, "-O", "-c", PACKAGE], env=_env(),
+                          capture_output=True, text=True, check=True)
+    out = json.loads(done.stdout)
+    assert out["import"] == sorted({"latglue", "latglue.core", "latglue.glue",
+                                    "latglue.predicates", "latglue.skeleton"})
+    assert out["connect"] == "latglue.connect"
+    assert "latglue.hom" in out["hom"] and "latglue.suite" not in out["hom"]
+    assert out["star"] == sorted(
+        ["ConnectedSystem", "CycleDetected", "FiniteLattice", "GlueViolation",
+         "GluedSystem", "Interval", "LatticeError", "LatticeHom",
+         "LocalConnectedSystem", "NoUniqueJoin", "NoUniqueMeet",
+         "NotALattice", "NotBounded", "NotComparable", "NotModular",
+         "NotModularSkeleton", "NotTransitiveReduction",
+         "SkeletonDecomposition", "UnknownElement", "connect", "core",
+         "find_isomorphism", "glue", "hom", "predicates", "product",
+         "skeleton"])
+    assert out["missing"] == "module 'latglue' has no attribute 'nothing'"

@@ -289,11 +289,11 @@ KEYS = ["".join(k) for n in range(1, 4)
 
 
 def test_no_block_prefix_begins_another():
-    prefixes = [lio._prefix(x) for x in KEYS]
+    prefixes = [connect._prefix(x) for x in KEYS]
     assert len(set(prefixes)) == len(KEYS)
     for p, q in itertools.permutations(prefixes, 2):
         assert not q.startswith(p)
-    assert lio._prefix("s0") == "s0:" and lio._prefix(3) == "3:"
+    assert connect._prefix("s0") == "s0:" and connect._prefix(3) == "3:"
 
 
 def test_distinct_block_ids_get_distinct_carrier_ids_and_keep_them():

@@ -345,6 +345,23 @@ WANT = {"not-filter": ("A1", {FILTER}),
         "zero-outside": ("A1", {FILTER, IDEAL})}
 
 
+class Unbuilt:
+    """Stands in for a mutant that `mutate` failed to build, so that the
+    failure is the mutant's own tests' and not the collection of every
+    module importing `MUTANTS`: reading any attribute of it raises,
+    naming the mutant, from the error."""
+
+    def __init__(self, name, error):
+        self.name, self.error = name, error
+
+    def __getattr__(self, attr):
+        if attr.startswith("__"):  # protocol lookups see no such attribute
+            raise AttributeError(attr)
+        raise AssertionError(f"mutant {self.name} was not built: "
+                             f"{type(self.error).__name__}: {self.error}") \
+            from self.error
+
+
 def mutants():
     rng = random.Random(8)
     out = []
@@ -357,12 +374,20 @@ def mutants():
             able = [p for p in pairs
                     if kind != "flipped-inside" or _inside(sys, *p)]
             for x, y in rng.sample(able, min(2, len(able))):
-                out.append((f"{name}-{kind}-{x}-{y}", kind, x, y,
-                            mutate(sys, kind, x, y)))
+                mutant = f"{name}-{kind}-{x}-{y}"
+                try:
+                    built = mutate(sys, kind, x, y)
+                except Exception as e:
+                    built = Unbuilt(mutant, e)
+                out.append((mutant, kind, x, y, built))
     return out
 
 
 MUTANTS = mutants()
+
+
+def test_every_mutant_is_built():
+    assert [m[0] for m in MUTANTS if isinstance(m[4], Unbuilt)] == []
 
 
 def test_every_kind_of_mutant_is_seeded_many_times():

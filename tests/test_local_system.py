@@ -127,8 +127,12 @@ def test_copies_stay_distinct_where_plain_prefixes_merged_them(low, high):
 def test_a_block_id_that_is_no_string_is_refused_as_io_refuses_it():
     with pytest.raises(LatticeError, match="^element id 1 is not a string$"):
         copies_local_system(chain(1), FiniteLattice([1, 2], [(1, 2)]))
-    assert lio._prefix is connect._prefix
-    assert lio._not_a_string is connect._not_a_string
+    doc = {"skeleton": {"elements": ["x"], "covers": []},
+           "blocks": {"x": {"elements": [1, 2], "covers": [[1, 2]]}},
+           "maps": []}
+    with pytest.raises(LatticeError,
+                       match="^block 'x': element id 1 is not a string$"):
+        lio.connected_from_dict(doc)
 
 
 # every skeleton and block copies_local_system is called on in the library
